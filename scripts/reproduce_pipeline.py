@@ -23,18 +23,14 @@ TARGETS = ("force", "displacement")
 def run_one(preset, recs, target, out_dir):
     cfg = dataclasses.replace(kr.default_best_config(), target=target)
     bundle, report = kr.fit_pipeline(recs[0], cfg)
-    cards = [kr.predict_batch(bundle, rec)[1] for rec in recs[1:]]
+    ev = kr.evaluate(bundle, recs[1], recs[2])
 
     if out_dir is not None:
         stem = f"{preset.name.lower()}_{target}"
         kr.save_bundle(bundle, out_dir / f"{stem}.json")
-        rows = []
-        for tag, card in zip(("test_a", "test_b"), cards):
-            rows.extend(card.rows(tag))
-        rows.append(("combined_error", kr.combined_error(cards[0].r2_post, cards[1].r2_post)))
-        kr.write_metric_rows_csv(rows, out_dir / f"{stem}_metrics.csv")
+        kr.write_metric_rows_csv(ev.rows(), out_dir / f"{stem}_metrics.csv")
 
-    return report, cards
+    return report, (ev.card_a, ev.card_b)
 
 
 def main():

@@ -17,7 +17,6 @@ import time
 from pathlib import Path
 
 import knitrect as kr
-from knitrect.cli import _parse_indices
 
 ROLES = ("train.csv", "test_a.csv", "test_b.csv")
 
@@ -57,7 +56,7 @@ def main():
         for rec in (a_rec, b_rec)
     )
 
-    configs = kr.grid_configs(_parse_indices(args.feature_sets), _parse_indices(args.topologies))
+    configs = kr.grid_configs(kr.parse_indices(args.feature_sets), kr.parse_indices(args.topologies))
     print(f"{len(configs)} configurations, epoch cap {args.epochs}, parallelism {args.parallel}")
     started = time.perf_counter()
     report = kr.run_grid(

@@ -17,6 +17,7 @@ from .gridsearch import (
     enumerate_feature_sets,
     enumerate_topologies,
     grid_configs,
+    parse_indices,
     read_report_csv,
     run_grid,
     write_report_csv,
@@ -45,6 +46,7 @@ from .mlp import (
     train,
 )
 from .pipeline import (
+    Evaluation,
     PipelineBundle,
     PipelineConfig,
     PreparedData,
@@ -52,6 +54,7 @@ from .pipeline import (
     config_from_dict,
     config_to_dict,
     default_best_config,
+    evaluate,
     fit_pipeline,
     load_bundle,
     open_stream,
@@ -94,7 +97,6 @@ from .smoothing import (
     AlphaSet,
     BankState,
     FeatureMatrix,
-    SmoothState,
     alpha_set,
     bank_push,
     bank_windows,

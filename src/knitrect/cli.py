@@ -20,8 +20,8 @@ from pathlib import Path
 from . import gridsearch as gs
 from . import pipeline as pl
 from .errors import DataError, NumericError
-from .metrics import binned_rse_pair, combined_error, write_binned_rse_csv, write_metric_rows_csv
-from .series import fmt, load_recording, resample, write_recording
+from .metrics import binned_rse_pair, write_binned_rse_csv, write_metric_rows_csv
+from .series import fmt, load_recording, write_recording
 from .simulate import load_presets, make_dataset, preset_by_name
 
 
@@ -120,61 +120,15 @@ def _cmd_predict(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     bundle = pl.load_bundle(args.bundle)
-    rows = []
-    pooled = {"truth": [], "pre": [], "post": []}
-    for tag, path in (("test_a", args.test_a), ("test_b", args.test_b)):
-        rec = load_recording(path)
-        prepared, p = pl._run_bundle(bundle, rec)
-        card = pl._score(prepared, p)
-        rows.extend(card.rows(tag))
-        _print_card(tag, card)
-        # pool raw-unit samples from both test sets for the binned RSE
-        truth_raw = resample(rec.t_s, pl._target_column(rec, bundle.config.target), bundle.config.rate_hz).values
-        pooled["truth"].append(truth_raw)
-        pooled["pre"].append(bundle.scaler_t.inverse(prepared.g_bar))
-        pooled["post"].append(bundle.scaler_t.inverse(p))
-    r2a = rows[1][1]
-    r2b = rows[4][1]
-    rows.append(("combined_error", combined_error(r2a, r2b)))
-    write_metric_rows_csv(rows, args.out)
+    ev = pl.evaluate(bundle, load_recording(args.test_a), load_recording(args.test_b))
+    _print_card("test_a", ev.card_a)
+    _print_card("test_b", ev.card_b)
+    write_metric_rows_csv(ev.rows(), args.out)
     print(f"wrote {args.out}")
     if args.rse_out:
-        import numpy as np
-
-        br = binned_rse_pair(
-            np.concatenate(pooled["truth"]),
-            np.concatenate(pooled["pre"]),
-            np.concatenate(pooled["post"]),
-            args.bin_width,
-        )
-        write_binned_rse_csv(br, args.rse_out)
+        write_binned_rse_csv(binned_rse_pair(ev.truth, ev.pre, ev.post, args.bin_width), args.rse_out)
         print(f"wrote {args.rse_out}")
     return 0
-
-
-def _parse_indices(text: str | None):
-    """Parse '0,2,5-8' style index lists; None passes through."""
-    if text is None:
-        return None
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "-" in part:
-            lo, _, hi = part.partition("-")
-            try:
-                out.extend(range(int(lo), int(hi) + 1))
-            except ValueError:
-                raise DataError(f"bad index range {part!r}") from None
-        else:
-            try:
-                out.append(int(part))
-            except ValueError:
-                raise DataError(f"bad index {part!r}") from None
-    if not out:
-        raise DataError("empty index list")
-    return out
 
 
 def _cmd_gridsearch(args) -> int:
@@ -193,7 +147,7 @@ def _cmd_gridsearch(args) -> int:
                 prepared_train.scaler_source,
             )
         )
-    configs = gs.grid_configs(_parse_indices(args.feature_sets), _parse_indices(args.topologies))
+    configs = gs.grid_configs(gs.parse_indices(args.feature_sets), gs.parse_indices(args.topologies))
     report = gs.run_grid(
         prepared_train,
         tests[0],

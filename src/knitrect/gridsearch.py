@@ -104,6 +104,31 @@ class GridConfig:
     seed: int = 0
 
 
+def parse_indices(text: str | None) -> list[int] | None:
+    """Parse '0,2,5-8' style index lists; None passes through."""
+    if text is None:
+        return None
+    out = []
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if "-" in part:
+            lo, _, hi = part.partition("-")
+            try:
+                out.extend(range(int(lo), int(hi) + 1))
+            except ValueError:
+                raise DataError(f"bad index range {part!r}") from None
+        else:
+            try:
+                out.append(int(part))
+            except ValueError:
+                raise DataError(f"bad index {part!r}") from None
+    if not out:
+        raise DataError("empty index list")
+    return out
+
+
 def grid_configs(
     feature_set_indices=None,
     topology_indices=None,
@@ -268,8 +293,7 @@ def _cell(x: float | None) -> str:
 
 
 def write_report_csv(report: SearchReport, sink) -> None:
-    stream, close = _open_text(sink, "w")
-    try:
+    with _open_text(sink, "w") as stream:
         stream.write(REPORT_HEADER + "\n")
         for r in report.rows:
             alphas = " ".join(fmt(a) for a in r.alphas)
@@ -279,17 +303,18 @@ def write_report_csv(report: SearchReport, sink) -> None:
                 f"{_cell(r.r2_train)},{_cell(r.r2_test_a)},{_cell(r.r2_test_b)},"
                 f"{_cell(r.error)},{_cell(r.seconds)},{r.status}\n"
             )
-    finally:
-        if close:
-            stream.close()
 
 
 def read_report_csv(source) -> list[GridRow]:
-    """Parse rows written by write_report_csv (feature-set index not recoverable)."""
+    """Parse rows written by write_report_csv.
+
+    The feature-set index is recovered by matching each row's alphas
+    against enumerate_feature_sets(); alphas outside it keep index -1.
+    """
     import csv
 
-    stream, close = _open_text(source, "r")
-    try:
+    set_index = {aset.alphas: i for i, aset in enumerate(enumerate_feature_sets())}
+    with _open_text(source, "r") as stream:
         reader = csv.reader(stream)
         header = next(reader, None)
         if header is None or ",".join(header) != REPORT_HEADER:
@@ -301,11 +326,12 @@ def read_report_csv(source) -> list[GridRow]:
             if len(rec) != 10:
                 raise DataError("malformed report row")
             cid, fs, alphas, hidden, r2t, r2a, r2b, err, secs, status = rec
+            alphas = tuple(float(a) for a in alphas.split())
             rows.append(
                 GridRow(
                     config_id=int(cid),
                     feature_set=fs,
-                    alphas=tuple(float(a) for a in alphas.split()),
+                    alphas=alphas,
                     hidden=tuple(int(h) for h in hidden.split("x") if h),
                     r2_train=float(r2t) if r2t else None,
                     r2_test_a=float(r2a) if r2a else None,
@@ -313,9 +339,7 @@ def read_report_csv(source) -> list[GridRow]:
                     error=float(err) if err else None,
                     seconds=float(secs) if secs else None,
                     status=status,
+                    feature_set_index=set_index.get(alphas, -1),
                 )
             )
-        return rows
-    finally:
-        if close:
-            stream.close()
+    return rows

@@ -144,19 +144,14 @@ def binned_rse_pair(truth, est_pre, est_post, bin_width: float = 1.0) -> BinnedR
 
 
 def write_metric_rows_csv(rows: list[tuple[str, float]], sink) -> None:
-    stream, close = _open_text(sink, "w")
-    try:
+    with _open_text(sink, "w") as stream:
         stream.write("metric,value\n")
         for name, value in rows:
             stream.write(f"{name},{fmt(value)}\n")
-    finally:
-        if close:
-            stream.close()
 
 
 def write_binned_rse_csv(br: BinnedRse, sink) -> None:
-    stream, close = _open_text(sink, "w")
-    try:
+    with _open_text(sink, "w") as stream:
         stream.write("bin_lo_n,bin_hi_n,count,rse_pre,rse_post\n")
         for b in range(br.counts.size):
             pre = "" if br.rse_pre[b] is None else fmt(br.rse_pre[b])
@@ -164,6 +159,3 @@ def write_binned_rse_csv(br: BinnedRse, sink) -> None:
             stream.write(
                 f"{fmt(br.bin_edges[b])},{fmt(br.bin_edges[b + 1])},{int(br.counts[b])},{pre},{post}\n"
             )
-    finally:
-        if close:
-            stream.close()

@@ -178,10 +178,10 @@ def train(model: MlpModel, X, y, cfg: TrainConfig) -> tuple[MlpModel, TrainRepor
     batch = min(200, n) if cfg.batch_size == "auto" else min(int(cfg.batch_size), n)
     rng = np.random.default_rng(cfg.seed)
 
-    m_w = [np.zeros_like(w) for w in net.weights]
-    v_w = [np.zeros_like(w) for w in net.weights]
-    m_b = [np.zeros_like(b) for b in net.biases]
-    v_b = [np.zeros_like(b) for b in net.biases]
+    # one Adam state per parameter array; the arrays are updated in place
+    params = net.weights + net.biases
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
 
     initial = mse_loss(net, X, y)
     guard = DIVERGENCE_FACTOR * (initial + 1e-12)
@@ -199,13 +199,10 @@ def train(model: MlpModel, X, y, cfg: TrainConfig) -> tuple[MlpModel, TrainRepor
             step += 1
             c1 = 1.0 - ADAM_BETA1**step
             c2 = 1.0 - ADAM_BETA2**step
-            for li in range(len(net.weights)):
-                m_w[li] = ADAM_BETA1 * m_w[li] + (1 - ADAM_BETA1) * gw[li]
-                v_w[li] = ADAM_BETA2 * v_w[li] + (1 - ADAM_BETA2) * gw[li] ** 2
-                net.weights[li] -= cfg.learning_rate * (m_w[li] / c1) / (np.sqrt(v_w[li] / c2) + ADAM_EPS)
-                m_b[li] = ADAM_BETA1 * m_b[li] + (1 - ADAM_BETA1) * gb[li]
-                v_b[li] = ADAM_BETA2 * v_b[li] + (1 - ADAM_BETA2) * gb[li] ** 2
-                net.biases[li] -= cfg.learning_rate * (m_b[li] / c1) / (np.sqrt(v_b[li] / c2) + ADAM_EPS)
+            for i, g in enumerate(gw + gb):
+                m[i] = ADAM_BETA1 * m[i] + (1 - ADAM_BETA1) * g
+                v[i] = ADAM_BETA2 * v[i] + (1 - ADAM_BETA2) * g**2
+                params[i] -= cfg.learning_rate * (m[i] / c1) / (np.sqrt(v[i] / c2) + ADAM_EPS)
         loss = mse_loss(net, X, y)
         history.append(loss)
         if not np.isfinite(loss) or loss > guard:

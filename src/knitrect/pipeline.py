@@ -3,8 +3,9 @@
 fit_pipeline trains everything on one recording and freezes the result
 into a PipelineBundle: rate, scalers, smoothing factors, init windows,
 network weights.  The bundle then rectifies fresh recordings in batch
-(predict_batch) or sample-by-sample (StreamSession), and serializes to a
-versioned, checksummed JSON file.
+(predict_batch) or sample-by-sample (StreamSession), is scored on two test
+recordings (evaluate), and serializes to a versioned, checksummed JSON
+file.
 
 Scalers are always the training recording's; applying them verbatim to
 test data is part of the contract (a deployed filter cannot refit on
@@ -21,7 +22,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import DataError
-from .metrics import ScoreCard, r_squared
+from .metrics import ScoreCard, combined_error, r_squared
 from .mlp import MlpModel, TrainConfig, TrainReport, forward, forward_batch, mlp_new
 from .mlp import train as train_mlp
 from .series import (
@@ -177,21 +178,7 @@ def _target_column(rec: RawRecording, target: str) -> np.ndarray:
 
 def prepare(rec: RawRecording, rate_hz: float = 20.0, target: str = "force") -> PreparedData:
     """Resample, flip resistance to conductance, fit scalers on this recording."""
-    t_series = resample(rec.t_s, _target_column(rec, target), rate_hz)
-    g_series = conductivity(resample(rec.t_s, rec.resistance_ohm, rate_hz))
-    scaler_t = scaler_fit(t_series.values)
-    scaler_g = scaler_fit(g_series.values)
-    return PreparedData(
-        rate_hz=float(rate_hz),
-        t0=t_series.t0,
-        g_bar=scaler_g.transform(g_series.values),
-        target_bar=scaler_t.transform(t_series.values),
-        scaler_g=scaler_g,
-        scaler_t=scaler_t,
-        target=target,
-        source_label=rec.source_label,
-        scaler_source=rec.source_label,
-    )
+    return _prepare(rec, rate_hz, target, None, rec.source_label)
 
 
 def prepare_with_scalers(
@@ -203,8 +190,21 @@ def prepare_with_scalers(
     scaler_source: str,
 ) -> PreparedData:
     """Same as prepare, but applying previously fitted (training) scalers."""
+    return _prepare(rec, rate_hz, target, (scaler_g, scaler_t), scaler_source)
+
+
+def _prepare(
+    rec: RawRecording,
+    rate_hz: float,
+    target: str,
+    scalers: tuple[ScalerParams, ScalerParams] | None,  # (g, t); None fits both on rec
+    scaler_source: str,
+) -> PreparedData:
     t_series = resample(rec.t_s, _target_column(rec, target), rate_hz)
     g_series = conductivity(resample(rec.t_s, rec.resistance_ohm, rate_hz))
+    if scalers is None:
+        scalers = (scaler_fit(g_series.values), scaler_fit(t_series.values))
+    scaler_g, scaler_t = scalers
     return PreparedData(
         rate_hz=float(rate_hz),
         t0=t_series.t0,
@@ -295,15 +295,52 @@ def write_prediction_csv(bundle: PipelineBundle, rec: RawRecording, sink) -> Sco
     """Rectify and dump `t_s,g_bar,p,target_bar` rows; returns the scorecard."""
     prepared, p = _run_bundle(bundle, rec)
     ts = prepared.t0 + np.arange(p.size) / prepared.rate_hz
-    stream, close = _open_text(sink, "w")
-    try:
+    with _open_text(sink, "w") as stream:
         stream.write("t_s,g_bar,p,target_bar\n")
         for t, g, pv, tb in zip(ts, prepared.g_bar, p, prepared.target_bar):
             stream.write(f"{fmt(t)},{fmt(g)},{fmt(pv)},{fmt(tb)}\n")
-    finally:
-        if close:
-            stream.close()
     return _score(prepared, p)
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """A bundle scored on two test recordings.
+
+    truth, pre and post pool both recordings in raw target units (truth
+    resampled, pre and post mapped back through the training scaler), as
+    the binned RSE wants them.
+    """
+
+    card_a: ScoreCard
+    card_b: ScoreCard
+    combined_error: float
+    truth: np.ndarray
+    pre: np.ndarray
+    post: np.ndarray
+
+    def rows(self) -> list[tuple[str, float]]:
+        """The scorecard CSV rows: both cards, then the combined error."""
+        return self.card_a.rows("test_a") + self.card_b.rows("test_b") + [("combined_error", self.combined_error)]
+
+
+def evaluate(bundle: PipelineBundle, test_a: RawRecording, test_b: RawRecording) -> Evaluation:
+    """Score a bundle on two test recordings with the training scalers."""
+    cfg = bundle.config
+    cards, truth, pre, post = [], [], [], []
+    for rec in (test_a, test_b):
+        prepared, p = _run_bundle(bundle, rec)
+        cards.append(_score(prepared, p))
+        truth.append(resample(rec.t_s, _target_column(rec, cfg.target), cfg.rate_hz).values)
+        pre.append(bundle.scaler_t.inverse(prepared.g_bar))
+        post.append(bundle.scaler_t.inverse(p))
+    return Evaluation(
+        card_a=cards[0],
+        card_b=cards[1],
+        combined_error=combined_error(cards[0].r2_post, cards[1].r2_post),
+        truth=np.concatenate(truth),
+        pre=np.concatenate(pre),
+        post=np.concatenate(post),
+    )
 
 
 # --- streaming ----------------------------------------------------------------
@@ -375,26 +412,18 @@ def save_bundle(bundle: PipelineBundle, sink) -> None:
         "sha256": _payload_checksum(payload),
         "payload": payload,
     }
-    stream, close = _open_text(sink, "w")
-    try:
+    with _open_text(sink, "w") as stream:
         json.dump(doc, stream, indent=2, sort_keys=True)
         stream.write("\n")
-    finally:
-        if close:
-            stream.close()
 
 
 def load_bundle(source) -> PipelineBundle:
     """Read a bundle; rejects unknown versions and corrupted payloads."""
-    stream, close = _open_text(source, "r")
     try:
-        try:
+        with _open_text(source, "r") as stream:
             doc = json.load(stream)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"corrupted bundle file: {exc}") from None
-    finally:
-        if close:
-            stream.close()
+    except json.JSONDecodeError as exc:
+        raise DataError(f"corrupted bundle file: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != BUNDLE_FORMAT:
         raise DataError("not a rectifier bundle file")
     if doc.get("version") != BUNDLE_VERSION:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, TextIO
@@ -106,11 +107,14 @@ class ScalerParams:
         return np.asarray(xs, dtype=float) * self.scale + self.mean
 
 
-def _open_text(source, mode: str):
-    """Return (stream, needs_close) for a path or an already-open text stream."""
+@contextmanager
+def _open_text(source, mode: str) -> Iterator[TextIO]:
+    """Yield a text stream: a path is opened and closed, a caller's stream is left open."""
     if isinstance(source, (str, Path)):
-        return open(source, mode, newline=""), True
-    return source, False
+        with open(source, mode, newline="") as stream:
+            yield stream
+    else:
+        yield source
 
 
 def _parse_rows(stream: TextIO, n_cols: int, header) -> Iterator[tuple[int, list[float]]]:
@@ -141,9 +145,8 @@ def load_recording(source) -> RawRecording:
     Accepts a path or a text stream.  Violations are reported with the
     offending line number (header = line 1).
     """
-    stream, close = _open_text(source, "r")
-    label = getattr(stream, "name", "") if not isinstance(source, (str, Path)) else str(source)
-    try:
+    label = str(source) if isinstance(source, (str, Path)) else getattr(source, "name", "")
+    with _open_text(source, "r") as stream:
         rows = []
         prev_t = None
         for lineno, (t, f, r, d) in _parse_rows(stream, 4, RECORDING_HEADER):
@@ -159,22 +162,15 @@ def load_recording(source) -> RawRecording:
             rows.append((t, f, r, d))
         if len(rows) < 2:
             raise DataError("recording needs at least 2 rows")
-        cols = np.asarray(rows, dtype=float).T
-        return RawRecording(cols[0], cols[1], cols[2], cols[3], source_label=label)
-    finally:
-        if close:
-            stream.close()
+    cols = np.asarray(rows, dtype=float).T
+    return RawRecording(cols[0], cols[1], cols[2], cols[3], source_label=label)
 
 
 def write_recording(rec: RawRecording, sink) -> None:
-    stream, close = _open_text(sink, "w")
-    try:
+    with _open_text(sink, "w") as stream:
         stream.write(",".join(RECORDING_HEADER) + "\n")
         for t, f, r, d in zip(rec.t_s, rec.force_n, rec.resistance_ohm, rec.displacement_mm):
             stream.write(f"{fmt(t)},{fmt(f)},{fmt(r)},{fmt(d)}\n")
-    finally:
-        if close:
-            stream.close()
 
 
 def recording_to_csv(rec: RawRecording) -> str:
@@ -246,11 +242,7 @@ def scaler_inverse(p: ScalerParams, xs) -> np.ndarray:
 
 
 def write_series_csv(series: UniformSeries, sink) -> None:
-    stream, close = _open_text(sink, "w")
-    try:
+    with _open_text(sink, "w") as stream:
         stream.write(",".join(SERIES_HEADER) + "\n")
         for t, v in zip(series.timestamps(), series.values):
             stream.write(f"{fmt(t)},{fmt(v)}\n")
-    finally:
-        if close:
-            stream.close()

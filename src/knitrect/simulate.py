@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .series import RawRecording, fmt
+from .series import RawRecording, _open_text, fmt
 
 # --- 1-d gradient noise ------------------------------------------------------
 
@@ -232,8 +232,6 @@ def preset_by_name(name: str) -> SensorPreset:
 
 def write_presets(presets, sink) -> None:
     """Write presets as an editable INI file, one section per preset."""
-    from .series import _open_text
-
     cp = configparser.ConfigParser()
     for pr in presets:
         cp[pr.name] = {
@@ -241,27 +239,18 @@ def write_presets(presets, sink) -> None:
             for f in dataclasses.fields(pr)
             if f.name != "name"
         }
-    stream, close = _open_text(sink, "w")
-    try:
+    with _open_text(sink, "w") as stream:
         cp.write(stream)
-    finally:
-        if close:
-            stream.close()
 
 
 def load_presets(source) -> dict[str, SensorPreset]:
     """Read a preset INI written by write_presets (or edited by hand)."""
-    from .series import _open_text
-
     cp = configparser.ConfigParser()
-    stream, close = _open_text(source, "r")
     try:
-        cp.read_file(stream)
+        with _open_text(source, "r") as stream:
+            cp.read_file(stream)
     except configparser.Error as exc:
         raise DataError(f"bad preset file: {exc}") from None
-    finally:
-        if close:
-            stream.close()
     out = {}
     field_names = [f.name for f in dataclasses.fields(SensorPreset) if f.name != "name"]
     for section in cp.sections():

@@ -6,6 +6,11 @@ heavily damped filters start near the local signal level instead of at a
 single noisy sample.  A feature bank runs N such filters with decreasing
 alphas over one normalized conductance signal; those N columns are the
 regression features.
+
+The stream bank (make_bank / bank_push) runs the same filters one sample
+at a time: it buffers the first max(M_i) samples, replays `smooth` over
+that buffer to seed every filter, and then steps all N filters at once
+per sample, so each emitted row equals the batch row bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .series import UniformSeries, fmt
+from .series import UniformSeries, _open_text, fmt
 
 BASELINE_ALPHAS = (0.5, 0.1, 0.025, 0.0025)
 
@@ -157,42 +162,29 @@ def feature_bank(series: UniformSeries, aset: AlphaSet) -> FeatureMatrix:
 
 
 def write_features_csv(mat: FeatureMatrix, sink) -> None:
-    from .series import _open_text
-
-    stream, close = _open_text(sink, "w")
-    try:
+    with _open_text(sink, "w") as stream:
         header = ["t_s"] + [f"g{i + 1}" for i in range(len(mat.alphas))]
         stream.write(",".join(header) + "\n")
         for t, row in zip(mat.timestamps(), mat.values):
             stream.write(",".join([fmt(t)] + [fmt(v) for v in row]) + "\n")
-    finally:
-        if close:
-            stream.close()
-
-
-@dataclass
-class SmoothState:
-    """Single streaming filter: factor, init window, current value (None until seeded)."""
-
-    alpha: float
-    m: int
-    y: float | None = None
 
 
 @dataclass
 class BankState:
-    """Streaming bank: emits nothing until max(M_i) samples arrived, then one row per push."""
+    """Streaming bank: emits nothing until max(windows) samples arrived, then one row per push.
 
-    states: list[SmoothState]
-    init_buffer: list[float] = field(default_factory=list)
+    y holds the N filter values once seeded (None while buffering); beta
+    is 1 - alphas, the per-filter weight of the previous value.
+    """
 
-    @property
-    def m_max(self) -> int:
-        return max(s.m for s in self.states)
+    alphas: tuple[float, ...]
+    windows: tuple[int, ...]
+    y: np.ndarray | None = None
+    buffer: list[float] = field(default_factory=list)
+    beta: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def initialized(self) -> bool:
-        return self.states[0].y is not None
+    def __post_init__(self):
+        self.beta = 1.0 - np.asarray(self.alphas)
 
 
 def make_bank(alphas, windows) -> BankState:
@@ -202,37 +194,28 @@ def make_bank(alphas, windows) -> BankState:
         raise DataError("alphas and windows must pair up and be nonempty")
     if any(m < 1 for m in windows):
         raise DataError("init windows must be >= 1")
-    return BankState([SmoothState(a, m) for a, m in zip(alphas, windows)])
+    return BankState(alphas, windows)
 
 
 def bank_push(bank: BankState, x: float) -> np.ndarray | None:
     """Feed one sample; returns the feature row once initialization completes.
 
     The first max(M_i) samples are buffered.  On the final buffered sample
-    every filter is seeded with the mean of its own first M_i samples and
-    the recurrence is replayed over the buffer, so each emitted row equals
-    the batch feature row over the same prefix.
+    every filter is seeded by running `smooth` over the buffer; after that
+    each push advances all filters with one vector step of the same
+    recurrence, so each emitted row equals the batch feature row over the
+    same prefix.
     """
     x = float(x)
     if not np.isfinite(x):
         raise DataError("non-finite sample pushed into bank")
-    if not bank.initialized:
-        bank.init_buffer.append(x)
-        if len(bank.init_buffer) < bank.m_max:
+    if bank.y is None:
+        bank.buffer.append(x)
+        if len(bank.buffer) < max(bank.windows):
             return None
-        buf = np.asarray(bank.init_buffer)
-        row = np.empty(len(bank.states))
-        for j, st in enumerate(bank.states):
-            y = _seed_mean(buf, st.m)
-            beta = 1.0 - st.alpha
-            for v in buf[1:]:
-                y = v + beta * (y - v)
-            st.y = y
-            row[j] = y
-        bank.init_buffer = []
-        return row
-    row = np.empty(len(bank.states))
-    for j, st in enumerate(bank.states):
-        st.y = x + (1.0 - st.alpha) * (st.y - x)
-        row[j] = st.y
-    return row
+        buf = np.asarray(bank.buffer)
+        bank.y = np.array([smooth(buf, a, m)[-1] for a, m in zip(bank.alphas, bank.windows)])
+        bank.buffer = []
+    else:
+        bank.y = x + bank.beta * (bank.y - x)
+    return bank.y.copy()

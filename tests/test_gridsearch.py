@@ -51,6 +51,15 @@ def test_grid_config_enumeration_is_feature_set_major():
     assert configs[-1].feature_set.label == "baseline"
 
 
+def test_parse_indices():
+    assert kr.parse_indices(None) is None
+    assert kr.parse_indices("0,2,5-8") == [0, 2, 5, 6, 7, 8]
+    assert kr.parse_indices(" 3 , ,1") == [3, 1]
+    for bad in ("", " , ", "a", "2-x"):
+        with pytest.raises(DataError):
+            kr.parse_indices(bad)
+
+
 def test_grid_configs_subsets_and_range_checks():
     sub = kr.grid_configs([0, 7], [0, 1, 2])
     assert len(sub) == 6
@@ -249,6 +258,8 @@ def test_report_csv_round_trip(tiny_grid_report):
         assert got.error == pytest.approx(want.error, rel=1e-9)
         assert got.seconds is None
         assert got.status == want.status
+        assert got.feature_set_index == want.feature_set_index
+    assert gridsearch._best_id(back) == tiny_grid_report.best
 
 
 def test_report_csv_leaves_failed_cells_empty():
@@ -260,6 +271,7 @@ def test_report_csv_leaves_failed_cells_empty():
     back = kr.read_report_csv(io.StringIO(buf.getvalue()))
     assert back[0].r2_train is None and back[0].error is None
     assert back[0].status == "diverged"
+    assert back[0].feature_set_index == -1  # (0.4, 0.16) is not an enumerated set
 
 
 def test_report_csv_rejects_garbage():

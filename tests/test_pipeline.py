@@ -162,6 +162,19 @@ def test_write_prediction_csv(small_bundle, pes_small, tmp_path):
     assert card == card2
 
 
+def test_evaluate_scores_both_tests_and_pools_raw_units(small_bundle, pes_small):
+    ev = kr.evaluate(small_bundle, pes_small[1], pes_small[2])
+    (series_a, card_a), (series_b, card_b) = (kr.predict_batch(small_bundle, rec) for rec in pes_small[1:])
+    assert (ev.card_a, ev.card_b) == (card_a, card_b)
+    assert ev.combined_error == kr.combined_error(card_a.r2_post, card_b.r2_post)
+    assert ev.rows() == card_a.rows("test_a") + card_b.rows("test_b") + [("combined_error", ev.combined_error)]
+    rate = small_bundle.config.rate_hz
+    truth = [kr.resample(rec.t_s, rec.force_n, rate).values for rec in pes_small[1:]]
+    assert np.array_equal(ev.truth, np.concatenate(truth))
+    assert np.array_equal(ev.post, small_bundle.scaler_t.inverse(np.concatenate([series_a.values, series_b.values])))
+    assert ev.pre.shape == ev.truth.shape
+
+
 def _identity_bundle(rec):
     """A bundle whose output is exactly its standardized input channel."""
     cfg = kr.PipelineConfig(alpha_base=1.0, alpha_count=1, hidden=())

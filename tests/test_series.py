@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import knitrect as kr
 from knitrect.errors import DataError
+from knitrect.series import _open_text
 
 HEADER = "t_s,force_n,resistance_ohm,displacement_mm"
 
@@ -75,6 +76,25 @@ def test_recording_roundtrip_through_csv(tmp_path):
     assert np.allclose(back.t_s, rec.t_s, rtol=1e-11, atol=0)
     assert np.allclose(back.resistance_ohm, rec.resistance_ohm, rtol=1e-11, atol=0)
     assert back.source_label == str(path)
+
+
+def test_open_text_closes_paths_but_not_caller_streams(tmp_path):
+    path = tmp_path / "x.txt"
+    with _open_text(path, "w") as stream:
+        stream.write("a")
+    assert stream.closed and path.read_text() == "a"
+    caller = io.StringIO()
+    with pytest.raises(RuntimeError):
+        with _open_text(caller, "w") as stream:
+            assert stream is caller
+            raise RuntimeError
+    assert not caller.closed
+    with pytest.raises(DataError):
+        kr.load_recording(tmp_path / "x.txt")
+    with open(path) as fh:
+        with pytest.raises(DataError):
+            kr.load_recording(fh)
+        assert not fh.closed
 
 
 def test_recording_invariants_on_direct_construction():

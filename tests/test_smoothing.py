@@ -160,9 +160,14 @@ def test_bank_push_buffers_then_matches_batch_row():
     assert outs[19] is not None
     series = kr.UniformSeries(20.0, 0.0, xs)
     batch = kr.feature_bank_with_windows(series, alphas, windows).values
-    assert np.all(np.abs(outs[19] - batch[19]) <= 1e-9)
-    emitted = np.array(outs[19:])
-    assert np.all(np.abs(emitted - batch[19:]) <= 1e-9)
+    assert np.array_equal(np.array(outs[19:]), batch[19:])
+
+
+def test_bank_push_rows_do_not_alias_the_bank_state():
+    bank = kr.make_bank((0.5, 0.1), (1, 1))
+    row = kr.bank_push(bank, 1.0)
+    row[:] = 99.0
+    assert np.array_equal(kr.bank_push(bank, 1.0), [1.0, 1.0])
 
 
 def test_bank_push_alpha_one_passes_samples_through():
@@ -237,11 +242,11 @@ def test_smooth_monotone_lag_on_step(a1, a2):
 @given(
     seed=st.integers(min_value=0, max_value=2**31),
     n=st.integers(min_value=25, max_value=120),
+    aset=st.sampled_from(kr.enumerate_feature_sets()),
 )
-def test_stream_and_batch_banks_agree(seed, n):
+def test_stream_and_batch_banks_agree(seed, n, aset):
     rng = np.random.default_rng(seed)
     xs = rng.normal(size=n)
-    aset = kr.alpha_set(2.5, 4)
     windows = kr.bank_windows(aset, 20.0, n)
     series = kr.UniformSeries(20.0, 0.0, xs)
     batch = kr.feature_bank_with_windows(series, aset.alphas, windows).values
@@ -249,5 +254,4 @@ def test_stream_and_batch_banks_agree(seed, n):
     outs = [kr.bank_push(bank, x) for x in xs]
     m_max = max(windows)
     assert all(o is None for o in outs[: m_max - 1])
-    emitted = np.array(outs[m_max - 1 :])
-    assert np.all(np.abs(emitted - batch[m_max - 1 :]) <= 1e-9)
+    assert np.array_equal(np.array(outs[m_max - 1 :]), batch[m_max - 1 :])
