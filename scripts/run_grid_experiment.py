@@ -1,12 +1,14 @@
 """Run the hyperparameter grid over a simulated dataset and report the winner.
 
 The full space is 8 smoothing-factor sets x 114 hidden-size tuples = 912
-configurations.  At the default reduced epoch budget (300) on an 8-minute
-dataset a full sweep takes tens of minutes on one core; spread it with
---parallel, or subset for a quick look:
+configurations.  Configurations of one depth train together in lockstep;
+at the default reduced epoch budget (300) on an 8-minute dataset a full
+sweep still takes minutes, so subset for a quick look:
 
-    python scripts/run_grid_experiment.py --out grid_report.csv --parallel 8
+    python scripts/run_grid_experiment.py --out grid_report.csv
     python scripts/run_grid_experiment.py --feature-sets 0,7 --topologies 0-9
+
+--parallel is kept for compatibility and has no effect.
 
 If --data-dir already holds train/test_a/test_b.csv those recordings are
 reused, so repeated sweeps stay comparable.
@@ -40,7 +42,7 @@ def main():
     ap.add_argument("--rate", type=float, default=20.0)
     ap.add_argument("--epochs", type=int, default=300, help="reduced per-config epoch cap")
     ap.add_argument("--master-seed", type=int, default=0, help="seed for the per-config init/shuffle streams")
-    ap.add_argument("--parallel", type=int, default=1)
+    ap.add_argument("--parallel", type=int, default=1, help="kept for compatibility; no effect")
     ap.add_argument("--feature-sets", default=None, help="subset, e.g. '0,1,7'")
     ap.add_argument("--topologies", default=None, help="subset, e.g. '0-9,20'")
     ap.add_argument("--timing", action="store_true", help="record per-config seconds in the report")
@@ -57,7 +59,7 @@ def main():
     )
 
     configs = kr.grid_configs(kr.parse_indices(args.feature_sets), kr.parse_indices(args.topologies))
-    print(f"{len(configs)} configurations, epoch cap {args.epochs}, parallelism {args.parallel}")
+    print(f"{len(configs)} configurations, epoch cap {args.epochs}")
     started = time.perf_counter()
     report = kr.run_grid(
         train,

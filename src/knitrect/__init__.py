@@ -44,6 +44,7 @@ from .mlp import (
     mlp_new,
     mse_loss,
     train,
+    train_many,
 )
 from .pipeline import (
     Evaluation,

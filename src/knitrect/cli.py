@@ -241,7 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=pl.TARGETS, default="force")
     p.add_argument("--rate", type=float, default=20.0)
     p.add_argument("--epochs", type=int, default=None, help="epoch cap per config (default: full budget)")
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument(
+        "--parallel", type=int, default=1, help="kept for compatibility; no effect (configs train in lockstep)"
+    )
     p.add_argument("--seed", type=int, default=0, help="master seed for per-config streams")
     p.add_argument("--feature-sets", default=None, help="subset, e.g. '0,1' (canonical enumeration order)")
     p.add_argument("--topologies", default=None, help="subset, e.g. '0-5,12'")

@@ -5,21 +5,20 @@ configurations.  Hidden sizes come from multiplying base sizes with
 fraction vectors and flooring; tuples containing a width below 2 are
 dropped and duplicates collapse.  Every configuration trains on the same
 prepared training set with its own deterministic seed stream, scores both
-test sets, and is ranked by the combined error E.
+test sets, and is ranked by the combined error E.  Configurations of one
+depth train together in lockstep (`mlp.train_many`).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericError, TrainingDiverged
 from .metrics import combined_error, r_squared
-from .mlp import TrainConfig, forward_batch, mlp_new
-from .mlp import train as train_mlp
+from .mlp import TrainConfig, forward_batch, mlp_new, train_many
 from .pipeline import PreparedData
 from .series import _open_text, fmt
 from .smoothing import AlphaSet, alpha_set, bank_windows, baseline_alpha_set, feature_bank_with_windows
@@ -202,11 +201,15 @@ def run_grid(
 ) -> SearchReport:
     """Train and score every config; report order follows config order.
 
-    Each config's RNG streams derive from (master_seed, config index), so
-    the report is identical for any parallelism degree.  Diverging configs
-    are recorded with a failure marker instead of being dropped or retried.
-    include_timing fills the seconds column at the cost of byte-for-byte
-    report reproducibility.
+    Configs of one depth (len(hidden)) are trained together by one
+    train_many call; each config's RNG streams derive from (master_seed,
+    config index), so every row is what training that config alone gives.
+    parallelism is accepted for compatibility and has no effect: the
+    report is the same for any value.  Diverging configs are recorded with
+    a failure marker instead of being dropped or retried, and do not stop
+    their group.  include_timing fills the seconds column, at the cost of
+    byte-for-byte report reproducibility, with the group's training wall
+    time divided by its size plus the row's own scoring time.
     """
     if not configs:
         raise DataError("empty config list")
@@ -224,28 +227,16 @@ def run_grid(
                 feature_bank_with_windows(ds.g_series(), key, windows).values for ds in datasets
             )
 
-    def run_one(item: tuple[int, GridConfig]) -> GridRow:
-        index, cfg = item
-        xs = banks[cfg.feature_set.alphas]
-        init_seed, shuffle_seed = _config_seeds(master_seed, index, cfg.seed)
-        tc = TrainConfig(max_iter=max_iter if max_iter is not None else 10000, seed=shuffle_seed)
-        started = time.perf_counter()
-        try:
-            model = mlp_new((len(cfg.feature_set.alphas), *cfg.hidden, 1), init_seed)
-            trained, _ = train_mlp(model, xs[0], train.target_bar, tc)
-            r2_tr = r_squared(train.target_bar, forward_batch(trained, xs[0]))
-            r2_a = r_squared(test_a.target_bar, forward_batch(trained, xs[1]))
-            r2_b = r_squared(test_b.target_bar, forward_batch(trained, xs[2]))
-            err = combined_error(r2_a, r2_b)
-            status = "ok"
-        except TrainingDiverged:
-            r2_tr = r2_a = r2_b = err = None
-            status = "diverged"
-        except (NumericError, DataError):
-            r2_tr = r2_a = r2_b = err = None
-            status = "failed"
-        seconds = time.perf_counter() - started if include_timing else None
-        return GridRow(
+    groups: dict[int, list[int]] = {}
+    for index, cfg in enumerate(configs):
+        groups.setdefault(len(cfg.hidden), []).append(index)
+    tc = TrainConfig(max_iter=max_iter if max_iter is not None else 10000)
+    rows: list[GridRow | None] = [None] * len(configs)
+
+    def record(index: int, scores, status: str, seconds: float) -> None:
+        cfg = configs[index]
+        r2_tr, r2_a, r2_b, err = scores
+        rows[index] = GridRow(
             config_id=index,
             feature_set=cfg.feature_set.label,
             alphas=cfg.feature_set.alphas,
@@ -254,17 +245,49 @@ def run_grid(
             r2_test_a=r2_a,
             r2_test_b=r2_b,
             error=err,
-            seconds=seconds,
+            seconds=seconds if include_timing else None,
             status=status,
             feature_set_index=cfg.feature_set_index,
         )
 
-    items = list(enumerate(configs))
-    if parallelism <= 1:
-        rows = [run_one(it) for it in items]
-    else:
-        with ThreadPoolExecutor(max_workers=int(parallelism)) as pool:
-            rows = list(pool.map(run_one, items))
+    failed = (None, None, None, None)
+    for indices in groups.values():
+        started = time.perf_counter()
+        members, models, shuffle_seeds = [], [], []
+        for index in indices:
+            cfg = configs[index]
+            init_seed, shuffle_seed = _config_seeds(master_seed, index, cfg.seed)
+            try:
+                models.append(mlp_new((len(cfg.feature_set.alphas), *cfg.hidden, 1), init_seed))
+            except DataError:
+                record(index, failed, "failed", 0.0)
+                continue
+            members.append(index)
+            shuffle_seeds.append(shuffle_seed)
+        if not members:
+            continue
+        xs = [banks[configs[index].feature_set.alphas] for index in members]
+        try:
+            outcomes = train_many(models, [x[0] for x in xs], train.target_bar, tc, shuffle_seeds)
+        except (NumericError, DataError):
+            outcomes = [None] * len(members)
+        share = (time.perf_counter() - started) / len(members)
+        for index, x, outcome in zip(members, xs, outcomes):
+            started = time.perf_counter()
+            if outcome is None:
+                scores, status = failed, "failed"
+            elif isinstance(outcome, TrainingDiverged):
+                scores, status = failed, "diverged"
+            else:
+                trained = outcome[0]
+                try:
+                    r2_tr = r_squared(train.target_bar, forward_batch(trained, x[0]))
+                    r2_a = r_squared(test_a.target_bar, forward_batch(trained, x[1]))
+                    r2_b = r_squared(test_b.target_bar, forward_batch(trained, x[2]))
+                    scores, status = (r2_tr, r2_a, r2_b, combined_error(r2_a, r2_b)), "ok"
+                except (NumericError, DataError):
+                    scores, status = failed, "failed"
+            record(index, scores, status, share + time.perf_counter() - started)
     return SearchReport(rows=rows, configs=list(configs), best=_best_id(rows), master_seed=master_seed)
 
 
@@ -305,11 +328,19 @@ def write_report_csv(report: SearchReport, sink) -> None:
             )
 
 
+def _parse_cell(text: str, kind, column: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise DataError(f"bad {column} cell {text!r} in report row") from None
+
+
 def read_report_csv(source) -> list[GridRow]:
     """Parse rows written by write_report_csv.
 
     The feature-set index is recovered by matching each row's alphas
     against enumerate_feature_sets(); alphas outside it keep index -1.
+    A cell that does not parse raises DataError.
     """
     import csv
 
@@ -319,25 +350,29 @@ def read_report_csv(source) -> list[GridRow]:
         header = next(reader, None)
         if header is None or ",".join(header) != REPORT_HEADER:
             raise DataError("bad report header")
+        names = REPORT_HEADER.split(",")
         rows = []
         for rec in reader:
             if not rec:
                 continue
             if len(rec) != 10:
                 raise DataError("malformed report row")
-            cid, fs, alphas, hidden, r2t, r2a, r2b, err, secs, status = rec
-            alphas = tuple(float(a) for a in alphas.split())
+            cid, fs, alphas, hidden, *scores, status = rec
+            alphas = tuple(_parse_cell(a, float, "alphas") for a in alphas.split())
+            r2t, r2a, r2b, err, secs = (
+                _parse_cell(cell, float, name) if cell else None for cell, name in zip(scores, names[4:9])
+            )
             rows.append(
                 GridRow(
-                    config_id=int(cid),
+                    config_id=_parse_cell(cid, int, "config_id"),
                     feature_set=fs,
                     alphas=alphas,
-                    hidden=tuple(int(h) for h in hidden.split("x") if h),
-                    r2_train=float(r2t) if r2t else None,
-                    r2_test_a=float(r2a) if r2a else None,
-                    r2_test_b=float(r2b) if r2b else None,
-                    error=float(err) if err else None,
-                    seconds=float(secs) if secs else None,
+                    hidden=tuple(_parse_cell(h, int, "hidden_sizes") for h in hidden.split("x") if h),
+                    r2_train=r2t,
+                    r2_test_a=r2a,
+                    r2_test_b=r2b,
+                    error=err,
+                    seconds=secs,
                     status=status,
                     feature_set_index=set_index.get(alphas, -1),
                 )

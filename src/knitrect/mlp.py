@@ -2,7 +2,11 @@
 
 Plain numpy implementation: Glorot-uniform init, reverse-mode gradients,
 minibatch Adam with early stopping.  Networks here are tiny (tens of
-parameters), so clarity wins over cleverness.
+parameters), so a training step costs little arithmetic and much Python
+overhead per numpy call.  `train_many` therefore trains K models of one
+depth in lockstep: their parameters are zero-padded to the widest layers
+and stacked, and one step is a batched forward/backward pass plus one
+Adam update on the stack.  `train` is its one-model case.
 """
 
 from __future__ import annotations
@@ -133,6 +137,28 @@ def mse_loss(model: MlpModel, X, y) -> float:
     return float(np.mean((pred - y) ** 2))
 
 
+def _backprop(ws, bs, X, y, gws, gbs) -> None:
+    """Mean-squared-error gradients of K stacked nets, written into gws and gbs.
+
+    ws[l] has shape (K, n_l, n_{l+1}), bs[l] (K, n_{l+1}), X (K, n, n_0) and
+    y (K, n); gws and gbs take the shapes of ws and bs.  Slot k's gradient
+    is that of its own batch only.  ReLU subgradient at 0 is taken as 0.
+    """
+    last = len(ws) - 1
+    acts = [X]
+    zs = []
+    for li, (w, b) in enumerate(zip(ws, bs)):
+        z = acts[-1] @ w + b[:, None, :]
+        zs.append(z)
+        acts.append(z if li == last else np.maximum(z, 0.0))
+    delta = (2.0 / y.shape[1]) * (acts[-1][:, :, 0] - y)[:, :, None]
+    for li in range(last, -1, -1):
+        np.matmul(acts[li].transpose(0, 2, 1), delta, out=gws[li])
+        np.sum(delta, axis=1, out=gbs[li])
+        if li > 0:
+            delta = (delta @ ws[li].transpose(0, 2, 1)) * (zs[li - 1] > 0.0)
+
+
 def gradient(model: MlpModel, X, y) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Exact gradient of the mean squared error over the batch.
 
@@ -142,23 +168,164 @@ def gradient(model: MlpModel, X, y) -> tuple[list[np.ndarray], list[np.ndarray]]
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.size or y.size == 0:
         raise DataError("gradient needs a nonempty (n, n_in) batch with matching y")
-    n_layers = len(model.weights)
-    acts = [X]
-    zs = []
-    for li, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = acts[-1] @ w + b
-        zs.append(z)
-        acts.append(z if li == n_layers - 1 else np.maximum(z, 0.0))
+    if X.shape[1] != model.layer_sizes[0]:
+        raise DataError("input width does not match the model")
+    gws = [np.empty((1, *w.shape)) for w in model.weights]
+    gbs = [np.empty((1, *b.shape)) for b in model.biases]
+    ws = [w[None] for w in model.weights]
+    bs = [b[None] for b in model.biases]
+    _backprop(ws, bs, X[None], y[None], gws, gbs)
+    return [g[0] for g in gws], [g[0] for g in gbs]
+
+
+def _layer_views(flat: np.ndarray, widths) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer (K, n_l, n_{l+1}) weight and (K, n_{l+1}) bias views of a (K, P) array."""
+    k = flat.shape[0]
+    ws, bs = [], []
+    off = 0
+    for nin, nout in zip(widths, widths[1:]):
+        ws.append(flat[:, off : off + nin * nout].reshape(k, nin, nout))
+        off += nin * nout
+    for nout in widths[1:]:
+        bs.append(flat[:, off : off + nout])
+        off += nout
+    return ws, bs
+
+
+def _slot_model(ws, bs, row: int, model: MlpModel) -> MlpModel:
+    """model's unpadded weights as views into row `row` of the stack."""
+    sizes = model.layer_sizes
+    return MlpModel(
+        sizes,
+        [w[row, :nin, :nout] for w, nin, nout in zip(ws, sizes, sizes[1:])],
+        [b[row, :nout] for b, nout in zip(bs, sizes[1:])],
+        model.seed,
+    )
+
+
+def train_many(
+    models, Xs, y, cfg: TrainConfig, seeds
+) -> list[tuple[MlpModel, TrainReport] | TrainingDiverged]:
+    """Train K models of one depth in lockstep, each exactly as `train` would.
+
+    Slot k trains models[k] on Xs[k] against the shared target y, shuffled
+    by seeds[k] (cfg.seed is not used).  Parameters are zero-padded to the
+    group's widest layers and stacked in one (K, P) array with Adam's m and
+    v beside it, so one step is a batched forward/backward pass plus one
+    Adam update for every slot.  The padding is exact: a padded unit has
+    z = 0, so its ReLU delta and gradient are 0, and Adam started at
+    m = v = 0 never moves it.  Inputs that are the same array object are
+    stacked once.
+
+    The epoch loss is computed per slot on its unpadded weights, so the
+    early-stopping decisions are those of a solo run.  A slot leaves the
+    stack when it converges, diverges or reaches cfg.max_iter.  Returns one
+    entry per slot: the trained copy with its report, or the
+    TrainingDiverged that ended it.  The input models are left untouched.
+    """
+    models = list(models)
+    seeds = [int(s) for s in seeds]
+    if not models or len(Xs) != len(models) or len(seeds) != len(models):
+        raise DataError("train_many needs one input matrix and one seed per model")
+    depth = len(models[0].layer_sizes)
+    if any(len(mo.layer_sizes) != depth for mo in models):
+        raise DataError("train_many needs models of one depth")
+    y = np.asarray(y, dtype=float)
     n = y.size
-    delta = (2.0 / n) * (acts[-1][:, 0] - y)[:, None]
-    grads_w = [None] * n_layers
-    grads_b = [None] * n_layers
-    for li in range(n_layers - 1, -1, -1):
-        grads_w[li] = acts[li].T @ delta
-        grads_b[li] = delta.sum(axis=0)
-        if li > 0:
-            delta = (delta @ model.weights[li].T) * (zs[li - 1] > 0.0)
-    return grads_w, grads_b
+
+    # one stacked input bank per distinct input array, zero-padded to the widest
+    banks: list[np.ndarray] = []
+    bank_by_id: dict[int, int] = {}
+    bank_of = []
+    for X, mo in zip(Xs, models):
+        if id(X) not in bank_by_id:
+            arr = np.asarray(X, dtype=float)
+            if arr.ndim != 2 or arr.shape[0] != n or n == 0:
+                raise DataError("train needs a nonempty (n, n_in) batch with matching y")
+            bank_by_id[id(X)] = len(banks)
+            banks.append(arr)
+        bank_of.append(bank_by_id[id(X)])
+        if banks[bank_of[-1]].shape[1] != mo.layer_sizes[0]:
+            raise DataError("input width does not match the model")
+    widths = [max(mo.layer_sizes[li] for mo in models) for li in range(depth)]
+    X_stack = np.zeros((len(banks), n, widths[0]))
+    for i, arr in enumerate(banks):
+        X_stack[i, :, : arr.shape[1]] = arr
+
+    k = len(models)
+    p = sum(nin * nout + nout for nin, nout in zip(widths, widths[1:]))
+    params = np.zeros((k, p))
+    ws, bs = _layer_views(params, widths)
+    for row, mo in enumerate(models):
+        for w, src in zip(ws, mo.weights):
+            w[row, : src.shape[0], : src.shape[1]] = src
+        for b, src in zip(bs, mo.biases):
+            b[row, : src.size] = src
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    grads = np.zeros_like(params)
+    gws, gbs = _layer_views(grads, widths)
+
+    batch = min(200, n) if cfg.batch_size == "auto" else min(int(cfg.batch_size), n)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    live = list(range(k))  # the slot held by each stack row
+    nets = [_slot_model(ws, bs, row, mo) for row, mo in enumerate(models)]
+    initial = [mse_loss(net, banks[bank_of[s]], y) for s, net in enumerate(nets)]
+    guard = [DIVERGENCE_FACTOR * (loss + 1e-12) for loss in initial]
+    best = [float("inf")] * k
+    stall = [0] * k
+    history: list[list[float]] = [[] for _ in range(k)]
+    results: list = [None] * k
+    step = 0
+
+    def finish(s: int, converged: bool) -> None:
+        hist = history[s]
+        results[s] = (nets[s].copy(), TrainReport(len(hist), hist, converged, min(hist)))
+
+    for epoch in range(1, cfg.max_iter + 1):
+        rows_bank = np.array([bank_of[s] for s in live])[:, None]
+        order = np.stack([rngs[s].permutation(n) for s in live])
+        for lo in range(0, n, batch):
+            idx = order[:, lo : lo + batch]
+            _backprop(ws, bs, X_stack[rows_bank, idx], y[idx], gws, gbs)
+            step += 1
+            c1 = 1.0 - ADAM_BETA1**step
+            c2 = 1.0 - ADAM_BETA2**step
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grads
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grads**2
+            params -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+
+        done = []
+        for row, s in enumerate(live):
+            loss = mse_loss(nets[s], banks[bank_of[s]], y)
+            history[s].append(loss)
+            if not np.isfinite(loss) or loss > guard[s]:
+                results[s] = TrainingDiverged(
+                    f"training diverged at epoch {epoch}: loss {loss:g} (initial {initial[s]:g})"
+                )
+                done.append(row)
+            elif loss < best[s] - cfg.tol:
+                best[s] = loss
+                stall[s] = 0
+            else:
+                stall[s] += 1
+                if stall[s] >= cfg.patience:
+                    finish(s, True)
+                    done.append(row)
+        if done:
+            keep = [row for row in range(len(live)) if row not in done]
+            live = [live[row] for row in keep]
+            if not live:
+                break
+            params, m, v, grads = params[keep], m[keep], v[keep], grads[keep]
+            ws, bs = _layer_views(params, widths)
+            gws, gbs = _layer_views(grads, widths)
+            for row, s in enumerate(live):
+                nets[s] = _slot_model(ws, bs, row, models[s])
+
+    for s in live:
+        finish(s, False)
+    return results
 
 
 def train(model: MlpModel, X, y, cfg: TrainConfig) -> tuple[MlpModel, TrainReport]:
@@ -167,56 +334,10 @@ def train(model: MlpModel, X, y, cfg: TrainConfig) -> tuple[MlpModel, TrainRepor
     Stops when the best epoch loss has not improved by cfg.tol for
     cfg.patience consecutive epochs, or at cfg.max_iter.  The input model
     is left untouched; the trained copy is returned.  Raises
-    TrainingDiverged if the loss blows up or goes non-finite.
+    TrainingDiverged if the loss blows up or goes non-finite.  This is
+    train_many with one slot.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.size or y.size == 0:
-        raise DataError("train needs a nonempty (n, n_in) batch with matching y")
-    net = model.copy()
-    n = y.size
-    batch = min(200, n) if cfg.batch_size == "auto" else min(int(cfg.batch_size), n)
-    rng = np.random.default_rng(cfg.seed)
-
-    # one Adam state per parameter array; the arrays are updated in place
-    params = net.weights + net.biases
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
-
-    initial = mse_loss(net, X, y)
-    guard = DIVERGENCE_FACTOR * (initial + 1e-12)
-    best = float("inf")
-    stall = 0
-    step = 0
-    history: list[float] = []
-    converged = False
-
-    for epoch in range(1, cfg.max_iter + 1):
-        order = rng.permutation(n)
-        for lo in range(0, n, batch):
-            idx = order[lo : lo + batch]
-            gw, gb = gradient(net, X[idx], y[idx])
-            step += 1
-            c1 = 1.0 - ADAM_BETA1**step
-            c2 = 1.0 - ADAM_BETA2**step
-            for i, g in enumerate(gw + gb):
-                m[i] = ADAM_BETA1 * m[i] + (1 - ADAM_BETA1) * g
-                v[i] = ADAM_BETA2 * v[i] + (1 - ADAM_BETA2) * g**2
-                params[i] -= cfg.learning_rate * (m[i] / c1) / (np.sqrt(v[i] / c2) + ADAM_EPS)
-        loss = mse_loss(net, X, y)
-        history.append(loss)
-        if not np.isfinite(loss) or loss > guard:
-            raise TrainingDiverged(
-                f"training diverged at epoch {epoch}: loss {loss:g} (initial {initial:g})"
-            )
-        if loss < best - cfg.tol:
-            best = loss
-            stall = 0
-        else:
-            stall += 1
-            if stall >= cfg.patience:
-                converged = True
-                break
-
-    best = min(best, min(history)) if history else best
-    return net, TrainReport(len(history), history, converged, best)
+    (outcome,) = train_many([model], [X], y, cfg, [cfg.seed])
+    if isinstance(outcome, TrainingDiverged):
+        raise outcome
+    return outcome

@@ -1,13 +1,14 @@
 """Hyperparameter enumeration and the deterministic grid runner."""
 
 import io
+import threading
 
 import numpy as np
 import pytest
 
 import knitrect as kr
 from knitrect import gridsearch
-from knitrect.errors import DataError, NumericError, TrainingDiverged
+from knitrect.errors import DataError, NumericError
 from knitrect.gridsearch import GridRow, SearchReport
 
 # --- enumeration -----------------------------------------------------------------
@@ -141,27 +142,95 @@ def test_run_grid_rejects_empty_config_list(prepared_trio):
         kr.run_grid(train, test_a, test_b, [])
 
 
+def _solo_r2(prepared_trio, configs, index, master_seed, max_iter):
+    """r2 on train, test A and test B of configs[index] trained alone with its grid seeds."""
+    train = prepared_trio[0]
+    cfg = configs[index]
+    init_seed, shuffle_seed = gridsearch._config_seeds(master_seed, index, cfg.seed)
+    windows = kr.bank_windows(cfg.feature_set, train.rate_hz, len(train))
+    xs = [
+        kr.feature_bank_with_windows(ds.g_series(), cfg.feature_set.alphas, windows).values
+        for ds in prepared_trio
+    ]
+    model = kr.mlp_new((len(cfg.feature_set), *cfg.hidden, 1), init_seed)
+    trained, _ = kr.train(model, xs[0], train.target_bar, kr.TrainConfig(max_iter=max_iter, seed=shuffle_seed))
+    return [kr.r_squared(ds.target_bar, kr.forward_batch(trained, x)) for ds, x in zip(prepared_trio, xs)]
+
+
+def _poison(monkeypatch, hidden_sizes):
+    """Make gridsearch's models with these hidden sizes start with overflowing weights."""
+    real_new = gridsearch.mlp_new
+
+    def new(sizes, seed=0):
+        model = real_new(sizes, seed)
+        if tuple(sizes[1:-1]) in hidden_sizes:
+            model.weights = [w * 1e200 for w in model.weights]
+        return model
+
+    monkeypatch.setattr(gridsearch, "mlp_new", new)
+
+
 def test_run_grid_marks_diverged_and_failed(prepared_trio, monkeypatch):
     train, test_a, test_b = prepared_trio
-    configs = kr.grid_configs([0], [0, 1])
+    # hidden (2, 2), (3, 3) and (4, 4): one depth, so one stacked group
+    configs = kr.grid_configs([0], [0, 3, 6])
+    assert {len(c.hidden) for c in configs} == {2}
 
-    def blow_up(model, xs, ys, cfg):
-        raise TrainingDiverged("loss exploded")
+    _poison(monkeypatch, {(3, 3)})
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = kr.run_grid(train, test_a, test_b, configs, master_seed=3, max_iter=10)
+    assert [r.status for r in rep.rows] == ["ok", "diverged", "ok"]
+    assert rep.rows[1].error is None and rep.rows[1].r2_train is None
+    for row in (rep.rows[0], rep.rows[2]):
+        solo = _solo_r2(prepared_trio, configs, row.config_id, 3, 10)
+        assert [row.r2_train, row.r2_test_a, row.r2_test_b] == pytest.approx(solo, rel=0, abs=1e-12)
+        assert row.error == kr.combined_error(row.r2_test_a, row.r2_test_b)
+    assert rep.best in (0, 2)
 
-    monkeypatch.setattr(gridsearch, "train_mlp", blow_up)
-    rep = kr.run_grid(train, test_a, test_b, configs, max_iter=10)
-    assert [r.status for r in rep.rows] == ["diverged", "diverged"]
+    _poison(monkeypatch, {c.hidden for c in configs})
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = kr.run_grid(train, test_a, test_b, configs, max_iter=10)
+    assert [r.status for r in rep.rows] == ["diverged"] * 3
     assert all(r.error is None for r in rep.rows)
     assert rep.best is None
     with pytest.raises(DataError, match="no best config"):
         kr.best_config(rep)
 
-    def go_nan(model, xs, ys, cfg):
-        raise NumericError("non-finite loss")
+    monkeypatch.undo()
+    for exc in (NumericError, DataError):
 
-    monkeypatch.setattr(gridsearch, "train_mlp", go_nan)
-    rep = kr.run_grid(train, test_a, test_b, configs, max_iter=10)
-    assert [r.status for r in rep.rows] == ["failed", "failed"]
+        def bad_score(truth, estimate, exc=exc):
+            raise exc("cannot score")
+
+        monkeypatch.setattr(gridsearch, "r_squared", bad_score)
+        rep = kr.run_grid(train, test_a, test_b, configs[:2], max_iter=10)
+        assert [r.status for r in rep.rows] == ["failed", "failed"]
+        assert all(r.error is None for r in rep.rows)
+
+
+def test_run_grid_fails_an_unbuildable_config_alone(prepared_trio):
+    train, test_a, test_b = prepared_trio
+    (good,) = kr.grid_configs([0], [0])
+    bad = gridsearch.GridConfig(good.feature_set, good.feature_set_index, (1, 2))
+    configs = [bad, good]
+    rep = kr.run_grid(train, test_a, test_b, configs, master_seed=3, max_iter=10)
+    assert [r.status for r in rep.rows] == ["failed", "ok"]
+    assert rep.rows[0].error is None and rep.rows[0].r2_train is None
+    solo = _solo_r2(prepared_trio, configs, 1, 3, 10)
+    assert [rep.rows[1].r2_train, rep.rows[1].r2_test_a, rep.rows[1].r2_test_b] == pytest.approx(solo, rel=0, abs=1e-12)
+    assert rep.best == 1
+
+
+def test_run_grid_starts_no_threads(prepared_trio, monkeypatch):
+    train, test_a, test_b = prepared_trio
+
+    def no_threads(self):
+        raise RuntimeError("run_grid must not start threads")
+
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
+    configs = kr.grid_configs([0, 7], [0, 1])
+    rep = kr.run_grid(train, test_a, test_b, configs, max_iter=5, parallelism=4)
+    assert [r.status for r in rep.rows] == ["ok"] * 4
 
 
 def test_run_grid_rejects_foreign_scalers(prepared_trio, pes_small):
@@ -280,6 +349,27 @@ def test_report_csv_rejects_garbage():
     bad_row = gridsearch.REPORT_HEADER + "\n1,fs,0.4\n"
     with pytest.raises(DataError, match="malformed report row"):
         kr.read_report_csv(io.StringIO(bad_row))
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [
+        ("config_id", "x"),
+        ("alphas", "0.4 abc"),
+        ("hidden_sizes", "4xq"),
+        ("r2_train", "abc"),
+        ("r2_testA", "abc"),
+        ("r2_testB", "abc"),
+        ("E", "abc"),
+        ("seconds", "abc"),
+    ],
+)
+def test_report_csv_rejects_non_numeric_cells(column, value):
+    cells = dict(zip(gridsearch.REPORT_HEADER.split(","), "3,a2.5_n4,0.4 0.16,4x2,0.9,0.8,0.7,0.05,1.5,ok".split(",")))
+    cells[column] = value
+    text = gridsearch.REPORT_HEADER + "\n" + ",".join(cells.values()) + "\n"
+    with pytest.raises(DataError, match=f"bad {column} cell"):
+        kr.read_report_csv(io.StringIO(text))
 
 
 def test_report_timing_column_is_opt_in(prepared_trio):

@@ -1,7 +1,11 @@
-"""Network construction, forward pass, backprop gradients, and training."""
+"""Network construction, forward pass, backprop gradients, and (lockstep) training."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import knitrect as kr
 from knitrect.errors import DataError, TrainingDiverged
@@ -253,3 +257,154 @@ def test_trained_parameters_stay_finite(small_bundle):
         assert np.all(np.isfinite(w))
     for b in small_bundle.model.biases:
         assert np.all(np.isfinite(b))
+
+
+# --- lockstep training -----------------------------------------------------------
+
+
+def _reference_train(model, X, y, cfg):
+    """The per-model loop train_many replaced: 2-D passes and one Adam update per array."""
+    net = model.copy()
+    n = y.size
+    batch = min(200, n) if cfg.batch_size == "auto" else min(int(cfg.batch_size), n)
+    rng = np.random.default_rng(cfg.seed)
+    params = net.weights + net.biases
+    m = [np.zeros_like(q) for q in params]
+    v = [np.zeros_like(q) for q in params]
+    best, stall, step, history, converged = float("inf"), 0, 0, [], False
+    for _ in range(cfg.max_iter):
+        order = rng.permutation(n)
+        for lo in range(0, n, batch):
+            idx = order[lo : lo + batch]
+            acts, zs = [X[idx]], []
+            for li, (w, b) in enumerate(zip(net.weights, net.biases)):
+                zs.append(acts[-1] @ w + b)
+                acts.append(zs[-1] if li == len(net.weights) - 1 else np.maximum(zs[-1], 0.0))
+            delta = (2.0 / idx.size) * (acts[-1][:, 0] - y[idx])[:, None]
+            gw, gb = [None] * len(net.weights), [None] * len(net.weights)
+            for li in range(len(net.weights) - 1, -1, -1):
+                gw[li] = acts[li].T @ delta
+                gb[li] = delta.sum(axis=0)
+                if li > 0:
+                    delta = (delta @ net.weights[li].T) * (zs[li - 1] > 0.0)
+            step += 1
+            c1, c2 = 1.0 - 0.9**step, 1.0 - 0.999**step
+            for i, g in enumerate(gw + gb):
+                m[i] = 0.9 * m[i] + (1 - 0.9) * g
+                v[i] = 0.999 * v[i] + (1 - 0.999) * g**2
+                params[i] -= cfg.learning_rate * (m[i] / c1) / (np.sqrt(v[i] / c2) + 1e-8)
+        loss = kr.mse_loss(net, X, y)
+        history.append(loss)
+        if loss < best - cfg.tol:
+            best, stall = loss, 0
+        else:
+            stall += 1
+            if stall >= cfg.patience:
+                converged = True
+                break
+    return net, history, converged
+
+
+def _group_data(seed, in_widths, n=24):
+    rng = np.random.default_rng(seed)
+    banks = [rng.normal(size=(n, w)) for w in in_widths]
+    y = np.tanh(banks[0].sum(axis=1)) + 0.1 * rng.normal(size=n)
+    return banks, y
+
+
+def test_train_matches_the_reference_loop_bit_for_bit():
+    banks, y = _group_data(4, [3])
+    model = kr.mlp_new((3, 5, 2, 1), seed=8)
+    cfg = kr.TrainConfig(max_iter=30, batch_size=7, tol=1e-3, patience=3, seed=6)
+    trained, report = kr.train(model, banks[0], y, cfg)
+    ref, history, converged = _reference_train(model, banks[0], y, cfg)
+    assert all(np.array_equal(a, b) for a, b in zip(trained.weights + trained.biases, ref.weights + ref.biases))
+    assert report.loss_history == history
+    assert report.converged == converged
+    ((solo, solo_report),) = kr.train_many([model], [banks[0]], y, cfg, [cfg.seed])
+    assert all(np.array_equal(a, b) for a, b in zip(trained.weights + trained.biases, solo.weights + solo.biases))
+    assert solo_report.loss_history == report.loss_history
+
+
+@st.composite
+def lockstep_groups(draw):
+    depth = draw(st.integers(1, 3))
+    in_widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    slots = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(in_widths) - 1),
+                st.lists(st.integers(2, 5), min_size=depth, max_size=depth),
+                st.integers(0, 2**32 - 1),
+                st.integers(0, 2**32 - 1),
+            ),
+            min_size=2,
+            max_size=5,
+        )
+    )
+    # tol and patience large enough that slots converge, at different epochs, before max_iter
+    return in_widths, slots, draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([3e-3, 1e-2, 3e-2])), draw(st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(group=lockstep_groups())
+def test_train_many_slots_match_solo_training(group):
+    in_widths, slots, data_seed, tol, patience = group
+    banks, y = _group_data(data_seed, in_widths)
+    models = [kr.mlp_new((in_widths[b], *hidden, 1), init) for b, hidden, init, _ in slots]
+    xs = [banks[b] for b, *_ in slots]
+    seeds = [shuffle for *_, shuffle in slots]
+    cfg = kr.TrainConfig(max_iter=25, batch_size=8, tol=tol, patience=patience)
+    outcomes = kr.train_many(models, xs, y, cfg, seeds)
+    assert len(outcomes) == len(models)
+    for model, X, seed, (trained, report) in zip(models, xs, seeds, outcomes):
+        solo, solo_report = kr.train(model, X, y, dataclasses.replace(cfg, seed=seed))
+        sizes = model.layer_sizes
+        assert [w.shape for w in trained.weights] == list(zip(sizes, sizes[1:]))
+        assert [b.shape for b in trained.biases] == [(s,) for s in sizes[1:]]
+        for a, b in zip(trained.weights + trained.biases, solo.weights + solo.biases):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        assert report.epochs_run == solo_report.epochs_run
+        assert report.converged == solo_report.converged
+        np.testing.assert_allclose(report.loss_history, solo_report.loss_history, rtol=0, atol=1e-12)
+
+
+def test_train_many_stops_slots_at_different_epochs():
+    banks, y = _group_data(1, [2, 3])
+    models = [kr.mlp_new(s, i) for i, s in enumerate([(2, 3, 1), (3, 5, 1), (2, 2, 1), (3, 4, 1)])]
+    cfg = kr.TrainConfig(max_iter=60, batch_size=8, tol=1e-2, patience=2)
+    outcomes = kr.train_many(models, [banks[0], banks[1], banks[0], banks[1]], y, cfg, [1, 2, 3, 4])
+    epochs = [report.epochs_run for _, report in outcomes]
+    assert len(set(epochs)) == len(epochs)
+    assert {report.converged for _, report in outcomes} == {True, False}
+
+
+def test_train_many_isolates_a_diverging_slot():
+    banks, y = _group_data(2, [3])
+    models = [kr.mlp_new((3, 4, 1), seed=s) for s in range(3)]
+    models[1].weights = [w * 1e200 for w in models[1].weights]
+    cfg = kr.TrainConfig(max_iter=10, batch_size=8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcomes = kr.train_many(models, [banks[0]] * 3, y, cfg, [5, 6, 7])
+    assert isinstance(outcomes[1], TrainingDiverged)
+    for k in (0, 2):
+        solo, _ = kr.train(models[k], banks[0], y, dataclasses.replace(cfg, seed=5 + k))
+        trained, _ = outcomes[k]
+        for a, b in zip(trained.weights + trained.biases, solo.weights + solo.biases):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+def test_train_many_validates_its_group():
+    banks, y = _group_data(3, [2])
+    cfg = kr.TrainConfig(max_iter=2)
+    shallow, deep = kr.mlp_new((2, 3, 1)), kr.mlp_new((2, 3, 3, 1))
+    with pytest.raises(DataError, match="one depth"):
+        kr.train_many([shallow, deep], [banks[0]] * 2, y, cfg, [0, 1])
+    with pytest.raises(DataError, match="one seed per model"):
+        kr.train_many([shallow], [banks[0]], y, cfg, [0, 1])
+    with pytest.raises(DataError, match="one seed per model"):
+        kr.train_many([], [], y, cfg, [])
+    with pytest.raises(DataError, match="input width"):
+        kr.train_many([kr.mlp_new((3, 2, 1))], [banks[0]], y, cfg, [0])
+    with pytest.raises(DataError, match="matching y"):
+        kr.train_many([shallow], [banks[0]], y[:-1], cfg, [0])
