@@ -1,9 +1,9 @@
 """Run the hyperparameter grid over a simulated dataset and report the winner.
 
 The full space is 8 smoothing-factor sets x 114 hidden-size tuples = 912
-configurations.  Configurations of one depth train together in lockstep;
-at the default reduced epoch budget (300) on an 8-minute dataset a full
-sweep still takes minutes, so subset for a quick look:
+configurations.  Configurations of one depth and similar widths train
+together in lockstep.  A full sweep at the default reduced epoch budget
+(300) on an 8-minute dataset is long; subset for a quick look:
 
     python scripts/run_grid_experiment.py --out grid_report.csv
     python scripts/run_grid_experiment.py --feature-sets 0,7 --topologies 0-9

@@ -6,7 +6,8 @@ fraction vectors and flooring; tuples containing a width below 2 are
 dropped and duplicates collapse.  Every configuration trains on the same
 prepared training set with its own deterministic seed stream, scores both
 test sets, and is ranked by the combined error E.  Configurations of one
-depth train together in lockstep (`mlp.train_many`).
+depth and similar widths train together in lockstep (`mlp.train_many`,
+grouped by `mlp.lockstep_groups`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import DataError, NumericError, TrainingDiverged
 from .metrics import combined_error, r_squared
-from .mlp import TrainConfig, forward_batch, mlp_new, train_many
+from .mlp import TrainConfig, forward_batch, lockstep_groups, mlp_new, train_many
 from .pipeline import PreparedData
 from .series import _open_text, fmt
 from .smoothing import AlphaSet, alpha_set, bank_windows, baseline_alpha_set, feature_bank_with_windows
@@ -201,15 +202,19 @@ def run_grid(
 ) -> SearchReport:
     """Train and score every config; report order follows config order.
 
-    Configs of one depth (len(hidden)) are trained together by one
-    train_many call; each config's RNG streams derive from (master_seed,
-    config index), so every row is what training that config alone gives.
-    parallelism is accepted for compatibility and has no effect: the
-    report is the same for any value.  Diverging configs are recorded with
-    a failure marker instead of being dropped or retried, and do not stop
-    their group.  include_timing fills the seconds column, at the cost of
-    byte-for-byte report reproducibility, with the group's training wall
-    time divided by its size plus the row's own scoring time.
+    Configs are split into lockstep groups of one depth and similar widths
+    (mlp.lockstep_groups), and each group is trained by one train_many
+    call.  Each config's RNG streams derive from (master_seed, config
+    index), so a row matches training that config alone to within
+    rounding: zero padding to its group's widths can move the last bits
+    of raw values (by at most 1e-12 in the tests), and the formatted
+    report is reproducible byte-for-byte.  parallelism is accepted for
+    compatibility and has no effect: the report is the same for any
+    value.  Diverging configs are recorded with a failure marker instead
+    of being dropped or retried, and do not stop their group.
+    include_timing fills the seconds column, at the cost of byte-for-byte
+    report reproducibility, with the group's training wall time divided
+    by its size plus the row's own scoring time.
     """
     if not configs:
         raise DataError("empty config list")
@@ -227,9 +232,7 @@ def run_grid(
                 feature_bank_with_windows(ds.g_series(), key, windows).values for ds in datasets
             )
 
-    groups: dict[int, list[int]] = {}
-    for index, cfg in enumerate(configs):
-        groups.setdefault(len(cfg.hidden), []).append(index)
+    sizes = [(len(cfg.feature_set.alphas), *cfg.hidden, 1) for cfg in configs]
     tc = TrainConfig(max_iter=max_iter if max_iter is not None else 10000)
     rows: list[GridRow | None] = [None] * len(configs)
 
@@ -251,14 +254,14 @@ def run_grid(
         )
 
     failed = (None, None, None, None)
-    for indices in groups.values():
+    for indices in lockstep_groups(sizes):
         started = time.perf_counter()
         members, models, shuffle_seeds = [], [], []
         for index in indices:
             cfg = configs[index]
             init_seed, shuffle_seed = _config_seeds(master_seed, index, cfg.seed)
             try:
-                models.append(mlp_new((len(cfg.feature_set.alphas), *cfg.hidden, 1), init_seed))
+                models.append(mlp_new(sizes[index], init_seed))
             except DataError:
                 record(index, failed, "failed", 0.0)
                 continue

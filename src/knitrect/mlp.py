@@ -21,6 +21,12 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 DIVERGENCE_FACTOR = 1e6
+# The fixed cost of one lockstep step (train_many) in units of per-slot
+# arithmetic: it equals the work of about this many padded parameters.
+# Measured with numpy 2.4 on a 2-core x86 VM, 9600 samples, batch 200:
+# 4.7 ms per epoch per group plus 0.0126 ms per epoch per padded parameter
+# and slot.
+STEP_COST_PARAMS = 375
 
 
 @dataclass
@@ -178,6 +184,43 @@ def gradient(model: MlpModel, X, y) -> tuple[list[np.ndarray], list[np.ndarray]]
     return [g[0] for g in gws], [g[0] for g in gbs]
 
 
+def _param_count(widths) -> int:
+    return sum(nin * nout + nout for nin, nout in zip(widths, widths[1:]))
+
+
+def lockstep_groups(layer_sizes) -> list[list[int]]:
+    """Split networks into groups that train faster together than apart.
+
+    layer_sizes[i] holds network i's layer sizes.  A lockstep step costs a
+    fixed overhead plus arithmetic that grows with the group size times the
+    padded parameter count, so padding a narrow net to a wide one can cost
+    more than the step it saves.  Networks of one depth are taken from
+    fewest to most parameters.  Each joins the current group if the padding
+    this adds, summed over the group, stays within STEP_COST_PARAMS, and
+    starts a new group otherwise.  Returns index lists, each ascending,
+    that cover every network once; the split depends only on the sizes.
+    """
+    by_depth: dict[int, list[int]] = {}
+    for i, sizes in enumerate(layer_sizes):
+        by_depth.setdefault(len(sizes), []).append(i)
+    groups: list[list[int]] = []
+    for members in by_depth.values():
+        group: list[int] = []
+        for i in sorted(members, key=lambda i: (_param_count(layer_sizes[i]), i)):
+            sizes = list(layer_sizes[i])
+            if group:
+                wider = [max(a, b) for a, b in zip(widths, sizes)]
+                k = len(group)
+                if (k + 1) * _param_count(wider) - k * _param_count(widths) - _param_count(sizes) <= STEP_COST_PARAMS:
+                    group.append(i)
+                    widths = wider
+                    continue
+                groups.append(sorted(group))
+            group, widths = [i], sizes
+        groups.append(sorted(group))
+    return groups
+
+
 def _layer_views(flat: np.ndarray, widths) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer (K, n_l, n_{l+1}) weight and (K, n_{l+1}) bias views of a (K, P) array."""
     k = flat.shape[0]
@@ -253,8 +296,7 @@ def train_many(
         X_stack[i, :, : arr.shape[1]] = arr
 
     k = len(models)
-    p = sum(nin * nout + nout for nin, nout in zip(widths, widths[1:]))
-    params = np.zeros((k, p))
+    params = np.zeros((k, _param_count(widths)))
     ws, bs = _layer_views(params, widths)
     for row, mo in enumerate(models):
         for w, src in zip(ws, mo.weights):

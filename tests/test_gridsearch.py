@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import knitrect as kr
-from knitrect import gridsearch
+from knitrect import gridsearch, mlp
 from knitrect.errors import DataError, NumericError
 from knitrect.gridsearch import GridRow, SearchReport
 
@@ -172,9 +172,9 @@ def _poison(monkeypatch, hidden_sizes):
 
 def test_run_grid_marks_diverged_and_failed(prepared_trio, monkeypatch):
     train, test_a, test_b = prepared_trio
-    # hidden (2, 2), (3, 3) and (4, 4): one depth, so one stacked group
+    # hidden (2, 2), (3, 3) and (4, 4) train as one stacked group
     configs = kr.grid_configs([0], [0, 3, 6])
-    assert {len(c.hidden) for c in configs} == {2}
+    assert mlp.lockstep_groups([(4, *c.hidden, 1) for c in configs]) == [[0, 1, 2]]
 
     _poison(monkeypatch, {(3, 3)})
     with np.errstate(over="ignore", invalid="ignore"):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knitrect as kr
+from knitrect import mlp
 from knitrect.errors import DataError, TrainingDiverged
 
 
@@ -327,7 +328,7 @@ def test_train_matches_the_reference_loop_bit_for_bit():
 
 
 @st.composite
-def lockstep_groups(draw):
+def same_depth_groups(draw):
     depth = draw(st.integers(1, 3))
     in_widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     slots = draw(
@@ -347,7 +348,7 @@ def lockstep_groups(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(group=lockstep_groups())
+@given(group=same_depth_groups())
 def test_train_many_slots_match_solo_training(group):
     in_widths, slots, data_seed, tol, patience = group
     banks, y = _group_data(data_seed, in_widths)
@@ -408,3 +409,23 @@ def test_train_many_validates_its_group():
         kr.train_many([kr.mlp_new((3, 2, 1))], [banks[0]], y, cfg, [0])
     with pytest.raises(DataError, match="matching y"):
         kr.train_many([shallow], [banks[0]], y[:-1], cfg, [0])
+
+
+def test_lockstep_groups_split_by_depth_and_cover_every_net_once():
+    sizes = [(4, 2, 2, 1), (10, 32, 32, 1), (4, 2, 2, 2, 1), (7, 3, 3, 1), (10, 32, 16, 1), (3, 4, 1)]
+    groups = mlp.lockstep_groups(sizes)
+    assert sorted(i for g in groups for i in g) == list(range(len(sizes)))
+    for g in groups:
+        assert g == sorted(g)
+        assert len({len(sizes[i]) for i in g}) == 1
+    assert mlp.lockstep_groups([]) == []
+
+
+def test_lockstep_groups_pad_narrow_nets_together_but_not_to_wide_ones():
+    narrow = [(n_in, *hidden, 1) for n_in in (4, 7) for hidden in ((2, 2), (3, 3), (4, 4), (4, 2))]
+    wide = [(10, 32, 32, 1), (4, 32, 32, 1)]
+    groups = mlp.lockstep_groups(narrow + wide)
+    assert list(range(len(narrow))) in groups
+    assert all(set(g) <= set(range(len(narrow))) or set(g) <= {8, 9} for g in groups)
+    # two identical wide nets share a step for free
+    assert mlp.lockstep_groups([(10, 32, 32, 1)] * 2) == [[0, 1]]
