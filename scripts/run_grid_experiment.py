@@ -8,8 +8,6 @@ together in lockstep.  A full sweep at the default reduced epoch budget
     python scripts/run_grid_experiment.py --out grid_report.csv
     python scripts/run_grid_experiment.py --feature-sets 0,7 --topologies 0-9
 
---parallel is kept for compatibility and has no effect.
-
 If --data-dir already holds train/test_a/test_b.csv those recordings are
 reused, so repeated sweeps stay comparable.
 """
@@ -42,7 +40,6 @@ def main():
     ap.add_argument("--rate", type=float, default=20.0)
     ap.add_argument("--epochs", type=int, default=300, help="reduced per-config epoch cap")
     ap.add_argument("--master-seed", type=int, default=0, help="seed for the per-config init/shuffle streams")
-    ap.add_argument("--parallel", type=int, default=1, help="kept for compatibility; no effect")
     ap.add_argument("--feature-sets", default=None, help="subset, e.g. '0,1,7'")
     ap.add_argument("--topologies", default=None, help="subset, e.g. '0-9,20'")
     ap.add_argument("--timing", action="store_true", help="record per-config seconds in the report")
@@ -67,7 +64,6 @@ def main():
         test_b,
         configs,
         master_seed=args.master_seed,
-        parallelism=args.parallel,
         max_iter=args.epochs,
         include_timing=args.timing,
     )

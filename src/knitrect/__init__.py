@@ -73,12 +73,8 @@ from .series import (
     conductivity,
     load_recording,
     resample,
-    resample_recording,
     scaler_fit,
-    scaler_inverse,
-    scaler_transform,
     write_recording,
-    write_series_csv,
 )
 from .simulate import (
     LYCRA_PRESET,
@@ -102,12 +98,10 @@ from .smoothing import (
     bank_push,
     bank_windows,
     baseline_alpha_set,
-    feature_bank,
     feature_bank_with_windows,
     init_window,
     make_bank,
     smooth,
-    write_features_csv,
 )
 
 __version__ = "0.1.0"

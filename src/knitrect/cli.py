@@ -21,13 +21,13 @@ from . import gridsearch as gs
 from . import pipeline as pl
 from .errors import DataError, NumericError
 from .metrics import binned_rse_pair, write_binned_rse_csv, write_metric_rows_csv
-from .series import fmt, load_recording, write_recording
+from .series import _open_text, fmt, load_recording, write_recording
 from .simulate import load_presets, make_dataset, preset_by_name
 
 
 def _parse_config_file(path: str) -> pl.PipelineConfig:
     try:
-        with open(path) as fh:
+        with _open_text(path, "r") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"bad config file {path}: {exc}") from None
@@ -154,7 +154,6 @@ def _cmd_gridsearch(args) -> int:
         tests[1],
         configs,
         master_seed=args.seed,
-        parallelism=args.parallel,
         max_iter=args.epochs,
         include_timing=args.timing,
     )
@@ -241,9 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=pl.TARGETS, default="force")
     p.add_argument("--rate", type=float, default=20.0)
     p.add_argument("--epochs", type=int, default=None, help="epoch cap per config (default: full budget)")
-    p.add_argument(
-        "--parallel", type=int, default=1, help="kept for compatibility; no effect (configs train in lockstep)"
-    )
     p.add_argument("--seed", type=int, default=0, help="master seed for per-config streams")
     p.add_argument("--feature-sets", default=None, help="subset, e.g. '0,1' (canonical enumeration order)")
     p.add_argument("--topologies", default=None, help="subset, e.g. '0-5,12'")

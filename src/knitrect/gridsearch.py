@@ -92,16 +92,11 @@ def enumerate_topologies() -> list[TopologySpec]:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """One grid point: a feature set plus a hidden-size tuple.
-
-    seed is an extra per-config offset folded into the run's master seed;
-    leave it 0 for the canonical grid.
-    """
+    """One grid point: a feature set plus a hidden-size tuple."""
 
     feature_set: AlphaSet
     feature_set_index: int
     hidden: tuple[int, ...]
-    seed: int = 0
 
 
 def parse_indices(text: str | None) -> list[int] | None:
@@ -174,8 +169,9 @@ class SearchReport:
     master_seed: int
 
 
-def _config_seeds(master_seed: int, index: int, config_seed: int) -> tuple[int, int]:
-    ss = np.random.SeedSequence([int(master_seed), int(index), int(config_seed)])
+def _config_seeds(master_seed: int, index: int) -> tuple[int, int]:
+    # the trailing 0 keeps every config's streams what they have always been
+    ss = np.random.SeedSequence([int(master_seed), int(index), 0])
     a, b = ss.generate_state(2, dtype=np.uint64)
     return int(a), int(b)
 
@@ -208,10 +204,10 @@ def run_grid(
     index), so a row matches training that config alone to within
     rounding: zero padding to its group's widths can move the last bits
     of raw values (by at most 1e-12 in the tests), and the formatted
-    report is reproducible byte-for-byte.  parallelism is accepted for
-    compatibility and has no effect: the report is the same for any
-    value.  Diverging configs are recorded with a failure marker instead
-    of being dropped or retried, and do not stop their group.
+    report is reproducible byte-for-byte.  parallelism has no effect; it
+    is kept only because the benchmark harness still passes it.
+    Diverging configs are recorded with a failure marker instead of
+    being dropped or retried, and do not stop their group.
     include_timing fills the seconds column, at the cost of byte-for-byte
     report reproducibility, with the group's training wall time divided
     by its size plus the row's own scoring time.
@@ -258,8 +254,7 @@ def run_grid(
         started = time.perf_counter()
         members, models, shuffle_seeds = [], [], []
         for index in indices:
-            cfg = configs[index]
-            init_seed, shuffle_seed = _config_seeds(master_seed, index, cfg.seed)
+            init_seed, shuffle_seed = _config_seeds(master_seed, index)
             try:
                 models.append(mlp_new(sizes[index], init_seed))
             except DataError:

@@ -1,9 +1,9 @@
 """Scoring: trend-agreement r^2, gain, combined two-test error, binned RSE.
 
-The default r^2 follows the pipeline's own convention: the denominator is
-centered on the mean of the ESTIMATE, not of the truth.  On standardized
-signals the two variants agree; on shifted ones they do not, so the
-conventional form is exposed as well for cross-checking.
+r^2 follows the pipeline's own convention: the denominator is centered on
+the mean of the ESTIMATE, not of the truth.  On standardized signals this
+agrees with the conventional form; on shifted ones it does not.  Only the
+estimate-centered form is provided.
 """
 
 from __future__ import annotations
@@ -17,22 +17,13 @@ from .errors import DataError
 from .series import _open_text, fmt
 
 
-def r_squared(truth, estimate, center: str = "estimate") -> float:
-    """Coefficient of determination between a truth and an estimate sequence.
-
-    center="estimate" (default): 1 - sum((x-y)^2) / sum((x-mean(y))^2).
-    center="truth": the conventional form with mean(x) in the denominator.
-    """
+def r_squared(truth, estimate) -> float:
+    """Estimate-centered coefficient of determination: 1 - sum((x-y)^2) / sum((x-mean(y))^2)."""
     x = np.asarray(truth, dtype=float)
     y = np.asarray(estimate, dtype=float)
     if x.size == 0 or x.shape != y.shape:
         raise DataError("r_squared needs equal nonzero-length sequences")
-    if center == "estimate":
-        mu = float(np.mean(y))
-    elif center == "truth":
-        mu = float(np.mean(x))
-    else:
-        raise DataError("center must be 'estimate' or 'truth'")
+    mu = float(np.mean(y))
     den = float(np.sum((x - mu) ** 2))
     if den == 0.0:
         raise DataError("r_squared denominator is zero (constant truth at the centering mean)")

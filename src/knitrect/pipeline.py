@@ -231,7 +231,14 @@ class PipelineBundle:
     provenance: dict
 
     def __post_init__(self):
-        if self.model.layer_sizes[0] != len(self.alphas):
+        m = self.model
+        want = [((n_in, n_out), (n_out,)) for n_in, n_out in zip(m.layer_sizes, m.layer_sizes[1:])]
+        got = [(w.shape, b.shape) for w, b in zip(m.weights, m.biases)]
+        if not want or len(m.weights) != len(m.biases) or got != want:
+            raise DataError("model weight and bias shapes disagree with its layer sizes")
+        if m.layer_sizes[-1] != 1:
+            raise DataError("model must have exactly one output unit")
+        if m.layer_sizes[0] != len(self.alphas):
             raise DataError("model input width must equal the filter count")
         if len(self.init_windows) != len(self.alphas):
             raise DataError("init windows must pair with alphas")
@@ -451,5 +458,7 @@ def load_bundle(source) -> PipelineBundle:
             model=model,
             provenance=dict(payload["provenance"]),
         )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise DataError(f"corrupted bundle file: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"corrupted bundle file: {exc}") from None

@@ -85,6 +85,8 @@ def perlin1d(seed: int, octaves: int, base_freq_hz: float, t) -> np.ndarray:
 # --- trajectories ------------------------------------------------------------
 
 TRAJECTORY_RATE_HZ = 100.0
+REST_LENGTH_MM = 100.0
+MAX_STRAIN = 0.30
 
 # maps noise in [-1,1] to a strain fraction; >1 widens coverage of the
 # strain range and sets actuation speed, the clip keeps strain in [0, max]
@@ -122,33 +124,22 @@ class Trajectory:
         return int(self.t_s.size)
 
 
-def gen_trajectory(
-    seed: int,
-    duration_s: float,
-    rest_length_mm: float = 100.0,
-    max_strain: float = 0.30,
-    speed_scale: float = 1.0,
-) -> Trajectory:
+def gen_trajectory(seed: int, duration_s: float) -> Trajectory:
     """Non-repetitive smooth displacement profile at 100 Hz.
 
-    With the defaults (rest length 100 mm, max strain 0.30) the mean
-    absolute velocity lands in [0.8, 1.2] mm/s and the peak stays below
-    5 mm/s.  speed_scale multiplies the noise base frequency, speeding up
-    or slowing down the actuation proportionally.
+    The sample's rest length is REST_LENGTH_MM (100 mm) and its strain
+    stays within [0, MAX_STRAIN] (0.30); the mean absolute velocity lands
+    in [0.8, 1.2] mm/s and the peak stays below 5 mm/s.
     """
     if duration_s <= 0:
         raise DataError("duration must be positive")
-    if not (0.0 < max_strain <= 1.0):
-        raise DataError("max_strain must lie in (0, 1]")
-    if speed_scale <= 0:
-        raise DataError("speed_scale must be positive")
     n = int(round(duration_s * TRAJECTORY_RATE_HZ))
     if n < 2:
         raise DataError("duration too short for the trajectory rate")
     t = np.arange(n) / TRAJECTORY_RATE_HZ
-    noise = perlin1d(seed, _OCTAVES, _BASE_FREQ_HZ * speed_scale, t)
+    noise = perlin1d(seed, _OCTAVES, _BASE_FREQ_HZ, t)
     frac = np.clip((_AMPLITUDE_GAIN * noise + 1.0) / 2.0, 0.0, 1.0)
-    return Trajectory(rest_length_mm, t, rest_length_mm * max_strain * frac, max_strain)
+    return Trajectory(REST_LENGTH_MM, t, REST_LENGTH_MM * MAX_STRAIN * frac, MAX_STRAIN)
 
 
 # --- sensor model ------------------------------------------------------------

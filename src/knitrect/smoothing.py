@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .series import UniformSeries, _open_text, fmt
+from .series import UniformSeries, fmt
 
 BASELINE_ALPHAS = (0.5, 0.1, 0.025, 0.0025)
 
@@ -135,9 +135,6 @@ class FeatureMatrix:
     def __len__(self) -> int:
         return int(self.values.shape[0])
 
-    def timestamps(self) -> np.ndarray:
-        return self.t0 + np.arange(self.values.shape[0]) / self.rate_hz
-
 
 def bank_windows(aset: AlphaSet, rate_hz: float, available: int) -> tuple[int, ...]:
     return tuple(init_window(a, rate_hz, available) for a in aset.alphas)
@@ -151,22 +148,6 @@ def feature_bank_with_windows(series: UniformSeries, alphas, windows) -> Feature
         raise DataError("alphas and windows must pair up")
     cols = [smooth(series.values, a, m) for a, m in zip(alphas, windows)]
     return FeatureMatrix(series.rate_hz, series.t0, alphas, np.column_stack(cols))
-
-
-def feature_bank(series: UniformSeries, aset: AlphaSet) -> FeatureMatrix:
-    """Smooth one series with every factor of the set; windows from the series' own length."""
-    if len(series) == 0:
-        raise DataError("cannot build features from an empty series")
-    windows = bank_windows(aset, series.rate_hz, len(series))
-    return feature_bank_with_windows(series, aset.alphas, windows)
-
-
-def write_features_csv(mat: FeatureMatrix, sink) -> None:
-    with _open_text(sink, "w") as stream:
-        header = ["t_s"] + [f"g{i + 1}" for i in range(len(mat.alphas))]
-        stream.write(",".join(header) + "\n")
-        for t, row in zip(mat.timestamps(), mat.values):
-            stream.write(",".join([fmt(t)] + [fmt(v) for v in row]) + "\n")
 
 
 @dataclass

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import knitrect as kr
+from knitrect import pipeline
 from knitrect.cli import main
 from knitrect.gridsearch import REPORT_HEADER
 
@@ -166,6 +167,16 @@ def test_train_missing_input_file(tmp_path):
     assert rc == 3
 
 
+def test_train_config_that_is_not_utf8_is_a_data_error(pes_small_dir, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b'{"hidden": [4, 2], "target": "\xff"}')
+    rc = main(
+        ["train", "--train", str(pes_small_dir / "train.csv"), "--config", str(cfg_path), "--out", str(tmp_path / "b.json")]
+    )
+    assert rc == 3
+    assert "cfg.json is not utf-8 text" in capsys.readouterr().err
+
+
 def test_train_divergence_maps_to_numeric_exit_code(pes_small_dir, tmp_path, capsys):
     cfg_path = tmp_path / "hot.json"
     cfg_path.write_text(json.dumps({"train": {"learning_rate": 1e9, "max_iter": 30}}))
@@ -242,6 +253,25 @@ def test_evaluate_writes_metrics_and_binned_rse(cli_bundle, pes_small_dir, tmp_p
     assert sum(int(ln.split(",")[2]) for ln in rse_lines[1:]) > 0
 
 
+def test_predict_input_that_is_not_utf8_is_a_data_error(cli_bundle, tmp_path, capsys):
+    infile = tmp_path / "in.csv"
+    infile.write_bytes(b"t_s,force_n,resistance_ohm,displacement_mm\n0,1,1e6,0\n\xff,1,1e6,0\n")
+    rc = main(["predict", "--bundle", str(cli_bundle), "--in", str(infile), "--out", str(tmp_path / "p.csv")])
+    assert rc == 3
+    assert "in.csv is not utf-8 text" in capsys.readouterr().err
+
+
+def test_predict_rejects_a_bundle_with_misshapen_weights(cli_bundle, pes_small_dir, tmp_path, capsys):
+    doc = json.loads(cli_bundle.read_text())
+    doc["payload"]["model"]["biases"][0].append(0.0)
+    doc["sha256"] = pipeline._payload_checksum(doc["payload"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["predict", "--bundle", str(bad), "--in", str(pes_small_dir / "test_a.csv"), "--out", str(tmp_path / "p.csv")])
+    assert rc == 3
+    assert "disagree with its layer sizes" in capsys.readouterr().err
+
+
 # --- gridsearch --------------------------------------------------------------------
 
 
@@ -288,6 +318,27 @@ def test_gridsearch_bad_index_text(pes_small_dir, tmp_path):
     ]
     assert main(args + ["--feature-sets", "9"]) == 3
     assert main(args + ["--topologies", "abc"]) == 3
+
+
+def test_gridsearch_parallel_flag_is_a_usage_error(pes_small_dir, tmp_path, capsys):
+    rc = main(
+        [
+            "gridsearch",
+            "--train",
+            str(pes_small_dir / "train.csv"),
+            "--test-a",
+            str(pes_small_dir / "test_a.csv"),
+            "--test-b",
+            str(pes_small_dir / "test_b.csv"),
+            "--parallel",
+            "2",
+            "--out",
+            str(tmp_path / "r.csv"),
+        ]
+    )
+    assert rc == 2
+    assert "--parallel" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 # --- stream ------------------------------------------------------------------------

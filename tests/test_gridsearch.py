@@ -146,7 +146,7 @@ def _solo_r2(prepared_trio, configs, index, master_seed, max_iter):
     """r2 on train, test A and test B of configs[index] trained alone with its grid seeds."""
     train = prepared_trio[0]
     cfg = configs[index]
-    init_seed, shuffle_seed = gridsearch._config_seeds(master_seed, index, cfg.seed)
+    init_seed, shuffle_seed = gridsearch._config_seeds(master_seed, index)
     windows = kr.bank_windows(cfg.feature_set, train.rate_hz, len(train))
     xs = [
         kr.feature_bank_with_windows(ds.g_series(), cfg.feature_set.alphas, windows).values
@@ -349,6 +349,13 @@ def test_report_csv_rejects_garbage():
     bad_row = gridsearch.REPORT_HEADER + "\n1,fs,0.4\n"
     with pytest.raises(DataError, match="malformed report row"):
         kr.read_report_csv(io.StringIO(bad_row))
+
+
+def test_report_csv_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "report.csv"
+    path.write_bytes((gridsearch.REPORT_HEADER + "\n0,fs\xff\n").encode("latin-1"))
+    with pytest.raises(DataError, match="report.csv is not utf-8 text"):
+        kr.read_report_csv(path)
 
 
 @pytest.mark.parametrize(

@@ -24,20 +24,15 @@ def test_r_squared_hand_example_estimate_centered():
     assert abs(got - (1.0 - 3.0 / 7.0)) <= 1e-12
 
 
-def test_r_squared_truth_centered_variant():
-    # conventional denominator: sum((x - 2)^2) = 2  ->  1 - 1/2
-    got = kr.r_squared([1.0, 2.0, 3.0], [1.0, 2.0, 2.0], center="truth")
-    assert abs(got - 0.5) <= 1e-12
-
-
 def test_r_squared_variants_agree_on_standardized_signals():
     rng = np.random.default_rng(8)
     x = rng.normal(size=500)
     y = x + rng.normal(scale=0.3, size=500)
     xs = kr.scaler_fit(x).transform(x)
     ys = kr.scaler_fit(y).transform(y)
-    a = kr.r_squared(xs, ys, center="estimate")
-    b = kr.r_squared(xs, ys, center="truth")
+    a = kr.r_squared(xs, ys)
+    # the conventional, truth-centered form
+    b = 1.0 - np.sum((xs - ys) ** 2) / np.sum((xs - np.mean(xs)) ** 2)
     # both means are ~0, so the two denominators nearly coincide
     assert abs(a - b) < 1e-6
 
@@ -52,8 +47,6 @@ def test_r_squared_validation():
         kr.r_squared([], [])
     with pytest.raises(DataError):
         kr.r_squared([1.0], [1.0, 2.0])
-    with pytest.raises(DataError):
-        kr.r_squared([1.0, 2.0], [1.0, 2.0], center="median")
 
 
 def test_r_squared_constant_estimate_scores_zero():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import knitrect as kr
+from knitrect import pipeline
 from knitrect.errors import DataError
 
 # --- configuration ---------------------------------------------------------------
@@ -325,3 +326,70 @@ def test_bundle_rejects_corruption(small_bundle, tmp_path):
     vers.write_text(json.dumps(doc))
     with pytest.raises(DataError, match="unsupported bundle version"):
         kr.load_bundle(vers)
+
+
+def _resigned(doc, tmp_path, name):
+    """Write doc with its checksum recomputed, so only the payload check can reject it."""
+    doc["sha256"] = pipeline._payload_checksum(doc["payload"])
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_bundle_rejects_non_numeric_fields(small_bundle, tmp_path):
+    path = tmp_path / "rectifier.json"
+    kr.save_bundle(small_bundle, path)
+    text = path.read_text()
+
+    doc = json.loads(text)
+    doc["payload"]["alphas"][0] = "x"
+    with pytest.raises(DataError, match="corrupted bundle file"):
+        kr.load_bundle(_resigned(doc, tmp_path, "alphas.json"))
+
+    doc = json.loads(text)
+    doc["payload"]["config"]["hidden"] = "ab"
+    with pytest.raises(DataError, match="corrupted bundle file"):
+        kr.load_bundle(_resigned(doc, tmp_path, "hidden.json"))
+
+
+def test_bundle_rejects_weights_that_disagree_with_layer_sizes(small_bundle, tmp_path):
+    path = tmp_path / "rectifier.json"
+    kr.save_bundle(small_bundle, path)
+    text = path.read_text()
+
+    doc = json.loads(text)
+    doc["payload"]["model"]["weights"][1] = [row[:-1] for row in doc["payload"]["model"]["weights"][1]]
+    with pytest.raises(DataError, match="disagree with its layer sizes"):
+        kr.load_bundle(_resigned(doc, tmp_path, "weights.json"))
+
+    doc = json.loads(text)
+    doc["payload"]["model"]["biases"][0].append(0.0)
+    with pytest.raises(DataError, match="disagree with its layer sizes"):
+        kr.load_bundle(_resigned(doc, tmp_path, "biases.json"))
+
+    doc = json.loads(text)
+    del doc["payload"]["model"]["weights"][-1]
+    with pytest.raises(DataError, match="disagree with its layer sizes"):
+        kr.load_bundle(_resigned(doc, tmp_path, "layers.json"))
+
+    model = small_bundle.model.copy()
+    model.weights[0] = model.weights[0].T
+    with pytest.raises(DataError, match="disagree with its layer sizes"):
+        dataclasses.replace(small_bundle, model=model)
+
+    # consistent shapes, but two outputs where prediction reads one
+    doc = json.loads(text)
+    m = doc["payload"]["model"]
+    m["layer_sizes"][-1] = 2
+    m["weights"][-1] = [row + [0.5] for row in m["weights"][-1]]
+    m["biases"][-1].append(0.1)
+    with pytest.raises(DataError, match="exactly one output unit"):
+        kr.load_bundle(_resigned(doc, tmp_path, "outputs.json"))
+
+
+def test_bundle_rejects_undecodable_bytes(small_bundle, tmp_path):
+    path = tmp_path / "rectifier.json"
+    kr.save_bundle(small_bundle, path)
+    path.write_bytes(path.read_bytes().replace(b'"payload"', b'"pay\xffload"', 1))
+    with pytest.raises(DataError, match="rectifier.json is not utf-8 text"):
+        kr.load_bundle(path)

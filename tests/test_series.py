@@ -1,6 +1,9 @@
 """Recording ingest, resampling, conductivity, and scaler behavior."""
 
+import csv
 import io
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import knitrect as kr
+from knitrect import series
 from knitrect.errors import DataError
 from knitrect.series import _open_text
 
@@ -97,6 +101,16 @@ def test_open_text_closes_paths_but_not_caller_streams(tmp_path):
         assert not fh.closed
 
 
+def test_load_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(f"{HEADER}\n0,1,1e6,0\n1,1,\xff,0\n".encode("latin-1"))
+    with pytest.raises(DataError, match="latin1.csv is not utf-8 text"):
+        kr.load_recording(path)
+    with open(path, encoding="utf-8") as fh:
+        with pytest.raises(DataError, match="latin1.csv is not utf-8 text"):
+            kr.load_recording(fh)
+
+
 def test_recording_invariants_on_direct_construction():
     with pytest.raises(DataError):
         kr.RawRecording([0.0], [1.0], [1e6], [0.0])
@@ -146,13 +160,6 @@ def test_resample_errors():
         kr.resample([0.0, 0.0], [1.0, 2.0], 10.0)
 
 
-def test_resample_recording_shares_grid(pes_small):
-    channels = kr.resample_recording(pes_small[0], 20.0)
-    lens = {len(s) for s in channels.values()}
-    assert len(lens) == 1
-    assert channels["force_n"].rate_hz == 20.0
-
-
 # --- conductivity ---------------------------------------------------------------
 
 
@@ -195,7 +202,7 @@ def test_scaler_fit_rejects_constant_input():
 
 def test_scaler_transform_hand_example():
     p = kr.ScalerParams(2.0, 0.816497)
-    out = kr.scaler_transform(p, [1.0, 2.0, 3.0])
+    out = p.transform([1.0, 2.0, 3.0])
     assert np.allclose(out, [-1.224745, 0.0, 1.224745], atol=1e-5)
 
 
@@ -260,15 +267,130 @@ def test_scaler_roundtrip_and_normalized_stats(xs):
     p = kr.scaler_fit(arr)
     z = p.transform(arr)
     spread = max(1.0, np.abs(arr).max())
-    assert np.all(np.abs(kr.scaler_inverse(p, z) - arr) <= 1e-9 * spread)
+    assert np.all(np.abs(p.inverse(z) - arr) <= 1e-9 * spread)
     assert abs(np.mean(z)) < 1e-9
     assert abs(np.var(z) - 1.0) < 1e-9
 
 
-def test_series_csv_writer_emits_nine_significant_digits(tmp_path):
-    s = kr.UniformSeries(20.0, 0.0, [0.123456789123, 1.0])
-    path = tmp_path / "s.csv"
-    kr.write_series_csv(s, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t_s,value"
-    assert lines[1].split(",")[1] == "0.123456789123"
+
+# --- load_recording against a row-by-row reference ------------------------------
+
+
+def _reference_load(text):
+    """Row-by-row parse with the recording rules checked per row as each row is read.
+
+    Returns the rows as float lists, or the DataError message the first bad
+    line earns.
+    """
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    rows, prev_t = [], None
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            return f"malformed row at line {lineno}: expected 4 fields"
+        try:
+            vals = [float(c) for c in row]
+        except ValueError:
+            return f"malformed row at line {lineno}: non-numeric field"
+        if not all(math.isfinite(v) for v in vals):
+            return f"non-finite value at line {lineno}"
+        t, f, r, d = vals
+        if prev_t is not None and t <= prev_t:
+            return f"non-increasing timestamp at line {lineno}"
+        if r <= 0:
+            return f"non-positive resistance at line {lineno}"
+        if f < 0:
+            return f"negative force at line {lineno}"
+        if d < 0:
+            return f"negative displacement at line {lineno}"
+        prev_t = t
+        rows.append(vals)
+    if len(rows) < 2:
+        return "recording needs at least 2 rows"
+    return rows
+
+
+FAULTS = ("swap_t", "repeat_t", "zero_r", "neg_r", "neg_f", "neg_d", "nan", "inf", "text", "short", "long", "blank")
+
+
+def _apply_fault(lines, kind, i, col):
+    """Corrupt row i (a list of cells) of lines in place; blank lines are empty lists.
+
+    Column numbers wrap, since an earlier fault may have dropped a cell.
+    """
+    rows = [k for k, line in enumerate(lines) if line]
+    k = rows[i % len(rows)]
+    cells = lines[k]
+    col = {"zero_r": 2, "neg_r": 2, "neg_f": 1, "neg_d": 3}.get(kind, col) % len(cells)
+    if kind == "swap_t":
+        nxt = lines[rows[(i + 1) % len(rows)]]
+        cells[0], nxt[0] = nxt[0], cells[0]
+    elif kind == "repeat_t":
+        lines[rows[(i + 1) % len(rows)]][0] = cells[0]
+    elif kind == "zero_r":
+        cells[col] = "0"
+    elif kind in ("neg_r", "neg_f", "neg_d"):
+        cells[col] = "-" + ("0.5" if cells[col] in ("0", "0.0") else cells[col].lstrip("-"))
+    elif kind in ("nan", "inf"):
+        cells[col] = kind if col % 2 else "-" + kind
+    elif kind == "text":
+        cells[col] = ("abc", "", "1..2", "0x10")[col]
+    elif kind == "short":
+        del cells[col]
+    elif kind == "long":
+        cells.insert(col, "1")
+    else:
+        lines.insert(k, [])
+
+
+@st.composite
+def faulty_recordings(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    steps = draw(st.lists(st.floats(0.001, 10.0), min_size=n, max_size=n))
+    t = np.cumsum(steps) - steps[0]
+    f = draw(st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n))
+    r = draw(st.lists(st.floats(1.0, 1e7), min_size=n, max_size=n))
+    d = draw(st.lists(st.floats(0.0, 30.0), min_size=n, max_size=n))
+    lines = [[repr(float(v)) for v in row] for row in zip(t, f, r, d)]
+    faults = draw(
+        st.lists(
+            st.tuples(st.sampled_from(FAULTS), st.integers(0, 5), st.integers(0, 3)),
+            max_size=3,
+        )
+    )
+    for kind, i, col in faults:
+        _apply_fault(lines, kind, i, col)
+    return "\n".join([HEADER, *(",".join(cells) for cells in lines)]) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=faulty_recordings())
+def test_load_recording_matches_the_row_by_row_reference(text):
+    want = _reference_load(text)
+    # blocks of 2 rows put block boundaries next to every fault
+    for block_rows in (series._BLOCK_ROWS, 2):
+        with mock.patch.object(series, "_BLOCK_ROWS", block_rows):
+            if isinstance(want, str):
+                with pytest.raises(DataError) as err:
+                    kr.load_recording(io.StringIO(text))
+                assert str(err.value) == want
+            else:
+                rec = kr.load_recording(io.StringIO(text))
+                got = np.column_stack([rec.t_s, rec.force_n, rec.resistance_ohm, rec.displacement_mm])
+                assert np.array_equal(got, np.asarray(want))
+    # the same rules guard direct construction, wherever every row parses
+    rows = [row for row in csv.reader(io.StringIO(text))][1:]
+    rows = [row for row in rows if row]
+    try:
+        cols = np.array([[float(c) for c in row] for row in rows]).T
+    except ValueError:
+        return
+    if cols.shape[0] != 4:
+        return
+    if isinstance(want, str):
+        with pytest.raises(DataError):
+            kr.RawRecording(*cols)
+    else:
+        kr.RawRecording(*cols)

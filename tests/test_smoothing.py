@@ -102,6 +102,12 @@ def test_smooth_errors():
 # --- feature bank ---------------------------------------------------------------
 
 
+def _bank(series, aset):
+    """The feature bank with init windows from the series' own length, as fit_pipeline builds it."""
+    windows = kr.bank_windows(aset, series.rate_hz, len(series))
+    return kr.feature_bank_with_windows(series, aset.alphas, windows)
+
+
 def test_feature_bank_single_identity_column():
     series = kr.UniformSeries(20.0, 0.0, np.arange(10.0))
     mat = kr.feature_bank_with_windows(series, (1.0,), (1,))
@@ -111,7 +117,7 @@ def test_feature_bank_single_identity_column():
 
 def test_feature_bank_constant_series():
     series = kr.UniformSeries(20.0, 0.0, np.full(50, 0.7))
-    mat = kr.feature_bank(series, kr.baseline_alpha_set())
+    mat = _bank(series, kr.baseline_alpha_set())
     assert np.all(mat.values == 0.7)
 
 
@@ -119,7 +125,7 @@ def test_feature_bank_step_response_separates_fast_and_slow_filters():
     xs = np.zeros(200)
     xs[100:] = 1.0
     series = kr.UniformSeries(20.0, 0.0, xs)
-    mat = kr.feature_bank(series, kr.baseline_alpha_set())
+    mat = _bank(series, kr.baseline_alpha_set())
     # within 7 samples of the step: alpha=0.5 has nearly converged,
     # alpha=0.0025 has barely moved (closed form 1-(1-alpha)^k)
     assert mat.values[106, 0] > 0.99
@@ -131,19 +137,11 @@ def test_feature_bank_column_order_matches_alpha_order():
     rng = np.random.default_rng(5)
     series = kr.UniformSeries(20.0, 0.0, rng.normal(size=120))
     aset = kr.alpha_set(2.5, 4)
-    mat = kr.feature_bank(series, aset)
+    mat = _bank(series, aset)
     assert mat.alphas == aset.alphas
     for i, alpha in enumerate(aset.alphas):
         m = kr.init_window(alpha, 20.0, 120)
         assert np.array_equal(mat.values[:, i], kr.smooth(series.values, alpha, m))
-
-
-def test_features_csv_header(tmp_path):
-    series = kr.UniformSeries(20.0, 0.0, np.arange(5.0))
-    mat = kr.feature_bank(series, kr.alpha_set(2.5, 3))
-    path = tmp_path / "f.csv"
-    kr.write_features_csv(mat, path)
-    assert path.read_text().splitlines()[0] == "t_s,g1,g2,g3"
 
 
 # --- streaming bank -------------------------------------------------------------
