@@ -7,10 +7,16 @@ overhead per numpy call.  `train_many` therefore trains K models of one
 depth in lockstep: their parameters are zero-padded to the widest layers
 and stacked, and one step is a batched forward/backward pass plus one
 Adam update on the stack.  `train` is its one-model case.
+
+For the same reason `forward` evaluates one input vector on Python floats
+rather than as a one-row `forward_batch`: its dot products sum in their
+own order, so it matches `forward_batch` to within rounding (1e-12 on the
+nets here), not bit for bit.  The stream path uses the same evaluator.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,12 +131,35 @@ def forward_batch(model: MlpModel, X) -> np.ndarray:
     return a[:, 0]
 
 
+def _unit_weights(model: MlpModel) -> list[tuple[list[list[float]], list[float]]]:
+    """Per layer: each unit's incoming weights as a float list, and the biases."""
+    return [(w.T.tolist(), b.tolist()) for w, b in zip(model.weights, model.biases)]
+
+
+def _forward_floats(layers, a: list[float]) -> float:
+    """The network on one input list, with layers from _unit_weights."""
+    mul = operator.mul
+    for cols, bs in layers[:-1]:
+        # ReLU written so that a NaN passes through, as in np.maximum
+        a = [0.0 if (z := sum(map(mul, a, col)) + b) < 0.0 else z for col, b in zip(cols, bs)]
+    cols, bs = layers[-1]
+    return sum(map(mul, a, cols[0])) + bs[0]
+
+
 def forward(model: MlpModel, x) -> float:
-    """Prediction for a single input vector."""
+    """Prediction for a single input vector.
+
+    Equals forward_batch on the one-row batch to within rounding (1e-12
+    here), since each dot product sums in its own order; the stream path
+    (pipeline.stream_push) runs this same evaluation, so the two agree bit
+    for bit.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DataError("forward expects a single input vector")
-    return float(forward_batch(model, x[None, :])[0])
+    if x.size != model.layer_sizes[0]:
+        raise DataError("input width does not match the model")
+    return _forward_floats(_unit_weights(model), x.tolist())
 
 
 def mse_loss(model: MlpModel, X, y) -> float:
@@ -160,7 +189,7 @@ def _backprop(ws, bs, X, y, gws, gbs) -> None:
     delta = (2.0 / y.shape[1]) * (acts[-1][:, :, 0] - y)[:, :, None]
     for li in range(last, -1, -1):
         np.matmul(acts[li].transpose(0, 2, 1), delta, out=gws[li])
-        np.sum(delta, axis=1, out=gbs[li])
+        np.add.reduce(delta, axis=1, out=gbs[li])
         if li > 0:
             delta = (delta @ ws[li].transpose(0, 2, 1)) * (zs[li - 1] > 0.0)
 

@@ -3,7 +3,8 @@
 fit_pipeline trains everything on one recording and freezes the result
 into a PipelineBundle: rate, scalers, smoothing factors, init windows,
 network weights.  The bundle then rectifies fresh recordings in batch
-(predict_batch) or sample-by-sample (StreamSession), is scored on two test
+(predict_batch) or sample-by-sample (StreamSession; equal to the batch to
+within 1e-12 on the same resampled recording), is scored on two test
 recordings (evaluate), and serializes to a versioned, checksummed JSON
 file.
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import DataError
 from .metrics import ScoreCard, combined_error, r_squared
-from .mlp import MlpModel, TrainConfig, TrainReport, forward, forward_batch, mlp_new
+from .mlp import MlpModel, TrainConfig, TrainReport, _forward_floats, _unit_weights, forward_batch, mlp_new
 from .mlp import train as train_mlp
 from .series import (
     RawRecording,
@@ -38,8 +40,8 @@ from .series import (
 from .smoothing import (
     AlphaSet,
     BankState,
+    _bank_step,
     alpha_set,
-    bank_push,
     bank_windows,
     baseline_alpha_set,
     feature_bank_with_windows,
@@ -355,11 +357,19 @@ def evaluate(bundle: PipelineBundle, test_a: RawRecording, test_b: RawRecording)
 
 @dataclass
 class StreamSession:
-    """Single-owner streaming state over one shared immutable bundle."""
+    """Single-owner streaming state over one shared immutable bundle.
+
+    samples_seen counts the samples accepted into the bank.
+    """
 
     bundle: PipelineBundle
     bank: BankState
     samples_seen: int = 0
+    # the bundle's network as float lists, converted once per session
+    _layers: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._layers = _unit_weights(self.bundle.model)
 
 
 def open_stream(bundle: PipelineBundle) -> StreamSession:
@@ -371,18 +381,24 @@ def stream_push(session: StreamSession, sample: tuple[float, float]) -> float | 
 
     Samples must arrive at the bundle's rate (the caller resamples); the
     timestamp is accepted for interface symmetry but the filters are
-    purely sample-indexed.
+    purely sample-indexed.  Each value equals `forward(model, row)` on the
+    bank row `bank_push` gives for the same sample, bit for bit, and so
+    equals predict_batch on the same resampled recording to within 1e-12.
+    A rejected sample raises DataError and leaves the session unchanged.
     """
     _, r = sample
     r = float(r)
-    if not np.isfinite(r) or r <= 0:
+    if not math.isfinite(r) or r <= 0:
         raise DataError("non-positive resistance in stream")
-    g_bar = (1.0 / r - session.bundle.scaler_g.mean) / session.bundle.scaler_g.scale
+    scaler = session.bundle.scaler_g
+    g_bar = (1.0 / r - scaler.mean) / scaler.scale
+    if not math.isfinite(g_bar):
+        raise DataError(f"stream sample R={r!r} is too small: its standardized conductance overflows")
+    vec = _bank_step(session.bank, g_bar)
     session.samples_seen += 1
-    vec = bank_push(session.bank, g_bar)
     if vec is None:
         return None
-    return forward(session.bundle.model, vec)
+    return _forward_floats(session._layers, vec)
 
 
 # --- serialization --------------------------------------------------------------

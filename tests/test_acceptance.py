@@ -244,7 +244,7 @@ def test_criterion_08_drift_removal(capsys, drift_dataset):
 # --- 9: reduced grid determinism ----------------------------------------------------------
 
 
-def test_criterion_09_grid_determinism_across_parallelism(capsys, pes_small_dir, tmp_path):
+def test_criterion_09_grid_determinism_across_runs(capsys, pes_small_dir, tmp_path):
     def check():
         t0 = time.perf_counter()
         outs = []

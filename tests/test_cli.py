@@ -374,6 +374,12 @@ def test_stream_rejects_malformed_lines(cli_bundle, monkeypatch, capsys):
     assert "bad stream line" in capsys.readouterr().err
 
 
+def test_stream_rejects_a_resistance_whose_conductance_overflows(cli_bundle, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0.0,1e-320\n"))
+    assert main(["stream", "--bundle", str(cli_bundle)]) == 3
+    assert "R=1e-320" in capsys.readouterr().err
+
+
 def test_stream_survives_a_closed_consumer(cli_bundle, pes_small_dir):
     """Piping into a consumer that exits early must not crash the process."""
     rec = kr.load_recording(pes_small_dir / "test_a.csv")

@@ -87,6 +87,33 @@ def test_forward_batch_shape_and_dimension_check():
         kr.forward_batch(model, np.zeros((5, 4)))
     with pytest.raises(DataError):
         kr.forward(model, np.zeros((2, 3)))
+    with pytest.raises(DataError):
+        kr.forward(model, np.zeros((1, 3)))
+    for width in (2, 4):
+        with pytest.raises(DataError, match="input width"):
+            kr.forward(model, np.zeros(width))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_in=st.integers(min_value=1, max_value=9),
+    hidden=st.lists(st.integers(min_value=2, max_value=8), max_size=3),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_forward_matches_forward_batch_within_rounding(n_in, hidden, seed):
+    # 1 to 4 weight layers; forward sums each dot product in its own order
+    rng = np.random.default_rng(seed)
+    model = kr.mlp_new((n_in, *hidden, 1), seed=seed)
+    for b in model.biases:
+        b += rng.normal(scale=0.5, size=b.shape)
+    for x in rng.normal(scale=2.0, size=(5, n_in)):
+        assert abs(kr.forward(model, x) - kr.forward_batch(model, x[None])[0]) <= 1e-12
+
+
+def test_forward_propagates_nan_like_forward_batch():
+    model = _manual_model((2, 2, 1), [[[np.nan, 1.0], [1.0, 1.0]], [[1.0], [1.0]]], [[0.0, 0.0], [0.0]])
+    assert np.isnan(kr.forward_batch(model, [[1.0, 1.0]])[0])
+    assert np.isnan(kr.forward(model, [1.0, 1.0]))
 
 
 def test_forward_final_layer_is_positively_homogeneous():

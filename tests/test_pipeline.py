@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import knitrect as kr
 from knitrect import pipeline
@@ -247,7 +249,40 @@ def test_stream_matches_batch_after_warmup(small_bundle, pes_small):
         else:
             outs.append(out)
     assert len(outs) == batch.values.size - warmup
-    assert np.abs(np.asarray(outs) - batch.values[warmup:]).max() <= 1e-9
+    assert np.abs(np.asarray(outs) - batch.values[warmup:]).max() <= 1e-12
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31), duration_s=st.floats(min_value=5.0, max_value=60.0))
+def test_stream_equals_the_tail_of_predict_batch_on_any_recording(small_bundle, seed, duration_s):
+    traj_seed, sensor_seed = kr.SimSeed(seed).recording_seeds(1)
+    rec = kr.simulate_sensor(kr.gen_trajectory(traj_seed, duration_s), kr.PES_PRESET, sensor_seed)
+    r_series = kr.resample(rec.t_s, rec.resistance_ohm, small_bundle.config.rate_hz)
+    batch, _ = kr.predict_batch(small_bundle, rec)
+    session = kr.open_stream(small_bundle)
+    outs = [kr.stream_push(session, (t, r)) for t, r in zip(r_series.timestamps().tolist(), r_series.values.tolist())]
+    warmup = max(small_bundle.init_windows) - 1
+    assert all(o is None for o in outs[:warmup])
+    assert len(outs) - warmup == batch.values.size - warmup > 0
+    assert np.abs(np.asarray(outs[warmup:]) - batch.values[warmup:]).max() <= 1e-12
+
+
+def test_stream_push_is_bank_push_then_forward_bit_for_bit(small_bundle, pes_small):
+    rec = pes_small[2]
+    r_series = kr.resample(rec.t_s, rec.resistance_ohm, small_bundle.config.rate_hz)
+    session = kr.open_stream(small_bundle)
+    bank = kr.make_bank(small_bundle.alphas, small_bundle.init_windows)
+    scaler = small_bundle.scaler_g
+    n_out = 0
+    for r in r_series.values.tolist():
+        got = kr.stream_push(session, (0.0, r))
+        row = kr.bank_push(bank, (1.0 / r - scaler.mean) / scaler.scale)
+        if row is None:
+            assert got is None
+        else:
+            assert got == kr.forward(small_bundle.model, row)
+            n_out += 1
+    assert n_out == len(r_series) - max(small_bundle.init_windows) + 1
 
 
 def test_stream_identity_bundle_is_exact(pes_small):
@@ -265,6 +300,19 @@ def test_stream_rejects_bad_samples(small_bundle):
         kr.stream_push(session, (0.0, 0.0))
     with pytest.raises(DataError, match="non-positive resistance"):
         kr.stream_push(session, (0.0, float("nan")))
+    assert session.samples_seen == 0
+
+
+@pytest.mark.parametrize("r", [1e-320, 5e-324])
+def test_stream_rejects_a_resistance_whose_conductance_overflows(small_bundle, r):
+    session = kr.open_stream(small_bundle)
+    for _ in range(2):
+        with pytest.raises(DataError, match=f"R={r!r}.*overflows"):
+            kr.stream_push(session, (0.0, r))
+    assert session.samples_seen == 0
+    assert session.bank.buffer == []
+    kr.stream_push(session, (0.0, 1000.0))
+    assert session.samples_seen == 1
 
 
 # --- serialization ---------------------------------------------------------------

@@ -97,6 +97,10 @@ def test_smooth_errors():
         kr.smooth([1.0, 2.0], 0.5, 3)
     with pytest.raises(DataError):
         kr.smooth([1.0, 2.0], 0.0, 1)
+    with pytest.raises(DataError, match="1-D"):
+        kr.smooth([[1.0, 2.0], [3.0, 4.0]], 0.5, 1)
+    with pytest.raises(DataError, match="1-D"):
+        kr.smooth(1.0, 0.5, 1)
 
 
 # --- feature bank ---------------------------------------------------------------
@@ -203,6 +207,41 @@ def test_smooth_output_is_bounded_by_input_range(xs, alpha, data):
     out = kr.smooth(xs, alpha, m)
     assert out.min() >= min(xs) - 1e-12
     assert out.max() <= max(xs) + 1e-12
+
+
+def _smooth_reference(xs, alpha, m):
+    """smooth as a loop over numpy float64 scalars, before it moved to Python floats."""
+    xs = np.asarray(xs, dtype=float)
+    out = np.empty_like(xs)
+    y = float(xs[0] + np.mean(xs[:m] - xs[0]))
+    out[0] = y
+    beta = 1.0 - alpha
+    for i in range(1, xs.size):
+        x = xs[i]
+        y = x + beta * (y - x)
+        out[i] = y
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    xs=st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=80),
+    alpha=st.one_of(st.just(1.0), alpha_st),
+    data=st.data(),
+)
+def test_smooth_matches_the_numpy_scalar_reference_loop(xs, alpha, data):
+    m = data.draw(st.integers(min_value=1, max_value=len(xs)))
+    got = kr.smooth(np.asarray(xs), alpha, m)
+    want = _smooth_reference(xs, alpha, m)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_smooth_matches_the_reference_loop_on_long_and_strided_input():
+    xs = np.random.default_rng(5).normal(size=(5000, 2))
+    for col in (xs[:, 0], xs[:, 1], xs[::3, 0]):
+        for alpha, m in ((1.0, 1), (0.4, 3), (0.0016, 400)):
+            assert np.array_equal(kr.smooth(col, alpha, m), _smooth_reference(col, alpha, m))
 
 
 @settings(max_examples=40, deadline=None)
