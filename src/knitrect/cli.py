@@ -22,18 +22,19 @@ from . import pipeline as pl
 from .errors import DataError, NumericError
 from .metrics import binned_rse_pair, write_binned_rse_csv, write_metric_rows_csv
 from .series import _open_text, fmt, load_recording, write_recording
-from .simulate import load_presets, make_dataset, preset_by_name
+from .simulate import _role, load_presets, make_dataset, preset_by_name
 
 
 def _parse_config_file(path: str) -> pl.PipelineConfig:
     try:
         with _open_text(path, "r") as fh:
-            doc = json.load(fh)
+            return pl.config_from_dict(json.load(fh))
     except json.JSONDecodeError as exc:
         raise DataError(f"bad config file {path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise DataError(f"bad config file {path}: expected an object")
-    return pl.config_from_dict(doc)
+
+
+def _given(**flags) -> dict:
+    return {k: v for k, v in flags.items() if v is not None}
 
 
 def _resolve_preset(args):
@@ -61,36 +62,21 @@ def _cmd_simulate(args) -> int:
         duration_s=args.duration_min * 60.0,
         jittered_timestamps=not args.no_jitter,
     )
-    roles = ["train"] + [f"test_{chr(ord('a') + i)}" for i in range(len(recs) - 1)]
-    for role, rec in zip(roles, recs):
-        path = out_dir / f"{role}.csv"
+    for i, rec in enumerate(recs):
+        path = out_dir / f"{_role(i)}.csv"
         write_recording(rec, path)
         print(f"wrote {path} ({len(rec)} rows, {rec.t_s[-1]:.1f} s)")
     return 0
 
 
 def _cmd_train(args) -> int:
-    import dataclasses
-
     if args.config and args.default_best:
         raise DataError("give either --config or --default-best, not both")
     cfg = _parse_config_file(args.config) if args.config else pl.default_best_config()
-    tc = cfg.train
-    if args.max_iter is not None:
-        tc = dataclasses.replace(tc, max_iter=args.max_iter)
-    if args.seed is not None:
-        tc = dataclasses.replace(tc, seed=args.seed)
-    overrides = {}
-    if tc is not cfg.train:
-        overrides["train"] = tc
-    if args.target:
-        overrides["target"] = args.target
-    if args.rate is not None:
-        overrides["rate_hz"] = args.rate
-    if args.seed is not None:
-        overrides["init_seed"] = args.seed
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
+    doc = pl.config_to_dict(cfg)
+    doc.update(_given(target=args.target, rate_hz=args.rate, init_seed=args.seed))
+    doc["train"].update(_given(max_iter=args.max_iter, seed=args.seed))
+    cfg = pl.config_from_dict(doc)
     rec = load_recording(args.train)
     bundle, report = pl.fit_pipeline(rec, cfg)
     pl.save_bundle(bundle, args.out)
@@ -121,12 +107,14 @@ def _cmd_predict(args) -> int:
 def _cmd_evaluate(args) -> int:
     bundle = pl.load_bundle(args.bundle)
     ev = pl.evaluate(bundle, load_recording(args.test_a), load_recording(args.test_b))
+    # bin before any output, so a bad --bin-width leaves no partial results
+    rse = binned_rse_pair(ev.truth, ev.pre, ev.post, args.bin_width) if args.rse_out else None
     _print_card("test_a", ev.card_a)
     _print_card("test_b", ev.card_b)
     write_metric_rows_csv(ev.rows(), args.out)
     print(f"wrote {args.out}")
-    if args.rse_out:
-        write_binned_rse_csv(binned_rse_pair(ev.truth, ev.pre, ev.post, args.bin_width), args.rse_out)
+    if rse is not None:
+        write_binned_rse_csv(rse, args.rse_out)
         print(f"wrote {args.rse_out}")
     return 0
 

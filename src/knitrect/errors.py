@@ -1,9 +1,12 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the setting checks.
 
-DataError covers anything caused by malformed or degenerate input data
-(CLI exit code 3).  NumericError covers numerical failures during
-computation, e.g. diverging training runs (CLI exit code 4).
+DataError covers anything caused by malformed or degenerate input data,
+settings included (CLI exit code 3).  NumericError covers numerical
+failures during computation, e.g. diverging training runs (exit code 4).
 """
+
+import numbers
+import sys
 
 
 class DataError(ValueError):
@@ -16,3 +19,23 @@ class NumericError(RuntimeError):
 
 class TrainingDiverged(NumericError):
     """Training loss blew up past the divergence guard."""
+
+
+def _finite(value) -> bool:
+    """Whether value is a real number that is a finite float; bool is none."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def _integer(name: str, value, minimum: int) -> int:
+    """value as an int >= minimum; an integral float such as 8.0 passes."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise DataError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _integers(obj, **minimums) -> None:
+    """Check the named integer fields of a frozen dataclass and store them as ints."""
+    for name, low in minimums.items():
+        object.__setattr__(obj, name, _integer(name, getattr(obj, name), low))

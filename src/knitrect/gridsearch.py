@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError, TrainingDiverged
+from .errors import DataError, NumericError, TrainingDiverged, _integer
 from .metrics import combined_error, r_squared
 from .mlp import TrainConfig, forward_batch, lockstep_groups, mlp_new, train_many
 from .pipeline import PreparedData
@@ -182,7 +182,7 @@ def _check_shared_provenance(train: PreparedData, test_a: PreparedData, test_b: 
             raise DataError("grid datasets must share one sample rate")
         if ds.target != train.target:
             raise DataError("grid datasets must share one target")
-        if ds.scaler_source != train.scaler_source or ds.scaler_g != train.scaler_g:
+        if (ds.scaler_source, ds.scaler_g, ds.scaler_t) != (train.scaler_source, train.scaler_g, train.scaler_t):
             raise DataError("test sets must be prepared with the training recording's scalers")
 
 
@@ -214,6 +214,7 @@ def run_grid(
     """
     if not configs:
         raise DataError("empty config list")
+    master_seed = _integer("master_seed", master_seed, 0)
     _check_shared_provenance(train, test_a, test_b)
     datasets = (train, test_a, test_b)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _finite
 from .series import _open_text, fmt
 
 
@@ -99,12 +99,14 @@ def binned_rse(truth, estimate, bin_width: float = 1.0) -> BinnedCurve:
     """
     f = np.asarray(truth, dtype=float)
     p = np.asarray(estimate, dtype=float)
-    if bin_width <= 0:
-        raise DataError("bin_width must be positive")
-    if f.size == 0 or f.shape != p.shape:
-        raise DataError("binned_rse needs equal nonzero-length sequences")
+    if not _finite(bin_width) or bin_width <= 0:
+        raise DataError(f"bin_width must be a positive finite number, got {bin_width!r}")
+    if f.size == 0 or f.shape != p.shape or not np.isfinite(f).all():
+        raise DataError("binned_rse needs equal nonzero-length sequences with finite truth")
     if np.all(f == f[0]):
         raise DataError("binned_rse needs non-constant truth")
+    if not f.max() / bin_width - f.min() / bin_width <= 1e6:
+        raise DataError(f"bin_width {bin_width!r} makes more than a million bins")
     mu = float(np.mean(f))
     lo_bin = int(math.floor(f.min() / bin_width))
     hi_bin = int(math.floor(f.max() / bin_width))

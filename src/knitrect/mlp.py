@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, TrainingDiverged
+from .errors import DataError, TrainingDiverged, _finite, _integers
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -61,7 +61,12 @@ class MlpModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer settings; defaults mirror a stock small-regressor setup."""
+    """Optimizer settings; defaults mirror a stock small-regressor setup.
+
+    The fields are a config file's `train` keys.  int fields take integral
+    numbers (8.0 is stored as 8), learning_rate and tol finite ones, and a
+    bool is no number; anything else raises DataError.
+    """
 
     max_iter: int = 10000
     learning_rate: float = 1e-3
@@ -71,16 +76,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise DataError("max_iter must be >= 1")
-        if self.learning_rate <= 0:
-            raise DataError("learning_rate must be positive")
-        if self.tol < 0:
-            raise DataError("tol must be >= 0")
-        if self.patience < 1:
-            raise DataError("patience must be >= 1")
-        if self.batch_size != "auto" and int(self.batch_size) < 1:
-            raise DataError("batch_size must be 'auto' or >= 1")
+        _integers(self, max_iter=1, patience=1, seed=0)
+        if self.batch_size != "auto":
+            _integers(self, batch_size=1)
+        if not _finite(self.learning_rate) or self.learning_rate <= 0:
+            raise DataError(f"learning_rate must be a positive finite number, got {self.learning_rate!r}")
+        if not _finite(self.tol) or self.tol < 0:
+            raise DataError(f"tol must be a finite number >= 0, got {self.tol!r}")
 
 
 @dataclass

@@ -18,12 +18,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _finite, _integer, _integers
 from .metrics import ScoreCard, combined_error, r_squared
 from .mlp import MlpModel, TrainConfig, TrainReport, _forward_floats, _unit_weights, forward_batch, mlp_new
 from .mlp import train as train_mlp
@@ -58,9 +58,12 @@ TARGETS = ("force", "displacement")
 class PipelineConfig:
     """Everything that defines one rectifier variant before training.
 
-    alpha_base=None selects the hand-picked baseline factor quadruple and
-    alpha_count is then ignored.  The defaults are the grid-search winner:
-    factor set base 2.5 with 7 filters, hidden sizes (4, 2, 2), 20 Hz.
+    Its fields (TrainConfig's under `train`) are the keys of a config file
+    and of a bundle's config; alpha_base=None selects the baseline factor
+    quadruple.  The defaults are the grid-search winner: base 2.5 with 7
+    filters, hidden sizes (4, 2, 2), 20 Hz.  A malformed value raises
+    DataError: rate_hz and a set alpha_base must be finite numbers, and
+    int fields take integral numbers (8.0 is stored as 8), never a bool.
     """
 
     rate_hz: float = 20.0
@@ -68,19 +71,22 @@ class PipelineConfig:
     alpha_count: int | None = 7
     hidden: tuple[int, ...] = (4, 2, 2)
     target: str = "force"
-    train: TrainConfig = field(default_factory=TrainConfig)
     init_seed: int = 0
+    train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if self.rate_hz <= 0:
-            raise DataError("rate_hz must be positive")
+        if not isinstance(self.hidden, (list, tuple)):
+            raise DataError(f"hidden must be a list of layer widths, got {self.hidden!r}")
+        object.__setattr__(self, "hidden", tuple(_integer("hidden layer width", h, 2) for h in self.hidden))
+        _integers(self, init_seed=0)
+        if self.alpha_base is not None or self.alpha_count is not None:
+            _integers(self, alpha_count=1)
+        if not _finite(self.rate_hz) or self.rate_hz <= 0:
+            raise DataError(f"rate_hz must be a positive finite number, got {self.rate_hz!r}")
+        if not (self.alpha_base is None or _finite(self.alpha_base)):
+            raise DataError(f"alpha_base must be a finite number or null, got {self.alpha_base!r}")
         if self.target not in TARGETS:
             raise DataError(f"target must be one of {TARGETS}")
-        if any(h < 2 for h in self.hidden):
-            raise DataError("hidden layer widths must be >= 2")
-        if self.alpha_base is not None and (self.alpha_count is None or self.alpha_count < 1):
-            raise DataError("alpha_count must be >= 1 when alpha_base is set")
 
     def feature_set(self) -> AlphaSet:
         if self.alpha_base is None:
@@ -93,60 +99,47 @@ def default_best_config() -> PipelineConfig:
     return PipelineConfig()
 
 
+def _plain(value):
+    """A JSON-ready tree: a dataclass as its fields by name, tuples as lists, arrays as nested lists."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
 def config_to_dict(cfg: PipelineConfig) -> dict:
-    return {
-        "rate_hz": cfg.rate_hz,
-        "alpha_base": cfg.alpha_base,
-        "alpha_count": cfg.alpha_count,
-        "hidden": list(cfg.hidden),
-        "target": cfg.target,
-        "init_seed": cfg.init_seed,
-        "train": {
-            "max_iter": cfg.train.max_iter,
-            "learning_rate": cfg.train.learning_rate,
-            "batch_size": cfg.train.batch_size,
-            "tol": cfg.train.tol,
-            "patience": cfg.train.patience,
-            "seed": cfg.train.seed,
-        },
-    }
+    """The config as a JSON-ready dict keyed by its field names; config_from_dict reads it back."""
+    return _plain(cfg)
 
 
 def config_from_dict(doc: dict) -> PipelineConfig:
     """Build a config from a (possibly partial) dict; missing keys keep defaults.
 
-    Use an explicit null alpha_base to select the baseline factor set.
+    The keys are the field names, TrainConfig's under "train"; an explicit
+    null alpha_base selects the baseline factor set.  An unknown key or a
+    malformed value raises DataError.
     """
-    defaults = PipelineConfig()
-    known = {"rate_hz", "alpha_base", "alpha_count", "hidden", "target", "init_seed", "train"}
-    unknown = set(doc) - known
+    return _overlay(PipelineConfig(), doc, "")
+
+
+def _overlay(base, doc, name: str):
+    """base with the fields doc names replaced; a dataclass field takes a nested object."""
+    if not isinstance(doc, dict):
+        raise DataError(f"config {name!r} must be an object" if name else "config must be an object")
+    unknown = set(doc) - {f.name for f in fields(base)}
     if unknown:
-        raise DataError(f"unknown config keys: {sorted(unknown)}")
-    tr = doc.get("train", {})
-    if not isinstance(tr, dict):
-        raise DataError("config 'train' must be an object")
-    tr_known = {"max_iter", "learning_rate", "batch_size", "tol", "patience", "seed"}
-    tr_unknown = set(tr) - tr_known
-    if tr_unknown:
-        raise DataError(f"unknown train config keys: {sorted(tr_unknown)}")
-    dt = defaults.train
-    train_cfg = TrainConfig(
-        max_iter=tr.get("max_iter", dt.max_iter),
-        learning_rate=tr.get("learning_rate", dt.learning_rate),
-        batch_size=tr.get("batch_size", dt.batch_size),
-        tol=tr.get("tol", dt.tol),
-        patience=tr.get("patience", dt.patience),
-        seed=tr.get("seed", dt.seed),
-    )
-    return PipelineConfig(
-        rate_hz=doc.get("rate_hz", defaults.rate_hz),
-        alpha_base=doc.get("alpha_base", defaults.alpha_base),
-        alpha_count=doc.get("alpha_count", defaults.alpha_count),
-        hidden=tuple(doc.get("hidden", defaults.hidden)),
-        target=doc.get("target", defaults.target),
-        init_seed=doc.get("init_seed", defaults.init_seed),
-        train=train_cfg,
-    )
+        raise DataError(f"unknown {name + ' ' if name else ''}config keys: {sorted(map(str, unknown))}")
+    changes = {}
+    for key, value in doc.items():
+        current = getattr(base, key)
+        changes[key] = _overlay(current, value, key) if is_dataclass(current) else value
+    try:
+        return replace(base, **changes)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"malformed config: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -261,14 +254,14 @@ def fit_pipeline(train_rec: RawRecording, cfg: PipelineConfig) -> tuple[Pipeline
         scaler_g=prepared.scaler_g,
         scaler_t=prepared.scaler_t,
         model=trained,
-        provenance={
-            "train_source": prepared.source_label,
-            "created_utc": datetime.now(timezone.utc).isoformat(),
-            "init_seed": int(cfg.init_seed),
-            "shuffle_seed": int(cfg.train.seed),
-            "train_epochs": report.epochs_run,
-            "train_best_loss": report.best_loss,
-        },
+        provenance=dict(
+            train_source=prepared.source_label,
+            created_utc=datetime.now(timezone.utc).isoformat(),
+            init_seed=cfg.init_seed,
+            shuffle_seed=cfg.train.seed,
+            train_epochs=report.epochs_run,
+            train_best_loss=report.best_loss,
+        ),
     )
     return bundle, report
 
@@ -404,23 +397,6 @@ def stream_push(session: StreamSession, sample: tuple[float, float]) -> float | 
 # --- serialization --------------------------------------------------------------
 
 
-def _bundle_payload(bundle: PipelineBundle) -> dict:
-    return {
-        "config": config_to_dict(bundle.config),
-        "alphas": list(bundle.alphas),
-        "init_windows": list(bundle.init_windows),
-        "scaler_g": {"mean": bundle.scaler_g.mean, "scale": bundle.scaler_g.scale},
-        "scaler_t": {"mean": bundle.scaler_t.mean, "scale": bundle.scaler_t.scale},
-        "model": {
-            "layer_sizes": list(bundle.model.layer_sizes),
-            "seed": bundle.model.seed,
-            "weights": [w.tolist() for w in bundle.model.weights],
-            "biases": [b.tolist() for b in bundle.model.biases],
-        },
-        "provenance": dict(bundle.provenance),
-    }
-
-
 def _payload_checksum(payload: dict) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -428,7 +404,7 @@ def _payload_checksum(payload: dict) -> str:
 
 def save_bundle(bundle: PipelineBundle, sink) -> None:
     """Write a human-readable, checksummed JSON bundle."""
-    payload = _bundle_payload(bundle)
+    payload = _plain(bundle)
     doc = {
         "format": BUNDLE_FORMAT,
         "version": BUNDLE_VERSION,
@@ -476,5 +452,5 @@ def load_bundle(source) -> PipelineBundle:
         )
     except KeyError as exc:
         raise DataError(f"corrupted bundle file: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"corrupted bundle file: {exc}") from None

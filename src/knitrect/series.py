@@ -18,7 +18,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _finite
 
 RECORDING_HEADER = ("t_s", "force_n", "resistance_ohm", "displacement_mm")
 
@@ -228,8 +228,8 @@ def resample(t, x, rate_hz: float) -> UniformSeries:
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
-    if rate_hz <= 0:
-        raise DataError("rate_hz must be positive")
+    if not _finite(rate_hz) or rate_hz <= 0:
+        raise DataError(f"rate_hz must be a positive finite number, got {rate_hz!r}")
     if t.size < 2:
         raise DataError("need at least 2 points to resample")
     if t.shape != x.shape:

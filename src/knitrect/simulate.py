@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _finite, _integer
 from .series import RawRecording, _open_text, fmt
 
 # --- 1-d gradient noise ------------------------------------------------------
@@ -131,8 +131,8 @@ def gen_trajectory(seed: int, duration_s: float) -> Trajectory:
     stays within [0, MAX_STRAIN] (0.30); the mean absolute velocity lands
     in [0.8, 1.2] mm/s and the peak stays below 5 mm/s.
     """
-    if duration_s <= 0:
-        raise DataError("duration must be positive")
+    if not _finite(duration_s) or duration_s <= 0:
+        raise DataError(f"duration must be a positive finite number, got {duration_s!r}")
     n = int(round(duration_s * TRAJECTORY_RATE_HZ))
     if n < 2:
         raise DataError("duration too short for the trajectory rate")
@@ -269,9 +269,12 @@ class SimSeed:
 
     master: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "master", _integer("master seed", self.master, 0))
+
     def recording_seeds(self, index: int) -> tuple[int, int]:
         """(trajectory seed, sensor seed) for recording `index`."""
-        ss = np.random.SeedSequence([int(self.master), int(index)])
+        ss = np.random.SeedSequence([self.master, int(index)])
         a, b = ss.generate_state(2, dtype=np.uint64)
         return int(a), int(b)
 
@@ -359,7 +362,7 @@ def make_dataset(
     for i in range(n_recordings):
         traj_seed, sensor_seed = sim_seed.recording_seeds(i)
         traj = gen_trajectory(traj_seed, duration_s)
-        label = f"{preset.name.lower()}-{_role(i)}-seed{master_seed}"
+        label = f"{preset.name.lower()}-{_role(i)}-seed{sim_seed.master}"
         out.append(
             simulate_sensor(
                 traj,

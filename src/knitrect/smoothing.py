@@ -68,7 +68,10 @@ def alpha_set(a: float, n: int) -> AlphaSet:
         raise DataError("base a must be > 1")
     if n < 1:
         raise DataError("count must be >= 1")
-    return AlphaSet(tuple(1.0 / a ** (i + 1) for i in range(n)), base=float(a))
+    try:
+        return AlphaSet(tuple(1.0 / a ** (i + 1) for i in range(n)), base=float(a))
+    except OverflowError:
+        raise DataError(f"base {a!r} to the power {n} overflows") from None
 
 
 def baseline_alpha_set() -> AlphaSet:

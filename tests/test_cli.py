@@ -401,6 +401,61 @@ def test_stream_survives_a_closed_consumer(cli_bundle, pes_small_dir):
 # --- top-level ---------------------------------------------------------------------
 
 
+# {data}, {bundle}, {config} and {tmp} are filled in by the test; {config}
+# holds the text of CONFIGS[...] named by the config= entry
+MALFORMED_SETTINGS = {
+    "config hidden not a list": ("train --train {data}/train.csv --config {config} --out {tmp}/b.json", '{"hidden": 5}'),
+    "config init_seed text": ("train --train {data}/train.csv --config {config} --out {tmp}/b.json", '{"init_seed": "z"}'),
+    "config rate_hz text": ("train --train {data}/train.csv --config {config} --out {tmp}/b.json", '{"rate_hz": "fast"}'),
+    "config fractional width": ("train --train {data}/train.csv --config {config} --out {tmp}/b.json", '{"hidden": [4, 2.5]}'),
+    "config nan alpha_base": ("train --train {data}/train.csv --config {config} --out {tmp}/b.json", '{"alpha_base": NaN}'),
+    "config bool seed": ("train --train {data}/train.csv --config {config} --out {tmp}/b.json", '{"train": {"seed": true}}'),
+    "config inf learning_rate": (
+        "train --train {data}/train.csv --config {config} --out {tmp}/b.json",
+        '{"train": {"learning_rate": Infinity}}',
+    ),
+    "config overflowing alpha_base": ("train --train {data}/train.csv --config {config} --out {tmp}/b.json", '{"alpha_base": 1e308}'),
+    "config not an object": ("train --train {data}/train.csv --config {config} --out {tmp}/b.json", "[1, 2]"),
+    "train negative seed": ("train --train {data}/train.csv --default-best --seed -1 --out {tmp}/b.json", None),
+    "train nan rate": ("train --train {data}/train.csv --default-best --rate nan --out {tmp}/b.json", None),
+    "gridsearch nan rate": (
+        "gridsearch --train {data}/train.csv --test-a {data}/test_a.csv --test-b {data}/test_b.csv"
+        " --rate nan --out {tmp}/g.csv",
+        None,
+    ),
+    "gridsearch negative seed": (
+        "gridsearch --train {data}/train.csv --test-a {data}/test_a.csv --test-b {data}/test_b.csv"
+        " --seed -1 --feature-sets 0 --topologies 0 --epochs 1 --out {tmp}/g.csv",
+        None,
+    ),
+    "simulate negative seed": ("simulate --seed -1 --duration-min 0.1 --out {tmp}/sim", None),
+    "simulate nan duration": ("simulate --duration-min nan --out {tmp}/sim", None),
+    "simulate inf duration": ("simulate --duration-min inf --out {tmp}/sim", None),
+    **{
+        f"evaluate bin width {w}": (
+            "evaluate --bundle {bundle} --test-a {data}/test_a.csv --test-b {data}/test_b.csv"
+            f" --out {{tmp}}/m.csv --rse-out {{tmp}}/r.csv --bin-width={w}",
+            None,
+        )
+        for w in ("nan", "inf", "1e-300")
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SETTINGS))
+def test_malformed_settings_are_data_errors(case, pes_small_dir, cli_bundle, tmp_path, capsys):
+    template, config = MALFORMED_SETTINGS[case]
+    cfg_path = tmp_path / "cfg.json"
+    if config is not None:
+        cfg_path.write_text(config)
+    argv = template.format(data=pes_small_dir, bundle=cli_bundle, config=cfg_path, tmp=tmp_path).split()
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_with_two(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2

@@ -239,6 +239,12 @@ def test_run_grid_rejects_foreign_scalers(prepared_trio, pes_small):
     configs = kr.grid_configs([0], [0])
     with pytest.raises(DataError, match="training recording's scalers"):
         kr.run_grid(train, test_a, self_scaled, configs)
+    # the training scaler_g with the test set's own target scaler
+    own_target = kr.prepare_with_scalers(
+        pes_small[2], 20.0, "force", train.scaler_g, self_scaled.scaler_t, train.scaler_source
+    )
+    with pytest.raises(DataError, match="training recording's scalers"):
+        kr.run_grid(train, test_a, own_target, configs)
 
 
 def test_run_grid_rejects_mixed_rate_or_target(prepared_trio, pes_small):

@@ -123,6 +123,12 @@ def test_binned_rse_validation():
         kr.binned_rse([2.0, 2.0], [1.0, 2.0], 1.0)  # constant truth
     with pytest.raises(DataError):
         kr.binned_rse([1.0], [1.0, 2.0], 1.0)
+    with pytest.raises(DataError):
+        kr.binned_rse([1.0, np.nan], [1.0, 2.0], 1.0)
+    # a non-finite width, or one so fine that the bin count overflows
+    for width in (float("nan"), float("inf"), 1e-300, True):
+        with pytest.raises(DataError, match="bin"):
+            kr.binned_rse([1.0, 2.0], [1.0, 2.0], width)
 
 
 def test_binned_rse_pair_shares_binning():

@@ -278,6 +278,28 @@ def test_train_config_validation():
         kr.TrainConfig(patience=0)
     with pytest.raises(DataError):
         kr.TrainConfig(batch_size=0)
+    bad = [
+        {"max_iter": 1.5},
+        {"max_iter": True},
+        {"max_iter": "50"},
+        {"patience": None},
+        {"seed": -1},
+        {"seed": "z"},
+        {"batch_size": "32"},
+        {"batch_size": 0.5},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"learning_rate": "fast"},
+        {"tol": float("inf")},
+        {"tol": False},
+    ]
+    for kwargs in bad:
+        with pytest.raises(DataError):
+            kr.TrainConfig(**kwargs)
+    # an integral float is stored as an int
+    cfg = kr.TrainConfig(max_iter=50.0, batch_size=32.0, seed=3.0)
+    assert (cfg.max_iter, cfg.batch_size, cfg.seed) == (50, 32, 3)
+    assert all(type(v) is int for v in (cfg.max_iter, cfg.batch_size, cfg.seed))
 
 
 def test_trained_parameters_stay_finite(small_bundle):

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +73,67 @@ def test_config_validation():
     with pytest.raises(DataError):
         kr.PipelineConfig(alpha_count=0)
     assert kr.PipelineConfig(hidden=[8.0, 4]).hidden == (8, 4)
+    bad = [
+        {"rate_hz": float("nan")},
+        {"rate_hz": float("inf")},
+        {"rate_hz": "fast"},
+        {"rate_hz": True},
+        {"alpha_base": float("nan")},
+        {"alpha_base": "2.5"},
+        {"alpha_count": None},
+        {"alpha_count": 2.5},
+        {"hidden": 5},
+        {"hidden": "42"},
+        {"hidden": [4, 2.5]},
+        {"hidden": [True, 4]},
+        {"hidden": [4, None]},
+        {"init_seed": -1},
+        {"init_seed": "z"},
+    ]
+    for kwargs in bad:
+        with pytest.raises(DataError):
+            kr.PipelineConfig(**kwargs)
+    assert kr.PipelineConfig(alpha_base=None, alpha_count=None).feature_set().label == "baseline"
+    assert type(kr.PipelineConfig(hidden=[8.0]).hidden[0]) is int
+
+
+# JSON-like trees whose object keys are mostly real config field names
+CONFIG_KEYS = st.sampled_from(
+    [f.name for f in dataclasses.fields(kr.PipelineConfig)] + [f.name for f in dataclasses.fields(kr.TrainConfig)]
+) | st.text(max_size=6)
+JSON_SCALARS = st.none() | st.booleans() | st.integers(0, 64) | st.integers() | st.floats() | st.text(max_size=6)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(CONFIG_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _replace_one_field(data, parent, key):
+    """Walk down from parent[key] to a drawn field and replace it with a drawn JSON value."""
+    while isinstance(parent[key], (dict, list)) and parent[key] and not data.draw(st.booleans()):
+        node = parent[key]
+        parent, key = node, data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+    parent[key] = data.draw(JSON_VALUES)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_config_from_dict_returns_a_config_or_raises_data_error(data):
+    # either a random tree or a full config with one field replaced
+    holder = {"doc": kr.config_to_dict(kr.PipelineConfig())}
+    if data.draw(st.booleans()):
+        holder["doc"] = data.draw(st.dictionaries(CONFIG_KEYS, JSON_VALUES, max_size=6) | JSON_VALUES)
+    else:
+        _replace_one_field(data, holder, "doc")
+    try:
+        cfg = kr.config_from_dict(holder["doc"])
+    except DataError:
+        return
+    assert isinstance(cfg, kr.PipelineConfig)
+    plain = kr.config_to_dict(cfg)
+    json.dumps(plain, allow_nan=False)
+    assert kr.config_from_dict(plain) == cfg
 
 
 # --- preparation -----------------------------------------------------------------
@@ -384,6 +446,80 @@ def _resigned(doc, tmp_path, name):
     return path
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_bundle_returns_a_bundle_or_raises_data_error(small_bundle, data):
+    sink = io.StringIO()
+    kr.save_bundle(small_bundle, sink)
+    doc = json.loads(sink.getvalue())
+    _replace_one_field(data, doc, "payload")
+    doc["sha256"] = pipeline._payload_checksum(doc["payload"])
+    try:
+        bundle = kr.load_bundle(io.StringIO(json.dumps(doc)))
+    except DataError:
+        return
+    assert isinstance(bundle, kr.PipelineBundle)
+
+
+V1_PAYLOAD_KEYS = {
+    "alphas": None,
+    "config": {
+        "alpha_base": None,
+        "alpha_count": None,
+        "hidden": None,
+        "init_seed": None,
+        "rate_hz": None,
+        "target": None,
+        "train": {
+            "batch_size": None,
+            "learning_rate": None,
+            "max_iter": None,
+            "patience": None,
+            "seed": None,
+            "tol": None,
+        },
+    },
+    "init_windows": None,
+    "model": {"biases": None, "layer_sizes": None, "seed": None, "weights": None},
+    "provenance": {
+        "created_utc": None,
+        "init_seed": None,
+        "shuffle_seed": None,
+        "train_best_loss": None,
+        "train_epochs": None,
+        "train_source": None,
+    },
+    "scaler_g": {"mean": None, "scale": None},
+    "scaler_t": {"mean": None, "scale": None},
+}
+V1_DATA = Path(__file__).parent / "data"
+
+
+def _key_tree(node):
+    return {k: _key_tree(v) for k, v in node.items()} if isinstance(node, dict) else None
+
+
+def test_bundle_file_keeps_the_v1_layout(small_bundle):
+    sink = io.StringIO()
+    kr.save_bundle(small_bundle, sink)
+    for text in (sink.getvalue(), (V1_DATA / "bundle_v1.json").read_text()):
+        doc = json.loads(text)
+        assert sorted(doc) == ["format", "payload", "sha256", "version"]
+        assert (doc["format"], doc["version"]) == ("knitrect-bundle", 1)
+        assert _key_tree(doc["payload"]) == V1_PAYLOAD_KEYS
+
+
+def test_a_v1_bundle_file_loads_predicts_and_saves_as_written(tmp_path):
+    """tests/data holds a bundle, an input and its prediction CSV written by the v1 code."""
+    bundle = kr.load_bundle(V1_DATA / "bundle_v1.json")
+    out = tmp_path / "predict.csv"
+    kr.write_prediction_csv(bundle, kr.load_recording(V1_DATA / "bundle_v1_input.csv"), out)
+    assert out.read_text() == (V1_DATA / "bundle_v1_predict.csv").read_text()
+    sink = io.StringIO()
+    kr.save_bundle(bundle, sink)
+    assert sink.getvalue() == (V1_DATA / "bundle_v1.json").read_text()
+
+
 def test_bundle_rejects_non_numeric_fields(small_bundle, tmp_path):
     path = tmp_path / "rectifier.json"
     kr.save_bundle(small_bundle, path)
@@ -398,6 +534,20 @@ def test_bundle_rejects_non_numeric_fields(small_bundle, tmp_path):
     doc["payload"]["config"]["hidden"] = "ab"
     with pytest.raises(DataError, match="corrupted bundle file"):
         kr.load_bundle(_resigned(doc, tmp_path, "hidden.json"))
+
+    # integer fields that hold an infinity or an int no float can hold
+    for name, where, value in [
+        ("seed", ("model",), float("inf")),
+        ("init_windows", (), [float("inf")] * len(small_bundle.alphas)),
+        ("alphas", (), [10**400] * len(small_bundle.alphas)),
+    ]:
+        doc = json.loads(text)
+        node = doc["payload"]
+        for step in where:
+            node = node[step]
+        node[name] = value
+        with pytest.raises(DataError, match="corrupted bundle file"):
+            kr.load_bundle(_resigned(doc, tmp_path, f"{name}.json"))
 
 
 def test_bundle_rejects_weights_that_disagree_with_layer_sizes(small_bundle, tmp_path):

@@ -158,6 +158,9 @@ def test_resample_errors():
         kr.resample([0.0, 1.0], [1.0, 2.0], 0.0)
     with pytest.raises(DataError):
         kr.resample([0.0, 0.0], [1.0, 2.0], 10.0)
+    for rate in (float("nan"), float("inf"), "20", True):
+        with pytest.raises(DataError, match="rate_hz"):
+            kr.resample([0.0, 1.0], [1.0, 2.0], rate)
 
 
 # --- conductivity ---------------------------------------------------------------

@@ -86,6 +86,13 @@ def test_trajectory_is_deterministic():
 def test_trajectory_validation():
     with pytest.raises(DataError):
         kr.gen_trajectory(0, 0.0)
+    for duration in (float("nan"), float("inf")):
+        with pytest.raises(DataError, match="duration"):
+            kr.gen_trajectory(0, duration)
+    for master in (-1, 1.5, "7", None):
+        with pytest.raises(DataError, match="master seed"):
+            kr.SimSeed(master)
+    assert kr.SimSeed(7.0).recording_seeds(0) == kr.SimSeed(7).recording_seeds(0)
     with pytest.raises(DataError):
         kr.Trajectory(100.0, [0.0, 0.01], [0.0, 40.0], 0.30)  # strain above max
 

@@ -22,6 +22,9 @@ def test_alpha_set_rejects_bad_parameters():
         kr.alpha_set(1.0, 4)
     with pytest.raises(DataError):
         kr.alpha_set(2.5, 0)
+    for a, n in [(1e308, 3), (2.5, 10**4)]:
+        with pytest.raises(DataError, match="overflows"):
+            kr.alpha_set(a, n)
 
 
 def test_baseline_alpha_set():
