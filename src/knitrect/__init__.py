@@ -13,12 +13,10 @@ from .gridsearch import (
     GridRow,
     SearchReport,
     TopologySpec,
-    best_config,
     enumerate_feature_sets,
     enumerate_topologies,
     grid_configs,
     parse_indices,
-    read_report_csv,
     run_grid,
     write_report_csv,
 )

@@ -4,7 +4,7 @@ simulate    write synthetic recordings for a sensor preset
 train       fit a rectifier bundle on a training recording
 predict     rectify a recording with a fitted bundle
 evaluate    score a bundle on two test recordings (scorecard + binned RSE)
-gridsearch  run the hyperparameter grid and write the report CSV
+gridsearch  run the hyperparameter grid, write the report CSV, print the top 10
 stream      line-by-line rectification of `t,R` pairs on stdin
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
@@ -120,26 +120,17 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_gridsearch(args) -> int:
-    train_rec = load_recording(args.train)
-    prepared_train = pl.prepare(train_rec, args.rate, args.target)
-    tests = []
-    for path in (args.test_a, args.test_b):
-        rec = load_recording(path)
-        tests.append(
-            pl.prepare_with_scalers(
-                rec,
-                args.rate,
-                args.target,
-                prepared_train.scaler_g,
-                prepared_train.scaler_t,
-                prepared_train.scaler_source,
-            )
-        )
+    train_rec, a_rec, b_rec = (load_recording(path) for path in (args.train, args.test_a, args.test_b))
+    train = pl.prepare(train_rec, args.rate, args.target)
+    test_a, test_b = (
+        pl.prepare_with_scalers(rec, args.rate, args.target, train.scaler_g, train.scaler_t, train.scaler_source)
+        for rec in (a_rec, b_rec)
+    )
     configs = gs.grid_configs(gs.parse_indices(args.feature_sets), gs.parse_indices(args.topologies))
     report = gs.run_grid(
-        prepared_train,
-        tests[0],
-        tests[1],
+        train,
+        test_a,
+        test_b,
         configs,
         master_seed=args.seed,
         max_iter=args.epochs,
@@ -148,14 +139,25 @@ def _cmd_gridsearch(args) -> int:
     gs.write_report_csv(report, args.out)
     n_ok = sum(1 for r in report.rows if r.status == "ok")
     print(f"wrote {args.out}: {len(report.rows)} configs, {n_ok} ok")
-    if report.best is not None:
-        best_row = next(r for r in report.rows if r.config_id == report.best)
-        hidden = "x".join(str(h) for h in best_row.hidden)
+    ranked = report.ranked()
+    if ranked:
+        best = ranked[0]
         print(
-            f"best: config {best_row.config_id} [{best_row.feature_set}, hidden {hidden}] "
-            f"E={best_row.error:.6g} (r2 A={best_row.r2_test_a:.4f}, B={best_row.r2_test_b:.4f})"
+            f"best: config {best.config_id} [{best.feature_set}, hidden {_hidden(best)}] "
+            f"E={best.error:.6g} (r2 A={best.r2_test_a:.4f}, B={best.r2_test_b:.4f})"
         )
+        print("\ntop configurations by combined error E:")
+        print(f"{'id':>5}  {'feature set':<10} {'hidden':<12} {'E':>9} {'r2 A':>7} {'r2 B':>7}")
+        for r in ranked[:10]:
+            print(
+                f"{r.config_id:>5}  {r.feature_set:<10} {_hidden(r):<12} "
+                f"{r.error:>9.5f} {r.r2_test_a:>7.4f} {r.r2_test_b:>7.4f}"
+            )
     return 0
+
+
+def _hidden(row: gs.GridRow) -> str:
+    return "x".join(str(h) for h in row.hidden)
 
 
 def _cmd_stream(args) -> int:
@@ -221,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bin-width", type=float, default=1.0, help="RSE bin width in target units")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("gridsearch", help="run the hyperparameter grid")
+    p = sub.add_parser("gridsearch", help="run the hyperparameter grid; prints the best config and the top 10")
     p.add_argument("--train", required=True)
     p.add_argument("--test-a", required=True)
     p.add_argument("--test-b", required=True)

@@ -161,12 +161,26 @@ class GridRow:
     feature_set_index: int = -1
 
 
+def _row_rank_key(row: GridRow):
+    # minimal E; ties prefer fewer neurons, then the lexicographically
+    # smaller hidden tuple, then the earlier feature set
+    return (row.error, sum(row.hidden), row.hidden, row.feature_set_index)
+
+
 @dataclass(frozen=True)
 class SearchReport:
     rows: list[GridRow]
-    configs: list[GridConfig]
-    best: int | None  # config_id of the best successful row
     master_seed: int
+
+    def ranked(self) -> list[GridRow]:
+        """The scored rows, best first."""
+        return sorted((r for r in self.rows if r.status == "ok" and r.error is not None), key=_row_rank_key)
+
+    @property
+    def best(self) -> int | None:
+        """config_id of the best scored row, or None if none scored."""
+        ranked = self.ranked()
+        return ranked[0].config_id if ranked else None
 
 
 def _config_seeds(master_seed: int, index: int) -> tuple[int, int]:
@@ -287,27 +301,7 @@ def run_grid(
                 except (NumericError, DataError):
                     scores, status = failed, "failed"
             record(index, scores, status, share + time.perf_counter() - started)
-    return SearchReport(rows=rows, configs=list(configs), best=_best_id(rows), master_seed=master_seed)
-
-
-def _row_rank_key(row: GridRow):
-    # minimal E; ties prefer fewer neurons, then the lexicographically
-    # smaller hidden tuple, then the earlier feature set
-    return (row.error, sum(row.hidden), row.hidden, row.feature_set_index)
-
-
-def _best_id(rows: list[GridRow]) -> int | None:
-    ok = [r for r in rows if r.status == "ok" and r.error is not None]
-    if not ok:
-        return None
-    return min(ok, key=_row_rank_key).config_id
-
-
-def best_config(report: SearchReport) -> GridConfig:
-    """The winning configuration of a finished run."""
-    if report.best is None:
-        raise DataError("every configuration failed; no best config")
-    return report.configs[report.best]
+    return SearchReport(rows=rows, master_seed=master_seed)
 
 
 def _cell(x: float | None) -> str:
@@ -326,54 +320,3 @@ def write_report_csv(report: SearchReport, sink) -> None:
                 f"{_cell(r.error)},{_cell(r.seconds)},{r.status}\n"
             )
 
-
-def _parse_cell(text: str, kind, column: str):
-    try:
-        return kind(text)
-    except ValueError:
-        raise DataError(f"bad {column} cell {text!r} in report row") from None
-
-
-def read_report_csv(source) -> list[GridRow]:
-    """Parse rows written by write_report_csv.
-
-    The feature-set index is recovered by matching each row's alphas
-    against enumerate_feature_sets(); alphas outside it keep index -1.
-    A cell that does not parse raises DataError.
-    """
-    import csv
-
-    set_index = {aset.alphas: i for i, aset in enumerate(enumerate_feature_sets())}
-    with _open_text(source, "r") as stream:
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is None or ",".join(header) != REPORT_HEADER:
-            raise DataError("bad report header")
-        names = REPORT_HEADER.split(",")
-        rows = []
-        for rec in reader:
-            if not rec:
-                continue
-            if len(rec) != 10:
-                raise DataError("malformed report row")
-            cid, fs, alphas, hidden, *scores, status = rec
-            alphas = tuple(_parse_cell(a, float, "alphas") for a in alphas.split())
-            r2t, r2a, r2b, err, secs = (
-                _parse_cell(cell, float, name) if cell else None for cell, name in zip(scores, names[4:9])
-            )
-            rows.append(
-                GridRow(
-                    config_id=_parse_cell(cid, int, "config_id"),
-                    feature_set=fs,
-                    alphas=alphas,
-                    hidden=tuple(_parse_cell(h, int, "hidden_sizes") for h in hidden.split("x") if h),
-                    r2_train=r2t,
-                    r2_test_a=r2a,
-                    r2_test_b=r2b,
-                    error=err,
-                    seconds=secs,
-                    status=status,
-                    feature_set_index=set_index.get(alphas, -1),
-                )
-            )
-    return rows

@@ -237,6 +237,8 @@ class PipelineBundle:
             raise DataError("model input width must equal the filter count")
         if len(self.init_windows) != len(self.alphas):
             raise DataError("init windows must pair with alphas")
+        if tuple(m.layer_sizes[1:-1]) != self.config.hidden:
+            raise DataError("model hidden layer sizes disagree with the config's hidden")
 
 
 def fit_pipeline(train_rec: RawRecording, cfg: PipelineConfig) -> tuple[PipelineBundle, TrainReport]:
@@ -441,9 +443,12 @@ def load_bundle(source) -> PipelineBundle:
             biases=[np.asarray(b, dtype=float) for b in m["biases"]],
             seed=int(m["seed"]),
         )
+        alphas = tuple(float(a) for a in payload["alphas"])
+        if alphas != cfg.feature_set().alphas:
+            raise DataError("bundle alphas disagree with the config's feature set")
         return PipelineBundle(
             config=cfg,
-            alphas=tuple(float(a) for a in payload["alphas"]),
+            alphas=alphas,
             init_windows=tuple(int(w) for w in payload["init_windows"]),
             scaler_g=ScalerParams(**payload["scaler_g"]),
             scaler_t=ScalerParams(**payload["scaler_t"]),

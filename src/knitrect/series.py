@@ -35,6 +35,10 @@ _RULES = (
 # blocks hold more row text at once (4096 raised peak RSS by ~2 MiB)
 _BLOCK_ROWS = 1024
 
+# the most samples a setting may ask one series for: a day at 100 Hz,
+# 80 MB per float column
+MAX_SAMPLES = 10**7
+
 # all CSV writers emit at least 9 significant digits
 FLOAT_FMT = "%.12g"
 
@@ -237,7 +241,10 @@ def resample(t, x, rate_hz: float) -> UniformSeries:
     if np.any(np.diff(t) <= 0):
         raise DataError("timestamps must be strictly increasing")
     # small slack so a span that is an exact multiple of the step keeps its endpoint
-    n = int(np.floor((t[-1] - t[0]) * rate_hz + 1e-9)) + 1
+    steps = float(t[-1] - t[0]) * float(rate_hz) + 1e-9
+    if not steps < MAX_SAMPLES:
+        raise DataError(f"rate_hz {rate_hz!r} asks for more than {MAX_SAMPLES} samples")
+    n = int(np.floor(steps)) + 1
     grid = t[0] + np.arange(n) / rate_hz
     return UniformSeries(rate_hz=float(rate_hz), t0=float(t[0]), values=np.interp(grid, t, x))
 

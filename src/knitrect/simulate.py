@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, _finite, _integer
-from .series import RawRecording, _open_text, fmt
+from .series import MAX_SAMPLES, RawRecording, _open_text, fmt
 
 # --- 1-d gradient noise ------------------------------------------------------
 
@@ -133,7 +133,10 @@ def gen_trajectory(seed: int, duration_s: float) -> Trajectory:
     """
     if not _finite(duration_s) or duration_s <= 0:
         raise DataError(f"duration must be a positive finite number, got {duration_s!r}")
-    n = int(round(duration_s * TRAJECTORY_RATE_HZ))
+    samples = duration_s * TRAJECTORY_RATE_HZ
+    if samples > MAX_SAMPLES:
+        raise DataError(f"duration {duration_s!r} s asks for more than {MAX_SAMPLES} samples")
+    n = int(round(samples))
     if n < 2:
         raise DataError("duration too short for the trajectory rate")
     t = np.arange(n) / TRAJECTORY_RATE_HZ
@@ -357,6 +360,8 @@ def make_dataset(
     """
     if n_recordings < 2:
         raise DataError("need at least a train and one test recording")
+    if n_recordings > 27:
+        raise DataError("at most 27 recordings: train and test_a to test_z")
     sim_seed = SimSeed(master_seed)
     out = []
     for i in range(n_recordings):

@@ -5,10 +5,13 @@ every consumer treats them as immutable.
 """
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
 import knitrect as kr
+from knitrect import pipeline
 
 SMALL_SEED = 7
 SMALL_DURATION_S = 120.0
@@ -56,3 +59,21 @@ def pes_23min_train():
     traj = kr.gen_trajectory(traj_seed, 1380.0)
     rec = kr.simulate_sensor(traj, kr.PES_PRESET, sensor_seed, source_label="pes-train-seed42")
     return traj, rec
+
+
+@pytest.fixture(
+    params=[
+        ({"hidden": [8, 8, 8, 8]}, "model hidden layer sizes disagree with the config's hidden"),
+        ({"alpha_base": 5.0}, "bundle alphas disagree with the config's feature set"),
+    ],
+    ids=["hidden", "alpha_base"],
+)
+def config_model_mismatch(request, tmp_path):
+    """(path, error text): the v1 bundle fixture with one config field edited and its checksum redone."""
+    edit, message = request.param
+    doc = json.loads((Path(__file__).parent / "data" / "bundle_v1.json").read_text())
+    doc["payload"]["config"].update(edit)
+    doc["sha256"] = pipeline._payload_checksum(doc["payload"])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return path, message

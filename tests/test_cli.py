@@ -272,6 +272,15 @@ def test_predict_rejects_a_bundle_with_misshapen_weights(cli_bundle, pes_small_d
     assert "disagree with its layer sizes" in capsys.readouterr().err
 
 
+def test_predict_rejects_a_bundle_whose_config_disagrees_with_its_model(config_model_mismatch, pes_small_dir, tmp_path, capsys):
+    bad, message = config_model_mismatch
+    rc = main(["predict", "--bundle", str(bad), "--in", str(pes_small_dir / "test_a.csv"), "--out", str(tmp_path / "p.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
 # --- gridsearch --------------------------------------------------------------------
 
 
@@ -300,8 +309,14 @@ def test_gridsearch_subset_run(pes_small_dir, tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == REPORT_HEADER
     assert len(lines) == 4  # header + 3 configs
-    stdout = capsys.readouterr().out
-    assert "3 configs" in stdout and "best:" in stdout
+    stdout = capsys.readouterr().out.splitlines()
+    assert stdout[0].endswith(": 3 configs, 3 ok")
+    best_id = int(stdout[1].split()[2])  # "best: config <id> [...]"
+    table = stdout[stdout.index("top configurations by combined error E:") + 2 :]
+    assert len(table) == 3
+    assert int(table[0].split()[0]) == best_id
+    rows = {int(ln.split(",")[0]): ln.split(",") for ln in lines[1:]}
+    assert [float(rows[int(ln.split()[0])][7]) for ln in table] == sorted(float(r[7]) for r in rows.values())
 
 
 def test_gridsearch_bad_index_text(pes_small_dir, tmp_path):
@@ -418,6 +433,7 @@ MALFORMED_SETTINGS = {
     "config not an object": ("train --train {data}/train.csv --config {config} --out {tmp}/b.json", "[1, 2]"),
     "train negative seed": ("train --train {data}/train.csv --default-best --seed -1 --out {tmp}/b.json", None),
     "train nan rate": ("train --train {data}/train.csv --default-best --rate nan --out {tmp}/b.json", None),
+    "train huge rate": ("train --train {data}/train.csv --default-best --rate 1e300 --out {tmp}/b.json", None),
     "gridsearch nan rate": (
         "gridsearch --train {data}/train.csv --test-a {data}/test_a.csv --test-b {data}/test_b.csv"
         " --rate nan --out {tmp}/g.csv",
@@ -431,6 +447,8 @@ MALFORMED_SETTINGS = {
     "simulate negative seed": ("simulate --seed -1 --duration-min 0.1 --out {tmp}/sim", None),
     "simulate nan duration": ("simulate --duration-min nan --out {tmp}/sim", None),
     "simulate inf duration": ("simulate --duration-min inf --out {tmp}/sim", None),
+    "simulate huge duration": ("simulate --duration-min 1e300 --out {tmp}/sim", None),
+    "simulate 28 recordings": ("simulate --recordings 28 --duration-min 0.1 --out {tmp}/sim", None),
     **{
         f"evaluate bin width {w}": (
             "evaluate --bundle {bundle} --test-a {data}/test_a.csv --test-b {data}/test_b.csv"

@@ -520,6 +520,12 @@ def test_a_v1_bundle_file_loads_predicts_and_saves_as_written(tmp_path):
     assert sink.getvalue() == (V1_DATA / "bundle_v1.json").read_text()
 
 
+def test_load_bundle_rejects_a_config_that_disagrees_with_its_model(config_model_mismatch):
+    path, message = config_model_mismatch
+    with pytest.raises(DataError, match=message):
+        kr.load_bundle(path)
+
+
 def test_bundle_rejects_non_numeric_fields(small_bundle, tmp_path):
     path = tmp_path / "rectifier.json"
     kr.save_bundle(small_bundle, path)
