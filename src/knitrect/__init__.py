@@ -12,7 +12,6 @@ from .gridsearch import (
     GridConfig,
     GridRow,
     SearchReport,
-    TopologySpec,
     enumerate_feature_sets,
     enumerate_topologies,
     grid_configs,

@@ -53,8 +53,6 @@ def _resolve_preset(args):
 
 def _cmd_simulate(args) -> int:
     preset = _resolve_preset(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     recs = make_dataset(
         args.seed,
         preset,
@@ -62,6 +60,9 @@ def _cmd_simulate(args) -> int:
         duration_s=args.duration_min * 60.0,
         jittered_timestamps=not args.no_jitter,
     )
+    # only once the settings have passed, so a rejected run leaves no directory
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for i, rec in enumerate(recs):
         path = out_dir / f"{_role(i)}.csv"
         write_recording(rec, path)
@@ -143,21 +144,21 @@ def _cmd_gridsearch(args) -> int:
     if ranked:
         best = ranked[0]
         print(
-            f"best: config {best.config_id} [{best.feature_set}, hidden {_hidden(best)}] "
+            f"best: config {best.config_id} [{best.config.feature_set.label}, hidden {_hidden(best)}] "
             f"E={best.error:.6g} (r2 A={best.r2_test_a:.4f}, B={best.r2_test_b:.4f})"
         )
         print("\ntop configurations by combined error E:")
         print(f"{'id':>5}  {'feature set':<10} {'hidden':<12} {'E':>9} {'r2 A':>7} {'r2 B':>7}")
         for r in ranked[:10]:
             print(
-                f"{r.config_id:>5}  {r.feature_set:<10} {_hidden(r):<12} "
+                f"{r.config_id:>5}  {r.config.feature_set.label:<10} {_hidden(r):<12} "
                 f"{r.error:>9.5f} {r.r2_test_a:>7.4f} {r.r2_test_b:>7.4f}"
             )
     return 0
 
 
 def _hidden(row: gs.GridRow) -> str:
-    return "x".join(str(h) for h in row.hidden)
+    return "x".join(str(h) for h in row.config.hidden)
 
 
 def _cmd_stream(args) -> int:

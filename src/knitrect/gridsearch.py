@@ -5,9 +5,10 @@ configurations.  Hidden sizes come from multiplying base sizes with
 fraction vectors and flooring; tuples containing a width below 2 are
 dropped and duplicates collapse.  Every configuration trains on the same
 prepared training set with its own deterministic seed stream, scores both
-test sets, and is ranked by the combined error E.  Configurations of one
-depth and similar widths train together in lockstep (`mlp.train_many`,
-grouped by `mlp.lockstep_groups`).
+test sets, and is ranked by the combined error E.  All configurations
+train in one `mlp.train_many` call, which trains those of one depth and
+similar widths together in lockstep.  A report row holds its GridConfig
+and its scores.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import DataError, NumericError, TrainingDiverged, _integer
 from .metrics import combined_error, r_squared
-from .mlp import TrainConfig, forward_batch, lockstep_groups, mlp_new, train_many
+from .mlp import TrainConfig, forward_batch, mlp_new, train_many
 from .pipeline import PreparedData
 from .series import _open_text, fmt
 from .smoothing import AlphaSet, alpha_set, bank_windows, baseline_alpha_set, feature_bank_with_windows
@@ -58,36 +59,19 @@ MIN_WIDTH = 2
 REPORT_HEADER = "config_id,feature_set,alphas,hidden_sizes,r2_train,r2_testA,r2_testB,E,seconds,status"
 
 
-@dataclass(frozen=True)
-class TopologySpec:
-    """One base-size x fraction-vector product with its resolved widths."""
-
-    base: int
-    fractions: tuple[float, ...]
-    resolved: tuple[int, ...]
-
-
 def enumerate_feature_sets() -> list[AlphaSet]:
     """The 8 smoothing-factor sets, geometric ones first, baseline last."""
     return [alpha_set(a, n) for a, n in FEATURE_SET_PARAMS] + [baseline_alpha_set()]
 
 
-def enumerate_topologies() -> list[TopologySpec]:
+def enumerate_topologies() -> list[tuple[int, ...]]:
     """All retained hidden-size tuples: floor products, drop widths < 2, dedupe.
 
-    Deduplication keeps the first (base, fractions) pair producing each
-    resolved tuple; enumeration order is base-major over unique vectors.
+    The order is base-major over the fraction vectors; deduplication keeps
+    the first occurrence of each tuple.
     """
-    vectors = list(dict.fromkeys(FRACTION_VECTORS))
-    seen: dict[tuple[int, ...], TopologySpec] = {}
-    for base in TOPOLOGY_BASES:
-        for vec in vectors:
-            resolved = tuple(int(np.floor(base * f)) for f in vec)
-            if any(w < MIN_WIDTH for w in resolved):
-                continue
-            if resolved not in seen:
-                seen[resolved] = TopologySpec(base, tuple(float(f) for f in vec), resolved)
-    return list(seen.values())
+    products = (tuple(int(np.floor(base * f)) for f in vec) for base in TOPOLOGY_BASES for vec in FRACTION_VECTORS)
+    return list(dict.fromkeys(hidden for hidden in products if min(hidden) >= MIN_WIDTH))
 
 
 @dataclass(frozen=True)
@@ -138,7 +122,7 @@ def grid_configs(
     if any(not 0 <= j < len(topos) for j in tp_idx):
         raise DataError(f"topology index out of range 0..{len(topos) - 1}")
     return [
-        GridConfig(sets[i], i, topos[j].resolved)
+        GridConfig(sets[i], i, topos[j])
         for i in fs_idx
         for j in tp_idx
     ]
@@ -146,25 +130,23 @@ def grid_configs(
 
 @dataclass(frozen=True)
 class GridRow:
-    """One scored configuration, as reported."""
+    """One configuration and its scores, as reported."""
 
     config_id: int
-    feature_set: str
-    alphas: tuple[float, ...]
-    hidden: tuple[int, ...]
+    config: GridConfig
     r2_train: float | None
     r2_test_a: float | None
     r2_test_b: float | None
     error: float | None  # combined two-test error E
     seconds: float | None
     status: str
-    feature_set_index: int = -1
 
 
 def _row_rank_key(row: GridRow):
     # minimal E; ties prefer fewer neurons, then the lexicographically
     # smaller hidden tuple, then the earlier feature set
-    return (row.error, sum(row.hidden), row.hidden, row.feature_set_index)
+    hidden = row.config.hidden
+    return (row.error, sum(hidden), hidden, row.config.feature_set_index)
 
 
 @dataclass(frozen=True)
@@ -212,19 +194,19 @@ def run_grid(
 ) -> SearchReport:
     """Train and score every config; report order follows config order.
 
-    Configs are split into lockstep groups of one depth and similar widths
-    (mlp.lockstep_groups), and each group is trained by one train_many
-    call.  Each config's RNG streams derive from (master_seed, config
-    index), so a row matches training that config alone to within
-    rounding: zero padding to its group's widths can move the last bits
-    of raw values (by at most 1e-12 in the tests), and the formatted
-    report is reproducible byte-for-byte.  parallelism has no effect; it
-    is kept only because the benchmark harness still passes it.
-    Diverging configs are recorded with a failure marker instead of
-    being dropped or retried, and do not stop their group.
+    Every config's model trains in one train_many call, which groups them
+    for lockstep training.  Each config's RNG streams derive from
+    (master_seed, config index), so a row matches training that config
+    alone to within rounding: zero padding to its lockstep group's widths
+    can move the last bits of raw values (by at most 1e-12 in the tests),
+    and the formatted report is reproducible byte-for-byte.  parallelism
+    has no effect; it is kept only because the benchmark harness still
+    passes it.  A config whose model cannot be built, or that train_many
+    raised on, is recorded as failed and one that diverges as diverged,
+    instead of being dropped or retried; neither stops the others.
     include_timing fills the seconds column, at the cost of byte-for-byte
-    report reproducibility, with the group's training wall time divided
-    by its size plus the row's own scoring time.
+    report reproducibility, with the train_many call's wall time divided
+    by the number of configs it trained plus the row's own scoring time.
     """
     if not configs:
         raise DataError("empty config list")
@@ -243,64 +225,46 @@ def run_grid(
                 feature_bank_with_windows(ds.g_series(), key, windows).values for ds in datasets
             )
 
-    sizes = [(len(cfg.feature_set.alphas), *cfg.hidden, 1) for cfg in configs]
+    members, models, shuffle_seeds = [], [], []
+    for index, cfg in enumerate(configs):
+        init_seed, shuffle_seed = _config_seeds(master_seed, index)
+        try:
+            models.append(mlp_new((len(cfg.feature_set.alphas), *cfg.hidden, 1), init_seed))
+        except DataError:
+            continue
+        members.append(index)
+        shuffle_seeds.append(shuffle_seed)
     tc = TrainConfig(max_iter=max_iter if max_iter is not None else 10000)
-    rows: list[GridRow | None] = [None] * len(configs)
-
-    def record(index: int, scores, status: str, seconds: float) -> None:
-        cfg = configs[index]
-        r2_tr, r2_a, r2_b, err = scores
-        rows[index] = GridRow(
-            config_id=index,
-            feature_set=cfg.feature_set.label,
-            alphas=cfg.feature_set.alphas,
-            hidden=cfg.hidden,
-            r2_train=r2_tr,
-            r2_test_a=r2_a,
-            r2_test_b=r2_b,
-            error=err,
-            seconds=seconds if include_timing else None,
-            status=status,
-            feature_set_index=cfg.feature_set_index,
-        )
+    xs = [banks[configs[index].feature_set.alphas][0] for index in members]
+    started = time.perf_counter()
+    try:
+        results = train_many(models, xs, train.target_bar, tc, shuffle_seeds)
+    except (NumericError, DataError):
+        # this includes a grid with no buildable config: train_many needs a model
+        results = [None] * len(members)
+    outcomes = dict(zip(members, results))
+    share = (time.perf_counter() - started) / max(len(members), 1)
 
     failed = (None, None, None, None)
-    for indices in lockstep_groups(sizes):
+    rows = []
+    for index, cfg in enumerate(configs):
         started = time.perf_counter()
-        members, models, shuffle_seeds = [], [], []
-        for index in indices:
-            init_seed, shuffle_seed = _config_seeds(master_seed, index)
+        outcome = outcomes.get(index)
+        if outcome is None:
+            scores, status = failed, "failed"
+        elif isinstance(outcome, TrainingDiverged):
+            scores, status = failed, "diverged"
+        else:
+            trained, x = outcome[0], banks[cfg.feature_set.alphas]
             try:
-                models.append(mlp_new(sizes[index], init_seed))
-            except DataError:
-                record(index, failed, "failed", 0.0)
-                continue
-            members.append(index)
-            shuffle_seeds.append(shuffle_seed)
-        if not members:
-            continue
-        xs = [banks[configs[index].feature_set.alphas] for index in members]
-        try:
-            outcomes = train_many(models, [x[0] for x in xs], train.target_bar, tc, shuffle_seeds)
-        except (NumericError, DataError):
-            outcomes = [None] * len(members)
-        share = (time.perf_counter() - started) / len(members)
-        for index, x, outcome in zip(members, xs, outcomes):
-            started = time.perf_counter()
-            if outcome is None:
+                r2_tr = r_squared(train.target_bar, forward_batch(trained, x[0]))
+                r2_a = r_squared(test_a.target_bar, forward_batch(trained, x[1]))
+                r2_b = r_squared(test_b.target_bar, forward_batch(trained, x[2]))
+                scores, status = (r2_tr, r2_a, r2_b, combined_error(r2_a, r2_b)), "ok"
+            except (NumericError, DataError):
                 scores, status = failed, "failed"
-            elif isinstance(outcome, TrainingDiverged):
-                scores, status = failed, "diverged"
-            else:
-                trained = outcome[0]
-                try:
-                    r2_tr = r_squared(train.target_bar, forward_batch(trained, x[0]))
-                    r2_a = r_squared(test_a.target_bar, forward_batch(trained, x[1]))
-                    r2_b = r_squared(test_b.target_bar, forward_batch(trained, x[2]))
-                    scores, status = (r2_tr, r2_a, r2_b, combined_error(r2_a, r2_b)), "ok"
-                except (NumericError, DataError):
-                    scores, status = failed, "failed"
-            record(index, scores, status, share + time.perf_counter() - started)
+        seconds = (share if index in outcomes else 0.0) + time.perf_counter() - started
+        rows.append(GridRow(index, cfg, *scores, seconds if include_timing else None, status))
     return SearchReport(rows=rows, master_seed=master_seed)
 
 
@@ -312,10 +276,10 @@ def write_report_csv(report: SearchReport, sink) -> None:
     with _open_text(sink, "w") as stream:
         stream.write(REPORT_HEADER + "\n")
         for r in report.rows:
-            alphas = " ".join(fmt(a) for a in r.alphas)
-            hidden = "x".join(str(h) for h in r.hidden)
+            alphas = " ".join(fmt(a) for a in r.config.feature_set.alphas)
+            hidden = "x".join(str(h) for h in r.config.hidden)
             stream.write(
-                f"{r.config_id},{r.feature_set},{alphas},{hidden},"
+                f"{r.config_id},{r.config.feature_set.label},{alphas},{hidden},"
                 f"{_cell(r.r2_train)},{_cell(r.r2_test_a)},{_cell(r.r2_test_b)},"
                 f"{_cell(r.error)},{_cell(r.seconds)},{r.status}\n"
             )

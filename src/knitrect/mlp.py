@@ -3,10 +3,11 @@
 Plain numpy implementation: Glorot-uniform init, reverse-mode gradients,
 minibatch Adam with early stopping.  Networks here are tiny (tens of
 parameters), so a training step costs little arithmetic and much Python
-overhead per numpy call.  `train_many` therefore trains K models of one
-depth in lockstep: their parameters are zero-padded to the widest layers
-and stacked, and one step is a batched forward/backward pass plus one
-Adam update on the stack.  `train` is its one-model case.
+overhead per numpy call.  `train_many` therefore trains K models in
+lockstep: `lockstep_groups` splits them into groups of one depth and
+similar widths, each group's parameters are zero-padded to its widest
+layers and stacked, and one step is a batched forward/backward pass plus
+one Adam update on the stack.  `train` is its one-model case.
 
 For the same reason `forward` evaluates one input vector on Python floats
 rather than as a one-row `forward_batch`: its dot products sum in their
@@ -280,48 +281,58 @@ def _slot_model(ws, bs, row: int, model: MlpModel) -> MlpModel:
 def train_many(
     models, Xs, y, cfg: TrainConfig, seeds
 ) -> list[tuple[MlpModel, TrainReport] | TrainingDiverged]:
-    """Train K models of one depth in lockstep, each exactly as `train` would.
+    """Train K models, of any depths, each exactly as `train` would.
 
     Slot k trains models[k] on Xs[k] against the shared target y, shuffled
-    by seeds[k] (cfg.seed is not used).  Parameters are zero-padded to the
-    group's widest layers and stacked in one (K, P) array with Adam's m and
-    v beside it, so one step is a batched forward/backward pass plus one
-    Adam update for every slot.  The padding is exact: a padded unit has
-    z = 0, so its ReLU delta and gradient are 0, and Adam started at
-    m = v = 0 never moves it.  Inputs that are the same array object are
-    stacked once.
-
-    The epoch loss is computed per slot on its unpadded weights, so the
-    early-stopping decisions are those of a solo run.  A slot leaves the
-    stack when it converges, diverges or reaches cfg.max_iter.  Returns one
-    entry per slot: the trained copy with its report, or the
-    TrainingDiverged that ended it.  The input models are left untouched.
+    by seeds[k] (cfg.seed is not used).  The models are split by
+    lockstep_groups, and each group trains in lockstep (_train_group), so a
+    caller needs no grouping of its own.  A slot that diverges does not
+    stop the others.  Every input is checked before any group trains.
+    Returns one entry per slot, in input order: the trained copy with its
+    report, or the TrainingDiverged that ended it.  The input models are
+    left untouched.
     """
     models = list(models)
     seeds = [int(s) for s in seeds]
     if not models or len(Xs) != len(models) or len(seeds) != len(models):
         raise DataError("train_many needs one input matrix and one seed per model")
-    depth = len(models[0].layer_sizes)
-    if any(len(mo.layer_sizes) != depth for mo in models):
-        raise DataError("train_many needs models of one depth")
     y = np.asarray(y, dtype=float)
+    arrays = {id(X): np.asarray(X, dtype=float) for X in Xs}  # an input given twice stays one array
+    Xs = [arrays[id(X)] for X in Xs]
+    for X, mo in zip(Xs, models):
+        if X.ndim != 2 or X.shape[0] != y.size or y.size == 0:
+            raise DataError("train needs a nonempty (n, n_in) batch with matching y")
+        if X.shape[1] != mo.layer_sizes[0]:
+            raise DataError("input width does not match the model")
+    results: list = [None] * len(models)
+    for group in lockstep_groups([mo.layer_sizes for mo in models]):
+        outcomes = _train_group([models[i] for i in group], [Xs[i] for i in group], y, cfg, [seeds[i] for i in group])
+        for i, outcome in zip(group, outcomes):
+            results[i] = outcome
+    return results
+
+
+def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
+    """train_many's body for one group of models of one depth, on checked inputs.
+
+    Parameters are zero-padded to the group's widest layers and stacked in
+    one (K, P) array with Adam's m and v beside it, so one step is a
+    batched forward/backward pass plus one Adam update for every slot.  The
+    padding is exact: a padded unit has z = 0, so its ReLU delta and
+    gradient are 0, and Adam started at m = v = 0 never moves it.  Inputs
+    that are the same array object are stacked once.
+
+    The epoch loss is computed per slot on its unpadded weights, so the
+    early-stopping decisions are those of a solo run.  A slot leaves the
+    stack when it converges, diverges or reaches cfg.max_iter.
+    """
     n = y.size
 
     # one stacked input bank per distinct input array, zero-padded to the widest
-    banks: list[np.ndarray] = []
-    bank_by_id: dict[int, int] = {}
-    bank_of = []
-    for X, mo in zip(Xs, models):
-        if id(X) not in bank_by_id:
-            arr = np.asarray(X, dtype=float)
-            if arr.ndim != 2 or arr.shape[0] != n or n == 0:
-                raise DataError("train needs a nonempty (n, n_in) batch with matching y")
-            bank_by_id[id(X)] = len(banks)
-            banks.append(arr)
-        bank_of.append(bank_by_id[id(X)])
-        if banks[bank_of[-1]].shape[1] != mo.layer_sizes[0]:
-            raise DataError("input width does not match the model")
-    widths = [max(mo.layer_sizes[li] for mo in models) for li in range(depth)]
+    banks = list({id(X): X for X in Xs}.values())
+    bank_index = {id(X): i for i, X in enumerate(banks)}
+    bank_of = [bank_index[id(X)] for X in Xs]
+    widths = [max(col) for col in zip(*(mo.layer_sizes for mo in models))]
     X_stack = np.zeros((len(banks), n, widths[0]))
     for i, arr in enumerate(banks):
         X_stack[i, :, : arr.shape[1]] = arr

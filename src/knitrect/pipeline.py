@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import DataError, _finite, _integer, _integers
+from .errors import DataError, NumericError, _finite, _integer, _integers
 from .metrics import ScoreCard, combined_error, r_squared
 from .mlp import MlpModel, TrainConfig, TrainReport, _forward_floats, _unit_weights, forward_batch, mlp_new
 from .mlp import train as train_mlp
@@ -242,13 +242,22 @@ class PipelineBundle:
 
 
 def fit_pipeline(train_rec: RawRecording, cfg: PipelineConfig) -> tuple[PipelineBundle, TrainReport]:
-    """Train the full rectifier on one recording."""
+    """Train the full rectifier on one recording.
+
+    Raises NumericError if training diverges, or if it ends in a dead
+    network: one whose ReLU paths are all off, so that its output is the
+    same on every sample of the training recording.
+    """
     prepared = prepare(train_rec, cfg.rate_hz, cfg.target)
     aset = cfg.feature_set()
     windows = bank_windows(aset, cfg.rate_hz, len(prepared))
     feats = feature_bank_with_windows(prepared.g_series(), aset.alphas, windows)
     model = mlp_new((len(aset), *cfg.hidden, 1), cfg.init_seed)
     trained, report = train_mlp(model, feats.values, prepared.target_bar, cfg.train)
+    if np.ptp(forward_batch(trained, feats.values)) == 0.0:
+        raise NumericError(
+            f"training from init seed {cfg.init_seed} gave a dead network: its output is constant on the training recording"
+        )
     bundle = PipelineBundle(
         config=cfg,
         alphas=aset.alphas,

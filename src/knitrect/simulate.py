@@ -154,7 +154,8 @@ class SensorPreset:
 
     Force law F = k*eps^p; conductance G = g0*(1+s*c)*(1+beta*ln(1+t/tau_d))
     + offset, where the contact state c relaxes toward sqrt(eps) with
-    tau_load on loading and tau_unload on unloading.
+    tau_load on loading and tau_unload on unloading.  Every field but the
+    name must be a finite number; anything else raises DataError.
     """
 
     name: str
@@ -171,6 +172,10 @@ class SensorPreset:
     force_noise_n: float  # sigma_F
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name != "name" and not _finite(value):
+                raise DataError(f"preset field {f.name} must be a finite number, got {value!r}")
         if self.stiffness_n <= 0 or self.base_conductance_s <= 0:
             raise DataError("stiffness and base conductance must be positive")
         if min(self.drift_timescale_s, self.tau_load_s, self.tau_unload_s) <= 0:
@@ -238,8 +243,12 @@ def write_presets(presets, sink) -> None:
 
 
 def load_presets(source) -> dict[str, SensorPreset]:
-    """Read a preset INI written by write_presets (or edited by hand)."""
-    cp = configparser.ConfigParser()
+    """Read a preset INI written by write_presets (or edited by hand).
+
+    Values are read verbatim: a `%` is no interpolation.  Text that is not
+    such a file raises DataError.
+    """
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         with _open_text(source, "r") as stream:
             cp.read_file(stream)

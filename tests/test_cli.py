@@ -91,6 +91,14 @@ def test_simulate_with_custom_preset_file(tmp_path):
     assert rec.force_n.max() < 8.0  # the softer stiffness actually took effect
 
 
+@pytest.mark.parametrize("flags", [["--recordings", "28"], ["--seed", "-1"]], ids=["28 recordings", "negative seed"])
+def test_simulate_rejected_settings_leave_no_directory(flags, tmp_path, capsys):
+    out = tmp_path / "simx"
+    assert main(["simulate", "--duration-min", "0.1", *flags, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_simulate_unknown_preset_is_a_data_error(tmp_path, capsys):
     rc = main(["simulate", "--preset", "wool", "--out", str(tmp_path / "x")])
     assert rc == 3
@@ -185,6 +193,14 @@ def test_train_divergence_maps_to_numeric_exit_code(pes_small_dir, tmp_path, cap
     )
     assert rc == 4
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_train_dead_network_maps_to_numeric_exit_code(pes_small_dir, tmp_path, capsys):
+    out = tmp_path / "b.json"
+    rc = main(["train", "--train", str(pes_small_dir / "train.csv"), "--default-best", "--seed", "1", "--out", str(out)])
+    assert rc == 4
+    assert "init seed 1 gave a dead network" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- predict / evaluate ------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 import knitrect as kr
 from knitrect import gridsearch, mlp
 from knitrect.errors import DataError, NumericError
-from knitrect.gridsearch import GridRow, SearchReport
+from knitrect.gridsearch import GridConfig, GridRow, SearchReport
 
 # --- enumeration -----------------------------------------------------------------
 
@@ -28,17 +28,16 @@ def test_feature_set_enumeration():
 def test_topology_enumeration_counts_and_constraints():
     topos = kr.enumerate_topologies()
     assert len(topos) == 114
-    resolved = [tp.resolved for tp in topos]
-    assert len(set(resolved)) == len(resolved)  # deduplicated
-    for tp in topos:
-        assert 2 <= len(tp.resolved) <= 4
-        assert all(2 <= w <= 32 for w in tp.resolved)
-    assert (3, 6, 1) not in resolved
+    assert len(set(topos)) == len(topos)  # deduplicated
+    for hidden in topos:
+        assert 2 <= len(hidden) <= 4
+        assert all(2 <= w <= 32 for w in hidden)
+    assert (3, 6, 1) not in topos
 
 
 def test_topology_smallest_base_keeps_only_full_width_tuples():
-    base2 = [tp.resolved for tp in kr.enumerate_topologies() if tp.base == 2]
-    assert base2 == [(2, 2), (2, 2, 2), (2, 2, 2, 2)]
+    # base-major order: base 2's tuples come first, then base 3's (3, 3)
+    assert kr.enumerate_topologies()[:4] == [(2, 2), (2, 2, 2), (2, 2, 2, 2), (3, 3)]
 
 
 def test_grid_config_enumeration_is_feature_set_major():
@@ -47,7 +46,7 @@ def test_grid_config_enumeration_is_feature_set_major():
     assert len(configs) == 912
     for i in (0, 113, 114, 911):
         assert configs[i].feature_set_index == i // 114
-        assert configs[i].hidden == topos[i % 114].resolved
+        assert configs[i].hidden == topos[i % 114]
     assert configs[0].feature_set.label == "a2.5_n4"
     assert configs[-1].feature_set.label == "baseline"
 
@@ -103,8 +102,16 @@ def test_run_grid_scores_every_config_in_order(tiny_grid_report):
         assert row.error == kr.combined_error(row.r2_test_a, row.r2_test_b)
         assert row.seconds is None
     assert rep.best == min(
-        (r for r in rep.rows), key=lambda r: (r.error, sum(r.hidden), r.hidden)
+        (r for r in rep.rows), key=lambda r: (r.error, sum(r.config.hidden), r.config.hidden)
     ).config_id
+
+
+def test_run_grid_rows_of_three_depths_match_solo_training(prepared_trio, tiny_grid_report):
+    configs = kr.grid_configs([0, 7], [0, 1, 2])
+    assert sorted({len(c.hidden) for c in configs}) == [2, 3, 4]
+    for row in tiny_grid_report.rows:
+        solo = _solo_r2(prepared_trio, configs, row.config_id, 3, 40)
+        assert [row.r2_train, row.r2_test_a, row.r2_test_b] == pytest.approx(solo, rel=0, abs=1e-12)
 
 
 def test_run_grid_is_parallelism_invariant(prepared_trio):
@@ -267,16 +274,13 @@ def test_run_grid_rejects_mixed_rate_or_target(prepared_trio, pes_small):
 def _row(cid, error, hidden, fs_index=0, status="ok"):
     return GridRow(
         config_id=cid,
-        feature_set=f"set{fs_index}",
-        alphas=(0.4,),
-        hidden=hidden,
+        config=GridConfig(kr.alpha_set(2.5, 1), fs_index, hidden),
         r2_train=0.9,
         r2_test_a=0.9,
         r2_test_b=0.9,
         error=error,
         seconds=None,
         status=status,
-        feature_set_index=fs_index,
     )
 
 
@@ -303,7 +307,7 @@ def test_best_tie_breaks_on_fewer_neurons_then_lex_then_feature_set():
 
 def test_best_skips_rows_without_scores():
     rows = [
-        GridRow(0, "s", (0.4,), (2, 2), None, None, None, None, None, "diverged"),
+        GridRow(0, GridConfig(kr.alpha_set(2.5, 1), 0, (2, 2)), None, None, None, None, None, "diverged"),
         _row(1, 0.5, (8, 8)),
     ]
     assert _ranked_ids(rows) == ([1], 1)
@@ -329,9 +333,9 @@ def test_report_csv_round_trip(tiny_grid_report):
     for line, want in zip(lines, tiny_grid_report.rows):
         cid, fs, alphas, hidden, r2_train, r2_a, r2_b, err, seconds, status = line.split(",")
         assert int(cid) == want.config_id
-        assert fs == want.feature_set
-        assert tuple(float(a) for a in alphas.split()) == want.alphas  # short decimal factors survive exactly
-        assert tuple(int(h) for h in hidden.split("x")) == want.hidden
+        assert fs == want.config.feature_set.label
+        assert tuple(float(a) for a in alphas.split()) == want.config.feature_set.alphas  # short decimal factors survive exactly
+        assert tuple(int(h) for h in hidden.split("x")) == want.config.hidden
         for cell, value in zip((r2_train, r2_a, r2_b, err), (want.r2_train, want.r2_test_a, want.r2_test_b, want.error)):
             assert float(cell) == pytest.approx(value, rel=1e-9)
         assert seconds == ""
@@ -339,11 +343,11 @@ def test_report_csv_round_trip(tiny_grid_report):
 
 
 def test_report_csv_leaves_failed_cells_empty():
-    rows = [GridRow(4, "a2.5_n4", (0.4, 0.16), (4, 2), None, None, None, None, None, "diverged")]
+    rows = [GridRow(4, GridConfig(kr.alpha_set(2.5, 2), 0, (4, 2)), None, None, None, None, None, "diverged")]
     rep = SearchReport(rows=rows, master_seed=0)
     buf = io.StringIO()
     kr.write_report_csv(rep, buf)
-    assert buf.getvalue().splitlines()[1] == "4,a2.5_n4,0.4 0.16,4x2,,,,,,diverged"
+    assert buf.getvalue().splitlines()[1] == "4,a2.5_n2,0.4 0.16,4x2,,,,,,diverged"
 
 
 def test_report_timing_column_is_opt_in(prepared_trio):

@@ -1,8 +1,12 @@
-"""Layering guard: the CLI and the scripts use only public package names.
+"""Layering guards.
 
-They may not reach a `_`-prefixed name of knitrect.pipeline or
-knitrect.cli, neither as an attribute (`pl._run_bundle`) nor through an
-import (`from knitrect.cli import _parse_indices`).
+The CLI and the scripts use only public package names.  They may not
+reach a `_`-prefixed name of knitrect.pipeline or knitrect.cli, neither as
+an attribute (`pl._run_bundle`) nor through an import (`from knitrect.cli
+import _parse_indices`).
+
+Which networks train together in lockstep is decided in knitrect.mlp
+alone: no other package module names `lockstep_groups`.
 """
 
 import ast
@@ -11,7 +15,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-CHECKED = [ROOT / "src" / "knitrect" / "cli.py", *sorted((ROOT / "scripts").glob("*.py"))]
+PACKAGE = ROOT / "src" / "knitrect"
+CHECKED = [PACKAGE / "cli.py", *sorted((ROOT / "scripts").glob("*.py"))]
 GUARDED = ("pipeline", "cli")
 
 
@@ -92,3 +97,42 @@ def test_guard_flags_each_kind_of_reach_in(source):
 def test_guard_allows_public_and_dunder_names():
     src = "import knitrect as kr\nfrom . import pipeline as pl\nkr.evaluate\npl.evaluate\nkr.__version__\n"
     assert reach_ins(src) == []
+
+
+def lockstep_group_references(source: str) -> list[int]:
+    """Lines that name lockstep_groups: in an import, as a name or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        if "lockstep_groups" in names:
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "mlp.py"], ids=lambda p: p.name)
+def test_only_mlp_forms_lockstep_groups(path):
+    assert lockstep_group_references(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .mlp import lockstep_groups",
+        "from . import mlp\nmlp.lockstep_groups(sizes)",
+        "import knitrect as kr\nkr.mlp.lockstep_groups",
+        "from .mlp import lockstep_groups as split\nsplit(sizes)",
+    ],
+)
+def test_lockstep_guard_flags_each_kind_of_reference(source):
+    assert len(lockstep_group_references(source)) == 1
+
+
+def test_lockstep_guard_sees_mlp_itself():
+    assert lockstep_group_references((PACKAGE / "mlp.py").read_text())

@@ -377,14 +377,13 @@ def test_train_matches_the_reference_loop_bit_for_bit():
 
 
 @st.composite
-def same_depth_groups(draw):
-    depth = draw(st.integers(1, 3))
+def mixed_depth_groups(draw):
     in_widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     slots = draw(
         st.lists(
             st.tuples(
                 st.integers(0, len(in_widths) - 1),
-                st.lists(st.integers(2, 5), min_size=depth, max_size=depth),
+                st.lists(st.integers(2, 5), min_size=1, max_size=3),
                 st.integers(0, 2**32 - 1),
                 st.integers(0, 2**32 - 1),
             ),
@@ -397,7 +396,7 @@ def same_depth_groups(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(group=same_depth_groups())
+@given(group=mixed_depth_groups())
 def test_train_many_slots_match_solo_training(group):
     in_widths, slots, data_seed, tol, patience = group
     banks, y = _group_data(data_seed, in_widths)
@@ -447,9 +446,7 @@ def test_train_many_isolates_a_diverging_slot():
 def test_train_many_validates_its_group():
     banks, y = _group_data(3, [2])
     cfg = kr.TrainConfig(max_iter=2)
-    shallow, deep = kr.mlp_new((2, 3, 1)), kr.mlp_new((2, 3, 3, 1))
-    with pytest.raises(DataError, match="one depth"):
-        kr.train_many([shallow, deep], [banks[0]] * 2, y, cfg, [0, 1])
+    shallow = kr.mlp_new((2, 3, 1))
     with pytest.raises(DataError, match="one seed per model"):
         kr.train_many([shallow], [banks[0]], y, cfg, [0, 1])
     with pytest.raises(DataError, match="one seed per model"):
@@ -458,6 +455,18 @@ def test_train_many_validates_its_group():
         kr.train_many([kr.mlp_new((3, 2, 1))], [banks[0]], y, cfg, [0])
     with pytest.raises(DataError, match="matching y"):
         kr.train_many([shallow], [banks[0]], y[:-1], cfg, [0])
+
+
+def test_train_many_checks_every_input_before_any_group_trains(monkeypatch):
+    banks, y = _group_data(3, [2])
+
+    def no_training(*args):
+        raise AssertionError("a group trained before every input was checked")
+
+    monkeypatch.setattr(mlp, "_train_group", no_training)
+    models = [kr.mlp_new((2, 3, 1)), kr.mlp_new((3, 2, 2, 1))]  # the second expects 3 inputs
+    with pytest.raises(DataError, match="input width"):
+        kr.train_many(models, [banks[0]] * 2, y, kr.TrainConfig(max_iter=2), [0, 1])
 
 
 def test_lockstep_groups_split_by_depth_and_cover_every_net_once():

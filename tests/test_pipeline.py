@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import knitrect as kr
 from knitrect import pipeline
-from knitrect.errors import DataError
+from knitrect.errors import DataError, NumericError
 
 # --- configuration ---------------------------------------------------------------
 
@@ -189,6 +189,13 @@ def test_fit_pipeline_is_deterministic(pes_small, quick_config):
     for c1, c2 in zip(b1.model.biases, b2.model.biases):
         assert np.array_equal(c1, c2)
     assert r1.loss_history == r2.loss_history
+
+
+def test_fit_pipeline_rejects_a_dead_network(pes_8min):
+    # init seed 1 switches every ReLU path off within a few epochs: a constant output
+    cfg = dataclasses.replace(kr.default_best_config(), init_seed=1)
+    with pytest.raises(NumericError, match="init seed 1 gave a dead network"):
+        kr.fit_pipeline(pes_8min[0], cfg)
 
 
 def test_fit_pipeline_records_provenance(small_bundle):

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import knitrect as kr
 from knitrect.errors import DataError
@@ -241,6 +243,52 @@ def test_preset_validation():
         dataclasses.replace(kr.PES_PRESET, tau_load_s=0.0)
     with pytest.raises(DataError):
         dataclasses.replace(kr.PES_PRESET, resistance_noise_frac=-0.1)
+    non_finite = (("stiffness_n", float("nan")), ("tau_load_s", float("inf")), ("offset_s", "1e-7"), ("drift_magnitude", True))
+    for field, value in non_finite:
+        with pytest.raises(DataError, match=f"preset field {field} must be a finite number"):
+            dataclasses.replace(kr.PES_PRESET, **{field: value})
+
+
+_PRESET_KEYS = [f.name for f in dataclasses.fields(kr.SensorPreset)[1:]]
+
+
+def _preset_ini(values: dict) -> str:
+    return "[custom]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+
+
+def test_preset_registry_reads_values_verbatim():
+    fields = {name: repr(getattr(kr.PES_PRESET, name)) for name in _PRESET_KEYS}
+    with pytest.raises(DataError, match="non-numeric"):
+        kr.load_presets(io.StringIO(_preset_ini({**fields, "offset_s": "2e-7%"})))
+    with pytest.raises(DataError, match="stiffness_n must be a finite number"):
+        kr.load_presets(io.StringIO(_preset_ini({**fields, "stiffness_n": "nan"})))
+
+
+# INI-shaped text: sections of preset keys with arbitrary values, between arbitrary lines
+_ini_text = st.lists(
+    st.one_of(
+        st.text(max_size=30).map(lambda t: f"[{t}]"),
+        st.tuples(st.sampled_from(_PRESET_KEYS), st.one_of(st.text(max_size=12), st.floats().map(repr))).map(
+            lambda kv: f"{kv[0]} = {kv[1]}"
+        ),
+        st.text(max_size=30),
+    ),
+    max_size=30,
+).map("\n".join)
+
+
+# a section whose values all ask for interpolation
+_interpolating = st.lists(st.sampled_from(_PRESET_KEYS)).map(lambda keys: _preset_ini(dict.fromkeys(keys, "%(x)s")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.text(), _ini_text, _interpolating))
+def test_load_presets_returns_presets_or_raises_data_error(text):
+    try:
+        presets = kr.load_presets(io.StringIO(text))
+    except DataError:
+        return
+    assert all(isinstance(p, kr.SensorPreset) for p in presets.values())
 
 
 def test_make_dataset_is_reproducible_with_distinct_recordings(pes_small):
