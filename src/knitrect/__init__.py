@@ -55,6 +55,7 @@ from .pipeline import (
     evaluate,
     fit_pipeline,
     load_bundle,
+    load_config,
     open_stream,
     predict_batch,
     prepare,
@@ -84,6 +85,7 @@ from .simulate import (
     make_dataset,
     perlin1d,
     preset_by_name,
+    role_name,
     simulate_sensor,
     write_presets,
 )

@@ -1,4 +1,4 @@
-"""Command-line surface: one binary, six subcommands.
+"""Command-line surface: one binary, six subcommands, the pipeline's only front end.
 
 simulate    write synthetic recordings for a sensor preset
 train       fit a rectifier bundle on a training recording
@@ -7,13 +7,17 @@ evaluate    score a bundle on two test recordings (scorecard + binned RSE)
 gridsearch  run the hyperparameter grid, write the report CSV, print the top 10
 stream      line-by-line rectification of `t,R` pairs on stdin
 
+Each subcommand parses its flags and calls public package functions; the
+rules live in the modules that own them (preset lookup in
+simulate.preset_by_name, config files in pipeline.load_config, recording
+file names in simulate.role_name).
+
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -21,38 +25,16 @@ from . import gridsearch as gs
 from . import pipeline as pl
 from .errors import DataError, NumericError
 from .metrics import binned_rse_pair, write_binned_rse_csv, write_metric_rows_csv
-from .series import _open_text, fmt, load_recording, write_recording
-from .simulate import _role, load_presets, make_dataset, preset_by_name
-
-
-def _parse_config_file(path: str) -> pl.PipelineConfig:
-    try:
-        with _open_text(path, "r") as fh:
-            return pl.config_from_dict(json.load(fh))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"bad config file {path}: {exc}") from None
+from .series import fmt, load_recording, write_recording
+from .simulate import load_presets, make_dataset, preset_by_name, role_name
 
 
 def _given(**flags) -> dict:
     return {k: v for k, v in flags.items() if v is not None}
 
 
-def _resolve_preset(args):
-    if args.preset_file:
-        presets = load_presets(args.preset_file)
-        key = args.preset
-        if key not in presets:
-            # allow case-insensitive match for convenience
-            lowered = {k.lower(): v for k, v in presets.items()}
-            if key.lower() not in lowered:
-                raise DataError(f"preset {key!r} not in {args.preset_file} (has {sorted(presets)})")
-            return lowered[key.lower()]
-        return presets[key]
-    return preset_by_name(args.preset)
-
-
 def _cmd_simulate(args) -> int:
-    preset = _resolve_preset(args)
+    preset = preset_by_name(args.preset, load_presets(args.preset_file) if args.preset_file else None)
     recs = make_dataset(
         args.seed,
         preset,
@@ -64,7 +46,7 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, rec in enumerate(recs):
-        path = out_dir / f"{_role(i)}.csv"
+        path = out_dir / f"{role_name(i)}.csv"
         write_recording(rec, path)
         print(f"wrote {path} ({len(rec)} rows, {rec.t_s[-1]:.1f} s)")
     return 0
@@ -73,7 +55,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_train(args) -> int:
     if args.config and args.default_best:
         raise DataError("give either --config or --default-best, not both")
-    cfg = _parse_config_file(args.config) if args.config else pl.default_best_config()
+    cfg = pl.load_config(args.config) if args.config else pl.default_best_config()
     doc = pl.config_to_dict(cfg)
     doc.update(_given(target=args.target, rate_hz=args.rate, init_seed=args.seed))
     doc["train"].update(_given(max_iter=args.max_iter, seed=args.seed))
@@ -128,15 +110,7 @@ def _cmd_gridsearch(args) -> int:
         for rec in (a_rec, b_rec)
     )
     configs = gs.grid_configs(gs.parse_indices(args.feature_sets), gs.parse_indices(args.topologies))
-    report = gs.run_grid(
-        train,
-        test_a,
-        test_b,
-        configs,
-        master_seed=args.seed,
-        max_iter=args.epochs,
-        include_timing=args.timing,
-    )
+    report = gs.run_grid(train, test_a, test_b, configs, master_seed=args.seed, max_iter=args.epochs)
     gs.write_report_csv(report, args.out)
     n_ok = sum(1 for r in report.rows if r.status == "ok")
     print(f"wrote {args.out}: {len(report.rows)} configs, {n_ok} ok")
@@ -189,7 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="write synthetic recordings for a sensor preset")
-    p.add_argument("--preset", default="pes", help="pes | lycra, or a section name with --preset-file")
+    p.add_argument(
+        "--preset",
+        default="pes",
+        help="pes | lycra, or a section of --preset-file: the exact name, else its one match ignoring case",
+    )
     p.add_argument("--preset-file", default=None, help="INI preset registry to read instead of the shipped presets")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--duration-min", type=float, default=23.0)
@@ -234,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="master seed for per-config streams")
     p.add_argument("--feature-sets", default=None, help="subset, e.g. '0,1' (canonical enumeration order)")
     p.add_argument("--topologies", default=None, help="subset, e.g. '0-5,12'")
-    p.add_argument("--timing", action="store_true", help="fill the seconds column (breaks byte reproducibility)")
     p.add_argument("--out", required=True, help="report CSV")
     p.set_defaults(func=_cmd_gridsearch)
 

@@ -32,6 +32,7 @@ from .series import (
     ScalerParams,
     UniformSeries,
     _open_text,
+    _source_name,
     conductivity,
     fmt,
     resample,
@@ -123,6 +124,30 @@ def config_from_dict(doc: dict) -> PipelineConfig:
     malformed value raises DataError.
     """
     return _overlay(PipelineConfig(), doc, "")
+
+
+def load_config(source) -> PipelineConfig:
+    """Read a config JSON file (a path or a text stream) through config_from_dict.
+
+    Text that is not JSON, bytes that are not UTF-8 text and every
+    config_from_dict rejection raise DataError, as in load_bundle.
+    """
+    return config_from_dict(_read_json(source, f"bad config file {_source_name(source) or 'input'}"))
+
+
+def _read_json(source, what: str):
+    """The JSON document in source (a path or a text stream).
+
+    Text that is not JSON raises DataError("<what>: <reason>"), and so do
+    an integer literal too long for int() and nesting too deep to decode,
+    which json raises as ValueError and RecursionError.
+    """
+    with _open_text(source, "r") as stream:
+        text = stream.read()
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{what}: {exc}") from None
 
 
 def _overlay(base, doc, name: str):
@@ -239,6 +264,8 @@ class PipelineBundle:
             raise DataError("init windows must pair with alphas")
         if tuple(m.layer_sizes[1:-1]) != self.config.hidden:
             raise DataError("model hidden layer sizes disagree with the config's hidden")
+        if tuple(self.alphas) != self.config.feature_set().alphas:
+            raise DataError("bundle alphas disagree with the config's feature set")
 
 
 def fit_pipeline(train_rec: RawRecording, cfg: PipelineConfig) -> tuple[PipelineBundle, TrainReport]:
@@ -429,11 +456,7 @@ def save_bundle(bundle: PipelineBundle, sink) -> None:
 
 def load_bundle(source) -> PipelineBundle:
     """Read a bundle; rejects unknown versions and corrupted payloads."""
-    try:
-        with _open_text(source, "r") as stream:
-            doc = json.load(stream)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"corrupted bundle file: {exc}") from None
+    doc = _read_json(source, "corrupted bundle file")
     if not isinstance(doc, dict) or doc.get("format") != BUNDLE_FORMAT:
         raise DataError("not a rectifier bundle file")
     if doc.get("version") != BUNDLE_VERSION:
@@ -452,12 +475,9 @@ def load_bundle(source) -> PipelineBundle:
             biases=[np.asarray(b, dtype=float) for b in m["biases"]],
             seed=int(m["seed"]),
         )
-        alphas = tuple(float(a) for a in payload["alphas"])
-        if alphas != cfg.feature_set().alphas:
-            raise DataError("bundle alphas disagree with the config's feature set")
         return PipelineBundle(
             config=cfg,
-            alphas=alphas,
+            alphas=tuple(float(a) for a in payload["alphas"]),
             init_windows=tuple(int(w) for w in payload["init_windows"]),
             scaler_g=ScalerParams(**payload["scaler_g"]),
             scaler_t=ScalerParams(**payload["scaler_t"]),

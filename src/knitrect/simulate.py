@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, _finite, _integer
-from .series import MAX_SAMPLES, RawRecording, _open_text, fmt
+from .series import MAX_SAMPLES, RawRecording, _open_text
 
 # --- 1-d gradient noise ------------------------------------------------------
 
@@ -154,8 +154,10 @@ class SensorPreset:
 
     Force law F = k*eps^p; conductance G = g0*(1+s*c)*(1+beta*ln(1+t/tau_d))
     + offset, where the contact state c relaxes toward sqrt(eps) with
-    tau_load on loading and tau_unload on unloading.  Every field but the
-    name must be a finite number; anything else raises DataError.
+    tau_load on loading and tau_unload on unloading.  The name is one
+    line of text, neither empty nor configparser's "DEFAULT", so that it
+    survives write_presets and load_presets; every other field must be a
+    finite number.  Anything else raises DataError.
     """
 
     name: str
@@ -172,6 +174,8 @@ class SensorPreset:
     force_noise_n: float  # sigma_F
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or self.name.splitlines() != [self.name] or self.name == "DEFAULT":
+            raise DataError(f"preset name must be one non-empty line other than 'DEFAULT', got {self.name!r}")
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if f.name != "name" and not _finite(value):
@@ -222,19 +226,35 @@ LYCRA_PRESET = SensorPreset(
 SHIPPED_PRESETS = {"pes": PES_PRESET, "lycra": LYCRA_PRESET}
 
 
-def preset_by_name(name: str) -> SensorPreset:
-    try:
-        return SHIPPED_PRESETS[name.strip().lower()]
-    except KeyError:
-        raise DataError(f"unknown preset {name!r}; shipped: {sorted(SHIPPED_PRESETS)}") from None
+def preset_by_name(name: str, presets: dict[str, SensorPreset] | None = None) -> SensorPreset:
+    """The preset keyed name in presets (default: the shipped ones).
+
+    The exact key wins; otherwise the one key equal to name up to case.
+    No match, or more than one up to case, raises DataError.
+    """
+    presets = SHIPPED_PRESETS if presets is None else presets
+    if name in presets:
+        return presets[name]
+    matches = [key for key in presets if key.lower() == name.lower()]
+    if len(matches) == 1:
+        return presets[matches[0]]
+    if matches:
+        raise DataError(f"preset {name!r} is ambiguous up to case: {sorted(matches)}")
+    raise DataError(f"unknown preset {name!r}; known: {sorted(presets)}")
 
 
 def write_presets(presets, sink) -> None:
-    """Write presets as an editable INI file, one section per preset."""
+    """Write presets as an editable INI file, one section per preset.
+
+    Values are written exactly (repr), so load_presets gives the presets
+    back.  Two presets with one name raise DataError.
+    """
     cp = configparser.ConfigParser()
     for pr in presets:
+        if cp.has_section(pr.name):
+            raise DataError(f"two presets are named {pr.name!r}")
         cp[pr.name] = {
-            f.name: fmt(getattr(pr, f.name))
+            f.name: repr(float(getattr(pr, f.name)))
             for f in dataclasses.fields(pr)
             if f.name != "name"
         }
@@ -351,7 +371,8 @@ def simulate_sensor(
     return RawRecording(ts, f_noisy, r_noisy, d_s, source_label=source_label)
 
 
-def _role(index: int) -> str:
+def role_name(index: int) -> str:
+    """The role of recording index in a dataset: train, then test_a, test_b, ..."""
     return "train" if index == 0 else f"test_{chr(ord('a') + index - 1)}"
 
 
@@ -367,8 +388,7 @@ def make_dataset(
     Trajectories use distinct derived seeds; the drift clock restarts at
     zero for every recording.
     """
-    if n_recordings < 2:
-        raise DataError("need at least a train and one test recording")
+    n_recordings = _integer("n_recordings", n_recordings, 2)
     if n_recordings > 27:
         raise DataError("at most 27 recordings: train and test_a to test_z")
     sim_seed = SimSeed(master_seed)
@@ -376,7 +396,7 @@ def make_dataset(
     for i in range(n_recordings):
         traj_seed, sensor_seed = sim_seed.recording_seeds(i)
         traj = gen_trajectory(traj_seed, duration_s)
-        label = f"{preset.name.lower()}-{_role(i)}-seed{sim_seed.master}"
+        label = f"{preset.name.lower()}-{role_name(i)}-seed{sim_seed.master}"
         out.append(
             simulate_sensor(
                 traj,

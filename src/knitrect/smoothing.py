@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _finite, _integer
 from .series import UniformSeries, fmt
 
 BASELINE_ALPHAS = (0.5, 0.1, 0.025, 0.0025)
@@ -64,10 +64,9 @@ class AlphaSet:
 
 def alpha_set(a: float, n: int) -> AlphaSet:
     """Geometric factor set (1/a, 1/a^2, ..., 1/a^n)."""
-    if a <= 1:
-        raise DataError("base a must be > 1")
-    if n < 1:
-        raise DataError("count must be >= 1")
+    if not _finite(a) or a <= 1:
+        raise DataError(f"base a must be a finite number > 1, got {a!r}")
+    n = _integer("count", n, 1)
     try:
         return AlphaSet(tuple(1.0 / a ** (i + 1) for i in range(n)), base=float(a))
     except OverflowError:

@@ -372,6 +372,15 @@ def test_gridsearch_parallel_flag_is_a_usage_error(pes_small_dir, tmp_path, caps
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_gridsearch_timing_flag_is_a_usage_error(pes_small_dir, tmp_path, capsys):
+    train, test_a, test_b = (str(pes_small_dir / f"{role}.csv") for role in ("train", "test_a", "test_b"))
+    out = tmp_path / "r.csv"
+    argv = ["gridsearch", "--train", train, "--test-a", test_a, "--test-b", test_b, "--timing", "--out", str(out)]
+    assert main(argv) == 2
+    assert "--timing" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- stream ------------------------------------------------------------------------
 
 

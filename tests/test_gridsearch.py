@@ -227,6 +227,16 @@ def test_run_grid_fails_an_unbuildable_config_alone(prepared_trio):
     assert rep.best == 1
 
 
+def test_run_grid_fails_every_row_when_no_config_can_be_built(prepared_trio):
+    # with no model to train, train_many raises and run_grid fails all configs
+    train, test_a, test_b = prepared_trio
+    configs = [GridConfig(c.feature_set, c.feature_set_index, (1, 2)) for c in kr.grid_configs([0, 7], [0])]
+    rep = kr.run_grid(train, test_a, test_b, configs, max_iter=10)
+    assert [(r.config_id, r.config, r.status) for r in rep.rows] == [(0, configs[0], "failed"), (1, configs[1], "failed")]
+    assert all(r.r2_train is None and r.error is None for r in rep.rows)
+    assert rep.best is None
+
+
 def test_run_grid_starts_no_threads(prepared_trio, monkeypatch):
     train, test_a, test_b = prepared_trio
 

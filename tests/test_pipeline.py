@@ -136,6 +136,42 @@ def test_config_from_dict_returns_a_config_or_raises_data_error(data):
     assert kr.config_from_dict(plain) == cfg
 
 
+def test_load_config_reads_a_path_or_a_stream(tmp_path):
+    doc = {"alpha_base": 5.0, "alpha_count": 4, "hidden": [8, 4], "train": {"max_iter": 500}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    want = kr.config_from_dict(doc)
+    assert kr.load_config(path) == want
+    assert kr.load_config(str(path)) == want
+    stream = io.StringIO(json.dumps(doc))
+    assert kr.load_config(stream) == want
+    assert not stream.closed  # a caller's stream stays open
+
+
+def test_load_config_rejects_bad_json_undecodable_bytes_and_bad_settings(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"hidden": [4, 2')
+    with pytest.raises(DataError, match=r"bad config file .*cfg\.json: "):
+        kr.load_config(path)
+    with pytest.raises(DataError, match="bad config file input: "):
+        kr.load_config(io.StringIO("not json"))
+    path.write_bytes(b'{"target": "f\xffrce"}')
+    with pytest.raises(DataError, match="cfg.json is not utf-8 text"):
+        kr.load_config(path)
+    with pytest.raises(DataError, match="unknown config keys"):
+        kr.load_config(io.StringIO('{"colour": 1}'))
+
+
+@pytest.mark.parametrize(
+    "text", ['{"init_seed": 1' + "0" * 5000 + "}", "[" * 100_000 + "]" * 100_000], ids=["long integer", "deep nesting"]
+)
+def test_json_loaders_turn_every_parse_failure_into_a_data_error(text):
+    with pytest.raises(DataError, match="bad config file input: "):
+        kr.load_config(io.StringIO(text))
+    with pytest.raises(DataError, match="corrupted bundle file: "):
+        kr.load_bundle(io.StringIO(text))
+
+
 # --- preparation -----------------------------------------------------------------
 
 
@@ -248,31 +284,41 @@ def test_evaluate_scores_both_tests_and_pools_raw_units(small_bundle, pes_small)
 
 
 def _identity_bundle(rec):
-    """A bundle whose output is exactly its standardized input channel."""
-    cfg = kr.PipelineConfig(alpha_base=1.0, alpha_count=1, hidden=())
+    """A bundle whose network passes its one filter's column through unchanged.
+
+    Its single filter has alpha 1/2 and an init window of 1 sample at 20 Hz,
+    so the bank has no warm-up; returns the bundle and that column.
+    """
+    cfg = kr.PipelineConfig(alpha_base=2.0, alpha_count=1, hidden=())
     prep = kr.prepare(rec, cfg.rate_hz, cfg.target)
+    aset = cfg.feature_set()
+    windows = kr.bank_windows(aset, cfg.rate_hz, len(prep))
+    assert windows == (1,)
     model = kr.MlpModel(
         layer_sizes=(1, 1),
         weights=[np.array([[1.0]])],
         biases=[np.array([0.0])],
         seed=0,
     )
-    return kr.PipelineBundle(
+    bundle = kr.PipelineBundle(
         config=cfg,
-        alphas=(1.0,),
-        init_windows=(1,),
+        alphas=aset.alphas,
+        init_windows=windows,
         scaler_g=prep.scaler_g,
         scaler_t=prep.scaler_t,
         model=model,
         provenance={"train_source": rec.source_label},
-    ), prep
+    )
+    column = kr.feature_bank_with_windows(prep.g_series(), aset.alphas, windows).values[:, 0]
+    return bundle, prep, column
 
 
-def test_identity_bundle_passes_the_raw_channel_through(pes_small):
-    bundle, prep = _identity_bundle(pes_small[0])
+def test_identity_network_passes_the_first_filter_through(pes_small):
+    bundle, prep, column = _identity_bundle(pes_small[0])
     series, card = kr.predict_batch(bundle, pes_small[0])
-    assert np.array_equal(series.values, prep.g_bar)
-    assert card.gain == 0.0
+    assert np.array_equal(series.values, column)
+    assert card.r2_pre == kr.r_squared(prep.target_bar, prep.g_bar)
+    assert card.r2_post == kr.r_squared(prep.target_bar, column)
 
 
 def test_bundle_cross_validation():
@@ -297,6 +343,27 @@ def test_bundle_cross_validation():
             model=model,
             provenance={},
         )
+
+
+def test_a_bundle_whose_alphas_disagree_with_its_config_cannot_be_built(small_bundle):
+    # such a bundle would save, and then fail to load
+    with pytest.raises(DataError, match="bundle alphas disagree with the config's feature set"):
+        dataclasses.replace(small_bundle, config=dataclasses.replace(small_bundle.config, alpha_base=5.0))
+
+
+@pytest.fixture(scope="module")
+def lycra_8min():
+    """Three 8-minute Lycra recordings with the calibration seed."""
+    return kr.make_dataset(42, kr.LYCRA_PRESET, duration_s=480.0)
+
+
+@pytest.mark.parametrize("target", ["force", "displacement"])
+def test_default_config_rectifies_the_lycra_sensor(lycra_8min, target):
+    cfg = dataclasses.replace(kr.default_best_config(), target=target)
+    bundle, _ = kr.fit_pipeline(lycra_8min[0], cfg)
+    ev = kr.evaluate(bundle, lycra_8min[1], lycra_8min[2])
+    for card in (ev.card_a, ev.card_b):
+        assert card.r2_post >= 0.90 and card.gain >= 0.10, card
 
 
 # --- streaming -------------------------------------------------------------------
@@ -355,12 +422,12 @@ def test_stream_push_is_bank_push_then_forward_bit_for_bit(small_bundle, pes_sma
 
 
 def test_stream_identity_bundle_is_exact(pes_small):
-    bundle, prep = _identity_bundle(pes_small[0])
+    bundle, _, column = _identity_bundle(pes_small[0])
     session = kr.open_stream(bundle)
     rate = bundle.config.rate_hz
     r_series = kr.resample(pes_small[0].t_s, pes_small[0].resistance_ohm, rate)
     outs = [kr.stream_push(session, (0.0, float(r))) for r in r_series.values]
-    assert np.array_equal(np.asarray(outs), prep.g_bar)  # no warmup with window 1
+    assert np.array_equal(np.asarray(outs), column)  # no warmup with window 1
 
 
 def test_stream_rejects_bad_samples(small_bundle):

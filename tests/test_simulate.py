@@ -214,6 +214,8 @@ def test_shipped_presets_lookup():
     assert kr.preset_by_name("LYCRA") is kr.LYCRA_PRESET
     with pytest.raises(DataError, match="unknown preset"):
         kr.preset_by_name("wool")
+    with pytest.raises(DataError, match=r"unknown preset 'pes '; known: \['lycra', 'pes'\]"):
+        kr.preset_by_name("pes ")
 
 
 def test_preset_registry_roundtrip(tmp_path):
@@ -291,6 +293,60 @@ def test_load_presets_returns_presets_or_raises_data_error(text):
     assert all(isinstance(p, kr.SensorPreset) for p in presets.values())
 
 
+def test_preset_by_name_on_a_loaded_registry():
+    soft = dataclasses.replace(kr.PES_PRESET, name="Soft", stiffness_n=20.0)
+    stiff = dataclasses.replace(kr.PES_PRESET, name="SOFT", stiffness_n=90.0)
+    sink = io.StringIO()
+    kr.write_presets([soft, stiff, kr.LYCRA_PRESET], sink)
+    registry = kr.load_presets(io.StringIO(sink.getvalue()))
+    assert kr.preset_by_name("Soft", registry) == soft  # exact keys win over each other's case
+    assert kr.preset_by_name("SOFT", registry) == stiff
+    assert kr.preset_by_name("LYCRA", registry) == kr.LYCRA_PRESET
+    with pytest.raises(DataError, match=r"preset 'soft' is ambiguous up to case: \['SOFT', 'Soft'\]"):
+        kr.preset_by_name("soft", registry)
+    with pytest.raises(DataError, match=r"unknown preset 'pes'; known: \['Lycra', 'SOFT', 'Soft'\]"):
+        kr.preset_by_name("pes", registry)
+
+
+@pytest.mark.parametrize("name", ["", "DEFAULT", "two\nlines", "cr\r", "nel\x85", 7, None])
+def test_preset_name_is_one_line_other_than_default(name):
+    with pytest.raises(DataError, match="preset name must be one non-empty line"):
+        dataclasses.replace(kr.PES_PRESET, name=name)
+
+
+def test_write_presets_rejects_two_presets_with_one_name():
+    twin = dataclasses.replace(kr.LYCRA_PRESET, name="PES")
+    with pytest.raises(DataError, match="two presets are named 'PES'"):
+        kr.write_presets([kr.PES_PRESET, twin], io.StringIO())
+
+
+_finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+_positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_presets = st.builds(
+    kr.SensorPreset,
+    name=st.text(min_size=1, max_size=12).filter(lambda n: n.splitlines() == [n] and n != "DEFAULT"),
+    stiffness_n=_positive_floats,
+    stiffness_exponent=_finite_floats,
+    base_conductance_s=_positive_floats,
+    strain_sensitivity=_finite_floats,
+    drift_magnitude=_finite_floats,
+    drift_timescale_s=_positive_floats,
+    tau_load_s=_positive_floats,
+    tau_unload_s=_positive_floats,
+    offset_s=_finite_floats,
+    resistance_noise_frac=st.floats(min_value=0.0, allow_infinity=False),
+    force_noise_n=st.floats(min_value=0.0, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(presets=st.lists(_presets, max_size=4, unique_by=lambda p: p.name))
+def test_write_then_load_presets_gives_the_presets_back(presets):
+    sink = io.StringIO()
+    kr.write_presets(presets, sink)
+    assert kr.load_presets(io.StringIO(sink.getvalue())) == {p.name: p for p in presets}
+
+
 def test_make_dataset_is_reproducible_with_distinct_recordings(pes_small):
     again = kr.make_dataset(7, kr.PES_PRESET, duration_s=120.0)
     for a, b in zip(pes_small, again):
@@ -308,11 +364,14 @@ def test_make_dataset_is_reproducible_with_distinct_recordings(pes_small):
 def test_make_dataset_role_labels(pes_small):
     labels = [rec.source_label for rec in pes_small]
     assert labels == ["pes-train-seed7", "pes-test_a-seed7", "pes-test_b-seed7"]
+    assert [kr.role_name(i) for i in (0, 1, 26)] == ["train", "test_a", "test_z"]
 
 
 def test_make_dataset_needs_two_recordings():
     with pytest.raises(DataError):
         kr.make_dataset(0, kr.PES_PRESET, n_recordings=1, duration_s=10.0)
+    with pytest.raises(DataError, match="n_recordings must be an integer >= 2, got 2.5"):
+        kr.make_dataset(42, kr.PES_PRESET, n_recordings=2.5)
 
 
 def test_lycra_force_range_roughly_doubles_pes():

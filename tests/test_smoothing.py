@@ -22,6 +22,10 @@ def test_alpha_set_rejects_bad_parameters():
         kr.alpha_set(1.0, 4)
     with pytest.raises(DataError):
         kr.alpha_set(2.5, 0)
+    for a, n in [("3", 2), (float("nan"), 2), (True, 2), (2.5, 7.5), (2.5, "7"), (2.5, False)]:
+        with pytest.raises(DataError, match="must be"):
+            kr.alpha_set(a, n)
+    assert kr.alpha_set(2.5, 7.0) == kr.alpha_set(2.5, 7)  # an integral count, as in a config
     for a, n in [(1e308, 3), (2.5, 10**4)]:
         with pytest.raises(DataError, match="overflows"):
             kr.alpha_set(a, n)
