@@ -23,7 +23,7 @@ from .metrics import combined_error, r_squared
 from .mlp import TrainConfig, forward_batch, mlp_new, train_many
 from .pipeline import PreparedData
 from .series import _open_text, fmt
-from .smoothing import AlphaSet, alpha_set, bank_windows, baseline_alpha_set, feature_bank_with_windows
+from .smoothing import AlphaSet, alpha_set, bank_windows, baseline_alpha_set, smooth
 
 FEATURE_SET_PARAMS = ((2.5, 4), (2.5, 7), (2.5, 10), (5, 4), (5, 7), (10, 3), (10, 4))
 
@@ -214,16 +214,27 @@ def run_grid(
     _check_shared_provenance(train, test_a, test_b)
     datasets = (train, test_a, test_b)
 
-    # one feature bank per distinct alpha set, shared by all its topologies;
-    # init windows always come from the training set's length
-    banks: dict[tuple[float, ...], tuple[np.ndarray, ...]] = {}
-    for cfg in configs:
-        key = cfg.feature_set.alphas
-        if key not in banks:
-            windows = bank_windows(cfg.feature_set, train.rate_hz, len(train))
-            banks[key] = tuple(
-                feature_bank_with_windows(ds.g_series(), key, windows).values for ds in datasets
-            )
+    # one feature bank per distinct alpha set and dataset, shared by all its
+    # topologies; init windows always come from the training set's length.
+    # The sets share alphas, so each distinct (alpha, window) column is
+    # smoothed once per dataset, into the first bank that needs it, and
+    # copied from there into the others.
+    windows = {
+        cfg.feature_set.alphas: bank_windows(cfg.feature_set, train.rate_hz, len(train)) for cfg in configs
+    }
+    banks: dict[tuple[float, ...], list[np.ndarray]] = {key: [] for key in windows}
+    for ds in datasets:
+        values = ds.g_series().values
+        columns: dict[tuple[float, int], np.ndarray] = {}  # views into the banks
+        for key, wins in windows.items():
+            bank = np.empty((values.size, len(key)))
+            for j, (a, m) in enumerate(zip(key, wins)):
+                if (a, m) in columns:
+                    bank[:, j] = columns[a, m]
+                else:
+                    bank[:, j] = smooth(values, a, m)
+                    columns[a, m] = bank[:, j]
+            banks[key].append(bank)
 
     members, models, shuffle_seeds = [], [], []
     for index, cfg in enumerate(configs):

@@ -7,7 +7,12 @@ overhead per numpy call.  `train_many` therefore trains K models in
 lockstep: `lockstep_groups` splits them into groups of one depth and
 similar widths, each group's parameters are zero-padded to its widest
 layers and stacked, and one step is a batched forward/backward pass plus
-one Adam update on the stack.  `train` is its one-model case.
+one Adam update on the stack.  `train` is its one-model case.  Each
+layer's biases are the last row of its weight block and every layer input
+ends in a column of ones, so one matmul gives a layer's output and one
+more its weight and bias gradient; a step writes into preallocated
+buffers and updates Adam's state in place.  `gradient` runs the same
+pass on a stack of one.
 
 For the same reason `forward` evaluates one input vector on Python floats
 rather than as a one-row `forward_batch`: its dot products sum in their
@@ -30,9 +35,11 @@ ADAM_EPS = 1e-8
 DIVERGENCE_FACTOR = 1e6
 # The fixed cost of one lockstep step (train_many) in units of per-slot
 # arithmetic: it equals the work of about this many padded parameters.
-# Measured with numpy 2.4 on a 2-core x86 VM, 9600 samples, batch 200:
-# 4.7 ms per epoch per group plus 0.0126 ms per epoch per padded parameter
-# and slot.
+# Measured with numpy 2.4 on a 2-core x86 VM, 9600 samples, batch 200,
+# depths 2-4, epoch losses left out: 1.7-2.5 ms per epoch per group plus
+# 0.0026-0.0030 ms per epoch per padded parameter and slot, a ratio of
+# 630-850.  The value is older than those figures and is kept, so that the
+# grid's lockstep groups, and with them its report digits, stay as they are.
 STEP_COST_PARAMS = 375
 
 
@@ -175,26 +182,59 @@ def mse_loss(model: MlpModel, X, y) -> float:
     return float(np.mean((pred - y) ** 2))
 
 
-def _backprop(ws, bs, X, y, gws, gbs) -> None:
-    """Mean-squared-error gradients of K stacked nets, written into gws and gbs.
+class _Buffers:
+    """The arrays one forward/backward pass of K stacked nets writes, for batches of n samples.
 
-    ws[l] has shape (K, n_l, n_{l+1}), bs[l] (K, n_{l+1}), X (K, n, n_0) and
-    y (K, n); gws and gbs take the shapes of ws and bs.  Slot k's gradient
-    is that of its own batch only.  ReLU subgradient at 0 is taken as 0.
+    acts[l] (K, n, n_l + 1) is layer l's input with a trailing column of
+    ones, which multiplies the bias row of the folded weights, and acts[-1]
+    the (K, n, 1) output; zs[l] is the part of acts[l + 1] that layer l's
+    matmul writes.  deltas[l] is the error at acts[l + 1], of its shape,
+    and dzs[l] its part at zs[l].  The ReLU and its derivative run over
+    whole buffers, ones column included, because numpy is slower on the
+    strided parts.  y holds the (K, n, 1) targets, and rows the
+    stacked-bank rows that the trainer gathers into acts[0].
+    """
+
+    def __init__(self, k: int, n: int, widths):
+        self.acts = [np.empty((k, n, w + 1)) for w in widths[:-1]] + [np.empty((k, n, 1))]
+        for a in self.acts[:-1]:
+            a[:, :, -1] = 1.0
+        self.acts_t = [a.transpose(0, 2, 1) for a in self.acts[:-1]]
+        self.zs = [a[:, :, :-1] for a in self.acts[1:-1]] + [self.acts[-1]]
+        self.deltas = [np.empty_like(a) for a in self.acts[1:]]
+        self.dzs = [d[:, :, :-1] for d in self.deltas[:-1]] + [self.deltas[-1]]
+        self.y = np.empty((k, n, 1))
+        self.rows = np.empty((k, n), dtype=np.intp)
+
+
+def _backprop(ws, buf: _Buffers, gws) -> None:
+    """Mean-squared-error gradients of K stacked nets, written into gws.
+
+    ws[l] has shape (K, n_l + 1, n_{l+1}): layer l's weights with its
+    biases as the last row, and gws takes the same shapes.  buf.acts[0]
+    holds the (K, n, n_0 + 1) input batches, each row ending in a one, and
+    buf.y the targets.  Slot k's gradient is that of its own batch only.
+    The ones column carries the bias, so one matmul gives a layer's output
+    and one more its weight and bias gradient.  ReLU subgradient at 0 is
+    taken as 0.
     """
     last = len(ws) - 1
-    acts = [X]
-    zs = []
-    for li, (w, b) in enumerate(zip(ws, bs)):
-        z = acts[-1] @ w + b[:, None, :]
-        zs.append(z)
-        acts.append(z if li == last else np.maximum(z, 0.0))
-    delta = (2.0 / y.shape[1]) * (acts[-1][:, :, 0] - y)[:, :, None]
+    for li, (a, w, z) in enumerate(zip(buf.acts, ws, buf.zs)):
+        np.matmul(a, w, out=z)
+        if li != last:
+            np.maximum(buf.acts[li + 1], 0.0, out=buf.acts[li + 1])  # the ones stay ones
+    delta = buf.deltas[last]
+    np.subtract(buf.acts[-1], buf.y, out=delta)
+    delta *= 2.0 / buf.y.shape[1]
     for li in range(last, -1, -1):
-        np.matmul(acts[li].transpose(0, 2, 1), delta, out=gws[li])
-        np.add.reduce(delta, axis=1, out=gbs[li])
+        np.matmul(buf.acts_t[li], buf.dzs[li], out=gws[li])
         if li > 0:
-            delta = (delta @ ws[li].transpose(0, 2, 1)) * (zs[li - 1] > 0.0)
+            # nothing reads acts[li] again, so it takes its ReLU's derivative
+            # in place: 1 where positive (the ones column too), else 0
+            a, below = buf.acts[li], buf.deltas[li - 1]
+            np.greater(a, 0.0, out=a)
+            np.matmul(buf.dzs[li], ws[li].transpose(0, 2, 1), out=below)
+            below *= a
 
 
 def gradient(model: MlpModel, X, y) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -204,16 +244,17 @@ def gradient(model: MlpModel, X, y) -> tuple[list[np.ndarray], list[np.ndarray]]
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.size or y.size == 0:
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size or y.size == 0:
         raise DataError("gradient needs a nonempty (n, n_in) batch with matching y")
     if X.shape[1] != model.layer_sizes[0]:
         raise DataError("input width does not match the model")
-    gws = [np.empty((1, *w.shape)) for w in model.weights]
-    gbs = [np.empty((1, *b.shape)) for b in model.biases]
-    ws = [w[None] for w in model.weights]
-    bs = [b[None] for b in model.biases]
-    _backprop(ws, bs, X[None], y[None], gws, gbs)
-    return [g[0] for g in gws], [g[0] for g in gbs]
+    ws = [np.concatenate((w, b[None]))[None] for w, b in zip(model.weights, model.biases)]
+    gws = [np.empty_like(w) for w in ws]
+    buf = _Buffers(1, y.size, model.layer_sizes)
+    buf.acts[0][0, :, :-1] = X
+    buf.y[0, :, 0] = y
+    _backprop(ws, buf, gws)
+    return [g[0, :-1] for g in gws], [g[0, -1] for g in gws]
 
 
 def _param_count(widths) -> int:
@@ -253,27 +294,24 @@ def lockstep_groups(layer_sizes) -> list[list[int]]:
     return groups
 
 
-def _layer_views(flat: np.ndarray, widths) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer (K, n_l, n_{l+1}) weight and (K, n_{l+1}) bias views of a (K, P) array."""
+def _layer_views(flat: np.ndarray, widths) -> list[np.ndarray]:
+    """Per-layer (K, n_l + 1, n_{l+1}) views of a (K, P) array: weights, then biases as the last row."""
     k = flat.shape[0]
-    ws, bs = [], []
+    views = []
     off = 0
     for nin, nout in zip(widths, widths[1:]):
-        ws.append(flat[:, off : off + nin * nout].reshape(k, nin, nout))
-        off += nin * nout
-    for nout in widths[1:]:
-        bs.append(flat[:, off : off + nout])
-        off += nout
-    return ws, bs
+        views.append(flat[:, off : off + (nin + 1) * nout].reshape(k, nin + 1, nout))
+        off += (nin + 1) * nout
+    return views
 
 
-def _slot_model(ws, bs, row: int, model: MlpModel) -> MlpModel:
-    """model's unpadded weights as views into row `row` of the stack."""
+def _slot_model(ws, row: int, model: MlpModel) -> MlpModel:
+    """model's unpadded weights and biases as views into row `row` of the stack."""
     sizes = model.layer_sizes
     return MlpModel(
         sizes,
         [w[row, :nin, :nout] for w, nin, nout in zip(ws, sizes, sizes[1:])],
-        [b[row, :nout] for b, nout in zip(bs, sizes[1:])],
+        [w[row, -1, :nout] for w, nout in zip(ws, sizes[1:])],
         model.seed,
     )
 
@@ -300,7 +338,7 @@ def train_many(
     arrays = {id(X): np.asarray(X, dtype=float) for X in Xs}  # an input given twice stays one array
     Xs = [arrays[id(X)] for X in Xs]
     for X, mo in zip(Xs, models):
-        if X.ndim != 2 or X.shape[0] != y.size or y.size == 0:
+        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size or y.size == 0:
             raise DataError("train needs a nonempty (n, n_in) batch with matching y")
         if X.shape[1] != mo.layer_sizes[0]:
             raise DataError("input width does not match the model")
@@ -316,11 +354,16 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
     """train_many's body for one group of models of one depth, on checked inputs.
 
     Parameters are zero-padded to the group's widest layers and stacked in
-    one (K, P) array with Adam's m and v beside it, so one step is a
-    batched forward/backward pass plus one Adam update for every slot.  The
-    padding is exact: a padded unit has z = 0, so its ReLU delta and
-    gradient are 0, and Adam started at m = v = 0 never moves it.  Inputs
-    that are the same array object are stacked once.
+    one (K, P) array beside Adam's m and v.  Each layer is one (K, n_l + 1,
+    n_{l+1}) block of that array, its biases the last row, and the stacked
+    input banks end in a column of ones, so a layer's bias rides in its
+    matmul.  One step gathers each slot's minibatch into preallocated
+    buffers (one set per minibatch size: the full one and a shorter last
+    one), runs one batched forward/backward pass (_backprop) and one Adam
+    update in place, and allocates no array memory.  The padding is exact:
+    a padded unit has z = 0, so its ReLU delta and gradient are 0, and Adam
+    started at m = v = 0 never moves it.  Inputs that are the same array
+    object are stacked once.
 
     The epoch loss is computed per slot on its unpadded weights, so the
     early-stopping decisions are those of a solo run.  A slot leaves the
@@ -328,32 +371,32 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
     """
     n = y.size
 
-    # one stacked input bank per distinct input array, zero-padded to the widest
+    # one stacked input bank per distinct input array, zero-padded to the
+    # widest and ending in the column of ones
     banks = list({id(X): X for X in Xs}.values())
     bank_index = {id(X): i for i, X in enumerate(banks)}
     bank_of = [bank_index[id(X)] for X in Xs]
     widths = [max(col) for col in zip(*(mo.layer_sizes for mo in models))]
-    X_stack = np.zeros((len(banks), n, widths[0]))
+    X_stack = np.zeros((len(banks), n, widths[0] + 1))
+    X_stack[:, :, -1] = 1.0
     for i, arr in enumerate(banks):
         X_stack[i, :, : arr.shape[1]] = arr
+    X_rows = X_stack.reshape(len(banks) * n, widths[0] + 1)
+    y_col = y[:, None]
 
     k = len(models)
-    params = np.zeros((k, _param_count(widths)))
-    ws, bs = _layer_views(params, widths)
+    state = np.zeros((3, k, _param_count(widths)))  # the parameters, then Adam's m and v
+    ws = _layer_views(state[0], widths)
     for row, mo in enumerate(models):
-        for w, src in zip(ws, mo.weights):
+        for w, src, b in zip(ws, mo.weights, mo.biases):
             w[row, : src.shape[0], : src.shape[1]] = src
-        for b, src in zip(bs, mo.biases):
-            b[row, : src.size] = src
-    m = np.zeros_like(params)
-    v = np.zeros_like(params)
-    grads = np.zeros_like(params)
-    gws, gbs = _layer_views(grads, widths)
+            w[row, -1, : b.size] = b
 
     batch = min(200, n) if cfg.batch_size == "auto" else min(int(cfg.batch_size), n)
+    batch_sizes = {batch, n % batch or batch}
     rngs = [np.random.default_rng(s) for s in seeds]
     live = list(range(k))  # the slot held by each stack row
-    nets = [_slot_model(ws, bs, row, mo) for row, mo in enumerate(models)]
+    nets = [_slot_model(ws, row, mo) for row, mo in enumerate(models)]
     initial = [mse_loss(net, banks[bank_of[s]], y) for s, net in enumerate(nets)]
     guard = [DIVERGENCE_FACTOR * (loss + 1e-12) for loss in initial]
     best = [float("inf")] * k
@@ -361,23 +404,50 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
     history: list[list[float]] = [[] for _ in range(k)]
     results: list = [None] * k
     step = 0
+    restack = True
 
     def finish(s: int, converged: bool) -> None:
         hist = history[s]
         results[s] = (nets[s].copy(), TrainReport(len(hist), hist, converged, min(hist)))
 
     for epoch in range(1, cfg.max_iter + 1):
-        rows_bank = np.array([bank_of[s] for s in live])[:, None]
+        if restack:  # the live slots' views and scratch arrays
+            params, m, v = state
+            grads, num, den = np.empty_like(state)
+            ws, gws = _layer_views(params, widths), _layer_views(grads, widths)
+            buffers = {size: _Buffers(len(live), size, widths) for size in batch_sizes}
+            offsets = n * np.array([bank_of[s] for s in live])[:, None]
+            for row, s in enumerate(live):
+                nets[s] = _slot_model(ws, row, models[s])
+            restack = False
         order = np.stack([rngs[s].permutation(n) for s in live])
         for lo in range(0, n, batch):
+            buf = buffers[min(batch, n - lo)]
             idx = order[:, lo : lo + batch]
-            _backprop(ws, bs, X_stack[rows_bank, idx], y[idx], gws, gbs)
+            np.add(idx, offsets, out=buf.rows)
+            # mode="clip" lets take write straight into out; every index is in range
+            X_rows.take(buf.rows, axis=0, out=buf.acts[0], mode="clip")
+            y_col.take(idx, axis=0, out=buf.y, mode="clip")
+            _backprop(ws, buf, gws)
             step += 1
             c1 = 1.0 - ADAM_BETA1**step
             c2 = 1.0 - ADAM_BETA2**step
-            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grads
-            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grads**2
-            params -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
+            # params -= lr * (m/c1) / (sqrt(v/c2) + eps), in that order
+            m *= ADAM_BETA1
+            np.multiply(grads, 1 - ADAM_BETA1, out=num)
+            m += num
+            v *= ADAM_BETA2
+            np.square(grads, out=num)
+            num *= 1 - ADAM_BETA2
+            v += num
+            np.divide(m, c1, out=num)
+            num *= cfg.learning_rate
+            np.divide(v, c2, out=den)
+            np.sqrt(den, out=den)
+            den += ADAM_EPS
+            num /= den
+            params -= num
 
         done = []
         for row, s in enumerate(live):
@@ -401,11 +471,8 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
             live = [live[row] for row in keep]
             if not live:
                 break
-            params, m, v, grads = params[keep], m[keep], v[keep], grads[keep]
-            ws, bs = _layer_views(params, widths)
-            gws, gbs = _layer_views(grads, widths)
-            for row, s in enumerate(live):
-                nets[s] = _slot_model(ws, bs, row, models[s])
+            state = state[:, keep]
+            restack = True
 
     for s in live:
         finish(s, False)

@@ -2,6 +2,7 @@
 
 import io
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +134,28 @@ def test_run_grid_master_seed_changes_outcomes(prepared_trio):
     r1 = kr.run_grid(train, test_a, test_b, configs, master_seed=1, max_iter=20)
     r2 = kr.run_grid(train, test_a, test_b, configs, master_seed=2, max_iter=20)
     assert r1.rows[0].r2_train != r2.rows[0].r2_train
+
+
+def test_run_grid_smooths_each_shared_column_once(prepared_trio, monkeypatch):
+    # sets 0 and 1 share base 2.5's first 4 alphas, and the baseline shares
+    # 0.1 with set 5: 18 columns per dataset, 13 of them distinct
+    train, test_a, test_b = prepared_trio
+    configs = kr.grid_configs([0, 1, 5, 7], [3])
+    calls = []
+
+    def counting_smooth(xs, alpha, m):
+        calls.append((alpha, m))
+        return kr.smooth(xs, alpha, m)
+
+    monkeypatch.setattr(gridsearch, "smooth", counting_smooth)
+    report = kr.run_grid(train, test_a, test_b, configs, master_seed=1, max_iter=10)
+    assert sum(len(c.feature_set.alphas) for c in configs) == 18
+    assert len(calls) == 3 * 13
+    assert len(set(calls)) == 13
+    buf = io.StringIO()
+    kr.write_report_csv(report, buf)
+    # the report the code gave before it shared columns between alpha sets
+    assert buf.getvalue() == (Path(__file__).parent / "data" / "grid_shared_alphas_report.csv").read_text()
 
 
 def test_run_grid_single_config(prepared_trio):

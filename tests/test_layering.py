@@ -6,7 +6,9 @@ The CLI uses only public package names.  It may not reach a
 _open_text`).
 
 Which networks train together in lockstep is decided in knitrect.mlp
-alone: no other package module names `lockstep_groups`.
+alone: no other package module names `lockstep_groups`.  One gradient
+serves one model and many: knitrect.mlp defines `_backprop` once, and both
+the public `gradient` and the lockstep trainer `_train_group` call it.
 """
 
 import ast
@@ -139,3 +141,35 @@ def test_lockstep_guard_flags_each_kind_of_reference(source):
 
 def test_lockstep_guard_sees_mlp_itself():
     assert lockstep_group_references((PACKAGE / "mlp.py").read_text())
+
+
+def backprop_callers(source: str) -> tuple[int, set[str]]:
+    """How many functions named _backprop the module defines, and which top-level functions call it."""
+    tree = ast.parse(source)
+    defined = sum(isinstance(node, ast.FunctionDef) and node.name == "_backprop" for node in ast.walk(tree))
+    callers = {
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_backprop"
+    }
+    return defined, callers
+
+
+def test_one_backprop_serves_gradient_and_lockstep_training():
+    defined, callers = backprop_callers((PACKAGE / "mlp.py").read_text())
+    assert defined == 1
+    assert {"gradient", "_train_group"} <= callers
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def _backprop(): pass\ndef _backprop(): pass\ndef gradient(): _backprop()\ndef _train_group(): _backprop()",
+        "def _backprop(): pass\ndef gradient(): _gradient_one()\ndef _train_group(): _backprop()",
+    ],
+)
+def test_backprop_guard_flags_a_second_gradient(source):
+    defined, callers = backprop_callers(source)
+    assert defined != 1 or not {"gradient", "_train_group"} <= callers

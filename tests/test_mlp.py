@@ -1,6 +1,8 @@
 """Network construction, forward pass, backprop gradients, and (lockstep) training."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +205,43 @@ def test_gradient_validates_batch():
         kr.gradient(model, np.zeros((4, 3)), np.zeros(5))
 
 
+def _reference_gradient(model, X, y):
+    """Plain 2-D backprop with the biases apart: `@ w + b` forward, `delta.sum(axis=0)` back."""
+    last = len(model.weights) - 1
+    acts, zs = [X], []
+    for li, (w, b) in enumerate(zip(model.weights, model.biases)):
+        zs.append(acts[-1] @ w + b)
+        acts.append(zs[-1] if li == last else np.maximum(zs[-1], 0.0))
+    delta = (2.0 / y.size) * (acts[-1][:, 0] - y)[:, None]
+    gw, gb = [None] * (last + 1), [None] * (last + 1)
+    for li in range(last, -1, -1):
+        gw[li] = acts[li].T @ delta
+        gb[li] = delta.sum(axis=0)
+        if li > 0:
+            delta = (delta @ model.weights[li].T) * (zs[li - 1] > 0.0)
+    return gw, gb
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_in=st.integers(1, 6),
+    hidden=st.lists(st.integers(2, 6), max_size=3),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gradient_matches_the_plain_reference(n_in, hidden, n, seed):
+    rng = np.random.default_rng(seed)
+    model = kr.mlp_new((n_in, *hidden, 1), seed)
+    model.biases = [rng.normal(size=b.shape) for b in model.biases]
+    X = rng.normal(size=(n, n_in))
+    y = rng.normal(size=n)
+    gw, gb = kr.gradient(model, X, y)
+    ref_w, ref_b = _reference_gradient(model, X, y)
+    assert [g.shape for g in gw + gb] == [g.shape for g in ref_w + ref_b]
+    for got, want in zip(gw + gb, ref_w + ref_b):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 # --- training -------------------------------------------------------------------
 
 
@@ -376,6 +415,17 @@ def test_train_matches_the_reference_loop_bit_for_bit():
     assert solo_report.loss_history == report.loss_history
 
 
+def test_default_fit_matches_the_recorded_weights(pes_8min):
+    ref = json.loads((Path(__file__).parent / "data" / "default_fit_100_epochs.json").read_text())
+    base = kr.default_best_config()
+    cfg = dataclasses.replace(base, train=dataclasses.replace(base.train, max_iter=100, patience=100))
+    bundle, report = kr.fit_pipeline(pes_8min[0], cfg)
+    assert list(bundle.model.layer_sizes) == ref["layer_sizes"]
+    assert report.epochs_run == ref["epochs_run"]
+    for got, want in zip(bundle.model.weights + bundle.model.biases, ref["weights"] + ref["biases"]):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 @st.composite
 def mixed_depth_groups(draw):
     in_widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
@@ -428,6 +478,26 @@ def test_train_many_stops_slots_at_different_epochs():
     assert {report.converged for _, report in outcomes} == {True, False}
 
 
+def test_train_many_matches_solo_training_when_the_last_batch_is_short():
+    # 30 samples in batches of 8: every epoch ends on a 6-sample batch
+    banks, y = _group_data(5, [2, 3], n=30)
+    sizes = [(2, 3, 2, 1), (3, 4, 2, 1), (2, 2, 3, 1), (3, 3, 3, 1)]
+    models = [kr.mlp_new(s, i) for i, s in enumerate(sizes)]
+    xs = [banks[0], banks[1], banks[0], banks[1]]
+    seeds = [1, 2, 3, 4]
+    cfg = kr.TrainConfig(max_iter=40, batch_size=8, tol=1e-2, patience=2)
+    assert len(mlp.lockstep_groups(sizes)) == 1
+    outcomes = kr.train_many(models, xs, y, cfg, seeds)
+    for model, X, seed, (trained, report) in zip(models, xs, seeds, outcomes):
+        solo, solo_report = kr.train(model, X, y, dataclasses.replace(cfg, seed=seed))
+        for a, b in zip(trained.weights + trained.biases, solo.weights + solo.biases):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        assert report.epochs_run == solo_report.epochs_run
+        np.testing.assert_allclose(report.loss_history, solo_report.loss_history, rtol=0, atol=1e-12)
+    # the stack shrinks as slots stop, so its batch buffers are rebuilt
+    assert len({report.epochs_run for _, report in outcomes}) > 1
+
+
 def test_train_many_isolates_a_diverging_slot():
     banks, y = _group_data(2, [3])
     models = [kr.mlp_new((3, 4, 1), seed=s) for s in range(3)]
@@ -455,6 +525,15 @@ def test_train_many_validates_its_group():
         kr.train_many([kr.mlp_new((3, 2, 1))], [banks[0]], y, cfg, [0])
     with pytest.raises(DataError, match="matching y"):
         kr.train_many([shallow], [banks[0]], y[:-1], cfg, [0])
+
+
+def test_gradient_and_train_many_reject_a_target_that_is_not_1d():
+    banks, y = _group_data(3, [2])
+    model = kr.mlp_new((2, 3, 1))
+    with pytest.raises(DataError, match="matching y"):
+        kr.gradient(model, banks[0], y[:, None])
+    with pytest.raises(DataError, match="matching y"):
+        kr.train_many([model], [banks[0]], y[:, None], kr.TrainConfig(max_iter=2), [0])
 
 
 def test_train_many_checks_every_input_before_any_group_trains(monkeypatch):
