@@ -21,10 +21,8 @@ from .gridsearch import (
 )
 from .metrics import (
     BinnedCurve,
-    BinnedRse,
     ScoreCard,
     binned_rse,
-    binned_rse_pair,
     combined_error,
     gain,
     r_squared,

@@ -24,7 +24,7 @@ from pathlib import Path
 from . import gridsearch as gs
 from . import pipeline as pl
 from .errors import DataError, NumericError
-from .metrics import binned_rse_pair, write_binned_rse_csv, write_metric_rows_csv
+from .metrics import binned_rse, write_binned_rse_csv, write_metric_rows_csv
 from .series import fmt, load_recording, write_recording
 from .simulate import load_presets, make_dataset, preset_by_name, role_name
 
@@ -71,12 +71,8 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _print_card(name: str, card, file=None) -> None:
-    # late-bind stderr so runtime stream redirection is honored
-    print(
-        f"{name}: r2_pre={card.r2_pre:.4f} r2_post={card.r2_post:.4f} gain={card.gain:+.4f}",
-        file=file if file is not None else sys.stderr,
-    )
+def _print_card(name: str, card) -> None:
+    print(f"{name}: r2_pre={card.r2_pre:.4f} r2_post={card.r2_post:.4f} gain={card.gain:+.4f}", file=sys.stderr)
 
 
 def _cmd_predict(args) -> int:
@@ -91,13 +87,13 @@ def _cmd_evaluate(args) -> int:
     bundle = pl.load_bundle(args.bundle)
     ev = pl.evaluate(bundle, load_recording(args.test_a), load_recording(args.test_b))
     # bin before any output, so a bad --bin-width leaves no partial results
-    rse = binned_rse_pair(ev.truth, ev.pre, ev.post, args.bin_width) if args.rse_out else None
+    curves = [binned_rse(ev.truth, est, args.bin_width) for est in (ev.pre, ev.post)] if args.rse_out else None
     _print_card("test_a", ev.card_a)
     _print_card("test_b", ev.card_b)
     write_metric_rows_csv(ev.rows(), args.out)
     print(f"wrote {args.out}")
-    if rse is not None:
-        write_binned_rse_csv(rse, args.rse_out)
+    if curves is not None:
+        write_binned_rse_csv(*curves, args.rse_out)
         print(f"wrote {args.rse_out}")
     return 0
 
@@ -179,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a rectifier bundle on a training recording")
     p.add_argument("--train", required=True, help="training recording CSV")
     p.add_argument("--config", default=None, help="pipeline config JSON file")
-    p.add_argument("--default-best", action="store_true", help="use the grid-search winner configuration")
+    p.add_argument("--default-best", action="store_true", help="use the paper's published grid-search winner configuration")
     p.add_argument("--seed", type=int, default=None, help="override init and shuffle seeds")
     p.add_argument("--target", choices=pl.TARGETS, default=None)
     p.add_argument("--rate", type=float, default=None, help="resample rate override (Hz)")

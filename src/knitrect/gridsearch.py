@@ -152,7 +152,6 @@ def _row_rank_key(row: GridRow):
 @dataclass(frozen=True)
 class SearchReport:
     rows: list[GridRow]
-    master_seed: int
 
     def ranked(self) -> list[GridRow]:
         """The scored rows, best first."""
@@ -276,7 +275,7 @@ def run_grid(
                 scores, status = failed, "failed"
         seconds = (share if index in outcomes else 0.0) + time.perf_counter() - started
         rows.append(GridRow(index, cfg, *scores, seconds if include_timing else None, status))
-    return SearchReport(rows=rows, master_seed=master_seed)
+    return SearchReport(rows=rows)
 
 
 def _cell(x: float | None) -> str:

@@ -4,6 +4,10 @@ r^2 follows the pipeline's own convention: the denominator is centered on
 the mean of the ESTIMATE, not of the truth.  On standardized signals this
 agrees with the conventional form; on shifted ones it does not.  Only the
 estimate-centered form is provided.
+
+Binned RSE is one BinnedCurve per estimate.  binned_rse bins by the truth
+alone, so two estimates of one truth at one bin width get the same bins,
+and write_binned_rse_csv writes such a pair side by side.
 """
 
 from __future__ import annotations
@@ -80,16 +84,6 @@ class BinnedCurve:
             raise DataError("binned curve arrays inconsistent")
 
 
-@dataclass(frozen=True)
-class BinnedRse:
-    """Pre/post binned-RSE curves over a shared truth binning."""
-
-    bin_edges: np.ndarray
-    counts: np.ndarray
-    rse_pre: tuple[float | None, ...]
-    rse_post: tuple[float | None, ...]
-
-
 def binned_rse(truth, estimate, bin_width: float = 1.0) -> BinnedCurve:
     """Bin samples by truth value; per-bin RSE with an overall-mean denominator.
 
@@ -129,13 +123,6 @@ def binned_rse(truth, estimate, bin_width: float = 1.0) -> BinnedCurve:
     return BinnedCurve(edges, counts, rse)
 
 
-def binned_rse_pair(truth, est_pre, est_post, bin_width: float = 1.0) -> BinnedRse:
-    """Binned RSE of two estimates of the same truth, on one shared binning."""
-    pre = binned_rse(truth, est_pre, bin_width)
-    post = binned_rse(truth, est_post, bin_width)
-    return BinnedRse(pre.bin_edges, pre.counts, pre.rse, post.rse)
-
-
 def write_metric_rows_csv(rows: list[tuple[str, float]], sink) -> None:
     with _open_text(sink, "w") as stream:
         stream.write("metric,value\n")
@@ -143,12 +130,14 @@ def write_metric_rows_csv(rows: list[tuple[str, float]], sink) -> None:
             stream.write(f"{name},{fmt(value)}\n")
 
 
-def write_binned_rse_csv(br: BinnedRse, sink) -> None:
+def write_binned_rse_csv(pre: BinnedCurve, post: BinnedCurve, sink) -> None:
+    """Pre and post binned-RSE curves side by side; they must share their bins, and empty bins are empty cells."""
+    if not (np.array_equal(pre.bin_edges, post.bin_edges) and np.array_equal(pre.counts, post.counts)):
+        raise DataError("binned-RSE curves must share their bins")
     with _open_text(sink, "w") as stream:
         stream.write("bin_lo_n,bin_hi_n,count,rse_pre,rse_post\n")
-        for b in range(br.counts.size):
-            pre = "" if br.rse_pre[b] is None else fmt(br.rse_pre[b])
-            post = "" if br.rse_post[b] is None else fmt(br.rse_post[b])
+        for b in range(pre.counts.size):
+            rse = ["" if curve.rse[b] is None else fmt(curve.rse[b]) for curve in (pre, post)]
             stream.write(
-                f"{fmt(br.bin_edges[b])},{fmt(br.bin_edges[b + 1])},{int(br.counts[b])},{pre},{post}\n"
+                f"{fmt(pre.bin_edges[b])},{fmt(pre.bin_edges[b + 1])},{int(pre.counts[b])},{rse[0]},{rse[1]}\n"
             )

@@ -128,11 +128,24 @@ def mlp_new(layer_sizes, seed: int = 0) -> MlpModel:
     return MlpModel(sizes, weights, biases, int(seed))
 
 
+def _batch(model: MlpModel, X, y=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """X as an (n, n_in) float batch for model and y, if given, as its n >= 1 targets; else DataError.
+
+    An argument that is already a float array is returned as the same object.
+    """
+    X = np.asarray(X, dtype=float)
+    if y is not None:
+        y = np.asarray(y, dtype=float)
+        if y.ndim != 1 or y.size == 0 or X.ndim != 2 or X.shape[0] != y.size:
+            raise DataError("expected a nonempty (n, n_in) batch with matching y")
+    if X.ndim != 2 or X.shape[1] != model.layer_sizes[0]:
+        raise DataError("input width does not match the model")
+    return X, y
+
+
 def forward_batch(model: MlpModel, X) -> np.ndarray:
     """Predictions for an (n, n_in) batch; returns shape (n,)."""
-    a = np.asarray(X, dtype=float)
-    if a.ndim != 2 or a.shape[1] != model.layer_sizes[0]:
-        raise DataError("input width does not match the model")
+    a, _ = _batch(model, X)
     last = len(model.weights) - 1
     for li, (w, b) in enumerate(zip(model.weights, model.biases)):
         a = a @ w + b
@@ -173,13 +186,9 @@ def forward(model: MlpModel, x) -> float:
 
 
 def mse_loss(model: MlpModel, X, y) -> float:
-    y = np.asarray(y, dtype=float)
-    if y.size == 0:
-        raise DataError("loss needs at least one sample")
-    pred = forward_batch(model, X)
-    if pred.size != y.size:
-        raise DataError("X and y must have equal lengths")
-    return float(np.mean((pred - y) ** 2))
+    """Mean squared error of the predictions for the batch X against the targets y."""
+    X, y = _batch(model, X, y)
+    return float(np.mean((forward_batch(model, X) - y) ** 2))
 
 
 class _Buffers:
@@ -242,12 +251,7 @@ def gradient(model: MlpModel, X, y) -> tuple[list[np.ndarray], list[np.ndarray]]
 
     ReLU subgradient at 0 is taken as 0.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size or y.size == 0:
-        raise DataError("gradient needs a nonempty (n, n_in) batch with matching y")
-    if X.shape[1] != model.layer_sizes[0]:
-        raise DataError("input width does not match the model")
+    X, y = _batch(model, X, y)
     ws = [np.concatenate((w, b[None]))[None] for w, b in zip(model.weights, model.biases)]
     gws = [np.empty_like(w) for w in ws]
     buf = _Buffers(1, y.size, model.layer_sizes)
@@ -334,14 +338,10 @@ def train_many(
     seeds = [int(s) for s in seeds]
     if not models or len(Xs) != len(models) or len(seeds) != len(models):
         raise DataError("train_many needs one input matrix and one seed per model")
-    y = np.asarray(y, dtype=float)
     arrays = {id(X): np.asarray(X, dtype=float) for X in Xs}  # an input given twice stays one array
     Xs = [arrays[id(X)] for X in Xs]
     for X, mo in zip(Xs, models):
-        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size or y.size == 0:
-            raise DataError("train needs a nonempty (n, n_in) batch with matching y")
-        if X.shape[1] != mo.layer_sizes[0]:
-            raise DataError("input width does not match the model")
+        _, y = _batch(mo, X, y)
     results: list = [None] * len(models)
     for group in lockstep_groups([mo.layer_sizes for mo in models]):
         outcomes = _train_group([models[i] for i in group], [Xs[i] for i in group], y, cfg, [seeds[i] for i in group])

@@ -61,8 +61,8 @@ class PipelineConfig:
 
     Its fields (TrainConfig's under `train`) are the keys of a config file
     and of a bundle's config; alpha_base=None selects the baseline factor
-    quadruple.  The defaults are the grid-search winner: base 2.5 with 7
-    filters, hidden sizes (4, 2, 2), 20 Hz.  A malformed value raises
+    quadruple.  The defaults are the paper's published grid-search winner:
+    base 2.5 with 7 filters, hidden sizes (4, 2, 2), 20 Hz.  A malformed value raises
     DataError: rate_hz and a set alpha_base must be finite numbers, and
     int fields take integral numbers (8.0 is stored as 8), never a bool.
     """
@@ -96,7 +96,11 @@ class PipelineConfig:
 
 
 def default_best_config() -> PipelineConfig:
-    """The configuration that won the full hyperparameter grid."""
+    """The paper's published winner of its full hyperparameter grid.
+
+    That is the paper's result on its own recordings; the grid has not been
+    swept on the simulator's data.
+    """
     return PipelineConfig()
 
 

@@ -159,7 +159,10 @@ def _first_violation(t, f, r, d) -> tuple[int, str] | None:
 def _read_rows(stream: TextIO, header) -> tuple[list[int], np.ndarray, DataError | None]:
     """Numeric rows up to the first malformed one: line numbers, values, and the error that stopped them."""
     reader = csv.reader(stream)
-    first = next(reader, None)
+    try:
+        first = next(reader, None)
+    except csv.Error as exc:
+        raise DataError(f"bad header: {exc}") from None
     if first is None:
         raise DataError("empty file, expected CSV header")
     if [c.strip() for c in first] != list(header):
@@ -169,13 +172,16 @@ def _read_rows(stream: TextIO, header) -> tuple[list[int], np.ndarray, DataError
 
     def numbered_rows():
         nonlocal error
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n_cols:
-                error = DataError(f"malformed row at line {lineno}: expected {n_cols} fields")
-                return
-            yield lineno, row
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != n_cols:
+                    error = DataError(f"malformed row at line {lineno}: expected {n_cols} fields")
+                    return
+                yield lineno, row
+        except csv.Error as exc:  # a row the csv module cannot split, e.g. one over its field size limit
+            error = DataError(f"malformed row at line {reader.line_num}: {exc}")
 
     rows = numbered_rows()
     lines, blocks = [], []

@@ -97,12 +97,14 @@ _OCTAVES = 3
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled actuator displacement profile."""
+    """Uniformly sampled actuator displacement profile.
 
-    rest_length_mm: float
+    The sample is REST_LENGTH_MM long at rest, and its strain d_mm /
+    REST_LENGTH_MM must stay within [0, MAX_STRAIN].
+    """
+
     t_s: np.ndarray
     d_mm: np.ndarray
-    max_strain: float
 
     def __post_init__(self):
         object.__setattr__(self, "t_s", np.asarray(self.t_s, dtype=float))
@@ -111,14 +113,12 @@ class Trajectory:
             raise DataError("trajectory needs >= 2 matching samples")
         if np.any(np.diff(self.t_s) <= 0):
             raise DataError("trajectory timestamps must be strictly increasing")
-        if self.rest_length_mm <= 0:
-            raise DataError("rest length must be positive")
-        strain = self.d_mm / self.rest_length_mm
-        if strain.min() < 0 or strain.max() > self.max_strain + 1e-12:
-            raise DataError("trajectory strain out of [0, max_strain]")
+        strain = self.strain()
+        if strain.min() < 0 or strain.max() > MAX_STRAIN + 1e-12:
+            raise DataError("trajectory strain out of [0, MAX_STRAIN]")
 
     def strain(self) -> np.ndarray:
-        return self.d_mm / self.rest_length_mm
+        return self.d_mm / REST_LENGTH_MM
 
     def __len__(self) -> int:
         return int(self.t_s.size)
@@ -142,7 +142,7 @@ def gen_trajectory(seed: int, duration_s: float) -> Trajectory:
     t = np.arange(n) / TRAJECTORY_RATE_HZ
     noise = perlin1d(seed, _OCTAVES, _BASE_FREQ_HZ, t)
     frac = np.clip((_AMPLITUDE_GAIN * noise + 1.0) / 2.0, 0.0, 1.0)
-    return Trajectory(REST_LENGTH_MM, t, REST_LENGTH_MM * MAX_STRAIN * frac, MAX_STRAIN)
+    return Trajectory(t, REST_LENGTH_MM * MAX_STRAIN * frac)
 
 
 # --- sensor model ------------------------------------------------------------

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,6 +268,42 @@ def test_evaluate_writes_metrics_and_binned_rse(cli_bundle, pes_small_dir, tmp_p
     assert rse_lines[0] == "bin_lo_n,bin_hi_n,count,rse_pre,rse_post"
     assert len(rse_lines) > 1
     assert sum(int(ln.split(",")[2]) for ln in rse_lines[1:]) > 0
+
+
+def test_evaluate_rse_csv_of_the_v1_bundle_is_pinned(tmp_path):
+    # bundle_v1_rse.csv holds the output of the same command before the
+    # paired binned-RSE type was removed
+    data = Path(__file__).parent / "data"
+    recording = str(data / "bundle_v1_input.csv")
+    rse_out = tmp_path / "rse.csv"
+    rc = main(
+        [
+            "evaluate",
+            "--bundle",
+            str(data / "bundle_v1.json"),
+            "--test-a",
+            recording,
+            "--test-b",
+            recording,
+            "--out",
+            str(tmp_path / "metrics.csv"),
+            "--rse-out",
+            str(rse_out),
+        ]
+    )
+    assert rc == 0
+    assert rse_out.read_bytes() == (data / "bundle_v1_rse.csv").read_bytes()
+
+
+def test_predict_input_with_an_oversized_field_is_a_data_error(tmp_path, capsys):
+    infile = tmp_path / "big.csv"
+    infile.write_text("t_s,force_n,resistance_ohm,displacement_mm\n0," + "1" * 200_000 + ",1e6,0\n1,1,1e6,0\n")
+    bundle = Path(__file__).parent / "data" / "bundle_v1.json"
+    rc = main(["predict", "--bundle", str(bundle), "--in", str(infile), "--out", str(tmp_path / "p.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:") and "line 2" in err and "field limit" in err
+    assert "Traceback" not in err
 
 
 def test_predict_input_that_is_not_utf8_is_a_data_error(cli_bundle, tmp_path, capsys):

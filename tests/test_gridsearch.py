@@ -318,7 +318,7 @@ def _row(cid, error, hidden, fs_index=0, status="ok"):
 
 
 def _ranked_ids(rows):
-    rep = SearchReport(rows=rows, master_seed=0)
+    rep = SearchReport(rows=rows)
     return [r.config_id for r in rep.ranked()], rep.best
 
 
@@ -377,7 +377,7 @@ def test_report_csv_round_trip(tiny_grid_report):
 
 def test_report_csv_leaves_failed_cells_empty():
     rows = [GridRow(4, GridConfig(kr.alpha_set(2.5, 2), 0, (4, 2)), None, None, None, None, None, "diverged")]
-    rep = SearchReport(rows=rows, master_seed=0)
+    rep = SearchReport(rows=rows)
     buf = io.StringIO()
     kr.write_report_csv(rep, buf)
     assert buf.getvalue().splitlines()[1] == "4,a2.5_n2,0.4 0.16,4x2,,,,,,diverged"

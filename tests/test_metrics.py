@@ -133,10 +133,11 @@ def test_binned_rse_validation():
 
 def test_binned_rse_pair_shares_binning():
     f = np.array([1.0, 1.0, 3.0, 3.0])
-    pair = kr.binned_rse_pair(f, [1.0, 1.0, 3.0, 5.0], f, 2.0)
-    assert np.array_equal(pair.bin_edges, [0.0, 2.0, 4.0])
-    assert pair.rse_post == (0.0, 0.0)
-    assert abs(pair.rse_pre[1] - 2.0) <= 1e-12
+    pre, post = kr.binned_rse(f, [1.0, 1.0, 3.0, 5.0], 2.0), kr.binned_rse(f, f, 2.0)
+    assert np.array_equal(pre.bin_edges, [0.0, 2.0, 4.0])
+    assert np.array_equal(post.bin_edges, pre.bin_edges)
+    assert post.rse == (0.0, 0.0)
+    assert abs(pre.rse[1] - 2.0) <= 1e-12
 
 
 # --- CSV export -------------------------------------------------------------------
@@ -149,12 +150,25 @@ def test_metric_rows_csv(tmp_path):
 
 
 def test_binned_rse_csv_empty_bins_are_empty_cells(tmp_path):
-    pair = kr.binned_rse_pair([0.5, 2.5], [0.4, 2.7], [0.5, 2.5], 1.0)
+    truth = [0.5, 2.5]
+    pre, post = kr.binned_rse(truth, [0.4, 2.7], 1.0), kr.binned_rse(truth, truth, 1.0)
     path = tmp_path / "rse.csv"
-    kr.write_binned_rse_csv(pair, path)
+    kr.write_binned_rse_csv(pre, post, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "bin_lo_n,bin_hi_n,count,rse_pre,rse_post"
     assert lines[2].startswith("1,2,0,,")  # the empty middle bin
+
+
+def test_binned_rse_csv_rejects_curves_on_different_bins(tmp_path):
+    pre = kr.binned_rse([0.5, 2.5], [0.4, 2.7], 1.0)
+    for other in (
+        kr.binned_rse([0.5, 2.5], [0.4, 2.7], 0.5),  # other edges
+        kr.binned_rse([0.5, 2.6, 2.7], [0.4, 2.7, 2.7], 1.0),  # same edges, other counts
+    ):
+        for curves in ((pre, other), (other, pre)):
+            with pytest.raises(DataError, match="share their bins"):
+                kr.write_binned_rse_csv(*curves, tmp_path / "rse.csv")
+    assert not (tmp_path / "rse.csv").exists()
 
 
 # --- properties -------------------------------------------------------------------

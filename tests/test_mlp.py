@@ -146,6 +146,16 @@ def test_loss_examples():
         kr.mse_loss(ident, np.empty((0, 1)), [])
 
 
+def test_mse_loss_rejects_a_target_that_is_not_1d():
+    # a (n, 1) target would broadcast against the (n,) predictions into an
+    # n x n mean instead of the loss
+    model, X, y = _random_net_and_batch(3)
+    with pytest.raises(DataError, match="matching y"):
+        kr.mse_loss(model, X, y[:, None])
+    with pytest.raises(DataError, match="matching y"):
+        kr.mse_loss(model, X, y[:-1])
+
+
 # --- gradients ------------------------------------------------------------------
 
 

@@ -72,6 +72,35 @@ def test_load_rejects_bad_header_and_short_files():
         kr.load_recording(io.StringIO(""))
 
 
+def test_load_rejects_rows_the_csv_module_cannot_split():
+    # a lone carriage return inside a row of a stream that is not read in
+    # universal-newline mode, and a field over the csv module's size limit
+    stray_cr = io.StringIO(HEADER + "\n0,1,2,3\r1,1,2,3\n")
+    with pytest.raises(DataError, match="malformed row at line 2: new-line character"):
+        kr.load_recording(stray_cr)
+    with pytest.raises(DataError, match="malformed row at line 3: field larger than field limit"):
+        kr.load_recording(_csv("0,1,1e6,0", "1," + "1" * 200_000 + ",1e6,0"))
+    with pytest.raises(DataError, match="bad header: new-line character"):
+        kr.load_recording(io.StringIO("t_s,force_n\rresistance_ohm,displacement_mm\n0,1,2,3\n"))
+    # an earlier bad row still wins
+    with pytest.raises(DataError, match="non-increasing timestamp at line 3"):
+        kr.load_recording(_csv("1,1,1e6,0", "0,1,1e6,0", "2," + "1" * 200_000 + ",1e6,0"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    header=st.booleans(),
+    body=st.text() | st.text(alphabet=st.sampled_from(list("0123456789.,-+eEinfa \"\r\n\x00"))),
+)
+def test_load_recording_gives_a_recording_or_a_data_error_on_any_text(header, body):
+    text = (HEADER + "\n" if header else "") + body
+    try:
+        rec = kr.load_recording(io.StringIO(text))
+    except DataError:
+        return
+    assert isinstance(rec, kr.RawRecording)
+
+
 def test_recording_roundtrip_through_csv(tmp_path):
     rec = kr.RawRecording([0.0, 0.031, 0.07], [0.0, 1.5, 2.25], [1e6, 9.7e5, 9.4e5], [0.0, 3.0, 6.0])
     path = tmp_path / "rec.csv"

@@ -96,7 +96,7 @@ def test_trajectory_validation():
             kr.SimSeed(master)
     assert kr.SimSeed(7.0).recording_seeds(0) == kr.SimSeed(7).recording_seeds(0)
     with pytest.raises(DataError):
-        kr.Trajectory(100.0, [0.0, 0.01], [0.0, 40.0], 0.30)  # strain above max
+        kr.Trajectory([0.0, 0.01], [0.0, 40.0])  # strain above max
 
 
 # --- sensor model ---------------------------------------------------------------
@@ -139,7 +139,7 @@ def test_sensor_pre_pipeline_agreement_lands_in_calibrated_band(pes_23min_train)
 
 def test_sensor_frozen_trajectory_shows_logarithmic_drift():
     t = np.arange(0.0, 120.0, 0.01)
-    traj = kr.Trajectory(100.0, t, np.full(t.size, 15.0), 0.30)
+    traj = kr.Trajectory(t, np.full(t.size, 15.0))
     rec = kr.simulate_sensor(traj, _clean_preset(), 0, jittered_timestamps=False)
     g = 1.0 / rec.resistance_ohm
     assert np.all(np.diff(g) > 0.0)  # strictly increasing
@@ -160,7 +160,7 @@ def _triangle_loop_area(tau_load, tau_unload):
     t = np.arange(0.0, 40.0, 0.01)
     up = t <= 20.0
     d = np.where(up, t / 20.0, (40.0 - t) / 20.0) * 30.0
-    traj = kr.Trajectory(100.0, t, d, 0.30)
+    traj = kr.Trajectory(t, d)
     preset = _clean_preset(tau_load_s=tau_load, tau_unload_s=tau_unload, drift_magnitude=0.0)
     rec = kr.simulate_sensor(traj, preset, 0, jittered_timestamps=False)
     eps = traj.strain()
