@@ -15,15 +15,23 @@ buffers and updates Adam's state in place.  `gradient` runs the same
 pass on a stack of one.
 
 For the same reason `forward` evaluates one input vector on Python floats
-rather than as a one-row `forward_batch`: its dot products sum in their
-own order, so it matches `forward_batch` to within rounding (1e-12 on the
-nets here), not bit for bit.  The stream path uses the same evaluator.
+rather than as a one-row `forward_batch`.  A net of at most 4,096
+parameters is compiled once per tuple of layer sizes into one
+straight-line function (`h0_0 = 0.0 + a0*w0_0_0 + ... + b0_0`, then its
+ReLU, and so on to the output unit), whose source holds no weight: the
+weights are bound to it as closure cells.  Larger nets, whose kernels
+take ever longer to build, run the same arithmetic in a loop.  Either
+way each unit sums its products left to right from 0.0 and then adds its
+bias, so the two agree bit for bit; numpy sums in another order, so
+`forward` matches `forward_batch` to within rounding (1e-12 on the nets
+here), not bit for bit.  The stream path uses the same evaluator.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -154,27 +162,106 @@ def forward_batch(model: MlpModel, X) -> np.ndarray:
     return a[:, 0]
 
 
-def _unit_weights(model: MlpModel) -> list[tuple[list[list[float]], list[float]]]:
-    """Per layer: each unit's incoming weights as a float list, and the biases."""
-    return [(w.T.tolist(), b.tolist()) for w, b in zip(model.weights, model.biases)]
+# Nets of up to this many parameters get a compiled kernel (_float_net).
+# Its build time grows faster than the net: 70 ms at 3,553 parameters (the
+# largest grid net) and 0.41 s at 11,301, once per shape (Python 3.11 on a
+# 2-core x86 VM).
+_KERNEL_MAX_PARAMS = 4096
+# Terms per statement of a unit's sum: one expression of 5,000 terms makes
+# CPython's compiler raise RecursionError.
+_KERNEL_TERMS = 32
 
 
 def _forward_floats(layers, a: list[float]) -> float:
-    """The network on one input list, with layers from _unit_weights."""
-    mul = operator.mul
+    """The network on one input list, unit by unit; layers holds per layer
+    each unit's incoming weights as a float list, and the biases.
+
+    Each unit sums its products left to right from 0.0 and then adds its
+    bias (reduce, not sum: sum compensates the rounding of floats from
+    Python 3.12 on).
+    """
+    add, mul = operator.add, operator.mul
     for cols, bs in layers[:-1]:
         # ReLU written so that a NaN passes through, as in np.maximum
-        a = [0.0 if (z := sum(map(mul, a, col)) + b) < 0.0 else z for col, b in zip(cols, bs)]
+        a = [0.0 if (z := reduce(add, map(mul, a, col), 0.0) + b) < 0.0 else z for col, b in zip(cols, bs)]
     cols, bs = layers[-1]
-    return sum(map(mul, a, cols[0])) + bs[0]
+    return reduce(add, map(mul, a, cols[0]), 0.0) + bs[0]
+
+
+@lru_cache(maxsize=64)
+def _kernel_template(sizes: tuple[int, ...]):
+    """The compiled factory of the straight-line kernel for nets of these layer sizes.
+
+    None for nets of more than _KERNEL_MAX_PARAMS parameters.
+    factory(*params), given a net's parameters as floats in _flat_params
+    order, returns kernel(x): the net on the input list x, computed as
+    _forward_floats computes it.  The source names every weight, bias and
+    activation by its indices and holds no number but 0.0, so it depends on
+    the sizes only and no weight value is compiled; the weights become
+    closure cells of the kernel.  Each unit's sum runs left to right from
+    0.0, split into statements of at most _KERNEL_TERMS terms.
+    """
+    if _param_count(sizes) > _KERNEL_MAX_PARAMS:
+        return None
+    params, body = [], []
+    ins = [f"a{i}" for i in range(sizes[0])]
+    body.append(f"{', '.join(ins)}, = x")
+    last = len(sizes) - 2
+    for li, (nin, nout) in enumerate(zip(sizes, sizes[1:])):
+        params += [f"w{li}_{i}_{j}" for i in range(nin) for j in range(nout)]
+        params += [f"b{li}_{j}" for j in range(nout)]
+        outs = [f"h{li}_{j}" for j in range(nout)]
+        for j, h in enumerate(outs):
+            terms = [f"{a}*w{li}_{i}_{j}" for i, a in enumerate(ins)] + [f"b{li}_{j}"]
+            acc = "0.0"
+            for k in range(0, len(terms), _KERNEL_TERMS):
+                body.append(f"{h} = {' + '.join([acc, *terms[k : k + _KERNEL_TERMS]])}")
+                acc = h
+            if li != last:
+                # ReLU that lets a NaN and -0.0 through, as _forward_floats does
+                body.append(f"if {h} < 0.0: {h} = 0.0")
+        ins = outs
+    body.append(f"return {ins[0]}")
+    source = "\n".join(
+        [f"def factory({', '.join(params)}):", "    def kernel(x):", *(f"        {line}" for line in body), "    return kernel\n"]
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<knitrect kernel {sizes}>", "exec"), namespace)
+    return namespace["factory"]
+
+
+def _flat_params(model: MlpModel) -> list[float]:
+    """Per layer, the weights row by row and then the biases, as floats."""
+    flat: list[float] = []
+    for w, b in zip(model.weights, model.biases):
+        flat += w.ravel().tolist() + b.tolist()
+    return flat
+
+
+def _float_net(model: MlpModel):
+    """The network as a function of one input list of Python floats.
+
+    Nets of up to _KERNEL_MAX_PARAMS parameters run a straight-line
+    kernel compiled once per tuple of layer sizes (_kernel_template), with
+    this model's weights bound to it; larger ones run _forward_floats on
+    the weights converted here.  Both give the same float bit for bit.
+    """
+    factory = _kernel_template(tuple(map(int, model.layer_sizes)))  # ints only reach the source
+    if factory is None:
+        return partial(_forward_floats, [(w.T.tolist(), b.tolist()) for w, b in zip(model.weights, model.biases)])
+    return factory(*_flat_params(model))
 
 
 def forward(model: MlpModel, x) -> float:
     """Prediction for a single input vector.
 
-    Equals forward_batch on the one-row batch to within rounding (1e-12
-    here), since each dot product sums in its own order; the stream path
-    (pipeline.stream_push) runs this same evaluation, so the two agree bit
+    Evaluated on Python floats by _float_net: small nets run a
+    straight-line kernel compiled once per shape, which sums each unit's
+    products left to right from 0.0 and then adds its bias; nets of more
+    than 4,096 parameters run the same sums in a loop.  That order is not
+    numpy's, so the result equals forward_batch on the one-row batch to
+    within rounding (1e-12 here), not bit for bit.  The stream path
+    (pipeline.stream_push) runs the same evaluator, so the two agree bit
     for bit.
     """
     x = np.asarray(x, dtype=float)
@@ -182,7 +269,7 @@ def forward(model: MlpModel, x) -> float:
         raise DataError("forward expects a single input vector")
     if x.size != model.layer_sizes[0]:
         raise DataError("input width does not match the model")
-    return _forward_floats(_unit_weights(model), x.tolist())
+    return _float_net(model)(x.tolist())
 
 
 def mse_loss(model: MlpModel, X, y) -> float:

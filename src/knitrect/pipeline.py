@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import DataError, NumericError, _finite, _integer, _integers
 from .metrics import ScoreCard, combined_error, r_squared
-from .mlp import MlpModel, TrainConfig, TrainReport, _forward_floats, _unit_weights, forward_batch, mlp_new
+from .mlp import MlpModel, TrainConfig, TrainReport, _float_net, forward_batch, mlp_new
 from .mlp import train as train_mlp
 from .series import (
     RawRecording,
@@ -244,7 +245,12 @@ def _prepare(
 
 @dataclass(frozen=True)
 class PipelineBundle:
-    """Frozen, serializable rectifier: config, scalers, filters, network."""
+    """Frozen, serializable rectifier: config, scalers, filters, network.
+
+    A model whose shapes disagree with its layer sizes, with the filters or
+    with the config, or that holds a weight or bias that is not a finite
+    number, raises DataError.
+    """
 
     config: PipelineConfig
     alphas: tuple[float, ...]
@@ -260,6 +266,8 @@ class PipelineBundle:
         got = [(w.shape, b.shape) for w, b in zip(m.weights, m.biases)]
         if not want or len(m.weights) != len(m.biases) or got != want:
             raise DataError("model weight and bias shapes disagree with its layer sizes")
+        if not all(np.isfinite(w).all() and np.isfinite(b).all() for w, b in zip(m.weights, m.biases)):
+            raise DataError("model weights and biases must be finite numbers")
         if m.layer_sizes[-1] != 1:
             raise DataError("model must have exactly one output unit")
         if m.layer_sizes[0] != len(self.alphas):
@@ -394,17 +402,19 @@ def evaluate(bundle: PipelineBundle, test_a: RawRecording, test_b: RawRecording)
 class StreamSession:
     """Single-owner streaming state over one shared immutable bundle.
 
-    samples_seen counts the samples accepted into the bank.
+    samples_seen counts the samples accepted into the bank.  The session
+    binds the bundle's network once to mlp's float evaluator: for a net of
+    at most 4,096 parameters a straight-line kernel compiled once per
+    shape, which sums each unit left to right from 0.0 (see mlp.forward).
     """
 
     bundle: PipelineBundle
     bank: BankState
     samples_seen: int = 0
-    # the bundle's network as float lists, converted once per session
-    _layers: list = field(init=False, repr=False, compare=False)
+    _net: Callable[[list[float]], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._layers = _unit_weights(self.bundle.model)
+        self._net = _float_net(self.bundle.model)
 
 
 def open_stream(bundle: PipelineBundle) -> StreamSession:
@@ -433,7 +443,7 @@ def stream_push(session: StreamSession, sample: tuple[float, float]) -> float | 
     session.samples_seen += 1
     if vec is None:
         return None
-    return _forward_floats(session._layers, vec)
+    return session._net(vec)
 
 
 # --- serialization --------------------------------------------------------------

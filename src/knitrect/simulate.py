@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -335,11 +336,7 @@ def simulate_sensor(
     dts = np.diff(t)
     a_load = 1.0 - np.exp(-dts / preset.tau_load_s)
     a_unload = 1.0 - np.exp(-dts / preset.tau_unload_s)
-    c = np.empty_like(eps)
-    c[0] = target[0]
-    for i in range(1, eps.size):
-        a = a_load[i - 1] if eps[i] > eps[i - 1] else a_unload[i - 1]
-        c[i] = c[i - 1] + (target[i] - c[i - 1]) * a
+    c = _contact_state(eps, target, a_load, a_unload)
 
     drift = 1.0 + preset.drift_magnitude * np.log1p(t / preset.drift_timescale_s)
     g_clean = preset.base_conductance_s * (1.0 + preset.strain_sensitivity * c) * drift + preset.offset_s
@@ -369,6 +366,25 @@ def simulate_sensor(
     # multiplicative resistance noise, floored so R stays positive
     r_noisy = (1.0 / g_s) * np.maximum(1.0 + resist_rng.normal(0.0, preset.resistance_noise_frac, size=ts.size), 0.1)
     return RawRecording(ts, f_noisy, r_noisy, d_s, source_label=source_label)
+
+
+def _contact_state(eps: np.ndarray, target: np.ndarray, a_load: np.ndarray, a_unload: np.ndarray) -> np.ndarray:
+    """c[0] = target[0], then c[i] = c[i-1] + (target[i] - c[i-1])*a, where a
+    is a_load[i-1] if eps[i] > eps[i-1] and a_unload[i-1] otherwise.
+
+    The loop runs on Python floats read from memoryviews and feeds
+    np.fromiter, as smoothing.smooth does; the arithmetic is IEEE double
+    as on numpy scalars, so the array is the same bit for bit.
+    """
+
+    def steps(c: float, prev: float) -> Iterator[float]:
+        yield c
+        for e, goal, up, down in zip(memoryview(eps)[1:], memoryview(target)[1:], memoryview(a_load), memoryview(a_unload)):
+            c = c + (goal - c) * (up if e > prev else down)
+            prev = e
+            yield c
+
+    return np.fromiter(steps(float(target[0]), float(eps[0])), dtype=float, count=eps.size)
 
 
 def role_name(index: int) -> str:

@@ -77,3 +77,14 @@ def config_model_mismatch(request, tmp_path):
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc))
     return path, message
+
+
+@pytest.fixture(params=[float("nan"), float("inf")], ids=["nan", "inf"])
+def nonfinite_weight_bundle(request, tmp_path):
+    """The v1 bundle fixture with one weight set to NaN or +inf and its checksum redone."""
+    doc = json.loads((Path(__file__).parent / "data" / "bundle_v1.json").read_text())
+    doc["payload"]["model"]["weights"][1][0][0] = request.param
+    doc["sha256"] = pipeline._payload_checksum(doc["payload"])
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(doc))
+    return path

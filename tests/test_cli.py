@@ -325,6 +325,22 @@ def test_predict_rejects_a_bundle_with_misshapen_weights(cli_bundle, pes_small_d
     assert "disagree with its layer sizes" in capsys.readouterr().err
 
 
+def test_predict_and_stream_reject_a_bundle_with_a_non_finite_weight(nonfinite_weight_bundle, pes_small_dir, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "p.csv"
+    rc = main(["predict", "--bundle", str(nonfinite_weight_bundle), "--in", str(pes_small_dir / "test_a.csv"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:") and "weights and biases must be finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0,1e6\n"))
+    rc = main(["stream", "--bundle", str(nonfinite_weight_bundle)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
 def test_predict_rejects_a_bundle_whose_config_disagrees_with_its_model(config_model_mismatch, pes_small_dir, tmp_path, capsys):
     bad, message = config_model_mismatch
     rc = main(["predict", "--bundle", str(bad), "--in", str(pes_small_dir / "test_a.csv"), "--out", str(tmp_path / "p.csv")])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,56 @@ def test_forward_matches_forward_batch_within_rounding(n_in, hidden, seed):
         b += rng.normal(scale=0.5, size=b.shape)
     for x in rng.normal(scale=2.0, size=(5, n_in)):
         assert abs(kr.forward(model, x) - kr.forward_batch(model, x[None])[0]) <= 1e-12
+
+
+def _loop_reference(model, x):
+    """mlp._forward_floats, the unit-by-unit loop, on model and the input list x."""
+    return mlp._forward_floats([(w.T.tolist(), b.tolist()) for w, b in zip(model.weights, model.biases)], x)
+
+
+_kernel_inputs = st.one_of(
+    st.sampled_from([0.0, -0.0, float("nan")]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_in=st.integers(min_value=1, max_value=10),
+    hidden=st.lists(st.integers(min_value=2, max_value=32), max_size=4),
+    seed=st.integers(min_value=0, max_value=2**31),
+    data=st.data(),
+)
+def test_forward_kernel_equals_the_unit_loop_bit_for_bit(n_in, hidden, seed, data):
+    rng = np.random.default_rng(seed)
+    model = kr.mlp_new((n_in, *hidden, 1), seed=seed)
+    for b in model.biases:
+        b += rng.normal(scale=0.5, size=b.shape) * (rng.random(b.shape) < 0.8)  # some biases stay exact zeros
+    assert model.param_count() <= mlp._KERNEL_MAX_PARAMS  # so forward runs the compiled kernel
+    for _ in range(4):
+        x = data.draw(st.lists(_kernel_inputs, min_size=n_in, max_size=n_in))
+        got = kr.forward(model, x)
+        assert struct.pack("d", got) == struct.pack("d", _loop_reference(model, x))
+
+
+def test_forward_kernel_is_compiled_once_per_shape_without_weights():
+    a, b = kr.mlp_new((7, 4, 2, 2, 1), seed=1), kr.mlp_new((7, 4, 2, 2, 1), seed=2)
+    b.weights[0][0, 0] = 0.123456789
+    net_a, net_b = mlp._float_net(a), mlp._float_net(b)
+    assert net_a.__code__ is net_b.__code__
+    assert set(net_b.__code__.co_consts) <= {None, 0.0}  # no weight is a constant of the code
+    assert 0.123456789 in [cell.cell_contents for cell in net_b.__closure__]
+    x = [0.5, -1.0, 2.0, 0.0, 1.5, -0.25, 3.0]
+    assert (net_a(x), net_b(x)) == (_loop_reference(a, x), _loop_reference(b, x))
+
+
+def test_forward_kernel_splits_a_long_unit_and_keeps_its_order():
+    # one output unit of 4,000 terms, within the kernel bound; as one
+    # expression it would raise RecursionError in CPython's compiler
+    model = kr.mlp_new((4000, 1), seed=3)
+    assert model.param_count() <= mlp._KERNEL_MAX_PARAMS
+    x = np.random.default_rng(3).normal(size=4000).tolist()
+    assert struct.pack("d", kr.forward(model, x)) == struct.pack("d", _loop_reference(model, x))
 
 
 def test_forward_propagates_nan_like_forward_batch():

@@ -421,6 +421,31 @@ def test_stream_push_is_bank_push_then_forward_bit_for_bit(small_bundle, pes_sma
     assert n_out == len(r_series) - max(small_bundle.init_windows) + 1
 
 
+def test_stream_of_a_net_above_the_kernel_bound_matches_forward_batch(small_bundle, pes_small):
+    # (3, 5000, 1) has 25,001 parameters, past mlp._KERNEL_MAX_PARAMS, so it
+    # streams through the unit loop; a compiled unit of 5,000 terms in one
+    # expression would raise RecursionError
+    cfg = dataclasses.replace(small_bundle.config, alpha_count=3, hidden=(5000,))
+    aset = cfg.feature_set()
+    model = kr.mlp_new((3, 5000, 1), seed=5)
+    model.biases[0] += np.random.default_rng(5).normal(scale=0.5, size=5000)
+    bundle = dataclasses.replace(
+        small_bundle,
+        config=cfg,
+        alphas=aset.alphas,
+        init_windows=kr.bank_windows(aset, cfg.rate_hz, 10**6),
+        model=model,
+    )
+    rec = pes_small[2]
+    r_series = kr.resample(rec.t_s, rec.resistance_ohm, cfg.rate_hz)
+    n = 60
+    assert max(bundle.init_windows) == 1  # so the first n rows need only the first n samples
+    session = kr.open_stream(bundle)
+    outs = [kr.stream_push(session, (0.0, r)) for r in r_series.values[:n].tolist()]
+    batch = kr.predict_batch(bundle, rec)[0].values[:n]
+    assert np.abs(np.asarray(outs) - batch).max() <= 1e-12
+
+
 def test_stream_identity_bundle_is_exact(pes_small):
     bundle, _, column = _identity_bundle(pes_small[0])
     session = kr.open_stream(bundle)
@@ -592,6 +617,11 @@ def test_a_v1_bundle_file_loads_predicts_and_saves_as_written(tmp_path):
     sink = io.StringIO()
     kr.save_bundle(bundle, sink)
     assert sink.getvalue() == (V1_DATA / "bundle_v1.json").read_text()
+
+
+def test_load_bundle_rejects_a_non_finite_weight(nonfinite_weight_bundle):
+    with pytest.raises(DataError, match="weights and biases must be finite"):
+        kr.load_bundle(nonfinite_weight_bundle)
 
 
 def test_load_bundle_rejects_a_config_that_disagrees_with_its_model(config_model_mismatch):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knitrect as kr
+from knitrect import simulate
 from knitrect.errors import DataError
 
 # --- perlin noise ---------------------------------------------------------------
@@ -183,6 +184,48 @@ def test_sensor_hysteresis_loop_opens_with_asymmetric_relaxation():
     # floor itself vanishes as both relaxation times shrink
     assert area_wide > area_mid > area_sym
     assert area_fast < 0.1 * area_wide
+
+
+def _contact_state_reference(eps, target, a_load, a_unload):
+    """The contact-state loop on numpy scalars, as simulate_sensor ran it before its Python-float loop."""
+    c = np.empty_like(eps)
+    c[0] = target[0]
+    for i in range(1, eps.size):
+        a = a_load[i - 1] if eps[i] > eps[i - 1] else a_unload[i - 1]
+        c[i] = c[i - 1] + (target[i] - c[i - 1]) * a
+    return c
+
+
+# displacements in mm; repeats and the strain limits exercise the unloading branch on flat stretches
+_displacements = st.lists(
+    st.one_of(st.sampled_from([0.0, 15.0, simulate.REST_LENGTH_MM * simulate.MAX_STRAIN]), st.floats(min_value=0.0, max_value=30.0)),
+    min_size=2,
+    max_size=300,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d_mm=st.one_of(_displacements, st.integers(min_value=0, max_value=2**32)),
+    preset=st.sampled_from([kr.PES_PRESET, kr.LYCRA_PRESET]),
+    sensor_seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_simulate_sensor_matches_the_numpy_scalar_contact_loop(d_mm, preset, sensor_seed):
+    # d_mm is a drawn displacement list (on the trajectory's own time base,
+    # since jitter could leave fewer than 2 rows) or the seed of a
+    # 30-second gen_trajectory, sampled with jitter
+    jitter = isinstance(d_mm, int)
+    if jitter:
+        traj = kr.gen_trajectory(d_mm, 30.0)
+    else:
+        traj = kr.Trajectory(np.arange(len(d_mm)) / simulate.TRAJECTORY_RATE_HZ, d_mm)
+    got = kr.simulate_sensor(traj, preset, sensor_seed, jittered_timestamps=jitter)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_contact_state", _contact_state_reference)
+        want = kr.simulate_sensor(traj, preset, sensor_seed, jittered_timestamps=jitter)
+    for name in ("t_s", "force_n", "resistance_ohm", "displacement_mm"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 def test_sensor_rejects_presets_with_non_positive_conductance():
