@@ -34,8 +34,8 @@ from .series import (
     UniformSeries,
     _open_text,
     _source_name,
+    _write_rows,
     conductivity,
-    fmt,
     resample,
     scaler_fit,
 )
@@ -249,7 +249,8 @@ class PipelineBundle:
 
     A model whose shapes disagree with its layer sizes, with the filters or
     with the config, or that holds a weight or bias that is not a finite
-    number, raises DataError.
+    number, raises DataError, and so does an init window that is not an
+    integer >= 1 (an integral float such as 8.0 is stored as 8).
     """
 
     config: PipelineConfig
@@ -261,6 +262,7 @@ class PipelineBundle:
     provenance: dict
 
     def __post_init__(self):
+        object.__setattr__(self, "init_windows", tuple(_integer("init window", w, 1) for w in self.init_windows))
         m = self.model
         want = [((n_in, n_out), (n_out,)) for n_in, n_out in zip(m.layer_sizes, m.layer_sizes[1:])]
         got = [(w.shape, b.shape) for w, b in zip(m.weights, m.biases)]
@@ -349,8 +351,7 @@ def write_prediction_csv(bundle: PipelineBundle, rec: RawRecording, sink) -> Sco
     ts = prepared.t0 + np.arange(p.size) / prepared.rate_hz
     with _open_text(sink, "w") as stream:
         stream.write("t_s,g_bar,p,target_bar\n")
-        for t, g, pv, tb in zip(ts, prepared.g_bar, p, prepared.target_bar):
-            stream.write(f"{fmt(t)},{fmt(g)},{fmt(pv)},{fmt(tb)}\n")
+        _write_rows(stream, (ts, prepared.g_bar, p, prepared.target_bar))
     return _score(prepared, p)
 
 
@@ -469,7 +470,12 @@ def save_bundle(bundle: PipelineBundle, sink) -> None:
 
 
 def load_bundle(source) -> PipelineBundle:
-    """Read a bundle; rejects unknown versions and corrupted payloads."""
+    """Read a bundle; rejects unknown versions and corrupted payloads.
+
+    Layer sizes, the model seed and init windows must be integers (an
+    integral float such as 8.0 passes, a bool or 7.9 does not), as in a
+    config file.
+    """
     doc = _read_json(source, "corrupted bundle file")
     if not isinstance(doc, dict) or doc.get("format") != BUNDLE_FORMAT:
         raise DataError("not a rectifier bundle file")
@@ -484,15 +490,15 @@ def load_bundle(source) -> PipelineBundle:
         cfg = config_from_dict(payload["config"])
         m = payload["model"]
         model = MlpModel(
-            layer_sizes=tuple(int(s) for s in m["layer_sizes"]),
+            layer_sizes=tuple(_integer("layer size", s, 1) for s in m["layer_sizes"]),
             weights=[np.asarray(w, dtype=float) for w in m["weights"]],
             biases=[np.asarray(b, dtype=float) for b in m["biases"]],
-            seed=int(m["seed"]),
+            seed=_integer("model seed", m["seed"], 0),
         )
         return PipelineBundle(
             config=cfg,
             alphas=tuple(float(a) for a in payload["alphas"]),
-            init_windows=tuple(int(w) for w in payload["init_windows"]),
+            init_windows=tuple(payload["init_windows"]),
             scaler_g=ScalerParams(**payload["scaler_g"]),
             scaler_t=ScalerParams(**payload["scaler_t"]),
             model=model,

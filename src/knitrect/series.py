@@ -5,6 +5,14 @@ resistance, displacement).  Everything downstream works on fixed-rate
 series, so the first processing step is linear-interpolation resampling
 onto a uniform grid, followed by the resistance->conductivity flip and
 zero-mean/unit-variance scaling.
+
+Recording CSVs are read on one of two paths that give the same result,
+bit for bit or in the same DataError text.  A plain table (exactly the
+header line, then unquoted rows without carriage returns or over-long
+lines) goes through numpy's C reader in one call.  Every other input,
+and any plain table that reader rejects or that breaks a recording rule,
+goes through the row reader, which is the only one that handles quoting
+and CRLF and the only one that names the line an error is on.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import numpy as np
 from .errors import DataError, _finite
 
 RECORDING_HEADER = ("t_s", "force_n", "resistance_ohm", "displacement_mm")
+_HEADER_LINE = ",".join(RECORDING_HEADER) + "\n"
 
 # the recording rules, in the order each row is checked against them
 _RULES = (
@@ -31,8 +40,10 @@ _RULES = (
     "negative displacement",
 )
 
-# load_recording converts this many rows to floats per np.array call; larger
-# blocks hold more row text at once (4096 raised peak RSS by ~2 MiB)
+# the row reader converts this many rows to floats per np.array call, and
+# _write_rows formats this many rows per string join; larger blocks hold more
+# row text at once (4096 raised peak RSS by ~2 MiB).  Plain tables skip the
+# row reader and are parsed in one np.loadtxt call.
 _BLOCK_ROWS = 1024
 
 # the most samples a setting may ask one series for: a day at 100 Hz,
@@ -156,8 +167,37 @@ def _first_violation(t, f, r, d) -> tuple[int, str] | None:
     return row, next(rule for rule, mask in zip(_RULES, broken) if mask[row])
 
 
-def _read_rows(stream: TextIO, header) -> tuple[list[int], np.ndarray, DataError | None]:
-    """Numeric rows up to the first malformed one: line numbers, values, and the error that stopped them."""
+def _plain_values(lines: list[str]) -> np.ndarray | None:
+    """The rows of a plain recording table parsed by np.loadtxt, or None when the row reader must read it.
+
+    A table is plain when its first line is exactly the header, no line
+    holds a quote or a carriage return or reaches the csv module's field
+    size limit, and the body holds a row.  The result is kept only when it
+    has 4 columns and no row that breaks a recording rule; anything else is
+    left to the row reader, which names the bad line.  (A single row passes,
+    and RawRecording rejects it with the row reader's message.)
+    """
+    if len(lines) < 2 or not isinstance(lines[0], str) or lines[0] != _HEADER_LINE:
+        return None
+    # np.loadtxt skips only "\n" lines, and warns when it finds no row at all
+    if lines.count("\n") == len(lines) - 1 or max(map(len, lines)) >= csv.field_size_limit():
+        return None
+    if any('"' in line or "\r" in line for line in lines):
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, skiprows=1, ndmin=2)
+    except ValueError:  # a field that is no float to numpy's reader (e.g. 1_0), or a ragged row
+        return None
+    if values.shape[1] != len(RECORDING_HEADER) or _first_violation(*values.T) is not None:
+        return None
+    return values
+
+
+def _read_rows(stream, header) -> tuple[list[int], np.ndarray, DataError | None]:
+    """Numeric rows up to the first malformed one: line numbers, values, and the error that stopped them.
+
+    stream is any iterable of lines, such as a text stream or its readlines().
+    """
     reader = csv.reader(stream)
     try:
         first = next(reader, None)
@@ -209,24 +249,40 @@ def load_recording(source) -> RawRecording:
 
     Accepts a path or a text stream.  Violations are reported with the
     offending line number (header = line 1); of several, the one on the
-    earliest line wins.
+    earliest line wins.  The whole input is decoded first, so bytes that
+    do not decode raise DataError before any row is parsed.  A plain table
+    (see _plain_values) is parsed by np.loadtxt and everything else row by
+    row; both give the same recording, or the same error, for every input.
     """
     with _open_text(source, "r") as stream:
-        lines, values, error = _read_rows(stream, RECORDING_HEADER)
+        text_lines = stream.readlines()
+    values = _plain_values(text_lines)
+    if values is None:
+        lines, values, error = _read_rows(text_lines, RECORDING_HEADER)
+        bad = _first_violation(*values.T)
+        if bad is not None:
+            raise DataError(f"{bad[1]} at line {lines[bad[0]]}")
+        if error is not None:
+            raise error
     cols = values.T
-    bad = _first_violation(*cols)
-    if bad is not None:
-        raise DataError(f"{bad[1]} at line {lines[bad[0]]}")
-    if error is not None:
-        raise error
     return RawRecording(cols[0], cols[1], cols[2], cols[3], source_label=_source_name(source))
+
+
+def _write_rows(stream: TextIO, cols) -> None:
+    """Write equal-length float columns as CSV rows of FLOAT_FMT fields, _BLOCK_ROWS rows per write.
+
+    The bytes equal a per-row ",".join(fmt(x) for x in row) + "\n".
+    """
+    row_fmt = ",".join([FLOAT_FMT] * len(cols)) + "\n"
+    for start in range(0, len(cols[0]), _BLOCK_ROWS):
+        block = [np.asarray(c[start : start + _BLOCK_ROWS], dtype=float).tolist() for c in cols]
+        stream.write("".join(map(row_fmt.__mod__, zip(*block))))
 
 
 def write_recording(rec: RawRecording, sink) -> None:
     with _open_text(sink, "w") as stream:
-        stream.write(",".join(RECORDING_HEADER) + "\n")
-        for t, f, r, d in zip(rec.t_s, rec.force_n, rec.resistance_ohm, rec.displacement_mm):
-            stream.write(f"{fmt(t)},{fmt(f)},{fmt(r)},{fmt(d)}\n")
+        stream.write(_HEADER_LINE)
+        _write_rows(stream, (rec.t_s, rec.force_n, rec.resistance_ohm, rec.displacement_mm))
 
 
 def resample(t, x, rate_hz: float) -> UniformSeries:

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import knitrect as kr
 from knitrect import pipeline
 from knitrect.errors import DataError, NumericError
+from knitrect.series import fmt
 
 # --- configuration ---------------------------------------------------------------
 
@@ -619,6 +621,23 @@ def test_a_v1_bundle_file_loads_predicts_and_saves_as_written(tmp_path):
     assert sink.getvalue() == (V1_DATA / "bundle_v1.json").read_text()
 
 
+def test_write_prediction_csv_equals_the_per_row_format():
+    bundle = kr.load_bundle(V1_DATA / "bundle_v1.json")
+    rec = kr.load_recording(V1_DATA / "bundle_v1_input.csv")
+    cfg = bundle.config
+    prepared = kr.prepare_with_scalers(rec, cfg.rate_hz, cfg.target, bundle.scaler_g, bundle.scaler_t, "")
+    predicted, _ = kr.predict_batch(bundle, rec)
+    rows = zip(predicted.timestamps(), prepared.g_bar, predicted.values, prepared.target_bar)
+    want = "t_s,g_bar,p,target_bar\n" + "".join(f"{fmt(t)},{fmt(g)},{fmt(p)},{fmt(tb)}\n" for t, g, p, tb in rows)
+    assert want == (V1_DATA / "bundle_v1_predict.csv").read_text()
+    n = len(predicted)
+    for block_rows in (1, 7, n - 1, n, n + 1):
+        with mock.patch("knitrect.series._BLOCK_ROWS", block_rows):
+            sink = io.StringIO()
+            kr.write_prediction_csv(bundle, rec, sink)
+            assert sink.getvalue() == want
+
+
 def test_load_bundle_rejects_a_non_finite_weight(nonfinite_weight_bundle):
     with pytest.raises(DataError, match="weights and biases must be finite"):
         kr.load_bundle(nonfinite_weight_bundle)
@@ -645,11 +664,23 @@ def test_bundle_rejects_non_numeric_fields(small_bundle, tmp_path):
     with pytest.raises(DataError, match="corrupted bundle file"):
         kr.load_bundle(_resigned(doc, tmp_path, "hidden.json"))
 
-    # integer fields that hold an infinity or an int no float can hold
+    # integer fields that hold an infinity, a fraction, a bool or a value
+    # below their minimum, and a float field with an int no float can hold
+    n_filters = len(small_bundle.alphas)
+    windows = list(small_bundle.init_windows)
+    sizes = list(small_bundle.model.layer_sizes)
     for name, where, value in [
         ("seed", ("model",), float("inf")),
-        ("init_windows", (), [float("inf")] * len(small_bundle.alphas)),
-        ("alphas", (), [10**400] * len(small_bundle.alphas)),
+        ("seed", ("model",), 1.9),
+        ("seed", ("model",), True),
+        ("seed", ("model",), -1),
+        ("init_windows", (), [float("inf")] * n_filters),
+        ("init_windows", (), [windows[0] + 0.7, *windows[1:]]),
+        ("init_windows", (), [0] * n_filters),
+        ("init_windows", (), [True] * n_filters),
+        ("layer_sizes", ("model",), [sizes[0] + 0.9, *sizes[1:]]),
+        ("layer_sizes", ("model",), [*sizes[:-1], True]),
+        ("alphas", (), [10**400] * n_filters),
     ]:
         doc = json.loads(text)
         node = doc["payload"]

@@ -3,6 +3,8 @@
 import csv
 import io
 import math
+import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 import knitrect as kr
 from knitrect import series
 from knitrect.errors import DataError
-from knitrect.series import _open_text
+from knitrect.series import _open_text, fmt
 
 HEADER = "t_s,force_n,resistance_ohm,displacement_mm"
 
@@ -111,6 +113,34 @@ def test_recording_roundtrip_through_csv(tmp_path):
     assert back.source_label == str(path)
 
 
+# floats whose text is easy to get wrong: signed zeros, subnormals, the
+# largest magnitudes and integral values
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300, 3.0, -42.0, 2.0**53, 1e16])
+column_floats = EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.sampled_from([0, 1, 2, 3, 4, 5]))
+def test_written_rows_equal_the_per_row_format(data, n):
+    cols = [np.array(data.draw(st.lists(column_floats, min_size=n, max_size=n)), dtype=float) for _ in range(4)]
+    # blocks of 4 rows: lengths 0, 1, block - 1, block and block + 1
+    with mock.patch.object(series, "_BLOCK_ROWS", 4):
+        sink = io.StringIO()
+        series._write_rows(sink, cols)
+        assert sink.getvalue() == "".join(f"{fmt(a)},{fmt(b)},{fmt(c)},{fmt(d)}\n" for a, b, c, d in zip(*cols))
+        if n < 2:
+            return
+        # the same floats made into a valid recording: distinct timestamps in
+        # order, non-negative force and displacement (-0.0 kept), positive resistance
+        t = sorted(data.draw(st.lists(column_floats, min_size=n, max_size=n, unique=True)))
+        f, r, d = (np.where(c < 0, -c, c) for c in cols[1:])
+        rec = kr.RawRecording(t, f, np.where(r > 0, r, 5e-324), d)
+        sink = io.StringIO()
+        kr.write_recording(rec, sink)
+        rows = zip(rec.t_s, rec.force_n, rec.resistance_ohm, rec.displacement_mm)
+        assert sink.getvalue() == HEADER + "\n" + "".join(f"{fmt(a)},{fmt(b)},{fmt(c)},{fmt(d)}\n" for a, b, c, d in rows)
+
+
 def test_open_text_closes_paths_but_not_caller_streams(tmp_path):
     path = tmp_path / "x.txt"
     with _open_text(path, "w") as stream:
@@ -138,6 +168,26 @@ def test_load_rejects_undecodable_bytes(tmp_path):
     with open(path, encoding="utf-8") as fh:
         with pytest.raises(DataError, match="latin1.csv is not utf-8 text"):
             kr.load_recording(fh)
+
+
+def test_load_keeps_its_errors_for_bytes_header_only_and_undecodable_input(tmp_path):
+    with pytest.raises(DataError, match=r"^bad header: iterator should return strings, not bytes"):
+        kr.load_recording(io.BytesIO(f"{HEADER}\n0,1,1e6,0\n1,1,1e6,0\n".encode()))
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text(HEADER + "\n")
+    # np.loadtxt warns on a body with no row; such bodies must not reach it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for source in (header_only, *(io.StringIO(HEADER + body) for body in ("", "\n", "\n\n", "\n\r\n", "\n\n0,1,1e6,0\n"))):
+            with pytest.raises(DataError, match="^recording needs at least 2 rows$"):
+                kr.load_recording(source)
+    # the whole input is decoded before any row is parsed, so of a malformed
+    # row and bytes that do not decode 5,000 rows later, the bytes win
+    both = tmp_path / "both.csv"
+    rows = "".join(f"{i},1,1e6,0\n" for i in range(1, 5000))
+    both.write_bytes(f"{HEADER}\n0,1,1e6\n{rows}1,1,\xff,0\n".encode("latin-1"))
+    with pytest.raises(DataError, match="both.csv is not utf-8 text"):
+        kr.load_recording(both)
 
 
 def test_recording_invariants_on_direct_construction():
@@ -317,32 +367,46 @@ def _reference_load(text):
     reader = csv.reader(io.StringIO(text))
     next(reader)
     rows, prev_t = [], None
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            return f"malformed row at line {lineno}: expected 4 fields"
-        try:
-            vals = [float(c) for c in row]
-        except ValueError:
-            return f"malformed row at line {lineno}: non-numeric field"
-        if not all(math.isfinite(v) for v in vals):
-            return f"non-finite value at line {lineno}"
-        t, f, r, d = vals
-        if prev_t is not None and t <= prev_t:
-            return f"non-increasing timestamp at line {lineno}"
-        if r <= 0:
-            return f"non-positive resistance at line {lineno}"
-        if f < 0:
-            return f"negative force at line {lineno}"
-        if d < 0:
-            return f"negative displacement at line {lineno}"
-        prev_t = t
-        rows.append(vals)
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 4:
+                return f"malformed row at line {lineno}: expected 4 fields"
+            try:
+                vals = [float(c) for c in row]
+            except ValueError:
+                return f"malformed row at line {lineno}: non-numeric field"
+            if not all(math.isfinite(v) for v in vals):
+                return f"non-finite value at line {lineno}"
+            t, f, r, d = vals
+            if prev_t is not None and t <= prev_t:
+                return f"non-increasing timestamp at line {lineno}"
+            if r <= 0:
+                return f"non-positive resistance at line {lineno}"
+            if f < 0:
+                return f"negative force at line {lineno}"
+            if d < 0:
+                return f"negative displacement at line {lineno}"
+            prev_t = t
+            rows.append(vals)
+    except csv.Error as exc:  # a field over the csv module's size limit
+        return f"malformed row at line {reader.line_num}: {exc}"
     if len(rows) < 2:
         return "recording needs at least 2 rows"
     return rows
 
+
+def _underscored(v):
+    """repr(v) with an underscore between its first two adjacent digits: float() reads it, np.loadtxt does not."""
+    return re.sub(r"(\d)(\d)", r"\1_\2", repr(v), count=1)
+
+
+# the text forms a recording's floats are drawn in
+FORMS = (repr, "%.12g".__mod__, "%.17g".__mod__, "%.3e".__mod__, lambda v: "+" + repr(v), lambda v: f" {v!r} ", _underscored)
+
+# a csv field size limit that many drawn fields exceed and many do not
+SMALL_FIELD_LIMIT = 16
 
 FAULTS = ("swap_t", "repeat_t", "zero_r", "neg_r", "neg_f", "neg_d", "nan", "inf", "text", "short", "long", "blank")
 
@@ -385,7 +449,8 @@ def faulty_recordings(draw):
     f = draw(st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n))
     r = draw(st.lists(st.floats(1.0, 1e7), min_size=n, max_size=n))
     d = draw(st.lists(st.floats(0.0, 30.0), min_size=n, max_size=n))
-    lines = [[repr(float(v)) for v in row] for row in zip(t, f, r, d)]
+    form = draw(st.sampled_from(FORMS))
+    lines = [[form(float(v)) for v in row] for row in zip(t, f, r, d)]
     faults = draw(
         st.lists(
             st.tuples(st.sampled_from(FAULTS), st.integers(0, 5), st.integers(0, 3)),
@@ -394,24 +459,52 @@ def faulty_recordings(draw):
     )
     for kind, i, col in faults:
         _apply_fault(lines, kind, i, col)
-    return "\n".join([HEADER, *(",".join(cells) for cells in lines)]) + "\n"
+    return lines
+
+
+def _table(lines, newline="\n"):
+    return newline.join([HEADER, *(",".join(cells) for cells in lines)]) + newline
+
+
+def _assert_loads_as(want, source):
+    """load_recording(source) gives want's rows bit for bit, or raises DataError with want's text, warning nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(want, str):
+            with pytest.raises(DataError) as err:
+                kr.load_recording(source)
+            assert str(err.value) == want
+        else:
+            rec = kr.load_recording(source)
+            got = np.column_stack([rec.t_s, rec.force_n, rec.resistance_ohm, rec.displacement_mm])
+            assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=faulty_recordings())
-def test_load_recording_matches_the_row_by_row_reference(text):
+@given(lines=faulty_recordings(), quoted_cell=st.integers(0, 10**6))
+def test_load_recording_matches_the_row_by_row_reference(lines, quoted_cell, tmp_path_factory):
+    # each table is loaded as drawn (the plain-table path where it parses),
+    # and as a CRLF file and with one field quoted (the row reader only)
+    text = _table(lines)
+    crlf_path = tmp_path_factory.getbasetemp() / "crlf.csv"
+    crlf_path.write_bytes(_table(lines, "\r\n").encode())
+    quoted = [list(cells) for cells in lines]
+    k, j = [(k, j) for k, cells in enumerate(quoted) for j in range(len(cells))][quoted_cell % sum(map(len, quoted))]
+    quoted[k][j] = f'"{quoted[k][j]}"'
+    quoted_text = _table(quoted)
     want = _reference_load(text)
     # blocks of 2 rows put block boundaries next to every fault
     for block_rows in (series._BLOCK_ROWS, 2):
         with mock.patch.object(series, "_BLOCK_ROWS", block_rows):
-            if isinstance(want, str):
-                with pytest.raises(DataError) as err:
-                    kr.load_recording(io.StringIO(text))
-                assert str(err.value) == want
-            else:
-                rec = kr.load_recording(io.StringIO(text))
-                got = np.column_stack([rec.t_s, rec.force_n, rec.resistance_ohm, rec.displacement_mm])
-                assert np.array_equal(got, np.asarray(want))
+            _assert_loads_as(want, io.StringIO(text))
+            _assert_loads_as(want, crlf_path)
+            _assert_loads_as(_reference_load(quoted_text), io.StringIO(quoted_text))
+    # a field over the csv module's size limit is an error on every path
+    limit = csv.field_size_limit(SMALL_FIELD_LIMIT)
+    try:
+        _assert_loads_as(_reference_load(text), io.StringIO(text))
+    finally:
+        csv.field_size_limit(limit)
     # the same rules guard direct construction, wherever every row parses
     rows = [row for row in csv.reader(io.StringIO(text))][1:]
     rows = [row for row in rows if row]
