@@ -14,6 +14,7 @@ and its scores.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +85,10 @@ class GridConfig:
 
 
 def parse_indices(text: str | None) -> list[int] | None:
-    """Parse '0,2,5-8' style index lists; None passes through."""
+    """Parse '0,2,5-8' style index lists; None passes through.
+
+    A range runs upwards: '5-2' is a DataError, not an empty range.
+    """
     if text is None:
         return None
     out = []
@@ -95,9 +99,12 @@ def parse_indices(text: str | None) -> list[int] | None:
         if "-" in part:
             lo, _, hi = part.partition("-")
             try:
-                out.extend(range(int(lo), int(hi) + 1))
+                span = range(int(lo), int(hi) + 1)
             except ValueError:
-                raise DataError(f"bad index range {part!r}") from None
+                span = range(0)
+            if not span:
+                raise DataError(f"bad index range {part!r}")
+            out.extend(span)
         else:
             try:
                 out.append(int(part))
@@ -112,7 +119,10 @@ def grid_configs(
     feature_set_indices=None,
     topology_indices=None,
 ) -> list[GridConfig]:
-    """The canonical config list (feature-set major), optionally subset by index."""
+    """The canonical config list (feature-set major), optionally subset by index.
+
+    An index out of range or given twice is a DataError.
+    """
     sets = enumerate_feature_sets()
     topos = enumerate_topologies()
     fs_idx = range(len(sets)) if feature_set_indices is None else list(feature_set_indices)
@@ -121,6 +131,10 @@ def grid_configs(
         raise DataError(f"feature set index out of range 0..{len(sets) - 1}")
     if any(not 0 <= j < len(topos) for j in tp_idx):
         raise DataError(f"topology index out of range 0..{len(topos) - 1}")
+    for kind, idx in (("feature set", fs_idx), ("topology", tp_idx)):
+        repeated = [i for i, count in Counter(idx).items() if count > 1]
+        if repeated:
+            raise DataError(f"{kind} index {repeated[0]} given twice")
     return [
         GridConfig(sets[i], i, topos[j])
         for i in fs_idx

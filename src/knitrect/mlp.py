@@ -25,6 +25,12 @@ way each unit sums its products left to right from 0.0 and then adds its
 bias, so the two agree bit for bit; numpy sums in another order, so
 `forward` matches `forward_batch` to within rounding (1e-12 on the nets
 here), not bit for bit.  The stream path uses the same evaluator.
+
+There is one numpy forward pass, `_forward`: the first half of every
+step, and the core of `_outputs`, which runs K stacked nets over whole
+banks a fixed number of rows at a time.  Every epoch's losses, all of a
+group's live nets at once, come from one `_outputs` call, and
+`forward_batch` is `_outputs` on a stack of one.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ class MlpModel:
     seed: int
 
     def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return _param_count(self.layer_sizes)
 
     def copy(self) -> "MlpModel":
         return MlpModel(
@@ -149,17 +155,6 @@ def _batch(model: MlpModel, X, y=None) -> tuple[np.ndarray, np.ndarray | None]:
     if X.ndim != 2 or X.shape[1] != model.layer_sizes[0]:
         raise DataError("input width does not match the model")
     return X, y
-
-
-def forward_batch(model: MlpModel, X) -> np.ndarray:
-    """Predictions for an (n, n_in) batch; returns shape (n,)."""
-    a, _ = _batch(model, X)
-    last = len(model.weights) - 1
-    for li, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a = a @ w + b
-        if li != last:
-            a = np.maximum(a, 0.0)
-    return a[:, 0]
 
 
 # Nets of up to this many parameters get a compiled kernel (_float_net).
@@ -272,12 +267,6 @@ def forward(model: MlpModel, x) -> float:
     return _float_net(model)(x.tolist())
 
 
-def mse_loss(model: MlpModel, X, y) -> float:
-    """Mean squared error of the predictions for the batch X against the targets y."""
-    X, y = _batch(model, X, y)
-    return float(np.mean((forward_batch(model, X) - y) ** 2))
-
-
 class _Buffers:
     """The arrays one forward/backward pass of K stacked nets writes, for batches of n samples.
 
@@ -288,7 +277,8 @@ class _Buffers:
     and dzs[l] its part at zs[l].  The ReLU and its derivative run over
     whole buffers, ones column included, because numpy is slower on the
     strided parts.  y holds the (K, n, 1) targets, and rows the
-    stacked-bank rows that the trainer gathers into acts[0].
+    stacked-bank rows that a training step or _outputs gathers into
+    acts[0].
     """
 
     def __init__(self, k: int, n: int, widths):
@@ -303,6 +293,73 @@ class _Buffers:
         self.rows = np.empty((k, n), dtype=np.intp)
 
 
+def _forward(ws, buf: _Buffers) -> None:
+    """The outputs of K stacked nets on buf.acts[0], written into buf.acts[1:].
+
+    ws[l] has shape (K, n_l + 1, n_{l+1}): layer l's weights with its
+    biases as the last row, which the ones column of buf.acts[l]
+    multiplies.  Each layer is one matmul and, below the output, one ReLU.
+    """
+    last = len(ws) - 1
+    for li, (a, w, z) in enumerate(zip(buf.acts, ws, buf.zs)):
+        np.matmul(a, w, out=z)
+        if li != last:
+            np.maximum(buf.acts[li + 1], 0.0, out=buf.acts[li + 1])  # the ones stay ones
+
+
+# Rows per pass of _outputs: its buffers hold K x _CHUNK_ROWS rows per
+# layer, a few MB at most for the nets here, whatever the length of the
+# recording.
+_CHUNK_ROWS = 1200
+
+
+def _outputs(ws, widths, X_rows: np.ndarray, offsets: np.ndarray, n: int, buffers: dict) -> np.ndarray:
+    """The (K, n) outputs of K stacked nets, slot k on rows offsets[k] to offsets[k] + n - 1 of X_rows.
+
+    ws are the nets' folded layers as _forward takes them, padded to the
+    layer widths `widths`; X_rows holds input rows that end in a one, and
+    offsets has shape (K, 1).  The rows are gathered and run through
+    _forward _CHUNK_ROWS at a time, in _Buffers that `buffers` keeps by
+    row count; one that is missing is made and kept there.
+    """
+    k = len(ws[0])
+    out = np.empty((k, n))
+    for lo in range(0, n, _CHUNK_ROWS):
+        size = min(_CHUNK_ROWS, n - lo)
+        buf = buffers.get(size)
+        if buf is None:
+            buf = buffers[size] = _Buffers(k, size, widths)
+        np.add(offsets, np.arange(lo, lo + size), out=buf.rows)
+        X_rows.take(buf.rows, axis=0, out=buf.acts[0], mode="clip")  # every index is in range
+        _forward(ws, buf)
+        out[:, lo : lo + size] = buf.acts[-1][:, :, 0]
+    return out
+
+
+def _fold(model: MlpModel) -> list[np.ndarray]:
+    """model's layers as a stack of one: (1, n_l + 1, n_{l+1}) blocks, the biases as their last row."""
+    return [np.concatenate((w, b[None]))[None] for w, b in zip(model.weights, model.biases)]
+
+
+def forward_batch(model: MlpModel, X) -> np.ndarray:
+    """Predictions for an (n, n_in) batch; returns shape (n,).
+
+    This is the stacked pass of training (_outputs) on a stack of one:
+    the folded weights, and X with a column of ones that carries the
+    biases.  Each output sums its products and its bias in numpy's matmul
+    order.
+    """
+    X, _ = _batch(model, X)
+    X_rows = np.hstack((X, np.ones((len(X), 1))))
+    return _outputs(_fold(model), model.layer_sizes, X_rows, np.zeros((1, 1), dtype=np.intp), len(X), {})[0]
+
+
+def mse_loss(model: MlpModel, X, y) -> float:
+    """Mean squared error of the predictions for the batch X against the targets y."""
+    X, y = _batch(model, X, y)
+    return float(np.mean((forward_batch(model, X) - y) ** 2))
+
+
 def _backprop(ws, buf: _Buffers, gws) -> None:
     """Mean-squared-error gradients of K stacked nets, written into gws.
 
@@ -314,11 +371,8 @@ def _backprop(ws, buf: _Buffers, gws) -> None:
     and one more its weight and bias gradient.  ReLU subgradient at 0 is
     taken as 0.
     """
+    _forward(ws, buf)
     last = len(ws) - 1
-    for li, (a, w, z) in enumerate(zip(buf.acts, ws, buf.zs)):
-        np.matmul(a, w, out=z)
-        if li != last:
-            np.maximum(buf.acts[li + 1], 0.0, out=buf.acts[li + 1])  # the ones stay ones
     delta = buf.deltas[last]
     np.subtract(buf.acts[-1], buf.y, out=delta)
     delta *= 2.0 / buf.y.shape[1]
@@ -339,7 +393,7 @@ def gradient(model: MlpModel, X, y) -> tuple[list[np.ndarray], list[np.ndarray]]
     ReLU subgradient at 0 is taken as 0.
     """
     X, y = _batch(model, X, y)
-    ws = [np.concatenate((w, b[None]))[None] for w, b in zip(model.weights, model.biases)]
+    ws = _fold(model)
     gws = [np.empty_like(w) for w in ws]
     buf = _Buffers(1, y.size, model.layer_sizes)
     buf.acts[0][0, :, :-1] = X
@@ -452,9 +506,12 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
     started at m = v = 0 never moves it.  Inputs that are the same array
     object are stacked once.
 
-    The epoch loss is computed per slot on its unpadded weights, so the
-    early-stopping decisions are those of a solo run.  A slot leaves the
-    stack when it converges, diverges or reaches cfg.max_iter.
+    Every live slot's epoch loss comes from one stacked forward pass over
+    its whole bank (_outputs), on the padded stack.  Padding can move the
+    last bits of a loss, so the early-stopping decisions match a solo run's
+    to within rounding, not exactly.  A slot leaves the stack when it
+    converges, diverges or reaches cfg.max_iter; only then is its model
+    cut from the stack.
     """
     n = y.size
 
@@ -483,9 +540,6 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
     batch_sizes = {batch, n % batch or batch}
     rngs = [np.random.default_rng(s) for s in seeds]
     live = list(range(k))  # the slot held by each stack row
-    nets = [_slot_model(ws, row, mo) for row, mo in enumerate(models)]
-    initial = [mse_loss(net, banks[bank_of[s]], y) for s, net in enumerate(nets)]
-    guard = [DIVERGENCE_FACTOR * (loss + 1e-12) for loss in initial]
     best = [float("inf")] * k
     stall = [0] * k
     history: list[list[float]] = [[] for _ in range(k)]
@@ -493,9 +547,15 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
     step = 0
     restack = True
 
-    def finish(s: int, converged: bool) -> None:
+    def losses() -> list[float]:
+        """The live slots' mean squared errors over their banks, in stack row order."""
+        err = _outputs(ws, widths, X_rows, offsets, n, buffers) - y
+        return np.mean(err**2, axis=1).tolist()
+
+    def finish(row: int, s: int, converged: bool) -> None:
         hist = history[s]
-        results[s] = (nets[s].copy(), TrainReport(len(hist), hist, converged, min(hist)))
+        net = _slot_model(_layer_views(state[0], widths), row, models[s]).copy()
+        results[s] = (net, TrainReport(len(hist), hist, converged, min(hist)))
 
     for epoch in range(1, cfg.max_iter + 1):
         if restack:  # the live slots' views and scratch arrays
@@ -504,9 +564,10 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
             ws, gws = _layer_views(params, widths), _layer_views(grads, widths)
             buffers = {size: _Buffers(len(live), size, widths) for size in batch_sizes}
             offsets = n * np.array([bank_of[s] for s in live])[:, None]
-            for row, s in enumerate(live):
-                nets[s] = _slot_model(ws, row, models[s])
             restack = False
+        if epoch == 1:
+            initial = losses()
+            guard = [DIVERGENCE_FACTOR * (loss + 1e-12) for loss in initial]
         order = np.stack([rngs[s].permutation(n) for s in live])
         for lo in range(0, n, batch):
             buf = buffers[min(batch, n - lo)]
@@ -537,8 +598,7 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
             params -= num
 
         done = []
-        for row, s in enumerate(live):
-            loss = mse_loss(nets[s], banks[bank_of[s]], y)
+        for row, (s, loss) in enumerate(zip(live, losses())):
             history[s].append(loss)
             if not np.isfinite(loss) or loss > guard[s]:
                 results[s] = TrainingDiverged(
@@ -551,7 +611,7 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
             else:
                 stall[s] += 1
                 if stall[s] >= cfg.patience:
-                    finish(s, True)
+                    finish(row, s, True)
                     done.append(row)
         if done:
             keep = [row for row in range(len(live)) if row not in done]
@@ -561,8 +621,8 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
             state = state[:, keep]
             restack = True
 
-    for s in live:
-        finish(s, False)
+    for row, s in enumerate(live):
+        finish(row, s, False)
     return results
 
 

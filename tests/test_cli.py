@@ -402,6 +402,8 @@ def test_gridsearch_bad_index_text(pes_small_dir, tmp_path):
     ]
     assert main(args + ["--feature-sets", "9"]) == 3
     assert main(args + ["--topologies", "abc"]) == 3
+    assert main(args + ["--topologies", "0,5-2"]) == 3
+    assert main(args + ["--topologies", "1,1"]) == 3
 
 
 def test_gridsearch_parallel_flag_is_a_usage_error(pes_small_dir, tmp_path, capsys):

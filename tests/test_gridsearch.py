@@ -56,8 +56,13 @@ def test_parse_indices():
     assert kr.parse_indices(None) is None
     assert kr.parse_indices("0,2,5-8") == [0, 2, 5, 6, 7, 8]
     assert kr.parse_indices(" 3 , ,1") == [3, 1]
+    assert kr.parse_indices("4-4") == [4]
     for bad in ("", " , ", "a", "2-x"):
         with pytest.raises(DataError):
+            kr.parse_indices(bad)
+    # a reversed range is an error, not an empty range
+    for bad in ("5-2", "0,5-2"):
+        with pytest.raises(DataError, match="bad index range '5-2'"):
             kr.parse_indices(bad)
 
 
@@ -71,6 +76,13 @@ def test_grid_configs_subsets_and_range_checks():
         kr.grid_configs(topology_indices=[114])
     with pytest.raises(DataError, match="feature set index"):
         kr.grid_configs([-1])
+    # an index given twice would train and report one config twice
+    with pytest.raises(DataError, match="topology index 1 given twice"):
+        kr.grid_configs([0], [1, 1])
+    with pytest.raises(DataError, match="feature set index 0 given twice"):
+        kr.grid_configs([0, 0], [1])
+    with pytest.raises(DataError, match="topology index 3 given twice"):
+        kr.grid_configs([0], kr.parse_indices("2-4,3"))
 
 
 # --- the runner ------------------------------------------------------------------

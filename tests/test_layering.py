@@ -9,6 +9,10 @@ Which networks train together in lockstep is decided in knitrect.mlp
 alone: no other package module names `lockstep_groups`.  One gradient
 serves one model and many: knitrect.mlp defines `_backprop` once, and both
 the public `gradient` and the lockstep trainer `_train_group` call it.
+One numpy forward pass serves them all: only `_forward` and `_backprop`
+multiply matrices in knitrect.mlp, `_forward` is reached from `_backprop`
+and from the stacked scorer `_outputs`, and both `forward_batch` and the
+trainer's epoch losses (`_train_group`) go through `_outputs`.
 """
 
 import ast
@@ -143,22 +147,22 @@ def test_lockstep_guard_sees_mlp_itself():
     assert lockstep_group_references((PACKAGE / "mlp.py").read_text())
 
 
-def backprop_callers(source: str) -> tuple[int, set[str]]:
-    """How many functions named _backprop the module defines, and which top-level functions call it."""
+def definitions_and_callers(source: str, name: str) -> tuple[int, set[str]]:
+    """How many functions called `name` the module defines, and which top-level functions call it."""
     tree = ast.parse(source)
-    defined = sum(isinstance(node, ast.FunctionDef) and node.name == "_backprop" for node in ast.walk(tree))
+    defined = sum(isinstance(node, ast.FunctionDef) and node.name == name for node in ast.walk(tree))
     callers = {
         fn.name
         for fn in tree.body
         if isinstance(fn, ast.FunctionDef)
         for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_backprop"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
     }
     return defined, callers
 
 
 def test_one_backprop_serves_gradient_and_lockstep_training():
-    defined, callers = backprop_callers((PACKAGE / "mlp.py").read_text())
+    defined, callers = definitions_and_callers((PACKAGE / "mlp.py").read_text(), "_backprop")
     assert defined == 1
     assert {"gradient", "_train_group"} <= callers
 
@@ -171,5 +175,95 @@ def test_one_backprop_serves_gradient_and_lockstep_training():
     ],
 )
 def test_backprop_guard_flags_a_second_gradient(source):
-    defined, callers = backprop_callers(source)
+    defined, callers = definitions_and_callers(source, "_backprop")
     assert defined != 1 or not {"gradient", "_train_group"} <= callers
+
+
+MATMUL_CALLS = {"matmul", "dot", "einsum", "tensordot", "inner", "vdot"}
+
+
+def matrix_products(source: str) -> set[str]:
+    """The top-level definitions ('<module>' for other statements) that multiply matrices.
+
+    A product is `@` or `@=`, or a call of an attribute named as in
+    MATMUL_CALLS: `np.matmul(a, w)`, `np.dot`, `a.dot(w)` and the like.
+    """
+    found = set()
+    for stmt in ast.parse(source).body:
+        for node in ast.walk(stmt):
+            if (
+                isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)
+                or isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MATMUL_CALLS
+            ):
+                found.add(getattr(stmt, "name", "<module>"))
+    return found
+
+
+def forward_pass_faults(source: str) -> list[str]:
+    """How the module departs from one numpy forward pass; [] if it does not."""
+    faults = []
+    defined, callers = definitions_and_callers(source, "_forward")
+    if defined != 1:
+        faults.append(f"_forward defined {defined} times")
+    if callers != {"_backprop", "_outputs"}:
+        faults.append(f"_forward called from {sorted(callers)}")
+    outside = matrix_products(source) - {"_forward", "_backprop"}
+    if outside:
+        faults.append(f"matrix products in {sorted(outside)}")
+    _, callers = definitions_and_callers(source, "_outputs")
+    missing = {"forward_batch", "_train_group"} - callers
+    if missing:
+        faults.append(f"{sorted(missing)} do not call _outputs")
+    return faults
+
+
+def test_mlp_has_one_numpy_forward_pass():
+    assert forward_pass_faults((PACKAGE / "mlp.py").read_text()) == []
+
+
+# the call structure of mlp.py in miniature; each mutant breaks it once
+ONE_FORWARD = """
+def _forward(ws, buf):
+    for a, w, z in zip(buf.acts, ws, buf.zs):
+        np.matmul(a, w, out=z)
+def _outputs(ws, X, buffers):
+    _forward(ws, buffers[0])
+def forward_batch(model, X):
+    return _outputs(_fold(model), X, {})[0]
+def _backprop(ws, buf, gws):
+    _forward(ws, buf)
+    np.matmul(buf.acts_t[0], buf.dzs[0], out=gws[0])
+def _train_group(models):
+    def losses():
+        return _outputs(ws, X_rows, buffers)
+    _backprop(ws, buf, gws)
+"""
+
+
+def test_forward_guard_passes_the_miniature():
+    assert forward_pass_faults(ONE_FORWARD) == []
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # forward_batch runs its own 2-D loop again
+        ("return _outputs(_fold(model), X, {})[0]", "return X @ model.weights[0] + model.biases[0]"),
+        ("return _outputs(_fold(model), X, {})[0]", "return np.dot(X, model.weights[0])"),
+        ("return _outputs(_fold(model), X, {})[0]", "return X.dot(model.weights[0])"),
+        # the epoch loss goes back to a per-slot forward
+        ("return _outputs(ws, X_rows, buffers)", "return [mse_loss(net, X, y) for net in nets]"),
+        ("return _outputs(ws, X_rows, buffers)", "a = X_rows\n        a @= ws[0]\n        return a"),
+        # _backprop keeps a forward loop of its own
+        ("def _backprop(ws, buf, gws):\n    _forward(ws, buf)", "def _backprop(ws, buf, gws):\n    pass"),
+        # a second _forward, or a product at module level
+        ("def _outputs(", "def _forward(ws, buf):\n    pass\ndef _outputs("),
+        ("def _train_group(", "forward = lambda X, w: np.matmul(X, w)\ndef _train_group("),
+    ],
+)
+def test_forward_guard_flags_a_second_forward_pass(old, new):
+    assert ONE_FORWARD.count(old) == 1
+    assert forward_pass_faults(ONE_FORWARD.replace(old, new))

@@ -86,6 +86,9 @@ def test_forward_batch_shape_and_dimension_check():
     model = kr.mlp_new((3, 2, 1), seed=0)
     out = kr.forward_batch(model, np.zeros((5, 3)))
     assert out.shape == (5,)
+    assert kr.forward_batch(model, np.zeros((0, 3))).shape == (0,)
+    (one,) = kr.forward_batch(model, [[0.5, -1.0, 2.0]])
+    assert abs(one - _reference_forward(model, np.array([[0.5, -1.0, 2.0]]))[0]) <= 1e-12
     with pytest.raises(DataError):
         kr.forward_batch(model, np.zeros((5, 4)))
     with pytest.raises(DataError):
@@ -95,6 +98,42 @@ def test_forward_batch_shape_and_dimension_check():
     for width in (2, 4):
         with pytest.raises(DataError, match="input width"):
             kr.forward(model, np.zeros(width))
+
+
+def _reference_forward(model, X):
+    """The plain 2-D forward pass with the biases apart: `a @ w + b` per layer."""
+    a = X
+    last = len(model.weights) - 1
+    for li, (w, b) in enumerate(zip(model.weights, model.biases)):
+        a = a @ w + b
+        if li != last:
+            a = np.maximum(a, 0.0)
+    return a[:, 0]
+
+
+# single layers whose folded sums round differently from `a @ w + b`
+_ROUNDING_LAYERS = [(9, 1), (16, 4, 1), (33, 2, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.one_of(
+        st.sampled_from(_ROUNDING_LAYERS),
+        st.builds(lambda n_in, hidden: (n_in, *hidden, 1), st.integers(1, 40), st.lists(st.integers(2, 40), max_size=3)),
+    ),
+    n=st.one_of(st.sampled_from([mlp._CHUNK_ROWS - 1, mlp._CHUNK_ROWS, mlp._CHUNK_ROWS + 1]), st.integers(0, 30)),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_forward_batch_matches_the_plain_reference(sizes, n, seed):
+    # forward_batch is the stacked, chunked pass on a stack of one
+    rng = np.random.default_rng(seed)
+    model = kr.mlp_new(sizes, seed=seed)
+    for b in model.biases:
+        b += rng.normal(scale=0.5, size=b.shape)
+    X = rng.normal(scale=2.0, size=(n, sizes[0]))
+    got, ref = kr.forward_batch(model, X), _reference_forward(model, X)
+    assert got.shape == ref.shape == (n,)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -462,7 +501,12 @@ def _group_data(seed, in_widths, n=24):
     return banks, y
 
 
-def test_train_matches_the_reference_loop_bit_for_bit():
+@pytest.mark.parametrize("chunk_rows", [1, 7, None], ids=["1", "7", "default"])
+def test_train_matches_the_reference_loop_bit_for_bit(chunk_rows, monkeypatch):
+    # the epoch losses run in chunks of _CHUNK_ROWS rows; 24 rows fit in one
+    # chunk by default, in 24 one-row chunks at 1, and end on a 3-row chunk at 7
+    if chunk_rows is not None:
+        monkeypatch.setattr(mlp, "_CHUNK_ROWS", chunk_rows)
     banks, y = _group_data(4, [3])
     model = kr.mlp_new((3, 5, 2, 1), seed=8)
     cfg = kr.TrainConfig(max_iter=30, batch_size=7, tol=1e-3, patience=3, seed=6)
