@@ -87,7 +87,8 @@ class GridConfig:
 def parse_indices(text: str | None) -> list[int] | None:
     """Parse '0,2,5-8' style index lists; None passes through.
 
-    A range runs upwards: '5-2' is a DataError, not an empty range.
+    A range runs upwards: '5-2' is a DataError, not an empty range.  A
+    leading '-' makes a negative index, which is a DataError too.
     """
     if text is None:
         return None
@@ -96,7 +97,7 @@ def parse_indices(text: str | None) -> list[int] | None:
         part = part.strip()
         if not part:
             continue
-        if "-" in part:
+        if "-" in part[1:]:
             lo, _, hi = part.partition("-")
             try:
                 span = range(int(lo), int(hi) + 1)
@@ -107,9 +108,12 @@ def parse_indices(text: str | None) -> list[int] | None:
             out.extend(span)
         else:
             try:
-                out.append(int(part))
+                index = int(part)
             except ValueError:
                 raise DataError(f"bad index {part!r}") from None
+            if index < 0:
+                raise DataError(f"bad index {part!r} (negative)")
+            out.append(index)
     if not out:
         raise DataError("empty index list")
     return out

@@ -24,7 +24,10 @@ take ever longer to build, run the same arithmetic in a loop.  Either
 way each unit sums its products left to right from 0.0 and then adds its
 bias, so the two agree bit for bit; numpy sums in another order, so
 `forward` matches `forward_batch` to within rounding (1e-12 on the nets
-here), not bit for bit.  The stream path uses the same evaluator.
+here), not bit for bit.  The stream path runs the same straight-line body
+(_net_lines), fused after its filter step into one function per filter
+count and layer sizes (smoothing._step_template), so a stream value equals
+`forward` on the bank row bit for bit.
 
 There is one numpy forward pass, `_forward`: the first half of every
 step, and the core of `_outputs`, which runs K stacked nets over whole
@@ -183,24 +186,17 @@ def _forward_floats(layers, a: list[float]) -> float:
     return reduce(add, map(mul, a, cols[0]), 0.0) + bs[0]
 
 
-@lru_cache(maxsize=64)
-def _kernel_template(sizes: tuple[int, ...]):
-    """The compiled factory of the straight-line kernel for nets of these layer sizes.
+def _net_lines(sizes: tuple[int, ...], ins: list[str]) -> tuple[list[str], list[str]]:
+    """The parameter names and straight-line body of a net of these layer sizes on the input names ins.
 
-    None for nets of more than _KERNEL_MAX_PARAMS parameters.
-    factory(*params), given a net's parameters as floats in _flat_params
-    order, returns kernel(x): the net on the input list x, computed as
-    _forward_floats computes it.  The source names every weight, bias and
-    activation by its indices and holds no number but 0.0, so it depends on
-    the sizes only and no weight value is compiled; the weights become
-    closure cells of the kernel.  Each unit's sum runs left to right from
-    0.0, split into statements of at most _KERNEL_TERMS terms.
+    The body computes the net as _forward_floats computes it and ends in
+    `return`.  It names every weight, bias and activation by its indices
+    and holds no number but 0.0, so it depends on the sizes only; the
+    parameters, in _flat_params order, are the names a factory takes.  Each
+    unit's sum runs left to right from 0.0, split into statements of at
+    most _KERNEL_TERMS terms.
     """
-    if _param_count(sizes) > _KERNEL_MAX_PARAMS:
-        return None
     params, body = [], []
-    ins = [f"a{i}" for i in range(sizes[0])]
-    body.append(f"{', '.join(ins)}, = x")
     last = len(sizes) - 2
     for li, (nin, nout) in enumerate(zip(sizes, sizes[1:])):
         params += [f"w{li}_{i}_{j}" for i in range(nin) for j in range(nout)]
@@ -217,12 +213,34 @@ def _kernel_template(sizes: tuple[int, ...]):
                 body.append(f"if {h} < 0.0: {h} = 0.0")
         ins = outs
     body.append(f"return {ins[0]}")
+    return params, body
+
+
+def _compile_factory(label: str, params: list[str], body: list[str]):
+    """The compiled `factory(*params)`, which returns `kernel(x)` running body with params as its closure cells."""
     source = "\n".join(
         [f"def factory({', '.join(params)}):", "    def kernel(x):", *(f"        {line}" for line in body), "    return kernel\n"]
     )
     namespace: dict = {}
-    exec(compile(source, f"<knitrect kernel {sizes}>", "exec"), namespace)
+    exec(compile(source, label, "exec"), namespace)
     return namespace["factory"]
+
+
+@lru_cache(maxsize=64)
+def _kernel_template(sizes: tuple[int, ...]):
+    """The compiled factory of the straight-line kernel for nets of these layer sizes.
+
+    None for nets of more than _KERNEL_MAX_PARAMS parameters.
+    factory(*params), given a net's parameters as floats in _flat_params
+    order, returns kernel(x): the net's body (_net_lines) on the input
+    list x, so no weight value is compiled; the weights become closure
+    cells of the kernel.
+    """
+    if _param_count(sizes) > _KERNEL_MAX_PARAMS:
+        return None
+    ins = [f"a{i}" for i in range(sizes[0])]
+    params, body = _net_lines(sizes, ins)
+    return _compile_factory(f"<knitrect kernel {sizes}>", params, [f"{', '.join(ins)}, = x", *body])
 
 
 def _flat_params(model: MlpModel) -> list[float]:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from .errors import DataError, NumericError, _finite, _integer, _integers
 from .metrics import ScoreCard, combined_error, r_squared
-from .mlp import MlpModel, TrainConfig, TrainReport, _float_net, forward_batch, mlp_new
+from .mlp import MlpModel, TrainConfig, TrainReport, forward_batch, mlp_new
 from .mlp import train as train_mlp
 from .series import (
     RawRecording,
@@ -403,19 +402,17 @@ def evaluate(bundle: PipelineBundle, test_a: RawRecording, test_b: RawRecording)
 class StreamSession:
     """Single-owner streaming state over one shared immutable bundle.
 
-    samples_seen counts the samples accepted into the bank.  The session
-    binds the bundle's network once to mlp's float evaluator: for a net of
-    at most 4,096 parameters a straight-line kernel compiled once per
-    shape, which sums each unit left to right from 0.0 (see mlp.forward).
+    samples_seen counts the samples accepted into the bank.  When the
+    bank's warm-up buffer seeds its filters, the session's bank binds one
+    generated function to them and the bundle's network: for a net of at
+    most 4,096 parameters it steps the N filters and runs the net's
+    straight-line body on them in one call, compiled once per filter count
+    and layer sizes (see smoothing._bank_step and mlp.forward).
     """
 
     bundle: PipelineBundle
     bank: BankState
     samples_seen: int = 0
-    _net: Callable[[list[float]], float] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._net = _float_net(self.bundle.model)
 
 
 def open_stream(bundle: PipelineBundle) -> StreamSession:
@@ -427,10 +424,12 @@ def stream_push(session: StreamSession, sample: tuple[float, float]) -> float | 
 
     Samples must arrive at the bundle's rate (the caller resamples); the
     timestamp is accepted for interface symmetry but the filters are
-    purely sample-indexed.  Each value equals `forward(model, row)` on the
-    bank row `bank_push` gives for the same sample, bit for bit, and so
-    equals predict_batch on the same resampled recording to within 1e-12.
-    A rejected sample raises DataError and leaves the session unchanged.
+    purely sample-indexed.  After the checks, a push past the warm-up is
+    one call of the session's fused filter-and-network step.  Each value
+    equals `forward(model, row)` on the bank row `bank_push` gives for the
+    same sample, bit for bit, and so equals predict_batch on the same
+    resampled recording to within 1e-12.  A rejected sample raises
+    DataError and leaves the session unchanged.
     """
     _, r = sample
     r = float(r)
@@ -440,11 +439,10 @@ def stream_push(session: StreamSession, sample: tuple[float, float]) -> float | 
     g_bar = (1.0 / r - scaler.mean) / scaler.scale
     if not math.isfinite(g_bar):
         raise DataError(f"stream sample R={r!r} is too small: its standardized conductance overflows")
-    vec = _bank_step(session.bank, g_bar)
+    step = session.bank._step
+    out = _bank_step(session.bank, g_bar, session.bundle.model) if step is None else step(g_bar)
     session.samples_seen += 1
-    if vec is None:
-        return None
-    return session._net(vec)
+    return out
 
 
 # --- serialization --------------------------------------------------------------

@@ -10,9 +10,11 @@ Recording CSVs are read on one of two paths that give the same result,
 bit for bit or in the same DataError text.  A plain table (exactly the
 header line, then unquoted rows without carriage returns or over-long
 lines) goes through numpy's C reader in one call.  Every other input,
-and any plain table that reader rejects or that breaks a recording rule,
-goes through the row reader, which is the only one that handles quoting
-and CRLF and the only one that names the line an error is on.
+and any plain table that reader rejects, goes through the row reader,
+which is the only one that handles quoting and CRLF and that names the
+line of a malformed row.  A row that breaks a recording rule is named by
+its line on either path; on the plain one, by counting the blank lines
+numpy's reader skipped.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import csv
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -173,9 +176,10 @@ def _plain_values(lines: list[str]) -> np.ndarray | None:
     A table is plain when its first line is exactly the header, no line
     holds a quote or a carriage return or reaches the csv module's field
     size limit, and the body holds a row.  The result is kept only when it
-    has 4 columns and no row that breaks a recording rule; anything else is
-    left to the row reader, which names the bad line.  (A single row passes,
-    and RawRecording rejects it with the row reader's message.)
+    has 4 columns; anything else is left to the row reader, which names the
+    bad line.  load_recording checks the recording rules on the result and
+    names a breaking row's line by _plain_line.  (A single row passes, and
+    RawRecording rejects it with the row reader's message.)
     """
     if len(lines) < 2 or not isinstance(lines[0], str) or lines[0] != _HEADER_LINE:
         return None
@@ -188,9 +192,15 @@ def _plain_values(lines: list[str]) -> np.ndarray | None:
         values = np.loadtxt(lines, delimiter=",", comments=None, skiprows=1, ndmin=2)
     except ValueError:  # a field that is no float to numpy's reader (e.g. 1_0), or a ragged row
         return None
-    if values.shape[1] != len(RECORDING_HEADER) or _first_violation(*values.T) is not None:
+    if values.shape[1] != len(RECORDING_HEADER):
         return None
     return values
+
+
+def _plain_line(lines: list[str], row: int) -> int:
+    """The line number (header = 1) of data row `row` of a plain table, counting the "\n" lines np.loadtxt skipped."""
+    linenos = (lineno for lineno, line in enumerate(lines[1:], start=2) if line != "\n")
+    return next(itertools.islice(linenos, row, None))
 
 
 def _read_rows(stream, header) -> tuple[list[int], np.ndarray, DataError | None]:
@@ -256,14 +266,17 @@ def load_recording(source) -> RawRecording:
     """
     with _open_text(source, "r") as stream:
         text_lines = stream.readlines()
-    values = _plain_values(text_lines)
+    values, error = _plain_values(text_lines), None
     if values is None:
         lines, values, error = _read_rows(text_lines, RECORDING_HEADER)
-        bad = _first_violation(*values.T)
-        if bad is not None:
-            raise DataError(f"{bad[1]} at line {lines[bad[0]]}")
-        if error is not None:
-            raise error
+        line_of = lines.__getitem__
+    else:
+        line_of = partial(_plain_line, text_lines)
+    bad = _first_violation(*values.T)
+    if bad is not None:
+        raise DataError(f"{bad[1]} at line {line_of(bad[0])}")
+    if error is not None:
+        raise error
     cols = values.T
     return RawRecording(cols[0], cols[1], cols[2], cols[3], source_label=_source_name(source))
 
@@ -271,12 +284,13 @@ def load_recording(source) -> RawRecording:
 def _write_rows(stream: TextIO, cols) -> None:
     """Write equal-length float columns as CSV rows of FLOAT_FMT fields, _BLOCK_ROWS rows per write.
 
+    Each block is formatted by one % of the row format repeated per row.
     The bytes equal a per-row ",".join(fmt(x) for x in row) + "\n".
     """
     row_fmt = ",".join([FLOAT_FMT] * len(cols)) + "\n"
     for start in range(0, len(cols[0]), _BLOCK_ROWS):
-        block = [np.asarray(c[start : start + _BLOCK_ROWS], dtype=float).tolist() for c in cols]
-        stream.write("".join(map(row_fmt.__mod__, zip(*block))))
+        block = np.column_stack([np.asarray(c[start : start + _BLOCK_ROWS], dtype=float) for c in cols])
+        stream.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_recording(rec: RawRecording, sink) -> None:

@@ -14,18 +14,23 @@ with the same formula, so each emitted row equals the batch row bit for
 bit (the network on top then makes the stream equal the batch to within
 1e-12; see mlp.forward).  Both loops run on Python floats, which carry the
 same IEEE doubles as numpy's float64 scalars at a fraction of the
-per-operation cost.
+per-operation cost.  The per-sample step is a function generated once per
+filter count (_step_template) that keeps the filter values in closure
+cells.  A stream session's step also runs the network's straight-line
+body (mlp._net_lines) on them, so a push is one call.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DataError, _finite, _integer
+from .mlp import _KERNEL_MAX_PARAMS, MlpModel, _compile_factory, _flat_params, _float_net, _net_lines, _param_count
 from .series import UniformSeries, fmt
 
 BASELINE_ALPHAS = (0.5, 0.1, 0.025, 0.0025)
@@ -161,24 +166,46 @@ def feature_bank_with_windows(series: UniformSeries, alphas, windows) -> Feature
     return FeatureMatrix(series.rate_hz, series.t0, alphas, np.column_stack(cols))
 
 
+@lru_cache(maxsize=64)
+def _step_template(n: int, sizes: tuple[int, ...] | None):
+    """The compiled factory of the stream step of n filters and, unless sizes is None, a network.
+
+    factory(y0, ..., beta0, ..., *params) returns step(x).  The filter
+    values y_j and their weights beta_j = 1 - alpha_j are closure cells,
+    and each step advances every filter by y_j = x + beta_j*(y_j - x), the
+    recurrence of `smooth`.  With sizes None step returns the list of the
+    new values; otherwise it runs the straight-line body of the net of
+    those layer sizes (mlp._net_lines, whose parameters follow the betas)
+    on them and returns its output.  None for nets of more than
+    _KERNEL_MAX_PARAMS parameters, as for mlp._kernel_template.
+    """
+    if sizes is not None and _param_count(sizes) > _KERNEL_MAX_PARAMS:
+        return None
+    ys = [f"y{j}" for j in range(n)]
+    body = [f"nonlocal {', '.join(ys)}", *(f"{y} = x + beta{j} * ({y} - x)" for j, y in enumerate(ys))]
+    params: list[str] = []
+    if sizes is None:
+        body.append(f"return [{', '.join(ys)}]")
+    else:
+        params, net = _net_lines(sizes, ys)
+        body += net
+    return _compile_factory(f"<knitrect step {n} {sizes}>", [*ys, *(f"beta{j}" for j in range(n)), *params], body)
+
+
 @dataclass
 class BankState:
     """Streaming bank: emits nothing until max(windows) samples arrived, then one row per push.
 
-    y holds the N filter values once seeded (None while buffering); beta
-    is 1 - alphas, the per-filter weight of the previous value.  Both are
-    float lists: a per-sample step over a handful of filters costs less in
-    Python floats than in numpy calls.
+    The first samples are kept in buffer.  The push that completes it
+    seeds the filters and binds _step, a function that _step_template
+    generates: it holds the N filter values as closure cells, so a push
+    after the warm-up is one call of it on a Python float.
     """
 
     alphas: tuple[float, ...]
     windows: tuple[int, ...]
-    y: list[float] | None = None
     buffer: list[float] = field(default_factory=list)
-    beta: list[float] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.beta = [1.0 - a for a in self.alphas]
+    _step: Callable[[float], list[float] | float] | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def make_bank(alphas, windows) -> BankState:
@@ -191,20 +218,37 @@ def make_bank(alphas, windows) -> BankState:
     return BankState(alphas, windows)
 
 
-def _bank_step(bank: BankState, x: float) -> list[float] | None:
-    """bank_push on a float, returning the bank's own y list (callers must not mutate it)."""
-    if not math.isfinite(x):
-        raise DataError("non-finite sample pushed into bank")
-    if bank.y is None:
-        bank.buffer.append(x)
-        if len(bank.buffer) < max(bank.windows):
-            return None
-        buf = np.asarray(bank.buffer)
-        bank.y = [float(smooth(buf, a, m)[-1]) for a, m in zip(bank.alphas, bank.windows)]
-        bank.buffer = []
+def _bank_step(bank: BankState, x: float, head: MlpModel | None = None):
+    """A finite float x into the bank: None while buffering, then bank._step(x).
+
+    The push that completes the buffer seeds every filter with `smooth`
+    over it, binds _step and returns what it would: head's output on the
+    seeded values, or without head a fresh list of them.  With head, _step
+    runs the filters and head's straight-line body in one function; a head
+    above _KERNEL_MAX_PARAMS runs the bank-only step and then mlp's unit
+    loop.  Either way each output is forward(head, row) on the row
+    bank_push gives, bit for bit.
+    """
+    if bank._step is not None:
+        return bank._step(x)
+    bank.buffer.append(x)
+    if len(bank.buffer) < max(bank.windows):
+        return None
+    buf = np.asarray(bank.buffer)
+    ys = [float(smooth(buf, a, m)[-1]) for a, m in zip(bank.alphas, bank.windows)]
+    bank.buffer = []
+    betas = [1.0 - a for a in bank.alphas]
+    if head is None:
+        bank._step = _step_template(len(ys), None)(*ys, *betas)
+        return ys
+    net = _float_net(head)
+    factory = _step_template(len(ys), tuple(map(int, head.layer_sizes)))  # ints only reach the source
+    if factory is None:
+        filters = _step_template(len(ys), None)(*ys, *betas)
+        bank._step = lambda v: net(filters(v))
     else:
-        bank.y = [x + b * (y - x) for b, y in zip(bank.beta, bank.y)]
-    return bank.y
+        bank._step = factory(*ys, *betas, *_flat_params(head))
+    return net(ys)
 
 
 def bank_push(bank: BankState, x: float) -> np.ndarray | None:
@@ -216,5 +260,8 @@ def bank_push(bank: BankState, x: float) -> np.ndarray | None:
     each emitted row equals the batch feature row over the same prefix,
     bit for bit.  The row is a fresh array.
     """
-    y = _bank_step(bank, float(x))
+    x = float(x)
+    if not math.isfinite(x):
+        raise DataError("non-finite sample pushed into bank")
+    y = _bank_step(bank, x)
     return None if y is None else np.array(y)

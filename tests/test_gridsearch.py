@@ -64,6 +64,13 @@ def test_parse_indices():
     for bad in ("5-2", "0,5-2"):
         with pytest.raises(DataError, match="bad index range '5-2'"):
             kr.parse_indices(bad)
+    # a negative index is named as one, not as a range
+    for bad in ("-1", "0, -1"):
+        with pytest.raises(DataError, match=r"^bad index '-1' \(negative\)$"):
+            kr.parse_indices(bad)
+    with pytest.raises(DataError, match="bad index range '-1-3'"):
+        kr.parse_indices("-1-3")
+    assert kr.parse_indices("-0") == [0]
 
 
 def test_grid_configs_subsets_and_range_checks():

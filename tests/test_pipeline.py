@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import struct
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knitrect as kr
-from knitrect import pipeline
+from knitrect import mlp, pipeline
 from knitrect.errors import DataError, NumericError
 from knitrect.series import fmt
 
@@ -405,22 +406,95 @@ def test_stream_equals_the_tail_of_predict_batch_on_any_recording(small_bundle, 
     assert np.abs(np.asarray(outs[warmup:]) - batch.values[warmup:]).max() <= 1e-12
 
 
+# scaler of the drawn stream bundles: g_bar = (1/R - 2e-4) / 1e-4 lies in
+# [-1, 8] for R in [1e3, 1e4]
+STREAM_SCALER_G = kr.ScalerParams(2e-4, 1e-4)
+STREAM_R = st.floats(1e3, 1e4)
+# rejected after the warm-up: NaN, non-positive, and a conductance that overflows
+BAD_R = (float("nan"), 0.0, -5.0, 1e-320)
+
+
+def _stream_bundle(base, windows, sizes, seed):
+    """A bundle of len(windows) geometric filters and a net of these layer sizes with nonzero biases."""
+    cfg = kr.PipelineConfig(alpha_base=base, alpha_count=len(windows), hidden=tuple(sizes[1:-1]))
+    model = kr.mlp_new(sizes, seed)
+    rng = np.random.default_rng(seed)
+    for b in model.biases:
+        b += rng.normal(scale=0.5, size=b.size)
+    return kr.PipelineBundle(
+        config=cfg,
+        alphas=cfg.feature_set().alphas,
+        init_windows=tuple(windows),
+        scaler_g=STREAM_SCALER_G,
+        scaler_t=kr.ScalerParams(0.0, 1.0),
+        model=model,
+        provenance={},
+    )
+
+
+def _bits(x):
+    return None if x is None else struct.pack("d", x)
+
+
+def _assert_stream_is_bank_push_then_forward(bundle, rs):
+    session = kr.open_stream(bundle)
+    bank = kr.make_bank(bundle.alphas, bundle.init_windows)
+    scaler = bundle.scaler_g
+    warmup = max(bundle.init_windows) - 1
+    for i, r in enumerate(rs):
+        row = kr.bank_push(bank, (1.0 / r - scaler.mean) / scaler.scale)
+        want = None if row is None else kr.forward(bundle.model, row)
+        assert (row is None) == (i < warmup)
+        assert _bits(kr.stream_push(session, (0.0, r))) == _bits(want)
+    assert session.samples_seen == len(rs)
+
+
 def test_stream_push_is_bank_push_then_forward_bit_for_bit(small_bundle, pes_small):
     rec = pes_small[2]
     r_series = kr.resample(rec.t_s, rec.resistance_ohm, small_bundle.config.rate_hz)
-    session = kr.open_stream(small_bundle)
-    bank = kr.make_bank(small_bundle.alphas, small_bundle.init_windows)
-    scaler = small_bundle.scaler_g
-    n_out = 0
-    for r in r_series.values.tolist():
-        got = kr.stream_push(session, (0.0, r))
-        row = kr.bank_push(bank, (1.0 / r - scaler.mean) / scaler.scale)
-        if row is None:
-            assert got is None
-        else:
-            assert got == kr.forward(small_bundle.model, row)
-            n_out += 1
-    assert n_out == len(r_series) - max(small_bundle.init_windows) + 1
+    _assert_stream_is_bank_push_then_forward(small_bundle, r_series.values.tolist())
+
+
+@st.composite
+def stream_bundles(draw):
+    windows = draw(st.lists(st.integers(1, 8), min_size=1, max_size=10))
+    hidden = draw(st.lists(st.integers(2, 6), max_size=2))  # depth 1-3
+    base = draw(st.floats(1.05, 20.0))
+    return _stream_bundle(base, windows, (len(windows), *hidden, 1), draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bundle=stream_bundles(), data=st.data())
+def test_stream_session_is_bank_push_then_forward_bit_for_bit(bundle, data):
+    # from one sample short of the first output to a few past it
+    warmup = max(bundle.init_windows) - 1
+    rs = data.draw(st.lists(STREAM_R, min_size=warmup, max_size=warmup + 12))
+    _assert_stream_is_bank_push_then_forward(bundle, rs)
+
+
+def test_stream_session_of_a_net_above_the_kernel_bound_is_bank_push_then_forward():
+    # (3, 1500, 1) has 7,501 parameters, past mlp._KERNEL_MAX_PARAMS
+    bundle = _stream_bundle(2.0, (1, 3, 7), (3, 1500, 1), seed=4)
+    assert mlp._param_count(bundle.model.layer_sizes) > mlp._KERNEL_MAX_PARAMS
+    rs = np.random.default_rng(4).uniform(1e3, 1e4, size=20).tolist()
+    _assert_stream_is_bank_push_then_forward(bundle, rs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bundle=stream_bundles(), data=st.data())
+def test_a_sample_rejected_after_warmup_leaves_the_stream_as_if_unseen(bundle, data):
+    warmup = max(bundle.init_windows) - 1
+    rs = data.draw(st.lists(STREAM_R, min_size=warmup + 2, max_size=warmup + 10))
+    at = data.draw(st.integers(warmup + 1, len(rs) - 1))  # after the first output
+    bad = data.draw(st.sampled_from(BAD_R))
+    seen, unseen = kr.open_stream(bundle), kr.open_stream(bundle)
+    for i, r in enumerate(rs):
+        if i == at:
+            with pytest.raises(DataError):
+                kr.stream_push(seen, (0.0, bad))
+            assert seen.samples_seen == unseen.samples_seen == i
+        assert _bits(kr.stream_push(seen, (0.0, r))) == _bits(kr.stream_push(unseen, (0.0, r)))
+    assert seen.samples_seen == unseen.samples_seen == len(rs)
 
 
 def test_stream_of_a_net_above_the_kernel_bound_matches_forward_batch(small_bundle, pes_small):

@@ -89,6 +89,23 @@ def test_load_rejects_rows_the_csv_module_cannot_split():
         kr.load_recording(_csv("1,1,1e6,0", "0,1,1e6,0", "2," + "1" * 200_000 + ",1e6,0"))
 
 
+@pytest.mark.parametrize(
+    "body, want",
+    [
+        (["", "", "0,1,1e6,0", "1,1,1e6,-2", "2,1,1e6,0"], "negative displacement at line 5"),
+        (["0,1,1e6,0", "", "", "1,1,1e6,0", "", "2,1,1e6,-2", "3,1,1e6,0"], "negative displacement at line 7"),
+        (["0,1,1e6,0", "", "0,1,1e6,0", "", ""], "non-increasing timestamp at line 4"),
+        (["", "0,-1,1e6,0"], "negative force at line 3"),
+    ],
+)
+def test_a_broken_rule_after_blank_lines_is_named_without_the_row_reader(body, want):
+    text = "\n".join([HEADER, *body]) + "\n"
+    assert _reference_load(text) == want
+    # a plain table is parsed once, by np.loadtxt, even when a row breaks a rule
+    with mock.patch.object(series, "_read_rows", side_effect=AssertionError("row reader called")):
+        _assert_loads_as(want, io.StringIO(text))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     header=st.booleans(),
@@ -120,10 +137,10 @@ column_floats = EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), n=st.sampled_from([0, 1, 2, 3, 4, 5]))
+@given(data=st.data(), n=st.sampled_from([0, 1, 2, 3, 4, 5, 9]))
 def test_written_rows_equal_the_per_row_format(data, n):
     cols = [np.array(data.draw(st.lists(column_floats, min_size=n, max_size=n)), dtype=float) for _ in range(4)]
-    # blocks of 4 rows: lengths 0, 1, block - 1, block and block + 1
+    # blocks of 4 rows: lengths 0, 1, block - 1, block, block + 1 and 2 * block + 1
     with mock.patch.object(series, "_BLOCK_ROWS", 4):
         sink = io.StringIO()
         series._write_rows(sink, cols)
@@ -139,6 +156,20 @@ def test_written_rows_equal_the_per_row_format(data, n):
         kr.write_recording(rec, sink)
         rows = zip(rec.t_s, rec.force_n, rec.resistance_ohm, rec.displacement_mm)
         assert sink.getvalue() == HEADER + "\n" + "".join(f"{fmt(a)},{fmt(b)},{fmt(c)},{fmt(d)}\n" for a, b, c, d in rows)
+
+
+# NaN, the infinities, both zeros, a tiny normal, a subnormal and a repeating fraction
+SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 0.0, 5e-324, 1 / 3]
+
+
+@pytest.mark.parametrize("width", [1, 4])
+@pytest.mark.parametrize("n", [1, 2, series._BLOCK_ROWS, 2 * series._BLOCK_ROWS + 3])
+def test_written_rows_of_special_values_equal_the_per_row_join(n, width):
+    # one row, a single block, and two full blocks then a partial one
+    cols = [np.array([SPECIAL_FLOATS[(i + 3 * j) % len(SPECIAL_FLOATS)] for i in range(n)]) for j in range(width)]
+    sink = io.StringIO()
+    series._write_rows(sink, cols)
+    assert sink.getvalue() == "".join(",".join(fmt(x) for x in row) + "\n" for row in zip(*cols))
 
 
 def test_open_text_closes_paths_but_not_caller_streams(tmp_path):
