@@ -154,7 +154,7 @@ def _first_violation(t, f, r, d) -> tuple[int, str] | None:
     order; the timestamp rule compares a row with the one before it.
     """
     not_increasing = np.zeros(t.shape, dtype=bool)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):  # a gap beyond the float range is inf, still increasing
         not_increasing[1:] = np.diff(t) <= 0
     broken = (
         ~(np.isfinite(t) & np.isfinite(f) & np.isfinite(r) & np.isfinite(d)),
@@ -314,10 +314,12 @@ def resample(t, x, rate_hz: float) -> UniformSeries:
         raise DataError("need at least 2 points to resample")
     if t.shape != x.shape:
         raise DataError("t and x must have equal lengths")
-    if np.any(np.diff(t) <= 0):
+    with np.errstate(over="ignore"):  # a span beyond the float range is inf, and too many samples below
+        gaps, span = np.diff(t), float(t[-1] - t[0])
+    if np.any(gaps <= 0):
         raise DataError("timestamps must be strictly increasing")
     # small slack so a span that is an exact multiple of the step keeps its endpoint
-    steps = float(t[-1] - t[0]) * float(rate_hz) + 1e-9
+    steps = span * float(rate_hz) + 1e-9
     if not steps < MAX_SAMPLES:
         raise DataError(f"rate_hz {rate_hz!r} asks for more than {MAX_SAMPLES} samples")
     n = int(np.floor(steps)) + 1

@@ -7,25 +7,26 @@ single noisy sample.  A feature bank runs N such filters with decreasing
 alphas over one normalized conductance signal; those N columns are the
 regression features.
 
-The stream bank (make_bank / bank_push) runs the same filters one sample
-at a time: it buffers the first max(M_i) samples, replays `smooth` over
-that buffer to seed every filter, and then steps all N filters per sample
-with the same formula, so each emitted row equals the batch row bit for
-bit (the network on top then makes the stream equal the batch to within
-1e-12; see mlp.forward).  Both loops run on Python floats, which carry the
-same IEEE doubles as numpy's float64 scalars at a fraction of the
-per-operation cost.  The per-sample step is a function generated once per
-filter count (_step_template) that keeps the filter values in closure
-cells.  A stream session's step also runs the network's straight-line
-body (mlp._net_lines) on them, so a push is one call.
+One pass (_filter_pass) builds every bank: it seeds each filter with the
+mean of its window, then maps one step over the signal, a function
+generated once per filter count (_step_template) that keeps the N filter
+values in closure cells.  `smooth` is its one-filter case.  The stream
+bank (make_bank / bank_push) runs the pass over its first max(M_i)
+samples and keeps its step, so each emitted row equals the batch row bit
+for bit (the network on top then makes the stream equal the batch to
+within 1e-12; see mlp.forward).  The steps run on Python floats, the same
+IEEE doubles as numpy's float64 scalars at a fraction of the cost.  A
+stream session's step also runs the network's straight-line body
+(mlp._net_lines) on the filter values, so a push is one call.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -115,23 +116,32 @@ def smooth(xs, alpha: float, m: int) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise DataError("smooth expects a 1-D sequence")
-    if xs.size == 0:
-        raise DataError("cannot smooth an empty sequence")
-    if not (0.0 < alpha <= 1.0):
+    return _filter_pass(xs, *_bank_settings((alpha,), (m,), xs.size))[1][:, 0]
+
+
+def _bank_settings(alphas, windows, length: int | None = None) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """Alphas as floats in (0, 1] and init windows as ints >= 1, paired, nonempty and none above length if given."""
+    alphas = tuple(float(a) for a in alphas)
+    windows = tuple(_integer("init window", m, 1) for m in windows)
+    if len(alphas) != len(windows) or not alphas:
+        raise DataError("alphas and windows must pair up and be nonempty")
+    if not all(0.0 < a <= 1.0 for a in alphas):
         raise DataError("alpha must lie in (0, 1]")
-    if not (1 <= m <= xs.size):
+    if length is not None and max(windows) > length:
         raise DataError("init window must satisfy 1 <= m <= len(xs)")
-    # a memoryview yields one Python float at a time, so no list of them is built
-    steps = _recurrence(_seed_mean(xs, m), 1.0 - float(alpha), memoryview(xs)[1:])
-    return np.fromiter(steps, dtype=float, count=xs.size)
+    return alphas, windows
 
 
-def _recurrence(y: float, beta: float, xs) -> Iterator[float]:
-    """y, then y = x + beta*(y - x) for each x of xs, in Python floats."""
-    yield y
-    for x in xs:
-        y = x + beta * (y - x)
-        yield y
+def _filter_pass(xs: np.ndarray, alphas: tuple[float, ...], windows: tuple[int, ...]):
+    """Seed each filter with its window's mean, then step them all over xs[1:] on Python floats.
+
+    Returns the step (_step_template's bank-only one, left at the last
+    sample) and the (len(xs), N) rows of filter values.
+    """
+    seeds = [_seed_mean(xs, m) for m in windows]
+    step = _step_template(len(seeds), None)(*seeds, *(1.0 - a for a in alphas))
+    values = chain(seeds, chain.from_iterable(map(step, memoryview(xs)[1:])))
+    return step, np.fromiter(values, dtype=float, count=xs.size * len(seeds)).reshape(xs.size, len(seeds))
 
 
 @dataclass(frozen=True)
@@ -157,27 +167,24 @@ def bank_windows(aset: AlphaSet, rate_hz: float, available: int) -> tuple[int, .
 
 
 def feature_bank_with_windows(series: UniformSeries, alphas, windows) -> FeatureMatrix:
-    """Smooth one series with explicit per-filter init windows."""
-    alphas = tuple(float(a) for a in alphas)
-    windows = tuple(int(m) for m in windows)
-    if len(alphas) != len(windows):
-        raise DataError("alphas and windows must pair up")
-    cols = [smooth(series.values, a, m) for a, m in zip(alphas, windows)]
-    return FeatureMatrix(series.rate_hz, series.t0, alphas, np.column_stack(cols))
+    """Smooth one series with explicit per-filter init windows, in one _filter_pass."""
+    alphas, windows = _bank_settings(alphas, windows, len(series))
+    return FeatureMatrix(series.rate_hz, series.t0, alphas, _filter_pass(series.values, alphas, windows)[1])
 
 
 @lru_cache(maxsize=64)
 def _step_template(n: int, sizes: tuple[int, ...] | None):
-    """The compiled factory of the stream step of n filters and, unless sizes is None, a network.
+    """The compiled factory of the step of n filters and, unless sizes is None, a network.
 
     factory(y0, ..., beta0, ..., *params) returns step(x).  The filter
     values y_j and their weights beta_j = 1 - alpha_j are closure cells,
     and each step advances every filter by y_j = x + beta_j*(y_j - x), the
-    recurrence of `smooth`.  With sizes None step returns the list of the
-    new values; otherwise it runs the straight-line body of the net of
-    those layer sizes (mlp._net_lines, whose parameters follow the betas)
-    on them and returns its output.  None for nets of more than
-    _KERNEL_MAX_PARAMS parameters, as for mlp._kernel_template.
+    one place the recurrence is written.  With sizes None (the step of
+    _filter_pass) step returns the list of the new values; otherwise it
+    runs the straight-line body of the net of those layer sizes
+    (mlp._net_lines, whose parameters follow the betas) on them and
+    returns its output.  None for nets of more than _KERNEL_MAX_PARAMS
+    parameters, as for mlp._kernel_template.
     """
     if sizes is not None and _param_count(sizes) > _KERNEL_MAX_PARAMS:
         return None
@@ -197,9 +204,9 @@ class BankState:
     """Streaming bank: emits nothing until max(windows) samples arrived, then one row per push.
 
     The first samples are kept in buffer.  The push that completes it
-    seeds the filters and binds _step, a function that _step_template
-    generates: it holds the N filter values as closure cells, so a push
-    after the warm-up is one call of it on a Python float.
+    runs _filter_pass over it and binds _step, a function that
+    _step_template generates: it holds the N filter values as closure
+    cells, so a push after the warm-up is one call of it on a Python float.
     """
 
     alphas: tuple[float, ...]
@@ -209,45 +216,38 @@ class BankState:
 
 
 def make_bank(alphas, windows) -> BankState:
-    alphas = tuple(float(a) for a in alphas)
-    windows = tuple(int(m) for m in windows)
-    if len(alphas) != len(windows) or not alphas:
-        raise DataError("alphas and windows must pair up and be nonempty")
-    if any(m < 1 for m in windows):
-        raise DataError("init windows must be >= 1")
-    return BankState(alphas, windows)
+    return BankState(*_bank_settings(alphas, windows))
 
 
 def _bank_step(bank: BankState, x: float, head: MlpModel | None = None):
     """A finite float x into the bank: None while buffering, then bank._step(x).
 
-    The push that completes the buffer seeds every filter with `smooth`
-    over it, binds _step and returns what it would: head's output on the
-    seeded values, or without head a fresh list of them.  With head, _step
-    runs the filters and head's straight-line body in one function; a head
-    above _KERNEL_MAX_PARAMS runs the bank-only step and then mlp's unit
-    loop.  Either way each output is forward(head, row) on the row
-    bank_push gives, bit for bit.
+    The push that completes the buffer runs _filter_pass over it and
+    returns what _step would: head's output on the filter values after
+    that push, or without head a fresh list of them.  Without head, _step
+    is the pass's own step; with head, one function that runs the filters
+    from those values and head's straight-line body.  A head above
+    _KERNEL_MAX_PARAMS runs the pass's step and then mlp's unit loop.
+    Either way each output is forward(head, row) on the row bank_push
+    gives, bit for bit.
     """
     if bank._step is not None:
         return bank._step(x)
     bank.buffer.append(x)
     if len(bank.buffer) < max(bank.windows):
         return None
-    buf = np.asarray(bank.buffer)
-    ys = [float(smooth(buf, a, m)[-1]) for a, m in zip(bank.alphas, bank.windows)]
+    filters, rows = _filter_pass(np.asarray(bank.buffer), bank.alphas, bank.windows)
     bank.buffer = []
-    betas = [1.0 - a for a in bank.alphas]
+    ys = rows[-1].tolist()
     if head is None:
-        bank._step = _step_template(len(ys), None)(*ys, *betas)
+        bank._step = filters
         return ys
     net = _float_net(head)
     factory = _step_template(len(ys), tuple(map(int, head.layer_sizes)))  # ints only reach the source
     if factory is None:
-        filters = _step_template(len(ys), None)(*ys, *betas)
         bank._step = lambda v: net(filters(v))
     else:
-        bank._step = factory(*ys, *betas, *_flat_params(head))
+        bank._step = factory(*ys, *(1.0 - a for a in bank.alphas), *_flat_params(head))
     return net(ys)
 
 
@@ -255,10 +255,10 @@ def bank_push(bank: BankState, x: float) -> np.ndarray | None:
     """Feed one sample; returns the feature row once initialization completes.
 
     The first max(M_i) samples are buffered.  On the final buffered sample
-    every filter is seeded by running `smooth` over the buffer; after that
-    each push advances every filter by one step of the same recurrence, so
-    each emitted row equals the batch feature row over the same prefix,
-    bit for bit.  The row is a fresh array.
+    the batch filter pass runs over the buffer; after that each push
+    advances every filter by one more step of that pass, so each emitted
+    row equals the batch feature row over the same prefix, bit for bit.
+    The row is a fresh array.
     """
     x = float(x)
     if not math.isfinite(x):

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -304,6 +305,22 @@ def test_predict_input_with_an_oversized_field_is_a_data_error(tmp_path, capsys)
     assert rc == 3
     assert err.startswith("error:") and "line 2" in err and "field limit" in err
     assert "Traceback" not in err
+
+
+def test_predict_on_a_span_beyond_the_float_range_exits_3_without_a_warning(tmp_path):
+    infile = tmp_path / "wide.csv"
+    infile.write_text("t_s,force_n,resistance_ohm,displacement_mm\n-9e307,1,1,1\n9e307,1,1,1\n")
+    bundle = Path(__file__).parent / "data" / "bundle_v1.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "knitrect", "predict", "--bundle", str(bundle), "--in", str(infile), "--out", str(tmp_path / "p.csv")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(kr.__file__).parents[1])},
+    )
+    assert proc.returncode == 3
+    assert "more than 10000000 samples" in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_predict_input_that_is_not_utf8_is_a_data_error(cli_bundle, tmp_path, capsys):

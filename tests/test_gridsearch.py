@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import knitrect as kr
-from knitrect import gridsearch, mlp
+from knitrect import gridsearch, mlp, smoothing
 from knitrect.errors import DataError, NumericError
 from knitrect.gridsearch import GridConfig, GridRow, SearchReport
 
@@ -157,20 +157,23 @@ def test_run_grid_master_seed_changes_outcomes(prepared_trio):
 
 def test_run_grid_smooths_each_shared_column_once(prepared_trio, monkeypatch):
     # sets 0 and 1 share base 2.5's first 4 alphas, and the baseline shares
-    # 0.1 with set 5: 18 columns per dataset, 13 of them distinct
+    # 0.1 with set 5: 18 columns per dataset, 13 of them distinct, so one
+    # filter pass per dataset runs the 13
     train, test_a, test_b = prepared_trio
     configs = kr.grid_configs([0, 1, 5, 7], [3])
-    calls = []
+    passes = []
+    filter_pass = smoothing._filter_pass
 
-    def counting_smooth(xs, alpha, m):
-        calls.append((alpha, m))
-        return kr.smooth(xs, alpha, m)
+    def counting_pass(xs, alphas, windows):
+        passes.append(list(zip(alphas, windows)))
+        return filter_pass(xs, alphas, windows)
 
-    monkeypatch.setattr(gridsearch, "smooth", counting_smooth)
+    monkeypatch.setattr(smoothing, "_filter_pass", counting_pass)
     report = kr.run_grid(train, test_a, test_b, configs, master_seed=1, max_iter=10)
     assert sum(len(c.feature_set.alphas) for c in configs) == 18
-    assert len(calls) == 3 * 13
-    assert len(set(calls)) == 13
+    assert len(passes) == 3
+    assert all(len(columns) == len(set(columns)) == 13 for columns in passes)
+    assert passes[0] == passes[1] == passes[2]
     buf = io.StringIO()
     kr.write_report_csv(report, buf)
     # the report the code gave before it shared columns between alpha sets

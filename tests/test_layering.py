@@ -13,6 +13,12 @@ One numpy forward pass serves them all: only `_forward` and `_backprop`
 multiply matrices in knitrect.mlp, `_forward` is reached from `_backprop`
 and from the stacked scorer `_outputs`, and both `forward_batch` and the
 trainer's epoch losses (`_train_group`) go through `_outputs`.
+
+One filter recurrence builds every feature bank: outside the simulator,
+the update y = x + beta*(y - x) is written only in the step that
+smoothing._step_template generates, no module but smoothing calls
+`smooth`, and gridsearch builds its banks only through
+`feature_bank_with_windows`.
 """
 
 import ast
@@ -267,3 +273,130 @@ def test_forward_guard_passes_the_miniature():
 def test_forward_guard_flags_a_second_forward_pass(old, new):
     assert ONE_FORWARD.count(old) == 1
     assert forward_pass_faults(ONE_FORWARD.replace(old, new))
+
+
+def _is_update(node) -> bool:
+    """Whether node is a + k*(b - a) or a + (b - a)*k, the form of the filter update."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+        return False
+    step, a = node.right, ast.dump(node.left)
+    return (
+        isinstance(step, ast.BinOp)
+        and isinstance(step.op, ast.Mult)
+        and any(isinstance(d, ast.BinOp) and isinstance(d.op, ast.Sub) and ast.dump(d.right) == a for d in (step.left, step.right))
+    )
+
+
+def _generated_code(node) -> ast.AST | None:
+    """A string or f-string (each placeholder read as a name) that parses as Python, parsed; else None."""
+    if isinstance(node, ast.JoinedStr):
+        text = "".join(part.value if isinstance(part, ast.Constant) else "v" for part in node.values)
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        text = node.value
+    else:
+        return None
+    try:
+        return ast.parse(text)
+    except (SyntaxError, ValueError):
+        return None
+
+
+def update_sites(source: str) -> set[str]:
+    """The top-level definitions that write the filter update, as code or as the text of generated code."""
+    found = set()
+    for stmt in ast.parse(source).body:
+        for node in ast.walk(stmt):
+            code = _generated_code(node)
+            if _is_update(node) or code is not None and any(map(_is_update, ast.walk(code))):
+                found.add(getattr(stmt, "name", "<module>"))
+    return found
+
+
+def called_names(source: str) -> set[str]:
+    """The names the module calls, as a name or an attribute; an imported alias counts as the imported name."""
+    tree = ast.parse(source)
+    aliases = {a.asname: a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names if a.asname}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            found.add(aliases.get(name, name))
+    return found
+
+
+# the smoothing functions that run filters; gridsearch may reach them only
+# through feature_bank_with_windows
+FILTER_RUNNERS = {"smooth", "_filter_pass", "_step_template", "make_bank", "bank_push", "_bank_step"}
+
+
+def filter_bank_faults(sources: dict[str, str]) -> list[str]:
+    """How the modules (name -> source) depart from one recurrence and one bank builder; [] if they do not."""
+    faults = []
+    sites = sorted(f"{module}.{fn}" for module, source in sources.items() for fn in update_sites(source))
+    if sites != ["smoothing._step_template"]:
+        faults.append(f"the filter update is written in {sites}")
+    faults += [f"{module} calls smooth" for module, source in sources.items() if module != "smoothing" and "smooth" in called_names(source)]
+    grid = called_names(sources["gridsearch"])
+    if "feature_bank_with_windows" not in grid or grid & FILTER_RUNNERS:
+        faults.append(f"gridsearch builds banks with {sorted(grid & FILTER_RUNNERS)}, not feature_bank_with_windows")
+    return faults
+
+
+def test_one_filter_recurrence_builds_every_bank():
+    # the simulator is the oracle the filters are checked against; its noise
+    # interpolation and contact lag are updates of the same form
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py") if p.stem != "simulate"}
+    assert filter_bank_faults(sources) == []
+
+
+# the bank builders of smoothing.py, gridsearch.py and pipeline.py in
+# miniature; each mutant breaks them once
+ONE_FILTER_PASS = {
+    "smoothing": """
+def smooth(xs, alpha, m):
+    return _filter_pass(xs, (alpha,), (m,))[1][:, 0]
+def _filter_pass(xs, alphas, windows):
+    step = _step_template(len(alphas), None)(*seeds, *betas)
+    return step, np.fromiter(chain(seeds, chain.from_iterable(map(step, xs))), float)
+def feature_bank_with_windows(series, alphas, windows):
+    return FeatureMatrix(_filter_pass(series.values, alphas, windows)[1])
+def _step_template(n, sizes):
+    body = [f"{y} = x + beta{j} * ({y} - x)" for j, y in enumerate(ys)]
+""",
+    "gridsearch": """
+from .smoothing import feature_bank_with_windows
+def run_grid(datasets, columns):
+    for ds in datasets:
+        shared = feature_bank_with_windows(ds.g_series(), *zip(*columns)).values
+""",
+    "pipeline": """
+from . import smoothing
+def fit_pipeline(prepared, alphas, windows):
+    feats = smoothing.feature_bank_with_windows(prepared.g_series(), alphas, windows)
+""",
+}
+
+
+def test_filter_bank_guard_passes_the_miniature():
+    assert filter_bank_faults(ONE_FILTER_PASS) == []
+
+
+@pytest.mark.parametrize(
+    "module, old, new",
+    [
+        # a second recurrence beside the generated step
+        ("smoothing", "def smooth(", "def _recurrence(y, beta, xs):\n    for x in xs:\n        y = x + beta * (y - x)\ndef smooth("),
+        ("pipeline", "    feats =", "    ys = [x + (y - x) * beta for y in ys]\n    feats ="),
+        ("smoothing", "def smooth(", 'LINE = "y = x + beta * (y - x)"\ndef smooth('),
+        # smooth called outside smoothing
+        ("pipeline", "smoothing.feature_bank_with_windows(", "smoothing.smooth("),
+        ("gridsearch", "shared = feature", "column = smooth(values, a, m)\n        shared = feature"),
+        ("gridsearch", "import feature_bank_with_windows", "import feature_bank_with_windows, smooth as run\nrun(xs, a, m)"),
+        # the grid runs filters itself
+        ("gridsearch", "shared = feature_bank_with_windows(ds.g_series(), *zip(*columns)).values", "shared = _filter_pass(v, a, m)[1]"),
+        ("gridsearch", "shared = feature", "bank = make_bank(a, m)\n        shared = feature"),
+    ],
+)
+def test_filter_bank_guard_flags_a_second_recurrence_or_bank_builder(module, old, new):
+    assert ONE_FILTER_PASS[module].count(old) == 1
+    assert filter_bank_faults({**ONE_FILTER_PASS, module: ONE_FILTER_PASS[module].replace(old, new)})

@@ -273,6 +273,16 @@ def test_resample_errors():
             kr.resample([0.0, 1.0], [1.0, 2.0], rate)
 
 
+def test_a_span_beyond_the_float_range_loads_and_resamples_without_a_warning(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("t_s,force_n,resistance_ohm,displacement_mm\n-9e307,1,1,1\n9e307,1,1,1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = kr.load_recording(path)
+        with pytest.raises(DataError, match="more than 10000000 samples"):
+            kr.resample(rec.t_s, rec.resistance_ohm, 20.0)
+
+
 # --- conductivity ---------------------------------------------------------------
 
 

@@ -155,6 +155,35 @@ def test_feature_bank_column_order_matches_alpha_order():
         assert np.array_equal(mat.values[:, i], kr.smooth(series.values, alpha, m))
 
 
+def test_smooth_rejects_a_fractional_init_window():
+    with pytest.raises(DataError, match="init window"):
+        kr.smooth(np.arange(5.0), 0.5, 2.5)
+
+
+@pytest.mark.parametrize("window", [2.7, True])
+@pytest.mark.parametrize("build", ["feature_bank_with_windows", "make_bank"])
+def test_banks_reject_a_window_that_is_not_an_integer(build, window):
+    series = kr.UniformSeries(20.0, 0.0, np.arange(5.0))
+    args = (series, (0.5,), (window,)) if build == "feature_bank_with_windows" else ((0.5,), (window,))
+    with pytest.raises(DataError, match="init window"):
+        getattr(kr, build)(*args)
+
+
+def test_feature_bank_rejects_an_empty_filter_set():
+    with pytest.raises(DataError, match="nonempty"):
+        kr.feature_bank_with_windows(kr.UniformSeries(20.0, 0.0, np.arange(5.0)), (), ())
+
+
+def test_feature_bank_rejects_an_alpha_above_one():
+    with pytest.raises(DataError, match="lie in"):
+        kr.feature_bank_with_windows(kr.UniformSeries(20.0, 0.0, [0.0, 2.0, 2.0]), (2.0,), (1,))
+
+
+def test_make_bank_rejects_an_alpha_above_one_when_created():
+    with pytest.raises(DataError, match="lie in"):
+        kr.make_bank((2.0,), (3,))
+
+
 # --- streaming bank -------------------------------------------------------------
 
 
@@ -242,6 +271,22 @@ def test_smooth_matches_the_numpy_scalar_reference_loop(xs, alpha, data):
     want = _smooth_reference(xs, alpha, m)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    xs=st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=80),
+    data=st.data(),
+)
+def test_feature_bank_columns_match_the_numpy_scalar_reference_loop(xs, data):
+    n = data.draw(st.integers(min_value=1, max_value=10))
+    alphas = data.draw(st.lists(st.one_of(st.just(1.0), alpha_st), min_size=n, max_size=n))
+    windows = data.draw(st.lists(st.integers(min_value=1, max_value=len(xs)), min_size=n, max_size=n))
+    windows[data.draw(st.integers(min_value=0, max_value=n - 1))] = len(xs)  # one window spans the signal
+    bank = kr.feature_bank_with_windows(kr.UniformSeries(20.0, 0.0, xs), alphas, windows).values
+    assert bank.shape == (len(xs), n)
+    for j, (alpha, m) in enumerate(zip(alphas, windows)):
+        assert bank[:, j].tobytes() == _smooth_reference(xs, alpha, m).tobytes()
 
 
 def test_smooth_matches_the_reference_loop_on_long_and_strided_input():
