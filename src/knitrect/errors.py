@@ -35,6 +35,12 @@ def _integer(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def _positive(name: str, value) -> None:
+    """Raise DataError unless value is a positive finite number; value itself is left as it is."""
+    if not _finite(value) or value <= 0:
+        raise DataError(f"{name} must be a positive finite number, got {value!r}")
+
+
 def _integers(obj, **minimums) -> None:
     """Check the named integer fields of a frozen dataclass and store them as ints."""
     for name, low in minimums.items():

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, _finite
+from .errors import DataError, _positive
 from .series import _open_text, fmt
 
 
@@ -54,7 +54,7 @@ class ScoreCard:
 
     @property
     def gain(self) -> float:
-        return self.r2_post - self.r2_pre
+        return gain(self.r2_pre, self.r2_post)
 
     def rows(self, suffix: str = "") -> list[tuple[str, float]]:
         tag = f"_{suffix}" if suffix else ""
@@ -93,8 +93,7 @@ def binned_rse(truth, estimate, bin_width: float = 1.0) -> BinnedCurve:
     """
     f = np.asarray(truth, dtype=float)
     p = np.asarray(estimate, dtype=float)
-    if not _finite(bin_width) or bin_width <= 0:
-        raise DataError(f"bin_width must be a positive finite number, got {bin_width!r}")
+    _positive("bin_width", bin_width)
     if f.size == 0 or f.shape != p.shape or not np.isfinite(f).all():
         raise DataError("binned_rse needs equal nonzero-length sequences with finite truth")
     if np.all(f == f[0]):

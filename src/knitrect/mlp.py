@@ -14,20 +14,21 @@ more its weight and bias gradient; a step writes into preallocated
 buffers and updates Adam's state in place.  `gradient` runs the same
 pass on a stack of one.
 
-For the same reason `forward` evaluates one input vector on Python floats
-rather than as a one-row `forward_batch`.  A net of at most 4,096
-parameters is compiled once per tuple of layer sizes into one
+For the same reason `forward` runs a small net on one input vector in
+Python floats rather than as a one-row `forward_batch`.  A net of at most
+4,096 parameters is compiled once per tuple of layer sizes into one
 straight-line function (`h0_0 = 0.0 + a0*w0_0_0 + ... + b0_0`, then its
 ReLU, and so on to the output unit), whose source holds no weight: the
-weights are bound to it as closure cells.  Larger nets, whose kernels
-take ever longer to build, run the same arithmetic in a loop.  Either
-way each unit sums its products left to right from 0.0 and then adds its
-bias, so the two agree bit for bit; numpy sums in another order, so
-`forward` matches `forward_batch` to within rounding (1e-12 on the nets
-here), not bit for bit.  The stream path runs the same straight-line body
-(_net_lines), fused after its filter step into one function per filter
-count and layer sizes (smoothing._step_template), so a stream value equals
-`forward` on the bank row bit for bit.
+weights are bound to it as closure cells.  Each unit sums its products
+left to right from 0.0 and then adds its bias; numpy sums in another
+order, so `forward` matches `forward_batch` to within rounding (1e-12 on
+the nets here), not bit for bit.  Larger nets, whose kernels take ever
+longer to build, run the one-row numpy pass instead, so for them
+`forward` equals `forward_batch` exactly.  The stream path runs the same
+straight-line body (_net_lines), fused after its filter step into one
+function per filter count and layer sizes (smoothing._step_template), or
+for a larger net the filter step and then that numpy pass, so a stream
+value equals `forward` on the bank row bit for bit.
 
 There is one numpy forward pass, `_forward`: the first half of every
 step, and the core of `_outputs`, which runs K stacked nets over whole
@@ -38,13 +39,12 @@ group's live nets at once, come from one `_outputs` call, and
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
-from functools import lru_cache, partial, reduce
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DataError, TrainingDiverged, _finite, _integers
+from .errors import DataError, TrainingDiverged, _finite, _integers, _positive
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -104,8 +104,7 @@ class TrainConfig:
         _integers(self, max_iter=1, patience=1, seed=0)
         if self.batch_size != "auto":
             _integers(self, batch_size=1)
-        if not _finite(self.learning_rate) or self.learning_rate <= 0:
-            raise DataError(f"learning_rate must be a positive finite number, got {self.learning_rate!r}")
+        _positive("learning_rate", self.learning_rate)
         if not _finite(self.tol) or self.tol < 0:
             raise DataError(f"tol must be a finite number >= 0, got {self.tol!r}")
 
@@ -160,42 +159,31 @@ def _batch(model: MlpModel, X, y=None) -> tuple[np.ndarray, np.ndarray | None]:
     return X, y
 
 
-# Nets of up to this many parameters get a compiled kernel (_float_net).
-# Its build time grows faster than the net: 70 ms at 3,553 parameters (the
-# largest grid net) and 0.41 s at 11,301, once per shape (Python 3.11 on a
-# 2-core x86 VM).
+# Nets of up to this many parameters get a straight-line body (_net_lines),
+# in forward's kernel and in the stream's fused step; larger ones run the
+# one-row numpy pass (_float_net).  No other module reads the bound.  The
+# body's build time grows faster than the net: 70 ms at 3,553 parameters
+# (the largest grid net) and 0.41 s at 11,301, once per shape (Python 3.11
+# on a 2-core x86 VM).
 _KERNEL_MAX_PARAMS = 4096
 # Terms per statement of a unit's sum: one expression of 5,000 terms makes
 # CPython's compiler raise RecursionError.
 _KERNEL_TERMS = 32
 
 
-def _forward_floats(layers, a: list[float]) -> float:
-    """The network on one input list, unit by unit; layers holds per layer
-    each unit's incoming weights as a float list, and the biases.
-
-    Each unit sums its products left to right from 0.0 and then adds its
-    bias (reduce, not sum: sum compensates the rounding of floats from
-    Python 3.12 on).
-    """
-    add, mul = operator.add, operator.mul
-    for cols, bs in layers[:-1]:
-        # ReLU written so that a NaN passes through, as in np.maximum
-        a = [0.0 if (z := reduce(add, map(mul, a, col), 0.0) + b) < 0.0 else z for col, b in zip(cols, bs)]
-    cols, bs = layers[-1]
-    return reduce(add, map(mul, a, cols[0]), 0.0) + bs[0]
-
-
-def _net_lines(sizes: tuple[int, ...], ins: list[str]) -> tuple[list[str], list[str]]:
+def _net_lines(sizes: tuple[int, ...], ins: list[str]) -> tuple[list[str], list[str]] | None:
     """The parameter names and straight-line body of a net of these layer sizes on the input names ins.
 
-    The body computes the net as _forward_floats computes it and ends in
-    `return`.  It names every weight, bias and activation by its indices
-    and holds no number but 0.0, so it depends on the sizes only; the
-    parameters, in _flat_params order, are the names a factory takes.  Each
-    unit's sum runs left to right from 0.0, split into statements of at
+    None for nets of more than _KERNEL_MAX_PARAMS parameters.  The body
+    computes the net unit by unit and ends in `return`.  It names every
+    weight, bias and activation by its indices and holds no number but
+    0.0, so it depends on the sizes only; the parameters, in _flat_params
+    order, are the names a factory takes.  Each unit's sum runs left to
+    right from 0.0 and then adds its bias, split into statements of at
     most _KERNEL_TERMS terms.
     """
+    if _param_count(sizes) > _KERNEL_MAX_PARAMS:
+        return None
     params, body = [], []
     last = len(sizes) - 2
     for li, (nin, nout) in enumerate(zip(sizes, sizes[1:])):
@@ -209,7 +197,7 @@ def _net_lines(sizes: tuple[int, ...], ins: list[str]) -> tuple[list[str], list[
                 body.append(f"{h} = {' + '.join([acc, *terms[k : k + _KERNEL_TERMS]])}")
                 acc = h
             if li != last:
-                # ReLU that lets a NaN and -0.0 through, as _forward_floats does
+                # ReLU that lets a NaN and -0.0 through
                 body.append(f"if {h} < 0.0: {h} = 0.0")
         ins = outs
     body.append(f"return {ins[0]}")
@@ -230,16 +218,16 @@ def _compile_factory(label: str, params: list[str], body: list[str]):
 def _kernel_template(sizes: tuple[int, ...]):
     """The compiled factory of the straight-line kernel for nets of these layer sizes.
 
-    None for nets of more than _KERNEL_MAX_PARAMS parameters.
-    factory(*params), given a net's parameters as floats in _flat_params
-    order, returns kernel(x): the net's body (_net_lines) on the input
-    list x, so no weight value is compiled; the weights become closure
-    cells of the kernel.
+    None where _net_lines gives none.  factory(*params), given a net's
+    parameters as floats in _flat_params order, returns kernel(x): the
+    net's body (_net_lines) on the input list x, so no weight value is
+    compiled; the weights become closure cells of the kernel.
     """
-    if _param_count(sizes) > _KERNEL_MAX_PARAMS:
-        return None
     ins = [f"a{i}" for i in range(sizes[0])]
-    params, body = _net_lines(sizes, ins)
+    net = _net_lines(sizes, ins)
+    if net is None:
+        return None
+    params, body = net
     return _compile_factory(f"<knitrect kernel {sizes}>", params, [f"{', '.join(ins)}, = x", *body])
 
 
@@ -252,30 +240,32 @@ def _flat_params(model: MlpModel) -> list[float]:
 
 
 def _float_net(model: MlpModel):
-    """The network as a function of one input list of Python floats.
+    """The network as a function of one input list of Python floats, returning a float.
 
     Nets of up to _KERNEL_MAX_PARAMS parameters run a straight-line
     kernel compiled once per tuple of layer sizes (_kernel_template), with
-    this model's weights bound to it; larger ones run _forward_floats on
-    the weights converted here.  Both give the same float bit for bit.
+    this model's weights bound to it.  Larger ones run the input as one
+    row through _outputs on the weights folded here, the pass that
+    forward_batch runs, so they give its value bit for bit.
     """
     factory = _kernel_template(tuple(map(int, model.layer_sizes)))  # ints only reach the source
-    if factory is None:
-        return partial(_forward_floats, [(w.T.tolist(), b.tolist()) for w, b in zip(model.weights, model.biases)])
-    return factory(*_flat_params(model))
+    if factory is not None:
+        return factory(*_flat_params(model))
+    ws, widths, offsets, buffers = _fold(model), model.layer_sizes, np.zeros((1, 1), dtype=np.intp), {}
+    return lambda x: _outputs(ws, widths, np.array([[*x, 1.0]]), offsets, 1, buffers).item()
 
 
 def forward(model: MlpModel, x) -> float:
     """Prediction for a single input vector.
 
-    Evaluated on Python floats by _float_net: small nets run a
-    straight-line kernel compiled once per shape, which sums each unit's
-    products left to right from 0.0 and then adds its bias; nets of more
-    than 4,096 parameters run the same sums in a loop.  That order is not
-    numpy's, so the result equals forward_batch on the one-row batch to
-    within rounding (1e-12 here), not bit for bit.  The stream path
-    (pipeline.stream_push) runs the same evaluator, so the two agree bit
-    for bit.
+    Evaluated by _float_net: nets of up to 4,096 parameters run a
+    straight-line kernel on Python floats, compiled once per shape, which
+    sums each unit's products left to right from 0.0 and then adds its
+    bias.  That order is not numpy's, so the result equals forward_batch
+    on the one-row batch to within rounding (1e-12 here), not bit for bit.
+    Larger nets run forward_batch's own pass on the one row and equal it
+    exactly.  The stream path (pipeline.stream_push) runs the same
+    evaluator, so the two agree bit for bit.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:

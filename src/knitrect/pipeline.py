@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import DataError, NumericError, _finite, _integer, _integers
+from .errors import DataError, NumericError, _finite, _integer, _integers, _positive
 from .metrics import ScoreCard, combined_error, r_squared
 from .mlp import MlpModel, TrainConfig, TrainReport, forward_batch, mlp_new
 from .mlp import train as train_mlp
@@ -82,8 +82,7 @@ class PipelineConfig:
         _integers(self, init_seed=0)
         if self.alpha_base is not None or self.alpha_count is not None:
             _integers(self, alpha_count=1)
-        if not _finite(self.rate_hz) or self.rate_hz <= 0:
-            raise DataError(f"rate_hz must be a positive finite number, got {self.rate_hz!r}")
+        _positive("rate_hz", self.rate_hz)
         if not (self.alpha_base is None or _finite(self.alpha_base)):
             raise DataError(f"alpha_base must be a finite number or null, got {self.alpha_base!r}")
         if self.target not in TARGETS:
@@ -407,7 +406,9 @@ class StreamSession:
     generated function to them and the bundle's network: for a net of at
     most 4,096 parameters it steps the N filters and runs the net's
     straight-line body on them in one call, compiled once per filter count
-    and layer sizes (see smoothing._bank_step and mlp.forward).
+    and layer sizes; for a larger net it steps the filters and then runs
+    forward_batch's numpy pass on the one row (see smoothing._bank_step
+    and mlp.forward).
     """
 
     bundle: PipelineBundle

@@ -29,7 +29,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .errors import DataError, _finite
+from .errors import DataError, _positive
 
 RECORDING_HEADER = ("t_s", "force_n", "resistance_ohm", "displacement_mm")
 _HEADER_LINE = ",".join(RECORDING_HEADER) + "\n"
@@ -97,8 +97,7 @@ class UniformSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.rate_hz <= 0:
-            raise DataError("rate_hz must be positive")
+        _positive("rate_hz", self.rate_hz)
         if not np.all(np.isfinite(self.values)):
             raise DataError("non-finite value in uniform series")
 
@@ -308,8 +307,7 @@ def resample(t, x, rate_hz: float) -> UniformSeries:
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
-    if not _finite(rate_hz) or rate_hz <= 0:
-        raise DataError(f"rate_hz must be a positive finite number, got {rate_hz!r}")
+    _positive("rate_hz", rate_hz)
     if t.size < 2:
         raise DataError("need at least 2 points to resample")
     if t.shape != x.shape:

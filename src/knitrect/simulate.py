@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, _finite, _integer
+from .errors import DataError, _finite, _integer, _positive
 from .series import MAX_SAMPLES, RawRecording, _open_text
 
 # --- 1-d gradient noise ------------------------------------------------------
@@ -57,10 +57,8 @@ def perlin1d(seed: int, octaves: int, base_freq_hz: float, t) -> np.ndarray:
     by its worst-case bound so the range is [-1, 1] regardless of octave
     count.  Deterministic in (seed, t); continuous and smooth in t.
     """
-    if octaves < 1:
-        raise DataError("octaves must be >= 1")
-    if base_freq_hz <= 0:
-        raise DataError("base_freq_hz must be positive")
+    octaves = _integer("octaves", octaves, 1)
+    _positive("base_freq_hz", base_freq_hz)
     t_arr = np.asarray(t, dtype=np.float64)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
@@ -132,8 +130,7 @@ def gen_trajectory(seed: int, duration_s: float) -> Trajectory:
     stays within [0, MAX_STRAIN] (0.30); the mean absolute velocity lands
     in [0.8, 1.2] mm/s and the peak stays below 5 mm/s.
     """
-    if not _finite(duration_s) or duration_s <= 0:
-        raise DataError(f"duration must be a positive finite number, got {duration_s!r}")
+    _positive("duration", duration_s)
     samples = duration_s * TRAJECTORY_RATE_HZ
     if samples > MAX_SAMPLES:
         raise DataError(f"duration {duration_s!r} s asks for more than {MAX_SAMPLES} samples")

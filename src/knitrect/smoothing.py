@@ -17,7 +17,8 @@ for bit (the network on top then makes the stream equal the batch to
 within 1e-12; see mlp.forward).  The steps run on Python floats, the same
 IEEE doubles as numpy's float64 scalars at a fraction of the cost.  A
 stream session's step also runs the network's straight-line body
-(mlp._net_lines) on the filter values, so a push is one call.
+(mlp._net_lines) on the filter values, so a push is one call; a net too
+large for one runs after the step as mlp's one-row numpy pass.
 """
 
 from __future__ import annotations
@@ -30,11 +31,18 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DataError, _finite, _integer
-from .mlp import _KERNEL_MAX_PARAMS, MlpModel, _compile_factory, _flat_params, _float_net, _net_lines, _param_count
+from .errors import DataError, _finite, _integer, _positive
+from .mlp import MlpModel, _compile_factory, _flat_params, _float_net, _net_lines
 from .series import UniformSeries, fmt
 
 BASELINE_ALPHAS = (0.5, 0.1, 0.025, 0.0025)
+
+
+def _alphas(alphas) -> None:
+    """Raise DataError unless every smoothing factor lies in (0, 1]."""
+    for a in alphas:
+        if not 0.0 < a <= 1.0:
+            raise DataError(f"alpha must lie in (0, 1], got {a!r}")
 
 
 @dataclass(frozen=True)
@@ -48,8 +56,7 @@ class AlphaSet:
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         if len(self.alphas) < 1:
             raise DataError("alpha set needs at least one factor")
-        if any(not (0.0 < a <= 1.0) for a in self.alphas):
-            raise DataError("alphas must lie in (0, 1]")
+        _alphas(self.alphas)
         if any(b >= a for a, b in zip(self.alphas, self.alphas[1:])):
             raise DataError("alphas must be strictly decreasing")
         if self.base is not None:
@@ -91,15 +98,12 @@ def init_window(alpha: float, rate_hz: float, available: int) -> int:
     sample rate drops, so the seed average spans a comparable wall-clock
     stretch for every filter.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise DataError("alpha must lie in (0, 1]")
-    if rate_hz <= 0:
-        raise DataError("rate_hz must be positive")
-    if available < 1:
-        raise DataError("available must be >= 1")
-    # tiny slack keeps exact integer quotients from rounding up spuriously
-    m = math.ceil(1.0 / (rate_hz * alpha) - 1e-9)
-    return max(1, min(int(m), int(available)))
+    _alphas((alpha,))
+    _positive("rate_hz", rate_hz)
+    available = _integer("available", available, 1)
+    # tiny slack keeps exact integer quotients from rounding up spuriously;
+    # clamping before ceil keeps a quotient that overflows to inf finite
+    return max(1, math.ceil(min(1.0 / (rate_hz * alpha) - 1e-9, available)))
 
 
 def _seed_mean(xs: np.ndarray, m: int) -> float:
@@ -125,8 +129,7 @@ def _bank_settings(alphas, windows, length: int | None = None) -> tuple[tuple[fl
     windows = tuple(_integer("init window", m, 1) for m in windows)
     if len(alphas) != len(windows) or not alphas:
         raise DataError("alphas and windows must pair up and be nonempty")
-    if not all(0.0 < a <= 1.0 for a in alphas):
-        raise DataError("alpha must lie in (0, 1]")
+    _alphas(alphas)
     if length is not None and max(windows) > length:
         raise DataError("init window must satisfy 1 <= m <= len(xs)")
     return alphas, windows
@@ -183,19 +186,20 @@ def _step_template(n: int, sizes: tuple[int, ...] | None):
     _filter_pass) step returns the list of the new values; otherwise it
     runs the straight-line body of the net of those layer sizes
     (mlp._net_lines, whose parameters follow the betas) on them and
-    returns its output.  None for nets of more than _KERNEL_MAX_PARAMS
-    parameters, as for mlp._kernel_template.
+    returns its output.  None where _net_lines gives no body, as for
+    mlp._kernel_template.
     """
-    if sizes is not None and _param_count(sizes) > _KERNEL_MAX_PARAMS:
-        return None
     ys = [f"y{j}" for j in range(n)]
     body = [f"nonlocal {', '.join(ys)}", *(f"{y} = x + beta{j} * ({y} - x)" for j, y in enumerate(ys))]
     params: list[str] = []
     if sizes is None:
         body.append(f"return [{', '.join(ys)}]")
     else:
-        params, net = _net_lines(sizes, ys)
-        body += net
+        net = _net_lines(sizes, ys)
+        if net is None:
+            return None
+        params, lines = net
+        body += lines
     return _compile_factory(f"<knitrect step {n} {sizes}>", [*ys, *(f"beta{j}" for j in range(n)), *params], body)
 
 
@@ -226,10 +230,10 @@ def _bank_step(bank: BankState, x: float, head: MlpModel | None = None):
     returns what _step would: head's output on the filter values after
     that push, or without head a fresh list of them.  Without head, _step
     is the pass's own step; with head, one function that runs the filters
-    from those values and head's straight-line body.  A head above
-    _KERNEL_MAX_PARAMS runs the pass's step and then mlp's unit loop.
-    Either way each output is forward(head, row) on the row bank_push
-    gives, bit for bit.
+    from those values and head's straight-line body; for a head too large
+    for one (_step_template gives None), the pass's step and then
+    _float_net(head), mlp's one-row numpy pass.  Either way each output is
+    forward(head, row) on the row bank_push gives, bit for bit.
     """
     if bank._step is not None:
         return bank._step(x)

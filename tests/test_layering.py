@@ -6,13 +6,15 @@ The CLI uses only public package names.  It may not reach a
 _open_text`).
 
 Which networks train together in lockstep is decided in knitrect.mlp
-alone: no other package module names `lockstep_groups`.  One gradient
-serves one model and many: knitrect.mlp defines `_backprop` once, and both
-the public `gradient` and the lockstep trainer `_train_group` call it.
-One numpy forward pass serves them all: only `_forward` and `_backprop`
-multiply matrices in knitrect.mlp, `_forward` is reached from `_backprop`
-and from the stacked scorer `_outputs`, and both `forward_batch` and the
-trainer's epoch losses (`_train_group`) go through `_outputs`.
+alone: no other package module names `lockstep_groups`.  So is which
+nets get a straight-line body: no other module names
+`_KERNEL_MAX_PARAMS`.  One gradient serves one model and many:
+knitrect.mlp defines `_backprop` once, and both the public `gradient`
+and the lockstep trainer `_train_group` call it.  One numpy forward pass
+serves them all: only `_forward` and `_backprop` multiply matrices in
+knitrect.mlp, `_forward` is reached from `_backprop` and from the
+stacked scorer `_outputs`, and both `forward_batch` and the trainer's
+epoch losses (`_train_group`) go through `_outputs`.
 
 One filter recurrence builds every feature bank: outside the simulator,
 the update y = x + beta*(y - x) is written only in the step that
@@ -114,8 +116,11 @@ def test_guard_allows_public_and_dunder_names():
     assert reach_ins(src) == []
 
 
-def lockstep_group_references(source: str) -> list[int]:
-    """Lines that name lockstep_groups: in an import, as a name or as an attribute."""
+NOT_MLP = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "mlp.py"]
+
+
+def name_references(source: str, name: str) -> list[int]:
+    """Lines that name `name`: in an import, as a name or as an attribute."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
@@ -126,14 +131,14 @@ def lockstep_group_references(source: str) -> list[int]:
             names = [node.attr]
         else:
             continue
-        if "lockstep_groups" in names:
+        if name in names:
             found.append(node.lineno)
     return found
 
 
-@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "mlp.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", NOT_MLP, ids=lambda p: p.name)
 def test_only_mlp_forms_lockstep_groups(path):
-    assert lockstep_group_references(path.read_text()) == []
+    assert name_references(path.read_text(), "lockstep_groups") == []
 
 
 @pytest.mark.parametrize(
@@ -146,11 +151,47 @@ def test_only_mlp_forms_lockstep_groups(path):
     ],
 )
 def test_lockstep_guard_flags_each_kind_of_reference(source):
-    assert len(lockstep_group_references(source)) == 1
+    assert len(name_references(source, "lockstep_groups")) == 1
 
 
 def test_lockstep_guard_sees_mlp_itself():
-    assert lockstep_group_references((PACKAGE / "mlp.py").read_text())
+    assert name_references((PACKAGE / "mlp.py").read_text(), "lockstep_groups")
+
+
+@pytest.mark.parametrize("path", NOT_MLP, ids=lambda p: p.name)
+def test_only_mlp_reads_the_kernel_bound(path):
+    assert name_references(path.read_text(), "_KERNEL_MAX_PARAMS") == []
+
+
+def test_kernel_bound_guard_sees_mlp_itself():
+    assert name_references((PACKAGE / "mlp.py").read_text(), "_KERNEL_MAX_PARAMS")
+
+
+# the stream's step template in smoothing.py in miniature; each mutant
+# reads the bound once
+STEP_TEMPLATE = """
+from .mlp import MlpModel, _compile_factory, _net_lines
+def _step_template(n, sizes):
+    net = _net_lines(sizes, ys)
+    if net is None:
+        return None
+"""
+
+
+def test_kernel_bound_guard_passes_the_miniature():
+    assert name_references(STEP_TEMPLATE, "_KERNEL_MAX_PARAMS") == []
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("from .mlp import MlpModel,", "from .mlp import _KERNEL_MAX_PARAMS, MlpModel,"),
+        ("    if net is None:", "    if _param_count(sizes) > mlp._KERNEL_MAX_PARAMS:"),
+    ],
+)
+def test_kernel_bound_guard_flags_a_second_reader(old, new):
+    assert STEP_TEMPLATE.count(old) == 1
+    assert len(name_references(STEP_TEMPLATE.replace(old, new), "_KERNEL_MAX_PARAMS")) == 1
 
 
 def definitions_and_callers(source: str, name: str) -> tuple[int, set[str]]:

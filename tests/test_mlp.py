@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import operator
 import struct
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -152,9 +154,32 @@ def test_forward_matches_forward_batch_within_rounding(n_in, hidden, seed):
         assert abs(kr.forward(model, x) - kr.forward_batch(model, x[None])[0]) <= 1e-12
 
 
+def test_forward_of_a_net_above_the_kernel_bound_equals_forward_batch_bit_for_bit():
+    # (3, 1500, 1) has 7,501 parameters, past mlp._KERNEL_MAX_PARAMS, so
+    # forward runs forward_batch's pass on the one row
+    rng = np.random.default_rng(6)
+    model = kr.mlp_new((3, 1500, 1), seed=6)
+    for b in model.biases:
+        b += rng.normal(scale=0.5, size=b.shape)
+    assert model.param_count() > mlp._KERNEL_MAX_PARAMS
+    for x in rng.normal(scale=2.0, size=(5, 3)):
+        assert struct.pack("d", kr.forward(model, x)) == struct.pack("d", kr.forward_batch(model, x[None])[0])
+
+
 def _loop_reference(model, x):
-    """mlp._forward_floats, the unit-by-unit loop, on model and the input list x."""
-    return mlp._forward_floats([(w.T.tolist(), b.tolist()) for w, b in zip(model.weights, model.biases)], x)
+    """The network on the input list x, unit by unit: the order the compiled kernel must keep.
+
+    Each unit sums its products left to right from 0.0 and then adds its
+    bias (reduce, not sum: sum compensates the rounding of floats from
+    Python 3.12 on).  The ReLU lets a NaN through, as np.maximum does.
+    """
+    add, mul = operator.add, operator.mul
+    layers = [(w.T.tolist(), b.tolist()) for w, b in zip(model.weights, model.biases)]
+    a = list(x)
+    for cols, bs in layers[:-1]:
+        a = [0.0 if (z := reduce(add, map(mul, a, col), 0.0) + b) < 0.0 else z for col, b in zip(cols, bs)]
+    cols, bs = layers[-1]
+    return reduce(add, map(mul, a, cols[0]), 0.0) + bs[0]
 
 
 _kernel_inputs = st.one_of(

@@ -499,8 +499,9 @@ def test_a_sample_rejected_after_warmup_leaves_the_stream_as_if_unseen(bundle, d
 
 def test_stream_of_a_net_above_the_kernel_bound_matches_forward_batch(small_bundle, pes_small):
     # (3, 5000, 1) has 25,001 parameters, past mlp._KERNEL_MAX_PARAMS, so it
-    # streams through the unit loop; a compiled unit of 5,000 terms in one
-    # expression would raise RecursionError
+    # streams through the filter step and then the one-row numpy pass; a
+    # compiled unit of 5,000 terms in one expression would raise
+    # RecursionError
     cfg = dataclasses.replace(small_bundle.config, alpha_count=3, hidden=(5000,))
     aset = cfg.feature_set()
     model = kr.mlp_new((3, 5000, 1), seed=5)

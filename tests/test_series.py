@@ -283,6 +283,12 @@ def test_a_span_beyond_the_float_range_loads_and_resamples_without_a_warning(tmp
             kr.resample(rec.t_s, rec.resistance_ohm, 20.0)
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+def test_uniform_series_rejects_a_rate_that_is_not_positive_and_finite(rate):
+    with pytest.raises(DataError, match="rate_hz"):
+        kr.UniformSeries(rate, 0.0, [1.0, 2.0])
+
+
 # --- conductivity ---------------------------------------------------------------
 
 

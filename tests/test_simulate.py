@@ -58,6 +58,12 @@ def test_perlin_validation():
         kr.perlin1d(0, 1, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("octaves, base_freq_hz", [(3, float("nan")), (3, float("inf")), (2.5, 0.05)])
+def test_perlin_rejects_a_non_finite_frequency_or_a_fractional_octave_count(octaves, base_freq_hz):
+    with pytest.raises(DataError):
+        kr.perlin1d(0, octaves, base_freq_hz, [0.0])
+
+
 # --- trajectories ---------------------------------------------------------------
 
 

@@ -77,6 +77,25 @@ def test_init_window_errors():
         kr.init_window(0.5, 20.0, 0)
 
 
+def test_init_window_rejects_a_nan_rate():
+    with pytest.raises(DataError, match="rate_hz"):
+        kr.init_window(0.5, float("nan"), 10)
+
+
+def test_init_window_rejects_an_infinite_rate():
+    with pytest.raises(DataError, match="rate_hz"):
+        kr.init_window(0.5, float("inf"), 10)
+
+
+def test_init_window_clamps_a_window_beyond_the_float_range():
+    assert kr.init_window(0.5, 1e-310, 10) == 10
+
+
+def test_init_window_rejects_a_fractional_available_count():
+    with pytest.raises(DataError, match="available"):
+        kr.init_window(0.01, 20.0, 2.5)
+
+
 # --- batch smoothing ------------------------------------------------------------
 
 
