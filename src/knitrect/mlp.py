@@ -10,9 +10,15 @@ layers and stacked, and one step is a batched forward/backward pass plus
 one Adam update on the stack.  `train` is its one-model case.  Each
 layer's biases are the last row of its weight block and every layer input
 ends in a column of ones, so one matmul gives a layer's output and one
-more its weight and bias gradient; a step writes into preallocated
-buffers and updates Adam's state in place.  `gradient` runs the same
-pass on a stack of one.
+more its weight and bias gradient.  The backward products multiply by a
+second copy of the stack with each layer's block laid out transposed,
+which one gather refreshes every step: numpy's matmul is 1.5 to 3.5
+times slower on a transposed view.  A step writes into preallocated
+buffers and makes 6L + 11 numpy calls for L weight layers (35 for the
+default net): three gathers (the minibatch rows, their targets and the
+transposed weights), the forward/backward pass, and ten for Adam, which
+updates m and v as one stack in place.  `gradient` runs the same pass on
+a stack of one.
 
 For the same reason `forward` runs a small net on one input vector in
 Python floats rather than as a one-row `forward_batch`.  A net of at most
@@ -52,11 +58,16 @@ ADAM_EPS = 1e-8
 DIVERGENCE_FACTOR = 1e6
 # The fixed cost of one lockstep step (train_many) in units of per-slot
 # arithmetic: it equals the work of about this many padded parameters.
-# Measured with numpy 2.4 on a 2-core x86 VM, 9600 samples, batch 200,
-# depths 2-4, epoch losses left out: 1.7-2.5 ms per epoch per group plus
-# 0.0026-0.0030 ms per epoch per padded parameter and slot, a ratio of
-# 630-850.  The value is older than those figures and is kept, so that the
-# grid's lockstep groups, and with them its report digits, stay as they are.
+# Measured on the current step with numpy 2.4 on a 2-core x86 VM, 9600
+# samples, batch 200, epoch losses left out, groups of 1, 4 and 8 nets of
+# widths 4 and 16 with 2, 3 and 4 weight layers: 3.6, 4.8 and 6.0 ms per
+# epoch per group plus 9.9, 5.3 and 4.3 us per epoch per padded parameter
+# and slot, ratios of about 360, 900 and 1,400.  The step before
+# contiguous transposed weights and the stacked Adam update, timed
+# alternately on the same (then slow) host, gave 3.5, 5.3 and 6.6 ms and
+# the same ratios.  The value is older than these figures and is kept, so
+# that the grid's lockstep groups, and with them its report digits, stay
+# as they are.
 STEP_COST_PARAMS = 375
 
 
@@ -284,9 +295,9 @@ class _Buffers:
     matmul writes.  deltas[l] is the error at acts[l + 1], of its shape,
     and dzs[l] its part at zs[l].  The ReLU and its derivative run over
     whole buffers, ones column included, because numpy is slower on the
-    strided parts.  y holds the (K, n, 1) targets, and rows the
-    stacked-bank rows that a training step or _outputs gathers into
-    acts[0].
+    strided parts.  y holds the (K, n, 1) targets, which a training step
+    gathers with the same row indices as acts[0], and rows the
+    stacked-bank rows that _outputs gathers into acts[0].
     """
 
     def __init__(self, k: int, n: int, widths):
@@ -368,16 +379,20 @@ def mse_loss(model: MlpModel, X, y) -> float:
     return float(np.mean((forward_batch(model, X) - y) ** 2))
 
 
-def _backprop(ws, buf: _Buffers, gws) -> None:
+def _backprop(ws, wts, buf: _Buffers, gws) -> None:
     """Mean-squared-error gradients of K stacked nets, written into gws.
 
     ws[l] has shape (K, n_l + 1, n_{l+1}): layer l's weights with its
-    biases as the last row, and gws takes the same shapes.  buf.acts[0]
-    holds the (K, n, n_0 + 1) input batches, each row ending in a one, and
-    buf.y the targets.  Slot k's gradient is that of its own batch only.
-    The ones column carries the bias, so one matmul gives a layer's output
-    and one more its weight and bias gradient.  ReLU subgradient at 0 is
-    taken as 0.
+    biases as the last row, and gws takes the same shapes.  wts[l] holds
+    the same numbers as ws[l] transposed, (K, n_{l+1}, n_l + 1), and laid
+    out contiguously: numpy's matmul is 1.5 to 3.5 times slower on a
+    transposed view.  Both come from one (K, P) layout (_layer_views),
+    wts gathered from it by _transposing_order.  buf.acts[0] holds the
+    (K, n, n_0 + 1) input batches, each row ending in a one, and buf.y the
+    targets.  Slot k's gradient is that of its own batch only.  The ones
+    column carries the bias, so one matmul gives a layer's output and one
+    more its weight and bias gradient.  ReLU subgradient at 0 is taken as
+    0.
     """
     _forward(ws, buf)
     last = len(ws) - 1
@@ -391,7 +406,9 @@ def _backprop(ws, buf: _Buffers, gws) -> None:
             # in place: 1 where positive (the ones column too), else 0
             a, below = buf.acts[li], buf.deltas[li - 1]
             np.greater(a, 0.0, out=a)
-            np.matmul(buf.dzs[li], ws[li].transpose(0, 2, 1), out=below)
+            # at the output layer a rank-1 product: a broadcast multiply
+            # gives its numbers but not its signed zeros
+            np.matmul(buf.dzs[li], wts[li], out=below)
             below *= a
 
 
@@ -401,12 +418,15 @@ def gradient(model: MlpModel, X, y) -> tuple[list[np.ndarray], list[np.ndarray]]
     ReLU subgradient at 0 is taken as 0.
     """
     X, y = _batch(model, X, y)
+    sizes = model.layer_sizes
     ws = _fold(model)
+    params = np.concatenate([w.ravel() for w in ws])[None]
+    wts = _layer_views(params.take(_transposing_order(sizes), axis=1), sizes, transposed=True)
     gws = [np.empty_like(w) for w in ws]
-    buf = _Buffers(1, y.size, model.layer_sizes)
+    buf = _Buffers(1, y.size, sizes)
     buf.acts[0][0, :, :-1] = X
     buf.y[0, :, 0] = y
-    _backprop(ws, buf, gws)
+    _backprop(ws, wts, buf, gws)
     return [g[0, :-1] for g in gws], [g[0, -1] for g in gws]
 
 
@@ -447,15 +467,30 @@ def lockstep_groups(layer_sizes) -> list[list[int]]:
     return groups
 
 
-def _layer_views(flat: np.ndarray, widths) -> list[np.ndarray]:
-    """Per-layer (K, n_l + 1, n_{l+1}) views of a (K, P) array: weights, then biases as the last row."""
+def _layer_views(flat: np.ndarray, widths, transposed: bool = False) -> list[np.ndarray]:
+    """Per-layer (K, n_l + 1, n_{l+1}) views of a (K, P) array: weights, then biases as the last row.
+
+    With transposed, the views are (K, n_{l+1}, n_l + 1): the layout that
+    _transposing_order gathers.
+    """
     k = flat.shape[0]
     views = []
     off = 0
     for nin, nout in zip(widths, widths[1:]):
-        views.append(flat[:, off : off + (nin + 1) * nout].reshape(k, nin + 1, nout))
+        shape = (k, nout, nin + 1) if transposed else (k, nin + 1, nout)
+        views.append(flat[:, off : off + (nin + 1) * nout].reshape(shape))
         off += (nin + 1) * nout
     return views
+
+
+def _transposing_order(widths) -> np.ndarray:
+    """The column order that lays a (K, P) parameter stack out transposed, layer by layer.
+
+    For params of shape (K, P), _layer_views(params.take(order, axis=1),
+    widths, transposed=True)[l][k] equals _layer_views(params, widths)[l][k].T.
+    """
+    cols = np.arange(_param_count(widths))[None]
+    return np.concatenate([w[0].T.ravel() for w in _layer_views(cols, widths)])
 
 
 def _slot_model(ws, row: int, model: MlpModel) -> MlpModel:
@@ -506,13 +541,19 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
     one (K, P) array beside Adam's m and v.  Each layer is one (K, n_l + 1,
     n_{l+1}) block of that array, its biases the last row, and the stacked
     input banks end in a column of ones, so a layer's bias rides in its
-    matmul.  One step gathers each slot's minibatch into preallocated
-    buffers (one set per minibatch size: the full one and a shorter last
-    one), runs one batched forward/backward pass (_backprop) and one Adam
-    update in place, and allocates no array memory.  The padding is exact:
-    a padded unit has z = 0, so its ReLU delta and gradient are 0, and Adam
-    started at m = v = 0 never moves it.  Inputs that are the same array
-    object are stacked once.
+    matmul.  Each epoch draws every live slot's shuffle and adds its
+    bank's row offset once, so the shuffled indices address the stacked
+    rows X_rows and the targets y_rows (y repeated once per bank) alike.
+    One step takes each slot's minibatch rows and targets with one gather
+    each into preallocated buffers (one set per minibatch size: the full
+    one and a shorter last one), gathers the parameters into their
+    transposed layout (_transposing_order) for the backward products,
+    runs one batched forward/backward pass (_backprop) and one Adam update
+    in place, m and v as one stack.  It allocates no array memory but the
+    index copies numpy's take makes of a strided minibatch slice (K > 1).
+    The padding is exact: a padded unit has z = 0, so its ReLU delta and
+    gradient are 0, and Adam started at m = v = 0 never moves it.  Inputs
+    that are the same array object are stacked once.
 
     Every live slot's epoch loss comes from one stacked forward pass over
     its whole bank (_outputs), on the padded stack.  Padding can move the
@@ -534,7 +575,7 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
     for i, arr in enumerate(banks):
         X_stack[i, :, : arr.shape[1]] = arr
     X_rows = X_stack.reshape(len(banks) * n, widths[0] + 1)
-    y_col = y[:, None]
+    y_rows = np.tile(y, len(banks))[:, None]  # row i's target, so one index takes both
 
     k = len(models)
     state = np.zeros((3, k, _param_count(widths)))  # the parameters, then Adam's m and v
@@ -543,6 +584,12 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
         for w, src, b in zip(ws, mo.weights, mo.biases):
             w[row, : src.shape[0], : src.shape[1]] = src
             w[row, -1, : b.size] = b
+    transposing = _transposing_order(widths)
+    # Adam's (beta1, beta2), (1 - beta1, 1 - beta2) and bias corrections,
+    # shaped to scale m and v as one stack
+    betas = np.array([ADAM_BETA1, ADAM_BETA2])[:, None, None]
+    gains = np.array([1 - ADAM_BETA1, 1 - ADAM_BETA2])[:, None, None]
+    corrections = np.empty((2, 1, 1))
 
     batch = min(200, n) if cfg.batch_size == "auto" else min(int(cfg.batch_size), n)
     batch_sizes = {batch, n % batch or batch}
@@ -567,9 +614,12 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
 
     for epoch in range(1, cfg.max_iter + 1):
         if restack:  # the live slots' views and scratch arrays
-            params, m, v = state
-            grads, num, den = np.empty_like(state)
-            ws, gws = _layer_views(params, widths), _layer_views(grads, widths)
+            params, moments = state[0], state[1:]
+            params_t = np.empty_like(params)
+            grads, hats = np.empty((2, *moments.shape))  # g beside g**2; m/c1 beside v/c2
+            (g, g_sq), (num, den) = grads, hats
+            ws, gws = _layer_views(params, widths), _layer_views(g, widths)
+            wts = _layer_views(params_t, widths, transposed=True)
             buffers = {size: _Buffers(len(live), size, widths) for size in batch_sizes}
             offsets = n * np.array([bank_of[s] for s in live])[:, None]
             restack = False
@@ -577,29 +627,25 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
             initial = losses()
             guard = [DIVERGENCE_FACTOR * (loss + 1e-12) for loss in initial]
         order = np.stack([rngs[s].permutation(n) for s in live])
+        order += offsets  # rows of X_rows and y_rows
         for lo in range(0, n, batch):
             buf = buffers[min(batch, n - lo)]
             idx = order[:, lo : lo + batch]
-            np.add(idx, offsets, out=buf.rows)
             # mode="clip" lets take write straight into out; every index is in range
-            X_rows.take(buf.rows, axis=0, out=buf.acts[0], mode="clip")
-            y_col.take(idx, axis=0, out=buf.y, mode="clip")
-            _backprop(ws, buf, gws)
+            X_rows.take(idx, axis=0, out=buf.acts[0], mode="clip")
+            y_rows.take(idx, axis=0, out=buf.y, mode="clip")
+            params.take(transposing, axis=1, out=params_t, mode="clip")
+            _backprop(ws, wts, buf, gws)
             step += 1
-            c1 = 1.0 - ADAM_BETA1**step
-            c2 = 1.0 - ADAM_BETA2**step
-            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
+            corrections[:, 0, 0] = 1.0 - ADAM_BETA1**step, 1.0 - ADAM_BETA2**step
+            # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g**2 as one stack;
             # params -= lr * (m/c1) / (sqrt(v/c2) + eps), in that order
-            m *= ADAM_BETA1
-            np.multiply(grads, 1 - ADAM_BETA1, out=num)
-            m += num
-            v *= ADAM_BETA2
-            np.square(grads, out=num)
-            num *= 1 - ADAM_BETA2
-            v += num
-            np.divide(m, c1, out=num)
+            moments *= betas
+            np.square(g, out=g_sq)
+            grads *= gains
+            moments += grads
+            np.divide(moments, corrections, out=hats)
             num *= cfg.learning_rate
-            np.divide(v, c2, out=den)
             np.sqrt(den, out=den)
             den += ADAM_EPS
             num /= den

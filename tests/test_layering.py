@@ -14,7 +14,12 @@ and the lockstep trainer `_train_group` call it.  One numpy forward pass
 serves them all: only `_forward` and `_backprop` multiply matrices in
 knitrect.mlp, `_forward` is reached from `_backprop` and from the
 stacked scorer `_outputs`, and both `forward_batch` and the trainer's
-epoch losses (`_train_group`) go through `_outputs`.
+epoch losses (`_train_group`) go through `_outputs`.  The backward
+products multiply by contiguous transposed weights: neither `_backprop`,
+`gradient` nor `_train_group` (its step loop included) transposes an
+array, and the transposed stack comes only from a gather in the one
+column order `_transposing_order`, which `gradient` and `_train_group`
+use.
 
 One filter recurrence builds every feature bank: outside the simulator,
 the update y = x + beta*(y - x) is written only in the step that
@@ -314,6 +319,82 @@ def test_forward_guard_passes_the_miniature():
 def test_forward_guard_flags_a_second_forward_pass(old, new):
     assert ONE_FORWARD.count(old) == 1
     assert forward_pass_faults(ONE_FORWARD.replace(old, new))
+
+
+TRANSPOSING = {"T", "mT", "transpose", "swapaxes", "moveaxis"}
+NO_TRANSPOSE = ("_backprop", "gradient", "_train_group")
+
+
+def transposed_weight_faults(source: str) -> list[str]:
+    """How the module departs from one gather of transposed weights; [] if it does not.
+
+    A transpose is an attribute named as in TRANSPOSING (`w.T`,
+    `w.transpose(0, 2, 1)`, `np.swapaxes(w, 1, 2)` and the like).
+    """
+    tree = ast.parse(source)
+    faults = []
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in NO_TRANSPOSE:
+            lines = [node.lineno for node in ast.walk(fn) if isinstance(node, ast.Attribute) and node.attr in TRANSPOSING]
+            if lines:
+                faults.append(f"{fn.name} transposes at lines {lines}")
+    defined, callers = definitions_and_callers(source, "_transposing_order")
+    if defined != 1:
+        faults.append(f"_transposing_order defined {defined} times")
+    if callers != {"gradient", "_train_group"}:
+        faults.append(f"_transposing_order called from {sorted(callers)}")
+    return faults
+
+
+def test_backward_products_use_the_one_gathered_transpose():
+    assert transposed_weight_faults((PACKAGE / "mlp.py").read_text()) == []
+
+
+# the transposed weights of mlp.py in miniature; each mutant breaks them once
+ONE_TRANSPOSE = """
+def _transposing_order(widths):
+    return np.concatenate([w[0].T.ravel() for w in _layer_views(cols, widths)])
+def _backprop(ws, wts, buf, gws):
+    np.matmul(buf.acts_t[li], buf.dzs[li], out=gws[li])
+    np.matmul(buf.dzs[li], wts[li], out=below)
+def gradient(model, X, y):
+    wts = _layer_views(params.take(_transposing_order(sizes), axis=1), sizes, transposed=True)
+    _backprop(ws, wts, buf, gws)
+def _train_group(models):
+    transposing = _transposing_order(widths)
+    for lo in range(0, n, batch):
+        params.take(transposing, axis=1, out=params_t, mode="clip")
+        _backprop(ws, wts, buf, gws)
+"""
+
+
+def test_transpose_guard_passes_the_miniature():
+    assert transposed_weight_faults(ONE_TRANSPOSE) == []
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # the backward product goes back to a transposed view
+        ("wts[li], out=below", "ws[li].transpose(0, 2, 1), out=below"),
+        ("wts[li], out=below", "ws[li].mT, out=below"),
+        ("wts[li], out=below", "np.swapaxes(ws[li], 1, 2), out=below"),
+        # the step loop or gradient transposes instead of gathering
+        (
+            'params.take(transposing, axis=1, out=params_t, mode="clip")',
+            "wts = [np.ascontiguousarray(w.transpose(0, 2, 1)) for w in ws]",
+        ),
+        (
+            "_layer_views(params.take(_transposing_order(sizes), axis=1), sizes, transposed=True)",
+            "[w.T.copy() for w in ws]",
+        ),
+        # a second column order
+        ("def _backprop(", "def _transposing_order(widths):\n    pass\ndef _backprop("),
+    ],
+)
+def test_transpose_guard_flags_a_transpose_outside_the_gather(old, new):
+    assert ONE_TRANSPOSE.count(old) == 1
+    assert transposed_weight_faults(ONE_TRANSPOSE.replace(old, new))
 
 
 def _is_update(node) -> bool:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import operator
 import struct
+import tracemalloc
 from functools import reduce
 from pathlib import Path
 
@@ -519,6 +520,16 @@ def _reference_train(model, X, y, cfg):
     return net, history, converged
 
 
+def _same_bytes(xs, ys) -> bool:
+    """Whether two lists of float arrays hold the same values bit for bit.
+
+    np.array_equal would take -0.0 for 0.0 (and fail on a NaN), so the
+    shapes and the bytes are compared instead.
+    """
+    xs, ys = [np.asarray(x, dtype=float) for x in xs], [np.asarray(y, dtype=float) for y in ys]
+    return len(xs) == len(ys) and all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(xs, ys))
+
+
 def _group_data(seed, in_widths, n=24):
     rng = np.random.default_rng(seed)
     banks = [rng.normal(size=(n, w)) for w in in_widths]
@@ -537,12 +548,12 @@ def test_train_matches_the_reference_loop_bit_for_bit(chunk_rows, monkeypatch):
     cfg = kr.TrainConfig(max_iter=30, batch_size=7, tol=1e-3, patience=3, seed=6)
     trained, report = kr.train(model, banks[0], y, cfg)
     ref, history, converged = _reference_train(model, banks[0], y, cfg)
-    assert all(np.array_equal(a, b) for a, b in zip(trained.weights + trained.biases, ref.weights + ref.biases))
-    assert report.loss_history == history
+    assert _same_bytes(trained.weights + trained.biases, ref.weights + ref.biases)
+    assert _same_bytes([report.loss_history], [history])
     assert report.converged == converged
     ((solo, solo_report),) = kr.train_many([model], [banks[0]], y, cfg, [cfg.seed])
-    assert all(np.array_equal(a, b) for a, b in zip(trained.weights + trained.biases, solo.weights + solo.biases))
-    assert solo_report.loss_history == report.loss_history
+    assert _same_bytes(trained.weights + trained.biases, solo.weights + solo.biases)
+    assert _same_bytes([solo_report.loss_history], [report.loss_history])
 
 
 def test_default_fit_matches_the_recorded_weights(pes_8min):
@@ -586,16 +597,22 @@ def test_train_many_slots_match_solo_training(group):
     cfg = kr.TrainConfig(max_iter=25, batch_size=8, tol=tol, patience=patience)
     outcomes = kr.train_many(models, xs, y, cfg, seeds)
     assert len(outcomes) == len(models)
-    for model, X, seed, (trained, report) in zip(models, xs, seeds, outcomes):
+    # a slot as wide as its lockstep group is not padded, and trains exactly as alone
+    sizes = [model.layer_sizes for model in models]
+    group_widths = {i: tuple(map(max, zip(*(sizes[j] for j in g)))) for g in mlp.lockstep_groups(sizes) for i in g}
+    for i, (model, X, seed, (trained, report)) in enumerate(zip(models, xs, seeds, outcomes)):
         solo, solo_report = kr.train(model, X, y, dataclasses.replace(cfg, seed=seed))
-        sizes = model.layer_sizes
-        assert [w.shape for w in trained.weights] == list(zip(sizes, sizes[1:]))
-        assert [b.shape for b in trained.biases] == [(s,) for s in sizes[1:]]
-        for a, b in zip(trained.weights + trained.biases, solo.weights + solo.biases):
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        assert [w.shape for w in trained.weights] == list(zip(sizes[i], sizes[i][1:]))
+        assert [b.shape for b in trained.biases] == [(s,) for s in sizes[i][1:]]
         assert report.epochs_run == solo_report.epochs_run
         assert report.converged == solo_report.converged
-        np.testing.assert_allclose(report.loss_history, solo_report.loss_history, rtol=0, atol=1e-12)
+        if group_widths[i] == sizes[i]:
+            assert _same_bytes(trained.weights + trained.biases, solo.weights + solo.biases)
+            assert _same_bytes([report.loss_history], [solo_report.loss_history])
+        else:
+            for a, b in zip(trained.weights + trained.biases, solo.weights + solo.biases):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(report.loss_history, solo_report.loss_history, rtol=0, atol=1e-12)
 
 
 def test_train_many_stops_slots_at_different_epochs():
@@ -641,6 +658,27 @@ def test_train_many_isolates_a_diverging_slot():
         trained, _ = outcomes[k]
         for a, b in zip(trained.weights + trained.biases, solo.weights + solo.biases):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+def _training_peak(X, y, epochs: int) -> int:
+    """The traced peak, in bytes, of training one model on X for exactly `epochs` epochs."""
+    cfg = kr.TrainConfig(max_iter=epochs, patience=epochs, batch_size=200)
+    model = kr.mlp_new((X.shape[1], 4, 2, 1), seed=1)
+    tracemalloc.start()
+    try:
+        kr.train(model, X, y, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_memory_does_not_grow_with_the_epoch_count():
+    # 4,000 samples in 20 steps an epoch: an (n,) or (K, n) array that a
+    # step or an epoch left behind would add 32 KB per epoch to the peak
+    banks, y = _group_data(9, [3], n=4000)
+    _training_peak(banks[0], y, 1)  # lazy set-up stays out of the compared runs
+    once, twice = _training_peak(banks[0], y, 3), _training_peak(banks[0], y, 6)
+    assert abs(twice - once) < 4 * 1024
 
 
 def test_train_many_validates_its_group():

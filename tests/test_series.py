@@ -89,6 +89,21 @@ def test_load_rejects_rows_the_csv_module_cannot_split():
         kr.load_recording(_csv("1,1,1e6,0", "0,1,1e6,0", "2," + "1" * 200_000 + ",1e6,0"))
 
 
+@pytest.mark.parametrize("rows", [2, 254, 255, 300])
+@pytest.mark.parametrize(
+    "last",
+    ['{t},1,"1e6",0', '{t},1,1e6,"-5"', '{t},1,1e6,"0', "{t},1,1e6,0\r", "{t},1,1e6,-5\r", "{t},1,1e6,0\r1e9,1,1e6,0"],
+)
+def test_a_quote_or_carriage_return_on_the_last_line_goes_to_the_row_reader(rows, last):
+    # the plain-table check reads the lines in blocks; a quote or a carriage
+    # return on the last line alone, at the end of a block (254 rows), at the
+    # start of one (255) or inside one, still sends the table to the row reader
+    text = "\n".join([HEADER, *(f"{t},1,1e6,0" for t in range(rows)), last.format(t=rows)]) + "\n"
+    with mock.patch.object(series, "_read_rows", wraps=series._read_rows) as read_rows:
+        _assert_loads_as(_reference_load(text), io.StringIO(text))
+    read_rows.assert_called_once()
+
+
 @pytest.mark.parametrize(
     "body, want",
     [
