@@ -7,13 +7,18 @@ overhead per numpy call.  `train_many` therefore trains K models in
 lockstep: `lockstep_groups` splits them into groups of one depth and
 similar widths, each group's parameters are zero-padded to its widest
 layers and stacked, and one step is a batched forward/backward pass plus
-one Adam update on the stack.  `train` is its one-model case.  Each
-layer's biases are the last row of its weight block and every layer input
-ends in a column of ones, so one matmul gives a layer's output and one
-more its weight and bias gradient.  The backward products multiply by a
-second copy of the stack with each layer's block laid out transposed,
-which one gather refreshes every step: numpy's matmul is 1.5 to 3.5
-times slower on a transposed view.  A step writes into preallocated
+one Adam update on the stack.  `train` is its one-model case.  The layout
+is feature-major: each layer is an (n_{l+1}, n_l + 1) block of the stack,
+its biases the last column, and samples run along the last axis of every
+buffer, whose layer inputs end in a row of ones, so one product gives a
+layer's output and one more its weight and bias gradient.  Each layer's
+output is then a contiguous block of rows, and a stack of one drops its K
+axis and runs every product as a 2-D np.dot, the cheapest call numpy has
+for it; larger stacks run np.matmul.  The backward products multiply by
+a second copy of the stack with each layer's weights laid out
+transposed, which one gather refreshes every step, and the output layer
+carries a zero second unit there, so its rank-1 backward product has an
+inner size of 2 and runs in BLAS.  A step writes into preallocated
 buffers and makes 6L + 11 numpy calls for L weight layers (35 for the
 default net): three gathers (the minibatch rows, their targets and the
 transposed weights), the forward/backward pass, and ten for Adam, which
@@ -58,16 +63,15 @@ ADAM_EPS = 1e-8
 DIVERGENCE_FACTOR = 1e6
 # The fixed cost of one lockstep step (train_many) in units of per-slot
 # arithmetic: it equals the work of about this many padded parameters.
-# Measured on the current step with numpy 2.4 on a 2-core x86 VM, 9600
-# samples, batch 200, epoch losses left out, groups of 1, 4 and 8 nets of
-# widths 4 and 16 with 2, 3 and 4 weight layers: 3.6, 4.8 and 6.0 ms per
-# epoch per group plus 9.9, 5.3 and 4.3 us per epoch per padded parameter
-# and slot, ratios of about 360, 900 and 1,400.  The step before
-# contiguous transposed weights and the stacked Adam update, timed
-# alternately on the same (then slow) host, gave 3.5, 5.3 and 6.6 ms and
-# the same ratios.  The value is older than these figures and is kept, so
-# that the grid's lockstep groups, and with them its report digits, stay
-# as they are.
+# Measured on the feature-major step with numpy 2.4 on a 2-core x86 VM,
+# 9600 samples, batch 200, epoch losses left out, groups of 1, 4 and 8 nets
+# of widths 4 and 16 with 2, 3 and 4 weight layers, fit as a + b * K * P:
+# 1.9, 2.6 and 3.7 ms per epoch per group plus 5.7, 4.0 and 3.0 us per
+# epoch per padded parameter and slot, ratios of about 340, 660 and 1,230.
+# The fit is loose (residuals up to 3.6 ms): a stack of one runs np.dot and
+# costs less than the line, a larger one np.matmul.  The value is older
+# than these figures and is kept, so that the grid's lockstep groups, and
+# with them its report digits, stay as they are.
 STEP_COST_PARAMS = 375
 
 
@@ -262,7 +266,8 @@ def _float_net(model: MlpModel):
     factory = _kernel_template(tuple(map(int, model.layer_sizes)))  # ints only reach the source
     if factory is not None:
         return factory(*_flat_params(model))
-    ws, widths, offsets, buffers = _fold(model), model.layer_sizes, np.zeros((1, 1), dtype=np.intp), {}
+    widths, offsets, buffers = model.layer_sizes, np.zeros((1, 1), dtype=np.intp), {}
+    ws = _layer_views(_fold([model], widths), widths)
     return lambda x: _outputs(ws, widths, np.array([[*x, 1.0]]), offsets, 1, buffers).item()
 
 
@@ -287,43 +292,66 @@ def forward(model: MlpModel, x) -> float:
 
 
 class _Buffers:
-    """The arrays one forward/backward pass of K stacked nets writes, for batches of n samples.
+    """The arrays one pass of K stacked nets writes, for batches of n samples.
 
-    acts[l] (K, n, n_l + 1) is layer l's input with a trailing column of
-    ones, which multiplies the bias row of the folded weights, and acts[-1]
-    the (K, n, 1) output; zs[l] is the part of acts[l + 1] that layer l's
-    matmul writes.  deltas[l] is the error at acts[l + 1], of its shape,
-    and dzs[l] its part at zs[l].  The ReLU and its derivative run over
-    whole buffers, ones column included, because numpy is slower on the
-    strided parts.  y holds the (K, n, 1) targets, which a training step
-    gathers with the same row indices as acts[0], and rows the
-    stacked-bank rows that _outputs gathers into acts[0].
+    The layout is feature-major: samples run along the last axis.  x
+    (K, n, n_0 + 1) takes the gathered input rows, each ending in a one,
+    and acts[0] is its transposed view; acts[l] (K, n_l + 1, n) is hidden
+    layer l's input with a last row of ones, which multiplies the bias
+    column of the folded weights, and acts[-1] the (K, 1, n) output.
+    zs[l] is the part of acts[l + 1] that layer l's product writes: its
+    rows but the ones, a contiguous block of each slot.  A stack of one
+    drops its K axis, and `product` is then np.dot, else np.matmul: np.dot
+    is the cheaper call, and its out= takes exactly such blocks.  output
+    is acts[-1] as (K, n), and rows the stacked-bank rows that _outputs
+    gathers into x.
+
+    A pass with backward (a training step) also keeps: acts_t, the
+    transposed views of acts[:-1] that the weight gradients multiply by
+    (acts_t[0] is x itself); y (K, n), the gathered targets, and target,
+    the same numbers shaped like acts[-1]; deltas[l], the error at layer
+    l's output, (K, n_{l+1}, n) below the output layer; and dzs, the
+    deltas that the weight gradients read.  The output layer's delta is
+    (K, 2, n): its second row stays zero, so that the backward product
+    through the output layer has an inner size of 2 and runs in BLAS
+    rather than in numpy's loop for a rank-1 product.  A scoring pass
+    (_outputs) makes none of these.
     """
 
-    def __init__(self, k: int, n: int, widths):
-        self.acts = [np.empty((k, n, w + 1)) for w in widths[:-1]] + [np.empty((k, n, 1))]
-        for a in self.acts[:-1]:
-            a[:, :, -1] = 1.0
-        self.acts_t = [a.transpose(0, 2, 1) for a in self.acts[:-1]]
-        self.zs = [a[:, :, :-1] for a in self.acts[1:-1]] + [self.acts[-1]]
-        self.deltas = [np.empty_like(a) for a in self.acts[1:]]
-        self.dzs = [d[:, :, :-1] for d in self.deltas[:-1]] + [self.deltas[-1]]
-        self.y = np.empty((k, n, 1))
+    def __init__(self, k: int, n: int, widths, backward: bool = True):
+        slots = (lambda a: a[0]) if k == 1 else (lambda a: a)
+        self.product = np.dot if k == 1 else np.matmul
+        self.x = np.empty((k, n, widths[0] + 1))
+        self.x[:, :, -1] = 1.0
+        hidden = [np.empty((k, w + 1, n)) for w in widths[1:-1]]
+        for a in hidden:
+            a[:, -1] = 1.0
+        self.acts = [slots(a) for a in (self.x.transpose(0, 2, 1), *hidden, np.empty((k, 1, n)))]
+        self.zs = [a[..., :-1, :] for a in self.acts[1:-1]] + [self.acts[-1]]
+        self.output = self.acts[-1].reshape(k, n)
         self.rows = np.empty((k, n), dtype=np.intp)
+        if backward:
+            self.acts_t = [a.swapaxes(-2, -1) for a in self.acts[:-1]]
+            self.y = np.empty((k, n))
+            self.target = self.y.reshape(self.acts[-1].shape)
+            self.deltas = [slots(np.empty((k, w, n))) for w in widths[1:-1]] + [slots(np.zeros((k, 2, n)))]
+            self.dzs = self.deltas[:-1] + [self.deltas[-1][..., :1, :]]
 
 
-def _forward(ws, buf: _Buffers) -> None:
-    """The outputs of K stacked nets on buf.acts[0], written into buf.acts[1:].
+def _forward(ws, x, buf: _Buffers) -> None:
+    """The outputs of K stacked nets on the input x, written into buf.acts[1:].
 
-    ws[l] has shape (K, n_l + 1, n_{l+1}): layer l's weights with its
-    biases as the last row, which the ones column of buf.acts[l]
-    multiplies.  Each layer is one matmul and, below the output, one ReLU.
+    ws[l] has shape (K, n_{l+1}, n_l + 1): layer l's weights with its
+    biases as the last column, which the ones row of its input multiplies;
+    x is the (K, n_0 + 1, n) input, buf.acts[0] or a view of the bank
+    rows.  Each layer is one product and, below the output, one ReLU.
     """
     last = len(ws) - 1
-    for li, (a, w, z) in enumerate(zip(buf.acts, ws, buf.zs)):
-        np.matmul(a, w, out=z)
+    for li, (w, z) in enumerate(zip(ws, buf.zs)):
+        buf.product(w, x, out=z)
         if li != last:
-            np.maximum(buf.acts[li + 1], 0.0, out=buf.acts[li + 1])  # the ones stay ones
+            np.maximum(z, 0.0, out=z)
+        x = buf.acts[li + 1]
 
 
 # Rows per pass of _outputs: its buffers hold K x _CHUNK_ROWS rows per
@@ -335,29 +363,30 @@ _CHUNK_ROWS = 1200
 def _outputs(ws, widths, X_rows: np.ndarray, offsets: np.ndarray, n: int, buffers: dict) -> np.ndarray:
     """The (K, n) outputs of K stacked nets, slot k on rows offsets[k] to offsets[k] + n - 1 of X_rows.
 
-    ws are the nets' folded layers as _forward takes them, padded to the
-    layer widths `widths`; X_rows holds input rows that end in a one, and
-    offsets has shape (K, 1).  The rows are gathered and run through
-    _forward _CHUNK_ROWS at a time, in _Buffers that `buffers` keeps by
-    row count; one that is missing is made and kept there.
+    ws are the nets' layers as _forward takes them, padded to the layer
+    widths `widths`; X_rows holds input rows that end in a one, and
+    offsets has shape (K, 1).  The rows run through _forward _CHUNK_ROWS
+    at a time, in forward-only _Buffers that `buffers` keeps by row count;
+    one that is missing is made and kept there.  A stack of one reads its
+    rows in place, through a transposed view; a larger one gathers them.
     """
-    k = len(ws[0])
+    k = len(offsets)
     out = np.empty((k, n))
     for lo in range(0, n, _CHUNK_ROWS):
         size = min(_CHUNK_ROWS, n - lo)
         buf = buffers.get(size)
         if buf is None:
-            buf = buffers[size] = _Buffers(k, size, widths)
-        np.add(offsets, np.arange(lo, lo + size), out=buf.rows)
-        X_rows.take(buf.rows, axis=0, out=buf.acts[0], mode="clip")  # every index is in range
-        _forward(ws, buf)
-        out[:, lo : lo + size] = buf.acts[-1][:, :, 0]
+            buf = buffers[size] = _Buffers(k, size, widths, backward=False)
+        if k == 1:
+            start = offsets.item() + lo
+            x = X_rows[start : start + size].T
+        else:
+            np.add(offsets, np.arange(lo, lo + size), out=buf.rows)
+            X_rows.take(buf.rows, axis=0, out=buf.x, mode="clip")  # every index is in range
+            x = buf.acts[0]
+        _forward(ws, x, buf)
+        out[:, lo : lo + size] = buf.output
     return out
-
-
-def _fold(model: MlpModel) -> list[np.ndarray]:
-    """model's layers as a stack of one: (1, n_l + 1, n_{l+1}) blocks, the biases as their last row."""
-    return [np.concatenate((w, b[None]))[None] for w, b in zip(model.weights, model.biases)]
 
 
 def forward_batch(model: MlpModel, X) -> np.ndarray:
@@ -365,12 +394,13 @@ def forward_batch(model: MlpModel, X) -> np.ndarray:
 
     This is the stacked pass of training (_outputs) on a stack of one:
     the folded weights, and X with a column of ones that carries the
-    biases.  Each output sums its products and its bias in numpy's matmul
-    order.
+    biases.  Each output sums its products and its bias in the order of
+    numpy's matrix product.
     """
     X, _ = _batch(model, X)
+    sizes = model.layer_sizes
     X_rows = np.hstack((X, np.ones((len(X), 1))))
-    return _outputs(_fold(model), model.layer_sizes, X_rows, np.zeros((1, 1), dtype=np.intp), len(X), {})[0]
+    return _outputs(_layer_views(_fold([model], sizes), sizes), sizes, X_rows, np.zeros((1, 1), dtype=np.intp), len(X), {})[0]
 
 
 def mse_loss(model: MlpModel, X, y) -> float:
@@ -382,34 +412,32 @@ def mse_loss(model: MlpModel, X, y) -> float:
 def _backprop(ws, wts, buf: _Buffers, gws) -> None:
     """Mean-squared-error gradients of K stacked nets, written into gws.
 
-    ws[l] has shape (K, n_l + 1, n_{l+1}): layer l's weights with its
-    biases as the last row, and gws takes the same shapes.  wts[l] holds
-    the same numbers as ws[l] transposed, (K, n_{l+1}, n_l + 1), and laid
-    out contiguously: numpy's matmul is 1.5 to 3.5 times slower on a
-    transposed view.  Both come from one (K, P) layout (_layer_views),
-    wts gathered from it by _transposing_order.  buf.acts[0] holds the
-    (K, n, n_0 + 1) input batches, each row ending in a one, and buf.y the
-    targets.  Slot k's gradient is that of its own batch only.  The ones
-    column carries the bias, so one matmul gives a layer's output and one
-    more its weight and bias gradient.  ReLU subgradient at 0 is taken as
-    0.
+    ws[l] has shape (K, n_{l+1}, n_l + 1): layer l's weights with its
+    biases as the last column, and gws takes the same shapes.  wts[l]
+    holds layer l's weights transposed, (K, n_l, n_{l+1}), the biases left
+    out, and the output layer's with a zero second column (K, n_L, 2), all
+    laid out contiguously: one gather in the column order
+    _transposing_order makes them, so no product runs on a transposed
+    weight view.  buf.x holds the (K, n, n_0 + 1) input batches, each row
+    ending in a one, and buf.y the targets.  Slot k's gradient is that of
+    its own batch only.  The ones row of each layer input carries the
+    bias, so one product gives a layer's output and one more its weight
+    and bias gradient.  ReLU subgradient at 0 is taken as 0.
     """
-    _forward(ws, buf)
+    _forward(ws, buf.acts[0], buf)
     last = len(ws) - 1
-    delta = buf.deltas[last]
-    np.subtract(buf.acts[-1], buf.y, out=delta)
+    delta = buf.dzs[last]
+    np.subtract(buf.acts[-1], buf.target, out=delta)
     delta *= 2.0 / buf.y.shape[1]
     for li in range(last, -1, -1):
-        np.matmul(buf.acts_t[li], buf.dzs[li], out=gws[li])
+        buf.product(buf.dzs[li], buf.acts_t[li], out=gws[li])
         if li > 0:
-            # nothing reads acts[li] again, so it takes its ReLU's derivative
-            # in place: 1 where positive (the ones column too), else 0
-            a, below = buf.acts[li], buf.deltas[li - 1]
-            np.greater(a, 0.0, out=a)
-            # at the output layer a rank-1 product: a broadcast multiply
-            # gives its numbers but not its signed zeros
-            np.matmul(buf.dzs[li], wts[li], out=below)
-            below *= a
+            # nothing reads zs[li - 1] again, so it takes its ReLU's
+            # derivative in place: 1 where positive, else 0
+            z, below = buf.zs[li - 1], buf.deltas[li - 1]
+            np.greater(z, 0.0, out=z)
+            buf.product(wts[li], buf.deltas[li], out=below)
+            below *= z
 
 
 def gradient(model: MlpModel, X, y) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -419,15 +447,14 @@ def gradient(model: MlpModel, X, y) -> tuple[list[np.ndarray], list[np.ndarray]]
     """
     X, y = _batch(model, X, y)
     sizes = model.layer_sizes
-    ws = _fold(model)
-    params = np.concatenate([w.ravel() for w in ws])[None]
+    params = _fold([model], sizes)
+    ws, gws = _layer_views(params, sizes), _layer_views(np.zeros_like(params), sizes)
     wts = _layer_views(params.take(_transposing_order(sizes), axis=1), sizes, transposed=True)
-    gws = [np.empty_like(w) for w in ws]
     buf = _Buffers(1, y.size, sizes)
-    buf.acts[0][0, :, :-1] = X
-    buf.y[0, :, 0] = y
+    buf.x[0, :, :-1] = X
+    buf.y[0] = y
     _backprop(ws, wts, buf, gws)
-    return [g[0, :-1] for g in gws], [g[0, -1] for g in gws]
+    return _unfold(gws, sizes)
 
 
 def _param_count(widths) -> int:
@@ -467,41 +494,70 @@ def lockstep_groups(layer_sizes) -> list[list[int]]:
     return groups
 
 
-def _layer_views(flat: np.ndarray, widths, transposed: bool = False) -> list[np.ndarray]:
-    """Per-layer (K, n_l + 1, n_{l+1}) views of a (K, P) array: weights, then biases as the last row.
+def _block_shapes(widths) -> list[tuple[int, int]]:
+    """(rows, n_l) of each layer's block in a parameter stack: one row per unit, and two for the output unit.
 
-    With transposed, the views are (K, n_{l+1}, n_l + 1): the layout that
-    _transposing_order gathers.
+    The output layer's second row is held at zero; see _Buffers.
     """
-    k = flat.shape[0]
-    views = []
-    off = 0
-    for nin, nout in zip(widths, widths[1:]):
-        shape = (k, nout, nin + 1) if transposed else (k, nin + 1, nout)
-        views.append(flat[:, off : off + (nin + 1) * nout].reshape(shape))
-        off += (nin + 1) * nout
+    return [(nout, nin) for nin, nout in zip(widths[:-2], widths[1:-1])] + [(2, widths[-2])]
+
+
+def _fold(models, widths) -> np.ndarray:
+    """The (K, P) parameter stack of the models, zero-padded to the layer widths `widths`; see _layer_views."""
+    params = np.zeros((len(models), sum(rows * (nin + 1) for rows, nin in _block_shapes(widths))))
+    for row, mo in enumerate(models):
+        for block, w, b in zip(_layer_views(params[row], widths), mo.weights, mo.biases):
+            block[: w.shape[1], : w.shape[0]] = w.T
+            block[: b.size, -1] = b
+    return params
+
+
+def _unfold(blocks, sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The weights (n_l, n_{l+1}) and biases of a net of these layer sizes, as views of its layer blocks."""
+    pairs = list(zip(sizes, sizes[1:]))
+    return [b[:nout, :nin].T for b, (nin, nout) in zip(blocks, pairs)], [b[:nout, -1] for b, (_, nout) in zip(blocks, pairs)]
+
+
+def _layer_views(flat: np.ndarray, widths, transposed: bool = False) -> list[np.ndarray]:
+    """Per-layer views of a (K, P) parameter stack or, with transposed, of its gathered copy.
+
+    The stack holds layer l as an (n_{l+1}, n_l + 1) block: one row per
+    unit, its weights and then its bias.  The output layer's block has a
+    second row, held at zero, that only the gathered copy shows: without
+    transposed the views are the blocks, the output layer's cut to its
+    real row.  With transposed, flat is a stack gathered by
+    _transposing_order and the views are (K, n_l, rows): the blocks'
+    weights transposed, without the biases.  A stack of one drops its K
+    axis, as does a 1-D flat.
+    """
+    if flat.ndim == 2 and len(flat) == 1:
+        flat = flat[0]
+    views, off = [], 0
+    for rows, nin in _block_shapes(widths):
+        shape = (nin, rows) if transposed else (rows, nin + 1)
+        views.append(flat[..., off : off + shape[0] * shape[1]].reshape(*flat.shape[:-1], *shape))
+        off += shape[0] * shape[1]
+    if not transposed:
+        views[-1] = views[-1][..., :1, :]
     return views
 
 
-def _transposing_order(widths) -> np.ndarray:
-    """The column order that lays a (K, P) parameter stack out transposed, layer by layer.
+@lru_cache(maxsize=64)
+def _transposing_order(widths: tuple[int, ...]) -> np.ndarray:
+    """The columns of a (K, P) parameter stack that its gathered copy takes, in order.
 
     For params of shape (K, P), _layer_views(params.take(order, axis=1),
-    widths, transposed=True)[l][k] equals _layer_views(params, widths)[l][k].T.
+    widths, transposed=True)[l][k] is the transpose of slot k's block of
+    layer l without its bias column, the output layer's zero row included.
+    Built once per tuple of layer widths, and read-only.
     """
-    cols = np.arange(_param_count(widths))[None]
-    return np.concatenate([w[0].T.ravel() for w in _layer_views(cols, widths)])
-
-
-def _slot_model(ws, row: int, model: MlpModel) -> MlpModel:
-    """model's unpadded weights and biases as views into row `row` of the stack."""
-    sizes = model.layer_sizes
-    return MlpModel(
-        sizes,
-        [w[row, :nin, :nout] for w, nin, nout in zip(ws, sizes, sizes[1:])],
-        [w[row, -1, :nout] for w, nout in zip(ws, sizes[1:])],
-        model.seed,
-    )
+    order, off = [], 0
+    for rows, nin in _block_shapes(widths):
+        order.append(off + np.arange(rows * (nin + 1)).reshape(rows, nin + 1)[:, :-1].T.ravel())
+        off += rows * (nin + 1)
+    order = np.concatenate(order)
+    order.flags.writeable = False
+    return order
 
 
 def train_many(
@@ -538,10 +594,10 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
     """train_many's body for one group of models of one depth, on checked inputs.
 
     Parameters are zero-padded to the group's widest layers and stacked in
-    one (K, P) array beside Adam's m and v.  Each layer is one (K, n_l + 1,
-    n_{l+1}) block of that array, its biases the last row, and the stacked
-    input banks end in a column of ones, so a layer's bias rides in its
-    matmul.  Each epoch draws every live slot's shuffle and adds its
+    one (K, P) array beside Adam's m and v (_fold).  Each layer is one
+    (K, n_{l+1}, n_l + 1) block of that array, its biases the last column,
+    and the stacked input banks end in a column of ones, so a layer's bias
+    rides in its product.  Each epoch draws every live slot's shuffle and adds its
     bank's row offset once, so the shuffled indices address the stacked
     rows X_rows and the targets y_rows (y repeated once per bank) alike.
     One step takes each slot's minibatch rows and targets with one gather
@@ -549,7 +605,8 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
     one and a shorter last one), gathers the parameters into their
     transposed layout (_transposing_order) for the backward products,
     runs one batched forward/backward pass (_backprop) and one Adam update
-    in place, m and v as one stack.  It allocates no array memory but the
+    in place, m and v as one stack.  The output layer's zero row (see
+    _Buffers) has a zero gradient, so Adam leaves it at zero.  It allocates no array memory but the
     index copies numpy's take makes of a strided minibatch slice (K > 1).
     The padding is exact: a padded unit has z = 0, so its ReLU delta and
     gradient are 0, and Adam started at m = v = 0 never moves it.  Inputs
@@ -569,21 +626,17 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
     banks = list({id(X): X for X in Xs}.values())
     bank_index = {id(X): i for i, X in enumerate(banks)}
     bank_of = [bank_index[id(X)] for X in Xs]
-    widths = [max(col) for col in zip(*(mo.layer_sizes for mo in models))]
+    widths = tuple(max(col) for col in zip(*(mo.layer_sizes for mo in models)))
     X_stack = np.zeros((len(banks), n, widths[0] + 1))
     X_stack[:, :, -1] = 1.0
     for i, arr in enumerate(banks):
         X_stack[i, :, : arr.shape[1]] = arr
     X_rows = X_stack.reshape(len(banks) * n, widths[0] + 1)
-    y_rows = np.tile(y, len(banks))[:, None]  # row i's target, so one index takes both
+    y_rows = np.tile(y, len(banks))  # row i's target, so one index takes both
 
     k = len(models)
-    state = np.zeros((3, k, _param_count(widths)))  # the parameters, then Adam's m and v
-    ws = _layer_views(state[0], widths)
-    for row, mo in enumerate(models):
-        for w, src, b in zip(ws, mo.weights, mo.biases):
-            w[row, : src.shape[0], : src.shape[1]] = src
-            w[row, -1, : b.size] = b
+    params = _fold(models, widths)
+    state = np.stack((params, np.zeros_like(params), np.zeros_like(params)))  # the parameters, then Adam's m and v
     transposing = _transposing_order(widths)
     # Adam's (beta1, beta2), (1 - beta1, 1 - beta2) and bias corrections,
     # shaped to scale m and v as one stack
@@ -604,23 +657,29 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
 
     def losses() -> list[float]:
         """The live slots' mean squared errors over their banks, in stack row order."""
-        err = _outputs(ws, widths, X_rows, offsets, n, buffers) - y
-        return np.mean(err**2, axis=1).tolist()
+        err = _outputs(ws, widths, X_rows, offsets, n, scoring)
+        err -= y
+        np.square(err, out=err)
+        return np.mean(err, axis=1).tolist()
 
     def finish(row: int, s: int, converged: bool) -> None:
         hist = history[s]
-        net = _slot_model(_layer_views(state[0], widths), row, models[s]).copy()
+        sizes = models[s].layer_sizes
+        net = MlpModel(sizes, *_unfold(_layer_views(state[0, row], widths), sizes), models[s].seed).copy()
         results[s] = (net, TrainReport(len(hist), hist, converged, min(hist)))
 
     for epoch in range(1, cfg.max_iter + 1):
         if restack:  # the live slots' views and scratch arrays
             params, moments = state[0], state[1:]
-            params_t = np.empty_like(params)
-            grads, hats = np.empty((2, *moments.shape))  # g beside g**2; m/c1 beside v/c2
+            params_t = np.empty((len(live), transposing.size))
+            # g beside g**2 and m/c1 beside v/c2; the step writes all of g
+            # but the output layer's zero row, so g starts at zero
+            grads, hats = np.zeros_like(moments), np.empty_like(moments)
             (g, g_sq), (num, den) = grads, hats
             ws, gws = _layer_views(params, widths), _layer_views(g, widths)
             wts = _layer_views(params_t, widths, transposed=True)
-            buffers = {size: _Buffers(len(live), size, widths) for size in batch_sizes}
+            steps = {size: _Buffers(len(live), size, widths) for size in batch_sizes}
+            scoring: dict = {}  # the forward-only buffers of the epoch losses
             offsets = n * np.array([bank_of[s] for s in live])[:, None]
             restack = False
         if epoch == 1:
@@ -629,11 +688,11 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
         order = np.stack([rngs[s].permutation(n) for s in live])
         order += offsets  # rows of X_rows and y_rows
         for lo in range(0, n, batch):
-            buf = buffers[min(batch, n - lo)]
+            buf = steps[min(batch, n - lo)]
             idx = order[:, lo : lo + batch]
             # mode="clip" lets take write straight into out; every index is in range
-            X_rows.take(idx, axis=0, out=buf.acts[0], mode="clip")
-            y_rows.take(idx, axis=0, out=buf.y, mode="clip")
+            X_rows.take(idx, axis=0, out=buf.x, mode="clip")
+            y_rows.take(idx, out=buf.y, mode="clip")
             params.take(transposing, axis=1, out=params_t, mode="clip")
             _backprop(ws, wts, buf, gws)
             step += 1

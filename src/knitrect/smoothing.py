@@ -139,12 +139,17 @@ def _filter_pass(xs: np.ndarray, alphas: tuple[float, ...], windows: tuple[int, 
     """Seed each filter with its window's mean, then step them all over xs[1:] on Python floats.
 
     Returns the step (_step_template's bank-only one, left at the last
-    sample) and the (len(xs), N) rows of filter values.
+    sample, as a function that returns the list of the filter values) and
+    the (len(xs), N) rows of filter values.  One filter's step returns its
+    value itself, so the pass builds no one-element list per sample; the
+    step returned wraps it in a list.
     """
     seeds = [_seed_mean(xs, m) for m in windows]
     step = _step_template(len(seeds), None)(*seeds, *(1.0 - a for a in alphas))
-    values = chain(seeds, chain.from_iterable(map(step, memoryview(xs)[1:])))
-    return step, np.fromiter(values, dtype=float, count=xs.size * len(seeds)).reshape(xs.size, len(seeds))
+    steps = map(step, memoryview(xs)[1:])
+    values = chain(seeds, steps if len(seeds) == 1 else chain.from_iterable(steps))
+    rows = np.fromiter(values, dtype=float, count=xs.size * len(seeds)).reshape(xs.size, len(seeds))
+    return ((lambda x: [step(x)]) if len(seeds) == 1 else step), rows
 
 
 @dataclass(frozen=True)
@@ -183,17 +188,17 @@ def _step_template(n: int, sizes: tuple[int, ...] | None):
     values y_j and their weights beta_j = 1 - alpha_j are closure cells,
     and each step advances every filter by y_j = x + beta_j*(y_j - x), the
     one place the recurrence is written.  With sizes None (the step of
-    _filter_pass) step returns the list of the new values; otherwise it
-    runs the straight-line body of the net of those layer sizes
-    (mlp._net_lines, whose parameters follow the betas) on them and
-    returns its output.  None where _net_lines gives no body, as for
+    _filter_pass) step returns the list of the new values, or for n = 1
+    the new value itself; otherwise it runs the straight-line body of the
+    net of those layer sizes (mlp._net_lines, whose parameters follow the
+    betas) on them and returns its output.  None where _net_lines gives no body, as for
     mlp._kernel_template.
     """
     ys = [f"y{j}" for j in range(n)]
     body = [f"nonlocal {', '.join(ys)}", *(f"{y} = x + beta{j} * ({y} - x)" for j, y in enumerate(ys))]
     params: list[str] = []
     if sizes is None:
-        body.append(f"return [{', '.join(ys)}]")
+        body.append(f"return {ys[0]}" if n == 1 else f"return [{', '.join(ys)}]")
     else:
         net = _net_lines(sizes, ys)
         if net is None:

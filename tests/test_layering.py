@@ -12,14 +12,16 @@ nets get a straight-line body: no other module names
 knitrect.mlp defines `_backprop` once, and both the public `gradient`
 and the lockstep trainer `_train_group` call it.  One numpy forward pass
 serves them all: only `_forward` and `_backprop` multiply matrices in
-knitrect.mlp, `_forward` is reached from `_backprop` and from the
+knitrect.mlp, also through a name bound to a product function (the
+passes call `buf.product`, np.dot for a stack of one and np.matmul
+otherwise), `_forward` is reached from `_backprop` and from the
 stacked scorer `_outputs`, and both `forward_batch` and the trainer's
 epoch losses (`_train_group`) go through `_outputs`.  The backward
 products multiply by contiguous transposed weights: neither `_backprop`,
 `gradient` nor `_train_group` (its step loop included) transposes an
-array, and the transposed stack comes only from a gather in the one
-column order `_transposing_order`, which `gradient` and `_train_group`
-use.
+array (the transposed views of the activations live in `_Buffers`), and
+the transposed stack comes only from a gather in the one column order
+`_transposing_order`, which `gradient` and `_train_group` use.
 
 One filter recurrence builds every feature bank: outside the simulator,
 the update y = x + beta*(y - x) is written only in the step that
@@ -234,21 +236,56 @@ def test_backprop_guard_flags_a_second_gradient(source):
 MATMUL_CALLS = {"matmul", "dot", "einsum", "tensordot", "inner", "vdot"}
 
 
+def _names_a_product(node) -> bool:
+    """Whether an expression is a product function (`np.dot`), or a conditional choice between such."""
+    if isinstance(node, ast.IfExp):
+        return _names_a_product(node.body) or _names_a_product(node.orelse)
+    return isinstance(node, ast.Attribute) and node.attr in MATMUL_CALLS or isinstance(node, ast.Name) and node.id in MATMUL_CALLS
+
+
+def product_names(tree: ast.AST) -> set[str]:
+    """MATMUL_CALLS and every name that the module binds to one of them.
+
+    A binding is an assignment to a name or an attribute
+    (`self.product = np.dot if k == 1 else np.matmul`) or an import
+    alias (`from numpy import matmul as mm`).
+    """
+    names = set(MATMUL_CALLS)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and _names_a_product(node.value):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    names.add(target.id)
+                elif isinstance(target, ast.Attribute):
+                    names.add(target.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {a.asname for a in node.names if a.asname and a.name in MATMUL_CALLS}
+    return names
+
+
 def matrix_products(source: str) -> set[str]:
     """The top-level definitions ('<module>' for other statements) that multiply matrices.
 
-    A product is `@` or `@=`, or a call of an attribute named as in
-    MATMUL_CALLS: `np.matmul(a, w)`, `np.dot`, `a.dot(w)` and the like.
+    A product is `@` or `@=`, or a call of a function named as in
+    MATMUL_CALLS (`np.matmul(a, w)`, `np.dot`, `a.dot(w)`, `matmul(a, w)`
+    and the like) or by a name bound to one (product_names), such as
+    `buf.product(w, x, out=z)`.  The binding itself multiplies nothing.
     """
+    tree = ast.parse(source)
+    products = product_names(tree)
     found = set()
-    for stmt in ast.parse(source).body:
+    for stmt in tree.body:
         for node in ast.walk(stmt):
             if (
                 isinstance(node, (ast.BinOp, ast.AugAssign))
                 and isinstance(node.op, ast.MatMult)
                 or isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in MATMUL_CALLS
+                and (
+                    isinstance(node.func, ast.Attribute)
+                    and node.func.attr in products
+                    or isinstance(node.func, ast.Name)
+                    and node.func.id in products
+                )
             ):
                 found.add(getattr(stmt, "name", "<module>"))
     return found
@@ -278,16 +315,20 @@ def test_mlp_has_one_numpy_forward_pass():
 
 # the call structure of mlp.py in miniature; each mutant breaks it once
 ONE_FORWARD = """
-def _forward(ws, buf):
-    for a, w, z in zip(buf.acts, ws, buf.zs):
-        np.matmul(a, w, out=z)
+class _Buffers:
+    def __init__(self, k, n, widths):
+        self.product = np.dot if k == 1 else np.matmul
+def _forward(ws, x, buf):
+    for li, (w, z) in enumerate(zip(ws, buf.zs)):
+        buf.product(w, x, out=z)
+        x = buf.acts[li + 1]
 def _outputs(ws, X, buffers):
-    _forward(ws, buffers[0])
+    _forward(ws, X.T, buffers[0])
 def forward_batch(model, X):
     return _outputs(_fold(model), X, {})[0]
 def _backprop(ws, buf, gws):
-    _forward(ws, buf)
-    np.matmul(buf.acts_t[0], buf.dzs[0], out=gws[0])
+    _forward(ws, buf.acts[0], buf)
+    buf.product(buf.dzs[0], buf.acts_t[0], out=gws[0])
 def _train_group(models):
     def losses():
         return _outputs(ws, X_rows, buffers)
@@ -297,6 +338,10 @@ def _train_group(models):
 
 def test_forward_guard_passes_the_miniature():
     assert forward_pass_faults(ONE_FORWARD) == []
+
+
+def test_forward_guard_sees_the_products_of_mlp_itself():
+    assert matrix_products((PACKAGE / "mlp.py").read_text()) == {"_forward", "_backprop"}
 
 
 @pytest.mark.parametrize(
@@ -309,8 +354,12 @@ def test_forward_guard_passes_the_miniature():
         # the epoch loss goes back to a per-slot forward
         ("return _outputs(ws, X_rows, buffers)", "return [mse_loss(net, X, y) for net in nets]"),
         ("return _outputs(ws, X_rows, buffers)", "a = X_rows\n        a @= ws[0]\n        return a"),
+        # a product through the bound name, or through a name of its own
+        ("    _forward(ws, X.T, buffers[0])", "    buffers[0].product(ws[0], X.T, out=buffers[0].zs[0])"),
+        ("def _train_group(models):", "def _train_group(models):\n    mm = np.dot if len(models) == 1 else np.matmul\n    mm(X, ws[0])"),
+        ("def _train_group(models):", "from numpy import matmul as mm\ndef _train_group(models):\n    mm(X, ws[0])"),
         # _backprop keeps a forward loop of its own
-        ("def _backprop(ws, buf, gws):\n    _forward(ws, buf)", "def _backprop(ws, buf, gws):\n    pass"),
+        ("def _backprop(ws, buf, gws):\n    _forward(ws, buf.acts[0], buf)", "def _backprop(ws, buf, gws):\n    pass"),
         # a second _forward, or a product at module level
         ("def _outputs(", "def _forward(ws, buf):\n    pass\ndef _outputs("),
         ("def _train_group(", "forward = lambda X, w: np.matmul(X, w)\ndef _train_group("),

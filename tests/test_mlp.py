@@ -478,7 +478,12 @@ def test_trained_parameters_stay_finite(small_bundle):
 
 
 def _reference_train(model, X, y, cfg):
-    """The per-model loop train_many replaced: 2-D passes and one Adam update per array."""
+    """The per-model loop train_many replaced: 2-D passes and one Adam update per array.
+
+    Samples run along columns, as in train_many's buffers.  A layer's
+    weight and bias gradients are one product with a row of ones appended
+    to its input, the bias being the weight of a constant-1 input.
+    """
     net = model.copy()
     n = y.size
     batch = min(200, n) if cfg.batch_size == "auto" else min(int(cfg.batch_size), n)
@@ -491,17 +496,17 @@ def _reference_train(model, X, y, cfg):
         order = rng.permutation(n)
         for lo in range(0, n, batch):
             idx = order[lo : lo + batch]
-            acts, zs = [X[idx]], []
+            acts, zs = [X[idx].T], []
             for li, (w, b) in enumerate(zip(net.weights, net.biases)):
-                zs.append(acts[-1] @ w + b)
+                zs.append(np.ascontiguousarray(w.T) @ acts[-1] + b[:, None])
                 acts.append(zs[-1] if li == len(net.weights) - 1 else np.maximum(zs[-1], 0.0))
-            delta = (2.0 / idx.size) * (acts[-1][:, 0] - y[idx])[:, None]
+            delta = (2.0 / idx.size) * (acts[-1][0] - y[idx])[None]
             gw, gb = [None] * len(net.weights), [None] * len(net.weights)
             for li in range(len(net.weights) - 1, -1, -1):
-                gw[li] = acts[li].T @ delta
-                gb[li] = delta.sum(axis=0)
+                g = delta @ np.vstack((acts[li], np.ones(idx.size))).T
+                gw[li], gb[li] = g[:, :-1].T, g[:, -1]
                 if li > 0:
-                    delta = (delta @ net.weights[li].T) * (zs[li - 1] > 0.0)
+                    delta = (np.ascontiguousarray(net.weights[li]) @ delta) * (zs[li - 1] > 0.0)
             step += 1
             c1, c2 = 1.0 - 0.9**step, 1.0 - 0.999**step
             for i, g in enumerate(gw + gb):
@@ -554,6 +559,29 @@ def test_train_matches_the_reference_loop_bit_for_bit(chunk_rows, monkeypatch):
     ((solo, solo_report),) = kr.train_many([model], [banks[0]], y, cfg, [cfg.seed])
     assert _same_bytes(trained.weights + trained.biases, solo.weights + solo.biases)
     assert _same_bytes([solo_report.loss_history], [report.loss_history])
+
+
+def test_epoch_losses_are_the_mean_squared_errors_of_the_stacked_outputs(monkeypatch):
+    # the losses are squared and averaged in place of the outputs; their
+    # bytes are those of the plain expression on a copy of them
+    banks, y = _group_data(7, [2, 3])
+    sizes = [(2, 3, 1), (3, 3, 1), (2, 2, 1)]
+    assert mlp.lockstep_groups(sizes) == [[0, 1, 2]]
+    outputs = []
+    real = mlp._outputs
+
+    def recording(*args):
+        out = real(*args)
+        outputs.append(out.copy())
+        return out
+
+    monkeypatch.setattr(mlp, "_outputs", recording)
+    cfg = kr.TrainConfig(max_iter=4, batch_size=8, tol=0.0, patience=10)
+    outcomes = kr.train_many([kr.mlp_new(s, i) for i, s in enumerate(sizes)], [banks[0], banks[1], banks[0]], y, cfg, [1, 2, 3])
+    assert len(outputs) == 5  # the initial losses, then one pass per epoch
+    histories = np.array([report.loss_history for _, report in outcomes])
+    want = np.array([np.mean((out - y) ** 2, axis=1) for out in outputs[1:]]).T
+    assert histories.tobytes() == want.tobytes()
 
 
 def test_default_fit_matches_the_recorded_weights(pes_8min):

@@ -220,6 +220,18 @@ def test_bank_push_buffers_then_matches_batch_row():
     assert np.array_equal(np.array(outs[19:]), batch[19:])
 
 
+def test_one_filter_bank_push_matches_batch_rows():
+    # a one-filter pass steps without a list per sample; the stream still
+    # gets one-element rows from the step it keeps
+    xs = np.random.default_rng(12).normal(size=40)
+    bank = kr.make_bank((0.1,), (5,))
+    outs = [kr.bank_push(bank, x) for x in xs]
+    assert all(o is None for o in outs[:4])
+    batch = kr.feature_bank_with_windows(kr.UniformSeries(20.0, 0.0, xs), (0.1,), (5,)).values
+    assert all(o.shape == (1,) for o in outs[4:])
+    assert np.array(outs[4:]).tobytes() == batch[4:].tobytes()
+
+
 def test_bank_push_rows_do_not_alias_the_bank_state():
     bank = kr.make_bank((0.5, 0.1), (1, 1))
     row = kr.bank_push(bank, 1.0)
