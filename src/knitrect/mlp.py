@@ -27,14 +27,15 @@ a stack of one.
 
 For the same reason `forward` runs a small net on one input vector in
 Python floats rather than as a one-row `forward_batch`.  A net of at most
-4,096 parameters is compiled once per tuple of layer sizes into one
-straight-line function (`h0_0 = 0.0 + a0*w0_0_0 + ... + b0_0`, then its
-ReLU, and so on to the output unit), whose source holds no weight: the
-weights are bound to it as closure cells.  Each unit sums its products
-left to right from 0.0 and then adds its bias; numpy sums in another
-order, so `forward` matches `forward_batch` to within rounding (1e-12 on
-the nets here), not bit for bit.  Larger nets, whose kernels take ever
-longer to build, run the one-row numpy pass instead, so for them
+_KERNEL_MAX_PARAMS (384) parameters, about the size from which the
+grid's nets run faster as a one-row batch, is compiled once per tuple of
+layer sizes into one straight-line function (`h0_0 = 0.0 + a0*w0_0_0 +
+... + b0_0`, then its ReLU, and so on to the output unit), one statement
+per unit, whose source holds no weight: the weights are bound to it as
+closure cells.  Each unit sums its products left to right from 0.0 and
+then adds its bias; numpy sums in another order, so `forward` matches
+`forward_batch` to within rounding (1e-12 on the nets here), not bit for
+bit.  Larger nets run the one-row numpy pass instead, so for them
 `forward` equals `forward_batch` exactly.  The stream path runs the same
 straight-line body (_net_lines), fused after its filter step into one
 function per filter count and layer sizes (smoothing._step_template), or
@@ -55,7 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DataError, TrainingDiverged, _finite, _integers, _positive
+from .errors import DataError, TrainingDiverged, _finite, _integer, _integers, _positive
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -126,7 +127,12 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """Per-run training trace."""
+    """Per-run training trace.
+
+    best_loss is the lowest epoch loss in loss_history, but the trained
+    model holds the last epoch's weights, not the best epoch's, so its
+    loss is loss_history[-1], which can be above best_loss.
+    """
 
     epochs_run: int
     loss_history: list[float]
@@ -135,28 +141,30 @@ class TrainReport:
 
 
 def _check_sizes(layer_sizes) -> tuple[int, ...]:
-    sizes = tuple(int(s) for s in layer_sizes)
+    """The layer sizes as ints: input >= 1, hidden >= 2, output exactly 1; an integral float passes."""
+    sizes = tuple(layer_sizes)
     if len(sizes) < 2:
         raise DataError("need at least input and output layer sizes")
-    if sizes[-1] != 1:
+    if _integer("output layer width", sizes[-1], 1) != 1:
         raise DataError("output layer width must be exactly 1")
-    if sizes[0] < 1:
-        raise DataError("input width must be >= 1")
-    if any(h < 2 for h in sizes[1:-1]):
-        raise DataError("hidden layer widths must be >= 2")
-    return sizes
+    return (_integer("input width", sizes[0], 1), *(_integer("hidden layer width", h, 2) for h in sizes[1:-1]), 1)
 
 
 def mlp_new(layer_sizes, seed: int = 0) -> MlpModel:
-    """Fresh network: Glorot-uniform weights (bound sqrt(6/(fan_in+fan_out))), zero biases."""
+    """Fresh network: Glorot-uniform weights (bound sqrt(6/(fan_in+fan_out))), zero biases.
+
+    The layer sizes and the seed (>= 0) are integers, an integral float
+    such as 8.0 included; anything else raises DataError.
+    """
     sizes = _check_sizes(layer_sizes)
+    seed = _integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for nin, nout in zip(sizes, sizes[1:]):
         bound = np.sqrt(6.0 / (nin + nout))
         weights.append(rng.uniform(-bound, bound, size=(nin, nout)))
         biases.append(np.zeros(nout))
-    return MlpModel(sizes, weights, biases, int(seed))
+    return MlpModel(sizes, weights, biases, seed)
 
 
 def _batch(model: MlpModel, X, y=None) -> tuple[np.ndarray, np.ndarray | None]:
@@ -177,13 +185,25 @@ def _batch(model: MlpModel, X, y=None) -> tuple[np.ndarray, np.ndarray | None]:
 # Nets of up to this many parameters get a straight-line body (_net_lines),
 # in forward's kernel and in the stream's fused step; larger ones run the
 # one-row numpy pass (_float_net).  No other module reads the bound.  The
-# body's build time grows faster than the net: 70 ms at 3,553 parameters
-# (the largest grid net) and 0.41 s at 11,301, once per shape (Python 3.11
-# on a 2-core x86 VM).
-_KERNEL_MAX_PARAMS = 4096
-# Terms per statement of a unit's sum: one expression of 5,000 terms makes
-# CPython's compiler raise RecursionError.
-_KERNEL_TERMS = 32
+# kernel's cost grows with the parameters and the numpy pass's with the
+# hidden layers, so no one count is the crossover at every depth: it lies
+# near 300 parameters for two hidden layers, 370 for three and 400 for
+# four.  384 is where the grid's own nets (enumerate_topologies on 3, 4, 7
+# and 10 inputs) cross over.  Per call, kernel against numpy pass, min of
+# 11 x 1,000 interleaved calls (2 cores, Python 3.11.7, numpy 2.4.6): 51
+# parameters (7, 4, 2, 2, 1) 1.0 against 7.6 us; 273 (7, 16, 8, 1) 5.8
+# against 6.0, 369 (4, 16, 16, 1) 7.4 against 5.7; 353 (10, 16, 8, 4, 1)
+# 7.8 against 7.9, 393 (10, 16, 8, 8, 1) 9.1 against 7.6; 373
+# (10, 16, 8, 4, 4, 1) 9.5 against 10.0, 433 (3, 6, 12, 12, 12, 1) 10.6
+# against 9.3.  Of the 125 grid nets of 200 to 560 parameters, 11 take the
+# slower path at this bound, none by more than 1.7 us, against 52 at 256
+# and 32 at 512.  The stream's fused step against the filter step then the
+# numpy pass crosses at the same sizes: 1.4 against 8.2 us at 51, 15 of
+# the 125 nets on the slower path.  Single runs on a shared host vary by
+# up to 2x.  Within the bound a unit has at most 385 terms, far below the
+# size of one expression that CPython's compiler rejects with
+# RecursionError (a sum of 3,000 terms on 3.11).
+_KERNEL_MAX_PARAMS = 384
 
 
 def _net_lines(sizes: tuple[int, ...], ins: list[str]) -> tuple[list[str], list[str]] | None:
@@ -193,9 +213,8 @@ def _net_lines(sizes: tuple[int, ...], ins: list[str]) -> tuple[list[str], list[
     computes the net unit by unit and ends in `return`.  It names every
     weight, bias and activation by its indices and holds no number but
     0.0, so it depends on the sizes only; the parameters, in _flat_params
-    order, are the names a factory takes.  Each unit's sum runs left to
-    right from 0.0 and then adds its bias, split into statements of at
-    most _KERNEL_TERMS terms.
+    order, are the names a factory takes.  Each unit is one statement,
+    whose sum runs left to right from 0.0 and then adds its bias.
     """
     if _param_count(sizes) > _KERNEL_MAX_PARAMS:
         return None
@@ -206,11 +225,8 @@ def _net_lines(sizes: tuple[int, ...], ins: list[str]) -> tuple[list[str], list[
         params += [f"b{li}_{j}" for j in range(nout)]
         outs = [f"h{li}_{j}" for j in range(nout)]
         for j, h in enumerate(outs):
-            terms = [f"{a}*w{li}_{i}_{j}" for i, a in enumerate(ins)] + [f"b{li}_{j}"]
-            acc = "0.0"
-            for k in range(0, len(terms), _KERNEL_TERMS):
-                body.append(f"{h} = {' + '.join([acc, *terms[k : k + _KERNEL_TERMS]])}")
-                acc = h
+            terms = [f"{a}*w{li}_{i}_{j}" for i, a in enumerate(ins)]
+            body.append(f"{h} = {' + '.join(['0.0', *terms, f'b{li}_{j}'])}")
             if li != last:
                 # ReLU that lets a NaN and -0.0 through
                 body.append(f"if {h} < 0.0: {h} = 0.0")
@@ -274,14 +290,14 @@ def _float_net(model: MlpModel):
 def forward(model: MlpModel, x) -> float:
     """Prediction for a single input vector.
 
-    Evaluated by _float_net: nets of up to 4,096 parameters run a
-    straight-line kernel on Python floats, compiled once per shape, which
-    sums each unit's products left to right from 0.0 and then adds its
-    bias.  That order is not numpy's, so the result equals forward_batch
-    on the one-row batch to within rounding (1e-12 here), not bit for bit.
-    Larger nets run forward_batch's own pass on the one row and equal it
-    exactly.  The stream path (pipeline.stream_push) runs the same
-    evaluator, so the two agree bit for bit.
+    Evaluated by _float_net: nets of up to _KERNEL_MAX_PARAMS (384)
+    parameters run a straight-line kernel on Python floats, compiled once
+    per shape, which sums each unit's products left to right from 0.0 and
+    then adds its bias.  That order is not numpy's, so the result equals
+    forward_batch on the one-row batch to within rounding (1e-12 here), not
+    bit for bit.  Larger nets run forward_batch's own pass on the one row
+    and equal it exactly.  The stream path (pipeline.stream_push) runs the
+    same evaluator, so the two agree bit for bit.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:

@@ -249,6 +249,10 @@ class PipelineBundle:
     with the config, or that holds a weight or bias that is not a finite
     number, raises DataError, and so does an init window that is not an
     integer >= 1 (an integral float such as 8.0 is stored as 8).
+
+    A fitted bundle's provenance train_best_loss is the training report's
+    best_loss: the lowest epoch loss, which need not be the loss of the
+    model it holds, whose weights are the last epoch's (see TrainReport).
     """
 
     config: PipelineConfig
@@ -403,12 +407,12 @@ class StreamSession:
 
     samples_seen counts the samples accepted into the bank.  When the
     bank's warm-up buffer seeds its filters, the session's bank binds one
-    generated function to them and the bundle's network: for a net of at
-    most 4,096 parameters it steps the N filters and runs the net's
-    straight-line body on them in one call, compiled once per filter count
-    and layer sizes; for a larger net it steps the filters and then runs
-    forward_batch's numpy pass on the one row (see smoothing._bank_step
-    and mlp.forward).
+    function to them and the bundle's network: for a net within forward's
+    kernel bound (384 parameters) it steps the N filters and runs the
+    net's straight-line body on them in one generated call, compiled once
+    per filter count and layer sizes; for a larger net it steps the
+    filters and then runs forward_batch's numpy pass on the one row (see
+    smoothing._bank_step and mlp.forward).
     """
 
     bundle: PipelineBundle
@@ -426,7 +430,7 @@ def stream_push(session: StreamSession, sample: tuple[float, float]) -> float | 
     Samples must arrive at the bundle's rate (the caller resamples); the
     timestamp is accepted for interface symmetry but the filters are
     purely sample-indexed.  After the checks, a push past the warm-up is
-    one call of the session's fused filter-and-network step.  Each value
+    one call of the session's step (see StreamSession).  Each value
     equals `forward(model, row)` on the bank row `bank_push` gives for the
     same sample, bit for bit, and so equals predict_batch on the same
     resampled recording to within 1e-12.  A rejected sample raises

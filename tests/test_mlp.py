@@ -70,6 +70,32 @@ def test_mlp_new_rejects_bad_sizes():
         kr.mlp_new((0, 1), seed=0)
 
 
+@pytest.mark.parametrize(
+    "sizes, seed",
+    [
+        ((7, 2.9, 1), 0),
+        ((True, 2, 1), 0),
+        ((7, 2, True), 0),
+        ((7, "3", 1), 0),
+        ((7, float("nan"), 1), 0),
+        ((7, 2, 1), -1),
+        ((7, 2, 1), 2.5),
+        ((7, 2, 1), True),
+        ((7, 2, 1), "1"),
+    ],
+)
+def test_mlp_new_takes_integers_only(sizes, seed):
+    with pytest.raises(DataError, match="must be an integer"):
+        kr.mlp_new(sizes, seed=seed)
+
+
+def test_mlp_new_takes_integral_floats_as_ints():
+    model = kr.mlp_new((7.0, 4.0, 1.0), seed=3.0)
+    assert model.layer_sizes == (7, 4, 1) and model.seed == 3
+    assert all(type(n) is int for n in (*model.layer_sizes, model.seed))
+    assert np.array_equal(model.weights[0], kr.mlp_new((7, 4, 1), seed=3).weights[0])
+
+
 # --- forward --------------------------------------------------------------------
 
 
@@ -155,15 +181,24 @@ def test_forward_matches_forward_batch_within_rounding(n_in, hidden, seed):
         assert abs(kr.forward(model, x) - kr.forward_batch(model, x[None])[0]) <= 1e-12
 
 
-def test_forward_of_a_net_above_the_kernel_bound_equals_forward_batch_bit_for_bit():
-    # (3, 1500, 1) has 7,501 parameters, past mlp._KERNEL_MAX_PARAMS, so
+# (bound, 1) has one parameter more than mlp._KERNEL_MAX_PARAMS; (3, h, 1)
+# has 5h + 1, so (3, (bound - 1) // 5 + 1, 1) is the narrowest net on three
+# inputs past it; (10, 16, 8, 8, 1) is a grid net past it, and (3, 1500, 1)
+# has 7,501
+@pytest.mark.parametrize(
+    "sizes",
+    [(mlp._KERNEL_MAX_PARAMS, 1), (3, (mlp._KERNEL_MAX_PARAMS - 1) // 5 + 1, 1), (10, 16, 8, 8, 1), (3, 1500, 1)],
+    ids=lambda s: "x".join(map(str, s)),
+)
+def test_forward_of_a_net_above_the_kernel_bound_equals_forward_batch_bit_for_bit(sizes):
     # forward runs forward_batch's pass on the one row
     rng = np.random.default_rng(6)
-    model = kr.mlp_new((3, 1500, 1), seed=6)
+    model = kr.mlp_new(sizes, seed=6)
     for b in model.biases:
         b += rng.normal(scale=0.5, size=b.shape)
     assert model.param_count() > mlp._KERNEL_MAX_PARAMS
-    for x in rng.normal(scale=2.0, size=(5, 3)):
+    assert mlp._kernel_template(sizes) is None
+    for x in rng.normal(scale=2.0, size=(5, sizes[0])):
         assert struct.pack("d", kr.forward(model, x)) == struct.pack("d", kr.forward_batch(model, x[None])[0])
 
 
@@ -191,19 +226,22 @@ _kernel_inputs = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    n_in=st.integers(min_value=1, max_value=10),
-    hidden=st.lists(st.integers(min_value=2, max_value=32), max_size=4),
+    # nets within the kernel bound, so forward runs the compiled kernel
+    sizes=st.builds(
+        lambda n_in, hidden: (n_in, *hidden, 1),
+        st.integers(min_value=1, max_value=10),
+        st.lists(st.integers(min_value=2, max_value=16), max_size=4),
+    ).filter(lambda sizes: mlp._param_count(sizes) <= mlp._KERNEL_MAX_PARAMS),
     seed=st.integers(min_value=0, max_value=2**31),
     data=st.data(),
 )
-def test_forward_kernel_equals_the_unit_loop_bit_for_bit(n_in, hidden, seed, data):
+def test_forward_kernel_equals_the_unit_loop_bit_for_bit(sizes, seed, data):
     rng = np.random.default_rng(seed)
-    model = kr.mlp_new((n_in, *hidden, 1), seed=seed)
+    model = kr.mlp_new(sizes, seed=seed)
     for b in model.biases:
         b += rng.normal(scale=0.5, size=b.shape) * (rng.random(b.shape) < 0.8)  # some biases stay exact zeros
-    assert model.param_count() <= mlp._KERNEL_MAX_PARAMS  # so forward runs the compiled kernel
     for _ in range(4):
-        x = data.draw(st.lists(_kernel_inputs, min_size=n_in, max_size=n_in))
+        x = data.draw(st.lists(_kernel_inputs, min_size=sizes[0], max_size=sizes[0]))
         got = kr.forward(model, x)
         assert struct.pack("d", got) == struct.pack("d", _loop_reference(model, x))
 
@@ -219,13 +257,15 @@ def test_forward_kernel_is_compiled_once_per_shape_without_weights():
     assert (net_a(x), net_b(x)) == (_loop_reference(a, x), _loop_reference(b, x))
 
 
-def test_forward_kernel_splits_a_long_unit_and_keeps_its_order():
-    # one output unit of 4,000 terms, within the kernel bound; as one
-    # expression it would raise RecursionError in CPython's compiler
-    model = kr.mlp_new((4000, 1), seed=3)
-    assert model.param_count() <= mlp._KERNEL_MAX_PARAMS
-    x = np.random.default_rng(3).normal(size=4000).tolist()
-    assert struct.pack("d", kr.forward(model, x)) == struct.pack("d", _loop_reference(model, x))
+def test_forward_kernel_of_the_widest_unit_within_the_bound_keeps_its_order():
+    # one output unit of bound - 1 products and its bias, one statement
+    sizes = (mlp._KERNEL_MAX_PARAMS - 1, 1)
+    model = kr.mlp_new(sizes, seed=3)
+    model.biases[0] += 0.25
+    assert model.param_count() == mlp._KERNEL_MAX_PARAMS
+    assert mlp._kernel_template(sizes) is not None
+    for x in np.random.default_rng(3).normal(size=(3, sizes[0])).tolist():
+        assert struct.pack("d", kr.forward(model, x)) == struct.pack("d", _loop_reference(model, x))
 
 
 def test_forward_propagates_nan_like_forward_batch():
