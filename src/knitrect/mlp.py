@@ -19,11 +19,19 @@ a second copy of the stack with each layer's weights laid out
 transposed, which one gather refreshes every step, and the output layer
 carries a zero second unit there, so its rank-1 backward product has an
 inner size of 2 and runs in BLAS.  A step writes into preallocated
-buffers and makes 6L + 11 numpy calls for L weight layers (35 for the
+buffers and makes 6L + 14 numpy calls for L weight layers (38 for the
 default net): three gathers (the minibatch rows, their targets and the
-transposed weights), the forward/backward pass, and ten for Adam, which
-updates m and v as one stack in place.  `gradient` runs the same pass on
-a stack of one.
+transposed weights), 6L - 2 for the forward/backward pass, and 13 for
+Adam, which updates m and v as one stack in place: two fills of its bias
+corrections and eleven ufunc calls.  No operand of a step is a Python
+scalar, and none is broadcast across the m and v stack: numpy converts a
+Python float anew on every call, and a broadcast operand splits a call's
+loop into short pieces, each costing more than the arithmetic on arrays
+this small.  So the ReLU's zero, 2/n, the learning rate, epsilon and the
+bias corrections are 0-d arrays, and Adam's betas have the full shape of
+the stack.  Each holds the float64 of the number it stands for, so the
+step computes what it would with Python floats, bit for bit.  `gradient`
+runs the same pass on a stack of one.
 
 For the same reason `forward` runs a small net on one input vector in
 Python floats rather than as a one-row `forward_batch`.  A net of at most
@@ -51,6 +59,7 @@ group's live nets at once, come from one `_outputs` call, and
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -62,17 +71,23 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 DIVERGENCE_FACTOR = 1e6
+# The ReLU's zero as a read-only 0-d array: numpy converts a Python float
+# operand anew on every call, which costs more than a ReLU on a tiny net.
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
 # The fixed cost of one lockstep step (train_many) in units of per-slot
 # arithmetic: it equals the work of about this many padded parameters.
-# Measured on the feature-major step with numpy 2.4 on a 2-core x86 VM,
-# 9600 samples, batch 200, epoch losses left out, groups of 1, 4 and 8 nets
-# of widths 4 and 16 with 2, 3 and 4 weight layers, fit as a + b * K * P:
-# 1.9, 2.6 and 3.7 ms per epoch per group plus 5.7, 4.0 and 3.0 us per
-# epoch per padded parameter and slot, ratios of about 340, 660 and 1,230.
-# The fit is loose (residuals up to 3.6 ms): a stack of one runs np.dot and
-# costs less than the line, a larger one np.matmul.  The value is older
-# than these figures and is kept, so that the grid's lockstep groups, and
-# with them its report digits, stay as they are.
+# Measured on the step with array operands (numpy 2.4.6, Python 3.11.7, a
+# 2-core x86 VM): 9600 samples, batch 200, epoch losses left out, groups of
+# 1, 4 and 8 nets of 7 inputs and hidden widths 4 or 16 with 2, 3 and 4
+# weight layers, min of 21 runs of 4 epochs, fit as a + b * K * P in two
+# runs: 1.6-1.7, 2.3-2.7 and 2.9-3.2 ms per epoch per group plus 5.7-5.8,
+# 3.5-3.6 and 3.3-3.6 us per epoch per padded parameter and slot, ratios of
+# about 290, 640-770 and 800-960.  The fit is loose (residuals up to 3.4
+# ms): a stack of one runs np.dot and costs less than the line, a larger
+# one np.matmul.  The value is older than these figures and is kept, so
+# that the grid's lockstep groups, and with them its report digits, stay
+# as they are.
 STEP_COST_PARAMS = 375
 
 
@@ -141,7 +156,14 @@ class TrainReport:
 
 
 def _check_sizes(layer_sizes) -> tuple[int, ...]:
-    """The layer sizes as ints: input >= 1, hidden >= 2, output exactly 1; an integral float passes."""
+    """The layer sizes as ints: input >= 1, hidden >= 2, output exactly 1; an integral float passes.
+
+    layer_sizes is a sequence (a tuple, a list or a 1-D array); anything
+    else, a string or bytes included, raises DataError.
+    """
+    sequence = isinstance(layer_sizes, Sequence) and not isinstance(layer_sizes, (str, bytes, bytearray))
+    if not (sequence or isinstance(layer_sizes, np.ndarray) and layer_sizes.ndim == 1):
+        raise DataError(f"layer sizes must be a sequence of integers, got {layer_sizes!r}")
     sizes = tuple(layer_sizes)
     if len(sizes) < 2:
         raise DataError("need at least input and output layer sizes")
@@ -153,8 +175,9 @@ def _check_sizes(layer_sizes) -> tuple[int, ...]:
 def mlp_new(layer_sizes, seed: int = 0) -> MlpModel:
     """Fresh network: Glorot-uniform weights (bound sqrt(6/(fan_in+fan_out))), zero biases.
 
-    The layer sizes and the seed (>= 0) are integers, an integral float
-    such as 8.0 included; anything else raises DataError.
+    layer_sizes is a sequence (a tuple, a list or a 1-D array), and the
+    layer sizes and the seed (>= 0) are integers, an integral float such
+    as 8.0 included; anything else, a string included, raises DataError.
     """
     sizes = _check_sizes(layer_sizes)
     seed = _integer("seed", seed, 0)
@@ -330,7 +353,8 @@ class _Buffers:
     deltas that the weight gradients read.  The output layer's delta is
     (K, 2, n): its second row stays zero, so that the backward product
     through the output layer has an inner size of 2 and runs in BLAS
-    rather than in numpy's loop for a rank-1 product.  A scoring pass
+    rather than in numpy's loop for a rank-1 product.  scale is 2/n as a
+    0-d array, the factor of the output delta.  A scoring pass
     (_outputs) makes none of these.
     """
 
@@ -349,6 +373,7 @@ class _Buffers:
         if backward:
             self.acts_t = [a.swapaxes(-2, -1) for a in self.acts[:-1]]
             self.y = np.empty((k, n))
+            self.scale = np.array(2.0 / n)
             self.target = self.y.reshape(self.acts[-1].shape)
             self.deltas = [slots(np.empty((k, w, n))) for w in widths[1:-1]] + [slots(np.zeros((k, 2, n)))]
             self.dzs = self.deltas[:-1] + [self.deltas[-1][..., :1, :]]
@@ -366,7 +391,7 @@ def _forward(ws, x, buf: _Buffers) -> None:
     for li, (w, z) in enumerate(zip(ws, buf.zs)):
         buf.product(w, x, out=z)
         if li != last:
-            np.maximum(z, 0.0, out=z)
+            np.maximum(z, _ZERO, out=z)
         x = buf.acts[li + 1]
 
 
@@ -444,14 +469,14 @@ def _backprop(ws, wts, buf: _Buffers, gws) -> None:
     last = len(ws) - 1
     delta = buf.dzs[last]
     np.subtract(buf.acts[-1], buf.target, out=delta)
-    delta *= 2.0 / buf.y.shape[1]
+    delta *= buf.scale
     for li in range(last, -1, -1):
         buf.product(buf.dzs[li], buf.acts_t[li], out=gws[li])
         if li > 0:
             # nothing reads zs[li - 1] again, so it takes its ReLU's
             # derivative in place: 1 where positive, else 0
             z, below = buf.zs[li - 1], buf.deltas[li - 1]
-            np.greater(z, 0.0, out=z)
+            np.greater(z, _ZERO, out=z)
             buf.product(wts[li], buf.deltas[li], out=below)
             below *= z
 
@@ -654,11 +679,9 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
     params = _fold(models, widths)
     state = np.stack((params, np.zeros_like(params), np.zeros_like(params)))  # the parameters, then Adam's m and v
     transposing = _transposing_order(widths)
-    # Adam's (beta1, beta2), (1 - beta1, 1 - beta2) and bias corrections,
-    # shaped to scale m and v as one stack
-    betas = np.array([ADAM_BETA1, ADAM_BETA2])[:, None, None]
-    gains = np.array([1 - ADAM_BETA1, 1 - ADAM_BETA2])[:, None, None]
-    corrections = np.empty((2, 1, 1))
+    # every operand of the step is an array: Adam's bias corrections c1 and
+    # c2, filled each step, and the learning rate and epsilon as 0-d arrays
+    c1, c2, lr, eps = np.empty(()), np.empty(()), np.array(cfg.learning_rate, dtype=float), np.array(ADAM_EPS)
 
     batch = min(200, n) if cfg.batch_size == "auto" else min(int(cfg.batch_size), n)
     batch_sizes = {batch, n % batch or batch}
@@ -691,7 +714,11 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
             # g beside g**2 and m/c1 beside v/c2; the step writes all of g
             # but the output layer's zero row, so g starts at zero
             grads, hats = np.zeros_like(moments), np.empty_like(moments)
-            (g, g_sq), (num, den) = grads, hats
+            (m, v), (g, g_sq), (num, den) = moments, grads, hats
+            # (beta1, beta2) and (1 - beta1, 1 - beta2) at the full shape of
+            # the m and v stack, which they scale cheaper than broadcast
+            betas = np.stack((np.full_like(m, ADAM_BETA1), np.full_like(v, ADAM_BETA2)))
+            gains = np.stack((np.full_like(m, 1 - ADAM_BETA1), np.full_like(v, 1 - ADAM_BETA2)))
             ws, gws = _layer_views(params, widths), _layer_views(g, widths)
             wts = _layer_views(params_t, widths, transposed=True)
             steps = {size: _Buffers(len(live), size, widths) for size in batch_sizes}
@@ -712,17 +739,19 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
             params.take(transposing, axis=1, out=params_t, mode="clip")
             _backprop(ws, wts, buf, gws)
             step += 1
-            corrections[:, 0, 0] = 1.0 - ADAM_BETA1**step, 1.0 - ADAM_BETA2**step
+            c1.fill(1.0 - ADAM_BETA1**step)
+            c2.fill(1.0 - ADAM_BETA2**step)
             # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g**2 as one stack;
             # params -= lr * (m/c1) / (sqrt(v/c2) + eps), in that order
             moments *= betas
             np.square(g, out=g_sq)
             grads *= gains
             moments += grads
-            np.divide(moments, corrections, out=hats)
-            num *= cfg.learning_rate
+            np.divide(m, c1, out=num)
+            np.divide(v, c2, out=den)
+            num *= lr
             np.sqrt(den, out=den)
-            den += ADAM_EPS
+            den += eps
             num /= den
             params -= num
 

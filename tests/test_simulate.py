@@ -177,7 +177,8 @@ def _triangle_loop_area(tau_load, tau_unload):
     g_up = np.interp(grid, eps[:n], g[:n])
     g_dn = np.interp(grid, eps[n:][::-1], g[n:][::-1])
     gap = np.abs(g_up - g_dn)
-    return float(np.trapezoid(gap, grid)), float(gap.max())
+    # the trapezoid rule as np.trapezoid computes it; that name is numpy 2's
+    return float(np.sum(np.diff(grid) * (gap[1:] + gap[:-1]) / 2.0)), float(gap.max())
 
 
 def test_sensor_hysteresis_loop_opens_with_asymmetric_relaxation():
