@@ -23,7 +23,7 @@ from .errors import DataError, NumericError, TrainingDiverged, _integer
 from .metrics import combined_error, r_squared
 from .mlp import TrainConfig, forward_batch, mlp_new, train_many
 from .pipeline import PreparedData
-from .series import _open_text, fmt
+from .series import _write_table, fmt
 from .smoothing import AlphaSet, alpha_set, bank_windows, baseline_alpha_set, feature_bank_with_windows
 
 FEATURE_SET_PARAMS = ((2.5, 4), (2.5, 7), (2.5, 10), (5, 4), (5, 7), (10, 3), (10, 4))
@@ -88,10 +88,13 @@ def parse_indices(text: str | None) -> list[int] | None:
     """Parse '0,2,5-8' style index lists; None passes through.
 
     A range runs upwards: '5-2' is a DataError, not an empty range.  A
-    leading '-' makes a negative index, which is a DataError too.
+    leading '-' makes a negative index, which is a DataError too.  So is a
+    range that ends past the larger index space (114 topologies), checked
+    before the range is expanded; grid_configs checks every index itself.
     """
     if text is None:
         return None
+    limit = max(len(enumerate_feature_sets()), len(enumerate_topologies()))
     out = []
     for part in text.split(","):
         part = part.strip()
@@ -105,6 +108,8 @@ def parse_indices(text: str | None) -> list[int] | None:
                 span = range(0)
             if not span:
                 raise DataError(f"bad index range {part!r}")
+            if span[-1] >= limit:
+                raise DataError(f"bad index range {part!r} (the last grid index is {limit - 1})")
             out.extend(span)
         else:
             try:
@@ -291,19 +296,10 @@ def run_grid(
     return SearchReport(rows=rows)
 
 
-def _cell(x: float | None) -> str:
-    return "" if x is None else fmt(x)
-
-
 def write_report_csv(report: SearchReport, sink) -> None:
-    with _open_text(sink, "w") as stream:
-        stream.write(REPORT_HEADER + "\n")
-        for r in report.rows:
-            alphas = " ".join(fmt(a) for a in r.config.feature_set.alphas)
-            hidden = "x".join(str(h) for h in r.config.hidden)
-            stream.write(
-                f"{r.config_id},{r.config.feature_set.label},{alphas},{hidden},"
-                f"{_cell(r.r2_train)},{_cell(r.r2_test_a)},{_cell(r.r2_test_b)},"
-                f"{_cell(r.error)},{_cell(r.seconds)},{r.status}\n"
-            )
-
+    rows = (
+        (r.config_id, r.config.feature_set.label, " ".join(fmt(a) for a in r.config.feature_set.alphas),
+         "x".join(str(h) for h in r.config.hidden), r.r2_train, r.r2_test_a, r.r2_test_b, r.error, r.seconds, r.status)
+        for r in report.rows
+    )
+    _write_table(sink, REPORT_HEADER, rows)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, _positive
-from .series import _open_text, fmt
+from .series import _write_table
 
 
 def r_squared(truth, estimate) -> float:
@@ -123,20 +123,13 @@ def binned_rse(truth, estimate, bin_width: float = 1.0) -> BinnedCurve:
 
 
 def write_metric_rows_csv(rows: list[tuple[str, float]], sink) -> None:
-    with _open_text(sink, "w") as stream:
-        stream.write("metric,value\n")
-        for name, value in rows:
-            stream.write(f"{name},{fmt(value)}\n")
+    _write_table(sink, "metric,value", rows)
 
 
 def write_binned_rse_csv(pre: BinnedCurve, post: BinnedCurve, sink) -> None:
     """Pre and post binned-RSE curves side by side; they must share their bins, and empty bins are empty cells."""
     if not (np.array_equal(pre.bin_edges, post.bin_edges) and np.array_equal(pre.counts, post.counts)):
         raise DataError("binned-RSE curves must share their bins")
-    with _open_text(sink, "w") as stream:
-        stream.write("bin_lo_n,bin_hi_n,count,rse_pre,rse_post\n")
-        for b in range(pre.counts.size):
-            rse = ["" if curve.rse[b] is None else fmt(curve.rse[b]) for curve in (pre, post)]
-            stream.write(
-                f"{fmt(pre.bin_edges[b])},{fmt(pre.bin_edges[b + 1])},{int(pre.counts[b])},{rse[0]},{rse[1]}\n"
-            )
+    edges = pre.bin_edges
+    rows = zip(edges[:-1], edges[1:], pre.counts, pre.rse, post.rse)
+    _write_table(sink, "bin_lo_n,bin_hi_n,count,rse_pre,rse_post", rows)

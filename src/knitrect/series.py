@@ -29,7 +29,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .errors import DataError, _positive
+from .errors import DataError, _finite, _positive
 
 RECORDING_HEADER = ("t_s", "force_n", "resistance_ohm", "displacement_mm")
 _HEADER_LINE = ",".join(RECORDING_HEADER) + "\n"
@@ -116,7 +116,7 @@ class ScalerParams:
     scale: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.mean) and np.isfinite(self.scale) and self.scale > 0):
+        if not (_finite(self.mean) and _finite(self.scale) and self.scale > 0):
             raise DataError("scaler needs finite mean and positive scale")
 
     def transform(self, xs) -> np.ndarray:
@@ -295,6 +295,18 @@ def _write_rows(stream: TextIO, cols) -> None:
     for start in range(0, len(cols[0]), _BLOCK_ROWS):
         block = np.column_stack([np.asarray(c[start : start + _BLOCK_ROWS], dtype=float) for c in cols])
         stream.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _write_table(sink, header: str, rows) -> None:
+    """Write a CSV table: the header line, then one line per row of cells.
+
+    A cell that is None is written empty, a str as it is, and any other
+    value (a float or an int, Python's or numpy's) through fmt.
+    """
+    with _open_text(sink, "w") as stream:
+        stream.write(header + "\n")
+        for row in rows:
+            stream.write(",".join("" if c is None else c if isinstance(c, str) else fmt(c) for c in row) + "\n")
 
 
 def write_recording(rec: RawRecording, sink) -> None:

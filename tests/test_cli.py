@@ -422,6 +422,8 @@ def test_gridsearch_bad_index_text(pes_small_dir, tmp_path):
     assert main(args + ["--topologies", "0,5-2"]) == 3
     assert main(args + ["--topologies", "1,1"]) == 3
     assert main(args + ["--topologies", "-1"]) == 3
+    # checked before it is expanded: 10**14 indices would need 800 TB as a list
+    assert main(args + ["--topologies", "0-99999999999999"]) == 3
 
 
 def test_gridsearch_parallel_flag_is_a_usage_error(pes_small_dir, tmp_path, capsys):

@@ -71,6 +71,13 @@ def test_parse_indices():
     with pytest.raises(DataError, match="bad index range '-1-3'"):
         kr.parse_indices("-1-3")
     assert kr.parse_indices("-0") == [0]
+    # a range past the larger index space (114 topologies) is rejected
+    # before it is expanded; a single index is left to grid_configs
+    assert kr.parse_indices("100-113") == list(range(100, 114))
+    for bad in ("0-114", "5-99999999999999", "2,0-10000000000000000000"):
+        with pytest.raises(DataError, match=r"bad index range '\d+-\d+' \(the last grid index is 113\)"):
+            kr.parse_indices(bad)
+    assert kr.parse_indices("99999999999999") == [99999999999999]
 
 
 def test_grid_configs_subsets_and_range_checks():

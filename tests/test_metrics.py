@@ -171,6 +171,71 @@ def test_binned_rse_csv_rejects_curves_on_different_bins(tmp_path):
     assert not (tmp_path / "rse.csv").exists()
 
 
+# Each table writer's cells against lines written out by hand: None is an
+# empty cell, text is written as it is, and every number, float or int,
+# Python's or numpy's, is "%.12g" of its float.
+_FS, _BASE = kr.alpha_set(2.5, 4), kr.baseline_alpha_set()
+
+
+def _write_binned(rows, sink):
+    lo, hi, counts, pre, post = zip(*rows)
+    edges = [*lo, hi[-1]]
+    kr.write_binned_rse_csv(kr.BinnedCurve(edges, counts, pre), kr.BinnedCurve(edges, counts, post), sink)
+
+
+_TABLES = {
+    "metric rows": (
+        kr.write_metric_rows_csv,
+        "metric,value",
+        [
+            (("r2_pre", np.float64(0.123456789012345)), "r2_pre,0.123456789012"),
+            (("r2_post", np.float32(0.1)), "r2_post,0.10000000149"),
+            (("gain", -0.0), "gain,-0"),
+            (("E", math.inf), "E,inf"),
+            (("E_b", -math.inf), "E_b,-inf"),
+            (("r2_pre_b", math.nan), "r2_pre_b,nan"),
+            (("rows", 7), "rows,7"),
+            (("bins", np.int64(12)), "bins,12"),
+        ],
+    ),
+    "binned rse": (
+        _write_binned,
+        "bin_lo_n,bin_hi_n,count,rse_pre,rse_post",
+        [
+            ((-1.5, -0.0, 3, np.float32(0.25), 1 / 3), "-1.5,-0,3,0.25,0.333333333333"),
+            ((-0.0, 2.5, 0, None, None), "-0,2.5,0,,"),
+            ((2.5, 1e13, 123456, math.inf, math.nan), "2.5,1e+13,123456,inf,nan"),
+        ],
+    ),
+    "grid report": (
+        lambda rows, sink: kr.write_report_csv(kr.SearchReport([kr.GridRow(*r) for r in rows]), sink),
+        "config_id,feature_set,alphas,hidden_sizes,r2_train,r2_testA,r2_testB,E,seconds,status",
+        [
+            (
+                (0, kr.GridConfig(_FS, 0, (4, 2)), 0.5, np.float64(0.25), np.float32(0.1), -0.0, None, "ok"),
+                "0,a2.5_n4,0.4 0.16 0.064 0.0256,4x2,0.5,0.25,0.10000000149,-0,,ok",
+            ),
+            (
+                (np.int64(911), kr.GridConfig(_BASE, 7, (32, 16, 8)), None, None, None, None, None, "failed"),
+                "911,baseline,0.5 0.1 0.025 0.0025,32x16x8,,,,,,failed",
+            ),
+            (
+                (12, kr.GridConfig(_FS, 0, (2, 2)), math.nan, -math.inf, 1e-7, math.inf, 1.25, "diverged"),
+                "12,a2.5_n4,0.4 0.16 0.064 0.0256,2x2,nan,-inf,1e-07,inf,1.25,diverged",
+            ),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("table", sorted(_TABLES))
+def test_table_writers_write_each_cell_by_the_one_rule(table, tmp_path):
+    write, header, rows = _TABLES[table]
+    path = tmp_path / "table.csv"
+    write([cells for cells, _ in rows], path)
+    assert path.read_bytes() == "".join(f"{line}\n" for line in [header, *(line for _, line in rows)]).encode()
+
+
 # --- properties -------------------------------------------------------------------
 
 vals = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)

@@ -760,7 +760,8 @@ def test_bundle_rejects_non_numeric_fields(small_bundle, tmp_path):
         kr.load_bundle(_resigned(doc, tmp_path, "hidden.json"))
 
     # integer fields that hold an infinity, a fraction, a bool or a value
-    # below their minimum, and a float field with an int no float can hold
+    # below their minimum, a float field with an int no float can hold, and
+    # scaler fields that hold a bool or a str
     n_filters = len(small_bundle.alphas)
     windows = list(small_bundle.init_windows)
     sizes = list(small_bundle.model.layer_sizes)
@@ -776,6 +777,10 @@ def test_bundle_rejects_non_numeric_fields(small_bundle, tmp_path):
         ("layer_sizes", ("model",), [sizes[0] + 0.9, *sizes[1:]]),
         ("layer_sizes", ("model",), [*sizes[:-1], True]),
         ("alphas", (), [10**400] * n_filters),
+        ("mean", ("scaler_g",), True),
+        ("scale", ("scaler_g",), True),
+        ("scale", ("scaler_t",), True),
+        ("mean", ("scaler_t",), "0"),
     ]:
         doc = json.loads(text)
         node = doc["payload"]

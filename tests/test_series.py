@@ -362,6 +362,10 @@ def test_scaler_params_validation():
         kr.ScalerParams(0.0, 0.0)
     with pytest.raises(DataError):
         kr.ScalerParams(float("nan"), 1.0)
+    # the package's one number rule: a bool or a str is no number
+    for mean, scale in ((True, 1.0), (0.0, True), (True, True), ("1", 1.0), (0.0, "1")):
+        with pytest.raises(DataError, match="scaler needs finite mean and positive scale"):
+            kr.ScalerParams(mean, scale)
 
 
 # --- properties -----------------------------------------------------------------
