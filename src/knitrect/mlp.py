@@ -11,19 +11,28 @@ one Adam update on the stack.  `train` is its one-model case.  The layout
 is feature-major: each layer is an (n_{l+1}, n_l + 1) block of the stack,
 its biases the last column, and samples run along the last axis of every
 buffer, whose layer inputs end in a row of ones, so one product gives a
-layer's output and one more its weight and bias gradient.  Each layer's
-output is then a contiguous block of rows, and a stack of one drops its K
-axis and runs every product as a 2-D np.dot, the cheapest call numpy has
-for it; larger stacks run np.matmul.  The backward products multiply by
-a second copy of the stack with each layer's weights laid out
-transposed, which one gather refreshes every step, and the output layer
-carries a zero second unit there, so its rank-1 backward product has an
-inner size of 2 and runs in BLAS.  A step writes into preallocated
-buffers and makes 6L + 14 numpy calls for L weight layers (38 for the
-default net): three gathers (the minibatch rows, their targets and the
-transposed weights), 6L - 2 for the forward/backward pass, and 13 for
-Adam, which updates m and v as one stack in place: two fills of its bias
-corrections and eleven ufunc calls.  No operand of a step is a Python
+layer's output and one more its weight and bias gradient.  A stack of one
+drops its K axis and runs every product as a 2-D np.dot, the cheapest
+call numpy has for it.  Larger stacks run np.matmul on a unit-major
+layout: a layer's activations, and its deltas, are one (units, K, n)
+block, so each ReLU, mask and masked multiply is one call on a
+contiguous block, while the products read the block as K matrices whose
+row stride K*n BLAS takes as a leading dimension.  Layer 0 reads its
+input the same way: a step copies its gathered minibatch rows into such
+a block, and the epoch losses copy each bank's rows into one block per
+run of stack rows that share the bank, which layer 0 multiplies by the
+run's weights in one broadcast product (_outputs).  The backward
+products multiply by a second copy of the stack with each layer's
+weights laid out transposed, which one gather refreshes every step, and
+the output layer carries a zero second unit there, so its rank-1
+backward product has an inner size of 2 and runs in BLAS.  A step writes
+into preallocated buffers and makes 6L + 14 numpy calls for L weight
+layers (38 for the default net): three gathers (the minibatch rows,
+their targets and the transposed weights), 6L - 2 for the
+forward/backward pass, and 13 for Adam, which updates m and v as one
+stack in place: two fills of its bias corrections and eleven ufunc
+calls.  A larger stack adds one, the copy of its rows into layer 0's
+block.  No operand of a step is a Python
 scalar, and none is broadcast across the m and v stack: numpy converts a
 Python float anew on every call, and a broadcast operand splits a call's
 loop into short pieces, each costing more than the arithmetic on arrays
@@ -52,9 +61,10 @@ value equals `forward` on the bank row bit for bit.
 
 There is one numpy forward pass, `_forward`: the first half of every
 step, and the core of `_outputs`, which runs K stacked nets over whole
-banks a fixed number of rows at a time.  Every epoch's losses, all of a
-group's live nets at once, come from one `_outputs` call, and
-`forward_batch` is `_outputs` on a stack of one.
+banks a fixed number of rows at a time, reading each bank once per run
+of stack rows rather than gathering a copy of it per net.  Every epoch's
+losses, all of a group's live nets at once, come from one `_outputs`
+call, and `forward_batch` is `_outputs` on a stack of one.
 """
 
 from __future__ import annotations
@@ -77,17 +87,18 @@ _ZERO = np.zeros(())
 _ZERO.flags.writeable = False
 # The fixed cost of one lockstep step (train_many) in units of per-slot
 # arithmetic: it equals the work of about this many padded parameters.
-# Measured on the step with array operands (numpy 2.4.6, Python 3.11.7, a
-# 2-core x86 VM): 9600 samples, batch 200, epoch losses left out, groups of
-# 1, 4 and 8 nets of 7 inputs and hidden widths 4 or 16 with 2, 3 and 4
-# weight layers, min of 21 runs of 4 epochs, fit as a + b * K * P in two
-# runs: 1.6-1.7, 2.3-2.7 and 2.9-3.2 ms per epoch per group plus 5.7-5.8,
-# 3.5-3.6 and 3.3-3.6 us per epoch per padded parameter and slot, ratios of
-# about 290, 640-770 and 800-960.  The fit is loose (residuals up to 3.4
-# ms): a stack of one runs np.dot and costs less than the line, a larger
-# one np.matmul.  The value is older than these figures and is kept, so
-# that the grid's lockstep groups, and with them its report digits, stay
-# as they are.
+# Measured on the unit-major step (numpy 2.4.6, Python 3.11.7, a 2-core x86
+# VM, one BLAS thread): 9600 samples, batch 200, epoch losses left out,
+# groups of 1, 4 and 8 nets of 7 inputs and hidden widths 4 or 16 with 2, 3
+# and 4 weight layers, min of 21 runs of 4 epochs, fit as a + b * K * P in
+# two runs: 1.7-1.9, 2.3-2.4 and 2.9 ms per epoch per group plus 5.4-5.7,
+# 3.8-3.9 and 3.4-3.5 us per epoch per padded parameter and slot, ratios of
+# about 300-350, 600-620 and 820-860 (the row-major step before it,
+# measured alongside: 7.1, 4.4-4.6 and 3.9-4.0 us, ratios 230, 550-590
+# and 770-900).  The fit is loose (residuals up to 2.7 ms): a stack of one runs
+# np.dot and costs less than the line, a larger one np.matmul.  The value
+# is older than these figures and is kept, so that the grid's lockstep
+# groups, and with them its report digits, stay as they are.
 STEP_COST_PARAMS = 375
 
 
@@ -305,9 +316,9 @@ def _float_net(model: MlpModel):
     factory = _kernel_template(tuple(map(int, model.layer_sizes)))  # ints only reach the source
     if factory is not None:
         return factory(*_flat_params(model))
-    widths, offsets, buffers = model.layer_sizes, np.zeros((1, 1), dtype=np.intp), {}
+    widths, buffers = model.layer_sizes, {}
     ws = _layer_views(_fold([model], widths), widths)
-    return lambda x: _outputs(ws, widths, np.array([[*x, 1.0]]), offsets, 1, buffers).item()
+    return lambda x: _outputs(ws, widths, np.array([[[*x, 1.0]]]), _ONE_BANK, 1, buffers).item()
 
 
 def forward(model: MlpModel, x) -> float:
@@ -333,49 +344,82 @@ def forward(model: MlpModel, x) -> float:
 class _Buffers:
     """The arrays one pass of K stacked nets writes, for batches of n samples.
 
-    The layout is feature-major: samples run along the last axis.  x
-    (K, n, n_0 + 1) takes the gathered input rows, each ending in a one,
-    and acts[0] is its transposed view; acts[l] (K, n_l + 1, n) is hidden
-    layer l's input with a last row of ones, which multiplies the bias
-    column of the folded weights, and acts[-1] the (K, 1, n) output.
-    zs[l] is the part of acts[l + 1] that layer l's product writes: its
-    rows but the ones, a contiguous block of each slot.  A stack of one
-    drops its K axis, and `product` is then np.dot, else np.matmul: np.dot
-    is the cheaper call, and its out= takes exactly such blocks.  output
-    is acts[-1] as (K, n), and rows the stacked-bank rows that _outputs
-    gathers into x.
+    The layout is feature-major and, for K > 1, unit-major: hidden layer
+    l's activations are one (n_l + 1, K, n) block, per unit a row of K
+    slots of n samples, with the row of ones last, which multiplies the
+    bias column of the folded weights.  acts[l + 1] is that block as the
+    (K, n_l + 1, n) view that the products take, whose row stride K*n BLAS
+    reads as the leading dimension of a 2-D matrix, also as out=; zs[l] is
+    the part of it that layer l's product writes, its rows but the ones;
+    and relus[l] is that part as one contiguous (n_l, K, n) block, on
+    which the ReLU and its mask run.  acts[-1] is the (K, 1, n) output and
+    output the same numbers as (K, n).  A stack of one drops its K axis,
+    so each of these is a 2-D (rows, n) block and `product` is np.dot,
+    else np.matmul: np.dot is the cheaper call, and its out= takes such
+    blocks.
 
-    A pass with backward (a training step) also keeps: acts_t, the
-    transposed views of acts[:-1] that the weight gradients multiply by
-    (acts_t[0] is x itself); y (K, n), the gathered targets, and target,
-    the same numbers shaped like acts[-1]; deltas[l], the error at layer
-    l's output, (K, n_{l+1}, n) below the output layer; and dzs, the
-    deltas that the weight gradients read.  The output layer's delta is
-    (K, 2, n): its second row stays zero, so that the backward product
-    through the output layer has an inner size of 2 and runs in BLAS
-    rather than in numpy's loop for a rank-1 product.  scale is 2/n as a
-    0-d array, the factor of the output delta.  A scoring pass
-    (_outputs) makes none of these.
+    A training step (runs None) gathers its input rows, each ending in a
+    one, into x (K, n, n_0 + 1).  A stack of one reads them in place:
+    acts[0] is x's transposed view.  A larger one copies them (np.copyto)
+    through x_t, a (K, n, n_0 + 1) view of the (n_0 + 1, K, n) block that
+    acts[0] views as the hidden layers' blocks are viewed; x_t is None for
+    a stack of one.  The step also keeps: acts_t, the transposed views of
+    acts[1:-1] that the weight gradients multiply by, after x itself for
+    layer 0 (by the block's transposed view OpenBLAS sums that product in
+    another order at some sizes, which moves the last bits of the trained
+    weights); y (K, n), the gathered targets, and target, the
+    same numbers shaped like acts[-1]; deltas[l], the error at layer l's
+    output, the (K, n_{l+1}, n) view of a unit-major block, and
+    delta_blocks[l], that block below the output layer, which the mask
+    multiplies; and dzs, the deltas that the weight gradients read.  The
+    output layer's delta has two rows: the second stays zero, so that the
+    backward product through the output layer has an inner size of 2 and
+    runs in BLAS rather than in numpy's loop for a rank-1 product.  scale
+    is 2/n as a 0-d array, the factor of the output delta.
+
+    A scoring pass (_outputs) passes runs, the (rows, bank) pairs of
+    _bank_runs, and makes none of these.  For K > 1 it keeps inputs
+    instead: per run, its rows and an (n_0 + 1, n) block, into which
+    _outputs copies that bank's rows as columns.  A stack of one reads its
+    bank in place; it makes x and rows, an index array, all the same.
     """
 
-    def __init__(self, k: int, n: int, widths, backward: bool = True):
-        slots = (lambda a: a[0]) if k == 1 else (lambda a: a)
+    def __init__(self, k: int, n: int, widths, runs=None):
+        slots = (lambda a: a[:, 0]) if k == 1 else (lambda a: a.transpose(1, 0, 2))
+        blocks = (lambda a: a[:, 0]) if k == 1 else (lambda a: a)
         self.product = np.dot if k == 1 else np.matmul
-        self.x = np.empty((k, n, widths[0] + 1))
-        self.x[:, :, -1] = 1.0
-        hidden = [np.empty((k, w + 1, n)) for w in widths[1:-1]]
+        # a stack of one makes x and rows in a scoring pass too, which reads
+        # neither: its arrays, and with them the heap layout and the peak
+        # resident set of a prediction, stay those of the row-gathering pass
+        if runs is None or k == 1:
+            self.x = np.empty((k, n, widths[0] + 1))
+            self.x[:, :, -1] = 1.0
+        self.x_t = None
+        if k == 1:
+            first = self.x[0].T
+        elif runs is None:
+            block = np.empty((widths[0] + 1, k, n))
+            first, self.x_t = slots(block), block.transpose(1, 2, 0)
+        else:
+            first, self.inputs = None, [(rows, np.empty((widths[0] + 1, n))) for rows, _ in runs]
+        hidden = [np.empty((w + 1, k, n)) for w in widths[1:-1]]
         for a in hidden:
-            a[:, -1] = 1.0
-        self.acts = [slots(a) for a in (self.x.transpose(0, 2, 1), *hidden, np.empty((k, 1, n)))]
+            a[-1] = 1.0
+        out = np.empty((1, k, n))
+        self.acts = [first, *map(slots, hidden), slots(out)]
         self.zs = [a[..., :-1, :] for a in self.acts[1:-1]] + [self.acts[-1]]
-        self.output = self.acts[-1].reshape(k, n)
-        self.rows = np.empty((k, n), dtype=np.intp)
-        if backward:
-            self.acts_t = [a.swapaxes(-2, -1) for a in self.acts[:-1]]
+        self.relus = [blocks(a[:-1]) for a in hidden]
+        self.output = out.reshape(k, n)
+        if k == 1:
+            self.rows = np.empty((k, n), dtype=np.intp)
+        if runs is None:
+            self.acts_t = [self.x[0] if k == 1 else self.x, *(a.swapaxes(-2, -1) for a in self.acts[1:-1])]
             self.y = np.empty((k, n))
             self.scale = np.array(2.0 / n)
             self.target = self.y.reshape(self.acts[-1].shape)
-            self.deltas = [slots(np.empty((k, w, n))) for w in widths[1:-1]] + [slots(np.zeros((k, 2, n)))]
+            units = [np.empty((w, k, n)) for w in widths[1:-1]] + [np.zeros((2, k, n))]
+            self.deltas = [slots(a) for a in units]
+            self.delta_blocks = [blocks(a) for a in units[:-1]]
             self.dzs = self.deltas[:-1] + [self.deltas[-1][..., :1, :]]
 
 
@@ -383,15 +427,22 @@ def _forward(ws, x, buf: _Buffers) -> None:
     """The outputs of K stacked nets on the input x, written into buf.acts[1:].
 
     ws[l] has shape (K, n_{l+1}, n_l + 1): layer l's weights with its
-    biases as the last column, which the ones row of its input multiplies;
-    x is the (K, n_0 + 1, n) input, buf.acts[0] or a view of the bank
-    rows.  Each layer is one product and, below the output, one ReLU.
+    biases as the last column, which the ones row of its input multiplies.
+    x is layer 0's (K, n_0 + 1, n) input: buf.acts[0] or, for a stack of
+    one, a view of bank rows.  Or it is a list of runs, (rows, block)
+    pairs whose stack rows `rows` all read the (n_0 + 1, n) block, and
+    layer 0 is then one broadcast product per run.  Each layer is one
+    product and, below the output, one ReLU on its contiguous block of
+    units (buf.relus).
     """
-    last = len(ws) - 1
     for li, (w, z) in enumerate(zip(ws, buf.zs)):
-        buf.product(w, x, out=z)
-        if li != last:
-            np.maximum(z, _ZERO, out=z)
+        if li == 0 and isinstance(x, list):
+            for rows, block in x:
+                buf.product(w[rows], block, out=z[rows])
+        else:
+            buf.product(w, x, out=z)
+        if li < len(buf.relus):
+            np.maximum(buf.relus[li], _ZERO, out=buf.relus[li])
         x = buf.acts[li + 1]
 
 
@@ -399,32 +450,42 @@ def _forward(ws, x, buf: _Buffers) -> None:
 # layer, a few MB at most for the nets here, whatever the length of the
 # recording.
 _CHUNK_ROWS = 1200
+_ONE_BANK = ((slice(0, 1), 0),)  # the runs of a stack of one
 
 
-def _outputs(ws, widths, X_rows: np.ndarray, offsets: np.ndarray, n: int, buffers: dict) -> np.ndarray:
-    """The (K, n) outputs of K stacked nets, slot k on rows offsets[k] to offsets[k] + n - 1 of X_rows.
+def _bank_runs(banks) -> list[tuple[slice, int]]:
+    """The runs of a stack whose row i reads bank banks[i]: (rows, bank) per maximal slice of rows that share a bank."""
+    bounds = [0, *(i for i in range(1, len(banks)) if banks[i] != banks[i - 1]), len(banks)]
+    return [(slice(lo, hi), banks[lo]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _outputs(ws, widths, banks: np.ndarray, runs, n: int, buffers: dict) -> np.ndarray:
+    """The (K, n) outputs of K stacked nets on the first n rows of their banks.
 
     ws are the nets' layers as _forward takes them, padded to the layer
-    widths `widths`; X_rows holds input rows that end in a one, and
-    offsets has shape (K, 1).  The rows run through _forward _CHUNK_ROWS
-    at a time, in forward-only _Buffers that `buffers` keeps by row count;
-    one that is missing is made and kept there.  A stack of one reads its
-    rows in place, through a transposed view; a larger one gathers them.
+    widths `widths`; banks is a (B, n, n_0 + 1) stack of input rows that
+    end in a one, and runs (_bank_runs) gives, per maximal slice of stack
+    rows that read one bank, the rows and that bank.  The rows run through
+    _forward _CHUNK_ROWS at a time, in scoring _Buffers that `buffers`
+    keeps by row count; one that is missing is made and kept there.  A
+    stack of one reads its rows in place, through a transposed view.  A
+    larger one copies each run's bank rows once per chunk, as columns,
+    into that run's block of buf.inputs, and _forward multiplies the run's
+    slots by it in one broadcast product: no row is gathered.
     """
-    k = len(offsets)
+    k = runs[-1][0].stop
     out = np.empty((k, n))
     for lo in range(0, n, _CHUNK_ROWS):
         size = min(_CHUNK_ROWS, n - lo)
         buf = buffers.get(size)
         if buf is None:
-            buf = buffers[size] = _Buffers(k, size, widths, backward=False)
+            buf = buffers[size] = _Buffers(k, size, widths, runs)
         if k == 1:
-            start = offsets.item() + lo
-            x = X_rows[start : start + size].T
+            x = banks[runs[0][1], lo : lo + size].T
         else:
-            np.add(offsets, np.arange(lo, lo + size), out=buf.rows)
-            X_rows.take(buf.rows, axis=0, out=buf.x, mode="clip")  # every index is in range
-            x = buf.acts[0]
+            for (_, bank), (_, block) in zip(runs, buf.inputs):
+                np.copyto(block, banks[bank, lo : lo + size].T)
+            x = buf.inputs
         _forward(ws, x, buf)
         out[:, lo : lo + size] = buf.output
     return out
@@ -440,8 +501,8 @@ def forward_batch(model: MlpModel, X) -> np.ndarray:
     """
     X, _ = _batch(model, X)
     sizes = model.layer_sizes
-    X_rows = np.hstack((X, np.ones((len(X), 1))))
-    return _outputs(_layer_views(_fold([model], sizes), sizes), sizes, X_rows, np.zeros((1, 1), dtype=np.intp), len(X), {})[0]
+    bank = np.hstack((X, np.ones((len(X), 1))))[None]
+    return _outputs(_layer_views(_fold([model], sizes), sizes), sizes, bank, _ONE_BANK, len(X), {})[0]
 
 
 def mse_loss(model: MlpModel, X, y) -> float:
@@ -473,11 +534,11 @@ def _backprop(ws, wts, buf: _Buffers, gws) -> None:
     for li in range(last, -1, -1):
         buf.product(buf.dzs[li], buf.acts_t[li], out=gws[li])
         if li > 0:
-            # nothing reads zs[li - 1] again, so it takes its ReLU's
-            # derivative in place: 1 where positive, else 0
-            z, below = buf.zs[li - 1], buf.deltas[li - 1]
+            # nothing reads layer li - 1's units again, so they take their
+            # ReLU's derivative in place: 1 where positive, else 0
+            z, below = buf.relus[li - 1], buf.delta_blocks[li - 1]
             np.greater(z, _ZERO, out=z)
-            buf.product(wts[li], buf.deltas[li], out=below)
+            buf.product(wts[li], buf.deltas[li], out=buf.deltas[li - 1])
             below *= z
 
 
@@ -616,7 +677,7 @@ def train_many(
     left untouched.
     """
     models = list(models)
-    seeds = [int(s) for s in seeds]
+    seeds = [_integer("seed", s, 0) for s in seeds]
     if not models or len(Xs) != len(models) or len(seeds) != len(models):
         raise DataError("train_many needs one input matrix and one seed per model")
     arrays = {id(X): np.asarray(X, dtype=float) for X in Xs}  # an input given twice stays one array
@@ -643,22 +704,27 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
     rows X_rows and the targets y_rows (y repeated once per bank) alike.
     One step takes each slot's minibatch rows and targets with one gather
     each into preallocated buffers (one set per minibatch size: the full
-    one and a shorter last one), gathers the parameters into their
-    transposed layout (_transposing_order) for the backward products,
-    runs one batched forward/backward pass (_backprop) and one Adam update
-    in place, m and v as one stack.  The output layer's zero row (see
-    _Buffers) has a zero gradient, so Adam leaves it at zero.  It allocates no array memory but the
-    index copies numpy's take makes of a strided minibatch slice (K > 1).
+    one and a shorter last one); a stack of more than one copies the rows
+    on into layer 0's unit-major block (_Buffers.x_t).  It then gathers
+    the parameters into their transposed layout (_transposing_order) for
+    the backward products, runs one batched forward/backward pass
+    (_backprop) and one Adam update in place, m and v as one stack.  The
+    output layer's zero row (see _Buffers) has a zero gradient, so Adam
+    leaves it at zero.  It allocates no array memory but the index copies
+    numpy's take makes of a strided minibatch slice (K > 1).
     The padding is exact: a padded unit has z = 0, so its ReLU delta and
     gradient are 0, and Adam started at m = v = 0 never moves it.  Inputs
     that are the same array object are stacked once.
 
     Every live slot's epoch loss comes from one stacked forward pass over
-    its whole bank (_outputs), on the padded stack.  Padding can move the
-    last bits of a loss, so the early-stopping decisions match a solo run's
-    to within rounding, not exactly.  A slot leaves the stack when it
-    converges, diverges or reaches cfg.max_iter; only then is its model
-    cut from the stack.
+    its whole bank (_outputs), on the padded stack.  That pass reads the
+    banks by runs, the maximal slices of stack rows whose slots share a
+    bank (_bank_runs), worked out anew whenever the stack shrinks.  The
+    stack rows keep the slots' order, so slots of one bank that come
+    together make one run.  Padding can move the last bits of a loss, so
+    the early-stopping decisions match a solo run's to within rounding,
+    not exactly.  A slot leaves the stack when it converges, diverges or
+    reaches cfg.max_iter; only then is its model cut from the stack.
     """
     n = y.size
 
@@ -696,7 +762,7 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
 
     def losses() -> list[float]:
         """The live slots' mean squared errors over their banks, in stack row order."""
-        err = _outputs(ws, widths, X_rows, offsets, n, scoring)
+        err = _outputs(ws, widths, X_stack, runs, n, scoring)
         err -= y
         np.square(err, out=err)
         return np.mean(err, axis=1).tolist()
@@ -723,7 +789,9 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
             wts = _layer_views(params_t, widths, transposed=True)
             steps = {size: _Buffers(len(live), size, widths) for size in batch_sizes}
             scoring: dict = {}  # the forward-only buffers of the epoch losses
-            offsets = n * np.array([bank_of[s] for s in live])[:, None]
+            live_banks = [bank_of[s] for s in live]
+            offsets = n * np.array(live_banks)[:, None]
+            runs = _bank_runs(live_banks)
             restack = False
         if epoch == 1:
             initial = losses()
@@ -735,6 +803,8 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
             idx = order[:, lo : lo + batch]
             # mode="clip" lets take write straight into out; every index is in range
             X_rows.take(idx, axis=0, out=buf.x, mode="clip")
+            if buf.x_t is not None:  # K > 1: the rows as the unit-major block of layer 0
+                np.copyto(buf.x_t, buf.x)
             y_rows.take(idx, out=buf.y, mode="clip")
             params.take(transposing, axis=1, out=params_t, mode="clip")
             _backprop(ws, wts, buf, gws)

@@ -433,11 +433,15 @@ def stream_push(session: StreamSession, sample: tuple[float, float]) -> float | 
     one call of the session's step (see StreamSession).  Each value
     equals `forward(model, row)` on the bank row `bank_push` gives for the
     same sample, bit for bit, and so equals predict_batch on the same
-    resampled recording to within 1e-12.  A rejected sample raises
+    resampled recording to within 1e-12.  A rejected sample, a malformed
+    one (not a pair, or an R that float() refuses) included, raises
     DataError and leaves the session unchanged.
     """
-    _, r = sample
-    r = float(r)
+    try:
+        _, r = sample
+        r = float(r)
+    except (TypeError, ValueError):
+        raise DataError(f"stream sample must be a (t, R) pair with a numeric R, got {sample!r}") from None
     if not math.isfinite(r) or r <= 0:
         raise DataError("non-positive resistance in stream")
     scaler = session.bundle.scaler_g

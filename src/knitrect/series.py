@@ -325,6 +325,8 @@ def resample(t, x, rate_hz: float) -> UniformSeries:
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     _positive("rate_hz", rate_hz)
+    if t.ndim != 1 or x.ndim != 1:
+        raise DataError(f"t and x must be 1-D, got shapes {t.shape} and {x.shape}")
     if t.size < 2:
         raise DataError("need at least 2 points to resample")
     if t.shape != x.shape:

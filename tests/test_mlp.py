@@ -767,6 +767,55 @@ def test_train_many_isolates_a_diverging_slot():
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
+# Two lockstep groups whose trained weights and loss histories are pinned
+# in data/lockstep_groups.json: name -> (bank widths, (bank, hidden) per
+# slot, samples, batch size, _CHUNK_ROWS).  In "interleaved" the slots'
+# banks alternate, so every run of stack rows that share a bank has one
+# row, and the batches of 32 on 8 padded inputs are grid-like.  In "runs"
+# they come as runs of 3, 2 and 2 rows, which shrink as slots stop at
+# epochs 3, 19 and 20; every epoch ends on a short batch of 12 and the
+# losses run in chunks of 7 rows, the last of 4.  OpenBLAS sums layer 0's
+# weight gradient in another order for a column-major operand at both
+# batch shapes, on 8 padded inputs from 32 rows and on 4 below 32.
+LOCKSTEP_CASES = {
+    "interleaved": ([4, 7], [(0, (4, 3)), (1, (4, 3)), (0, (3, 4)), (1, (3, 3)), (0, (4, 4))], 96, 32, None),
+    "runs": ([2, 3, 1], [(0, (3, 2, 2)), (0, (2, 3, 2)), (0, (3, 3, 2)), (1, (2, 2, 3)), (1, (3, 2, 2)), (2, (2, 2, 2)), (2, (3, 3, 3))], 60, 16, 7),
+}
+
+
+def _lockstep_case(name, monkeypatch):
+    """The outcomes of train_many on the named case of LOCKSTEP_CASES, which trains as one lockstep group."""
+    in_widths, slots, n, batch, chunk_rows = LOCKSTEP_CASES[name]
+    if chunk_rows is not None:
+        monkeypatch.setattr(mlp, "_CHUNK_ROWS", chunk_rows)
+    banks, _ = _group_data(11, in_widths, n=n)
+    y = np.tanh(sum(bank.sum(axis=1) for bank in banks))  # so every slot's losses depend on its bank
+    # from these init seeds on, no slot's net is dead (a constant output
+    # would not show which bank it read)
+    models = [kr.mlp_new((in_widths[b], *hidden, 1), seed=190 + i) for i, (b, hidden) in enumerate(slots)]
+    assert len(mlp.lockstep_groups([mo.layer_sizes for mo in models])) == 1
+    cfg = kr.TrainConfig(max_iter=40, batch_size=batch, tol=3e-3, patience=2)
+    return kr.train_many(models, [banks[b] for b, _ in slots], y, cfg, [30 + i for i in range(len(slots))])
+
+
+def _hex_floats(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("name", sorted(LOCKSTEP_CASES))
+def test_lockstep_groups_train_to_the_recorded_bytes(name, monkeypatch):
+    # the fixture was written by the row-major stack layout that gathered
+    # every slot's bank rows; the layout may change, the bytes may not
+    want = json.loads((Path(__file__).parent / "data" / "lockstep_groups.json").read_text())["cases"][name]
+    outcomes = _lockstep_case(name, monkeypatch)
+    assert len(outcomes) == len(want)
+    for (net, report), slot in zip(outcomes, want):
+        assert [_hex_floats(w) for w in net.weights] == slot["weights"]
+        assert [_hex_floats(b) for b in net.biases] == slot["biases"]
+        assert _hex_floats(report.loss_history) == slot["loss_history"]
+        assert report.converged == slot["converged"]
+
+
 def _training_peak(X, y, epochs: int) -> int:
     """The traced peak, in bytes, of training one model on X for exactly `epochs` epochs."""
     cfg = kr.TrainConfig(max_iter=epochs, patience=epochs, batch_size=200)
@@ -800,6 +849,13 @@ def test_train_many_validates_its_group():
         kr.train_many([kr.mlp_new((3, 2, 1))], [banks[0]], y, cfg, [0])
     with pytest.raises(DataError, match="matching y"):
         kr.train_many([shallow], [banks[0]], y[:-1], cfg, [0])
+
+
+@pytest.mark.parametrize("seed", [2.5, True, -1, "a", None, float("nan")], ids=repr)
+def test_train_many_takes_integer_seeds_only(seed):
+    banks, y = _group_data(3, [2])
+    with pytest.raises(DataError, match="seed must be an integer"):
+        kr.train_many([kr.mlp_new((2, 3, 1))], [banks[0]], y, kr.TrainConfig(max_iter=2), [seed])
 
 
 def test_gradient_and_train_many_reject_a_target_that_is_not_1d():

@@ -561,6 +561,18 @@ def test_stream_rejects_bad_samples(small_bundle):
     assert session.samples_seen == 0
 
 
+@pytest.mark.parametrize("sample", [5.0, (0.0, "x"), (0.0, 1000.0, 1.0), (0.0, None), (0.0, 1j)], ids=repr)
+def test_stream_rejects_a_malformed_sample(small_bundle, sample):
+    session = kr.open_stream(small_bundle)
+    for _ in range(2):
+        with pytest.raises(DataError, match="must be a \\(t, R\\) pair"):
+            kr.stream_push(session, sample)
+    assert session.samples_seen == 0
+    assert session.bank.buffer == []
+    kr.stream_push(session, (0.0, 1000.0))
+    assert session.samples_seen == 1
+
+
 @pytest.mark.parametrize("r", [1e-320, 5e-324])
 def test_stream_rejects_a_resistance_whose_conductance_overflows(small_bundle, r):
     session = kr.open_stream(small_bundle)

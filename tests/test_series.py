@@ -286,6 +286,11 @@ def test_resample_errors():
     for rate in (float("nan"), float("inf"), "20", True):
         with pytest.raises(DataError, match="rate_hz"):
             kr.resample([0.0, 1.0], [1.0, 2.0], rate)
+    for shape in ((3, 2), (3, 1)):
+        with pytest.raises(DataError, match="must be 1-D"):
+            kr.resample(np.zeros(shape), np.zeros(shape), 10.0)
+    with pytest.raises(DataError, match="must be 1-D"):
+        kr.resample(np.arange(3.0)[:, None], np.arange(3.0), 10.0)
 
 
 def test_a_span_beyond_the_float_range_loads_and_resamples_without_a_warning(tmp_path):
