@@ -767,7 +767,7 @@ def test_train_many_isolates_a_diverging_slot():
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
-# Two lockstep groups whose trained weights and loss histories are pinned
+# Three lockstep groups whose trained weights and loss histories are pinned
 # in data/lockstep_groups.json: name -> (bank widths, (bank, hidden) per
 # slot, samples, batch size, _CHUNK_ROWS).  In "interleaved" the slots'
 # banks alternate, so every run of stack rows that share a bank has one
@@ -776,10 +776,16 @@ def test_train_many_isolates_a_diverging_slot():
 # epochs 3, 19 and 20; every epoch ends on a short batch of 12 and the
 # losses run in chunks of 7 rows, the last of 4.  OpenBLAS sums layer 0's
 # weight gradient in another order for a column-major operand at both
-# batch shapes, on 8 padded inputs from 32 rows and on 4 below 32.
+# batch shapes, on 8 padded inputs from 32 rows and on 4 below 32.  "wide"
+# has the grid's shapes at widths where OpenBLAS takes other kernels than
+# at 4: a 16-unit first layer on 8 padded inputs, batches of 200 and a
+# short one of 100, and the losses in the default chunks of 1,200 rows and
+# a tail of 100; its banks come in runs of 2, 1, 1 and 2 rows, which
+# shrink as slots stop from epoch 30 on.
 LOCKSTEP_CASES = {
     "interleaved": ([4, 7], [(0, (4, 3)), (1, (4, 3)), (0, (3, 4)), (1, (3, 3)), (0, (4, 4))], 96, 32, None),
     "runs": ([2, 3, 1], [(0, (3, 2, 2)), (0, (2, 3, 2)), (0, (3, 3, 2)), (1, (2, 2, 3)), (1, (3, 2, 2)), (2, (2, 2, 2)), (2, (3, 3, 3))], 60, 16, 7),
+    "wide": ([7, 5], [(0, (16, 8)), (0, (16, 6)), (1, (16, 8)), (0, (16, 4)), (1, (16, 4)), (1, (16, 8))], 1300, 200, None),
 }
 
 
