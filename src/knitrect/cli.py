@@ -64,8 +64,10 @@ def _cmd_train(args) -> int:
     bundle, report = pl.fit_pipeline(rec, cfg)
     pl.save_bundle(bundle, args.out)
     _, card = pl.predict_batch(bundle, rec)
+    # the bundle holds the last epoch's weights: its loss is the final one
     print(
-        f"wrote {args.out}: {report.epochs_run} epochs, best loss {report.best_loss:.6g}, "
+        f"wrote {args.out}: {report.epochs_run} epochs, final loss {report.loss_history[-1]:.6g} "
+        f"(best {report.best_loss:.6g}), "
         f"train r2 {card.r2_pre:.3f} -> {card.r2_post:.3f}"
     )
     return 0

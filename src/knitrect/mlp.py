@@ -17,11 +17,11 @@ call numpy has for it.  Larger stacks run np.matmul on a unit-major
 layout: a layer's activations, and its deltas, are one (units, K, n)
 block, so each ReLU, mask and masked multiply is one call on a
 contiguous block, while the products read the block as K matrices whose
-row stride K*n BLAS takes as a leading dimension.  Layer 0 reads its
-input the same way: a step copies its gathered minibatch rows into such
-a block, and the epoch losses copy each bank's rows into one block per
-run of stack rows that share the bank, which layer 0 multiplies by the
-run's weights in one broadcast product (_outputs).  The backward
+row stride K*n BLAS takes as a leading dimension.  A step copies its
+gathered minibatch rows into such a block for layer 0.  A scoring pass
+(_outputs) reads its banks in place instead: per run of stack rows that
+share a bank, layer 0 multiplies the run's weights by the bank's rows
+through a transposed view, one broadcast product.  The backward
 products multiply by a second copy of the stack with each layer's
 weights laid out transposed, which one gather refreshes every step, and
 the output layer carries a zero second unit there, so its rank-1
@@ -61,8 +61,8 @@ value equals `forward` on the bank row bit for bit.
 
 There is one numpy forward pass, `_forward`: the first half of every
 step, and the core of `_outputs`, which runs K stacked nets over whole
-banks a fixed number of rows at a time, reading each bank once per run
-of stack rows rather than gathering a copy of it per net.  Every epoch's
+banks a fixed number of rows at a time, reading each bank in place once
+per run of stack rows, for a stack of one as for a larger one.  Every epoch's
 losses, all of a group's live nets at once, come from one `_outputs`
 call, and `forward_batch` is `_outputs` on a stack of one.
 """
@@ -204,7 +204,8 @@ def mlp_new(layer_sizes, seed: int = 0) -> MlpModel:
 def _batch(model: MlpModel, X, y=None) -> tuple[np.ndarray, np.ndarray | None]:
     """X as an (n, n_in) float batch for model and y, if given, as its n >= 1 targets; else DataError.
 
-    An argument that is already a float array is returned as the same object.
+    Given y, every number of X and y must be finite, as training needs.  An
+    argument that is already a float array is returned as the same object.
     """
     X = np.asarray(X, dtype=float)
     if y is not None:
@@ -213,6 +214,8 @@ def _batch(model: MlpModel, X, y=None) -> tuple[np.ndarray, np.ndarray | None]:
             raise DataError("expected a nonempty (n, n_in) batch with matching y")
     if X.ndim != 2 or X.shape[1] != model.layer_sizes[0]:
         raise DataError("input width does not match the model")
+    if y is not None and not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise DataError("training inputs and targets must be finite numbers")
     return X, y
 
 
@@ -318,7 +321,7 @@ def _float_net(model: MlpModel):
         return factory(*_flat_params(model))
     widths, buffers = model.layer_sizes, {}
     ws = _layer_views(_fold([model], widths), widths)
-    return lambda x: _outputs(ws, widths, np.array([[[*x, 1.0]]]), _ONE_BANK, 1, buffers).item()
+    return lambda x: _outputs(ws, widths, np.array([[[*x, 1.0]]]), [0], 1, buffers).item()
 
 
 def forward(model: MlpModel, x) -> float:
@@ -347,146 +350,132 @@ class _Buffers:
     The layout is feature-major and, for K > 1, unit-major: hidden layer
     l's activations are one (n_l + 1, K, n) block, per unit a row of K
     slots of n samples, with the row of ones last, which multiplies the
-    bias column of the folded weights.  acts[l + 1] is that block as the
-    (K, n_l + 1, n) view that the products take, whose row stride K*n BLAS
-    reads as the leading dimension of a 2-D matrix, also as out=; zs[l] is
-    the part of it that layer l's product writes, its rows but the ones;
-    and relus[l] is that part as one contiguous (n_l, K, n) block, on
-    which the ReLU and its mask run.  acts[-1] is the (K, 1, n) output and
-    output the same numbers as (K, n).  A stack of one drops its K axis,
-    so each of these is a 2-D (rows, n) block and `product` is np.dot,
-    else np.matmul: np.dot is the cheaper call, and its out= takes such
-    blocks.
+    bias column of the folded weights.  acts[l] is the output of weight
+    layer l, the block of hidden layer l + 1 as the (K, n_{l+1} + 1, n)
+    view that the products take, whose row stride K*n BLAS reads as the
+    leading dimension of a 2-D matrix, also as out=; zs[l] is the part of
+    it that layer l's product writes, its rows but the ones; and relus[l]
+    is that part as one contiguous (n_{l+1}, K, n) block, on which the ReLU
+    and its mask run.  acts[-1] is the (K, 1, n) output and output the
+    same numbers as (K, n).  A
+    stack of one drops its K axis, so each of these is a 2-D (rows, n)
+    block and `product` is np.dot, else np.matmul: np.dot is the cheaper
+    call, and its out= takes such blocks.
 
-    A training step (runs None) gathers its input rows, each ending in a
-    one, into x (K, n, n_0 + 1).  A stack of one reads them in place:
-    acts[0] is x's transposed view.  A larger one copies them (np.copyto)
-    through x_t, a (K, n, n_0 + 1) view of the (n_0 + 1, K, n) block that
-    acts[0] views as the hidden layers' blocks are viewed; x_t is None for
-    a stack of one.  The step also keeps: acts_t, the transposed views of
-    acts[1:-1] that the weight gradients multiply by, after x itself for
-    layer 0 (by the block's transposed view OpenBLAS sums that product in
-    another order at some sizes, which moves the last bits of the trained
-    weights); y (K, n), the gathered targets, and target, the
-    same numbers shaped like acts[-1]; deltas[l], the error at layer l's
-    output, the (K, n_{l+1}, n) view of a unit-major block, and
-    delta_blocks[l], that block below the output layer, which the mask
-    multiplies; and dzs, the deltas that the weight gradients read.  The
-    output layer's delta has two rows: the second stays zero, so that the
-    backward product through the output layer has an inner size of 2 and
-    runs in BLAS rather than in numpy's loop for a rank-1 product.  scale
-    is 2/n as a 0-d array, the factor of the output delta.
-
-    A scoring pass (_outputs) passes runs, the (rows, bank) pairs of
-    _bank_runs, and makes none of these.  For K > 1 it keeps inputs
-    instead: per run, its rows and an (n_0 + 1, n) block, into which
-    _outputs copies that bank's rows as columns.  A stack of one reads its
-    bank in place; it makes x and rows, an index array, all the same.
+    That is all a scoring pass (_outputs, scoring=True) makes: its layer 0
+    reads the banks in place.  A training step gathers its input rows,
+    each ending in a one, into x (K, n, n_0 + 1), and first is layer 0's
+    input as _forward takes it, one run that the whole stack reads.  A
+    stack of one reads the rows in place, through x's transposed view.  A
+    larger one copies them (np.copyto) through x_t, a (K, n, n_0 + 1) view
+    of an (n_0 + 1, K, n) block that first views as acts views the hidden
+    layers' blocks; x_t is None for a stack of one.  The step also keeps:
+    acts_t, the transposed views of acts[:-1] that the weight gradients
+    multiply by, after x itself for layer 0 (by the block's transposed
+    view OpenBLAS sums that product in another order at some sizes, which
+    moves the last bits of the trained weights); y (K, n), the gathered
+    targets, and target, the same numbers shaped like acts[-1]; deltas[l],
+    the error at layer l's output, the (K, n_{l+1}, n) view of a
+    unit-major block, and delta_blocks[l], that block below the output
+    layer, which the mask multiplies; and dzs, the deltas that the weight
+    gradients read.  The output layer's delta has two rows: the second
+    stays zero, so that the backward product through the output layer has
+    an inner size of 2 and runs in BLAS rather than in numpy's loop for a
+    rank-1 product.  scale is 2/n as a 0-d array, the factor of the output
+    delta.
     """
 
-    def __init__(self, k: int, n: int, widths, runs=None):
+    def __init__(self, k: int, n: int, widths, scoring: bool = False):
         slots = (lambda a: a[:, 0]) if k == 1 else (lambda a: a.transpose(1, 0, 2))
         blocks = (lambda a: a[:, 0]) if k == 1 else (lambda a: a)
         self.product = np.dot if k == 1 else np.matmul
-        # a stack of one makes x and rows in a scoring pass too, which reads
-        # neither: its arrays, and with them the heap layout and the peak
-        # resident set of a prediction, stay those of the row-gathering pass
-        if runs is None or k == 1:
-            self.x = np.empty((k, n, widths[0] + 1))
-            self.x[:, :, -1] = 1.0
-        self.x_t = None
-        if k == 1:
-            first = self.x[0].T
-        elif runs is None:
-            block = np.empty((widths[0] + 1, k, n))
-            first, self.x_t = slots(block), block.transpose(1, 2, 0)
-        else:
-            first, self.inputs = None, [(rows, np.empty((widths[0] + 1, n))) for rows, _ in runs]
         hidden = [np.empty((w + 1, k, n)) for w in widths[1:-1]]
         for a in hidden:
             a[-1] = 1.0
         out = np.empty((1, k, n))
-        self.acts = [first, *map(slots, hidden), slots(out)]
-        self.zs = [a[..., :-1, :] for a in self.acts[1:-1]] + [self.acts[-1]]
+        self.acts = [*map(slots, hidden), slots(out)]
+        self.zs = [a[..., :-1, :] for a in self.acts[:-1]] + [self.acts[-1]]
         self.relus = [blocks(a[:-1]) for a in hidden]
         self.output = out.reshape(k, n)
+        if scoring:
+            return
+        self.x = np.empty((k, n, widths[0] + 1))
+        self.x[:, :, -1] = 1.0
         if k == 1:
-            self.rows = np.empty((k, n), dtype=np.intp)
-        if runs is None:
-            self.acts_t = [self.x[0] if k == 1 else self.x, *(a.swapaxes(-2, -1) for a in self.acts[1:-1])]
-            self.y = np.empty((k, n))
-            self.scale = np.array(2.0 / n)
-            self.target = self.y.reshape(self.acts[-1].shape)
-            units = [np.empty((w, k, n)) for w in widths[1:-1]] + [np.zeros((2, k, n))]
-            self.deltas = [slots(a) for a in units]
-            self.delta_blocks = [blocks(a) for a in units[:-1]]
-            self.dzs = self.deltas[:-1] + [self.deltas[-1][..., :1, :]]
+            first, self.x_t = self.x[0].T, None
+        else:
+            block = np.empty((widths[0] + 1, k, n))
+            first, self.x_t = slots(block), block.transpose(1, 2, 0)
+        self.first = [(..., first)]
+        self.acts_t = [self.x[0] if k == 1 else self.x, *(a.swapaxes(-2, -1) for a in self.acts[:-1])]
+        self.y = np.empty((k, n))
+        self.scale = np.array(2.0 / n)
+        self.target = self.y.reshape(self.acts[-1].shape)
+        units = [np.empty((w, k, n)) for w in widths[1:-1]] + [np.zeros((2, k, n))]
+        self.deltas = [slots(a) for a in units]
+        self.delta_blocks = [blocks(a) for a in units[:-1]]
+        self.dzs = self.deltas[:-1] + [self.deltas[-1][..., :1, :]]
 
 
-def _forward(ws, x, buf: _Buffers) -> None:
-    """The outputs of K stacked nets on the input x, written into buf.acts[1:].
+def _forward(ws, first, buf: _Buffers) -> None:
+    """The outputs of K stacked nets on the input `first`, written into buf.acts.
 
     ws[l] has shape (K, n_{l+1}, n_l + 1): layer l's weights with its
     biases as the last column, which the ones row of its input multiplies.
-    x is layer 0's (K, n_0 + 1, n) input: buf.acts[0] or, for a stack of
-    one, a view of bank rows.  Or it is a list of runs, (rows, block)
-    pairs whose stack rows `rows` all read the (n_0 + 1, n) block, and
-    layer 0 is then one broadcast product per run.  Each layer is one
-    product and, below the output, one ReLU on its contiguous block of
-    units (buf.relus).
+    first is layer 0's input as runs, (rows, x) pairs: the stack rows
+    `rows` (a slice, or ... for the whole stack) all read x, which has
+    n_0 + 1 rows of n samples, and layer 0 is one product per run, a
+    broadcast one where x is 2-D and the stack is not.  A scoring pass
+    gives each run's bank rows as a transposed view, a training step its
+    one run buf.first.  Each layer above is one product and, below it, one
+    ReLU on the contiguous block of units it reads (buf.relus).
     """
-    for li, (w, z) in enumerate(zip(ws, buf.zs)):
-        if li == 0 and isinstance(x, list):
-            for rows, block in x:
-                buf.product(w[rows], block, out=z[rows])
-        else:
-            buf.product(w, x, out=z)
-        if li < len(buf.relus):
-            np.maximum(buf.relus[li], _ZERO, out=buf.relus[li])
-        x = buf.acts[li + 1]
+    for rows, x in first:
+        buf.product(ws[0][rows], x, out=buf.zs[0][rows])
+    for w, relu, x, z in zip(ws[1:], buf.relus, buf.acts, buf.zs[1:]):
+        np.maximum(relu, _ZERO, out=relu)
+        buf.product(w, x, out=z)
 
 
 # Rows per pass of _outputs: its buffers hold K x _CHUNK_ROWS rows per
 # layer, a few MB at most for the nets here, whatever the length of the
 # recording.
 _CHUNK_ROWS = 1200
-_ONE_BANK = ((slice(0, 1), 0),)  # the runs of a stack of one
 
 
-def _bank_runs(banks) -> list[tuple[slice, int]]:
-    """The runs of a stack whose row i reads bank banks[i]: (rows, bank) per maximal slice of rows that share a bank."""
+def _bank_runs(banks) -> list[tuple]:
+    """The runs of a stack whose row i reads bank banks[i]: (rows, bank) per maximal slice of rows that share a bank.
+
+    A bank that the whole stack reads is one run whose rows are `...`,
+    which also indexes the 2-D weights of a stack of one.
+    """
     bounds = [0, *(i for i in range(1, len(banks)) if banks[i] != banks[i - 1]), len(banks)]
+    if len(bounds) == 2:
+        return [(..., banks[0])]
     return [(slice(lo, hi), banks[lo]) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _outputs(ws, widths, banks: np.ndarray, runs, n: int, buffers: dict) -> np.ndarray:
+def _outputs(ws, widths, banks: np.ndarray, bank_of, n: int, buffers: dict) -> np.ndarray:
     """The (K, n) outputs of K stacked nets on the first n rows of their banks.
 
     ws are the nets' layers as _forward takes them, padded to the layer
     widths `widths`; banks is a (B, n, n_0 + 1) stack of input rows that
-    end in a one, and runs (_bank_runs) gives, per maximal slice of stack
-    rows that read one bank, the rows and that bank.  The rows run through
-    _forward _CHUNK_ROWS at a time, in scoring _Buffers that `buffers`
-    keeps by row count; one that is missing is made and kept there.  A
-    stack of one reads its rows in place, through a transposed view.  A
-    larger one copies each run's bank rows once per chunk, as columns,
-    into that run's block of buf.inputs, and _forward multiplies the run's
-    slots by it in one broadcast product: no row is gathered.
+    end in a one, and stack row i reads bank bank_of[i].  The rows run
+    through _forward _CHUNK_ROWS at a time, in scoring _Buffers that
+    `buffers` keeps by row count; one that is missing is made and kept
+    there.  Per run of stack rows that share a bank (_bank_runs), layer 0
+    multiplies the run's weights by that bank's chunk of rows in place,
+    through its transposed view, for a stack of one as for a larger one:
+    no row is gathered or copied.
     """
-    k = runs[-1][0].stop
-    out = np.empty((k, n))
+    runs = _bank_runs(bank_of)
+    out = np.empty((len(bank_of), n))
     for lo in range(0, n, _CHUNK_ROWS):
         size = min(_CHUNK_ROWS, n - lo)
         buf = buffers.get(size)
         if buf is None:
-            buf = buffers[size] = _Buffers(k, size, widths, runs)
-        if k == 1:
-            x = banks[runs[0][1], lo : lo + size].T
-        else:
-            for (_, bank), (_, block) in zip(runs, buf.inputs):
-                np.copyto(block, banks[bank, lo : lo + size].T)
-            x = buf.inputs
-        _forward(ws, x, buf)
+            buf = buffers[size] = _Buffers(len(bank_of), size, widths, scoring=True)
+        _forward(ws, [(rows, banks[bank, lo : lo + size].T) for rows, bank in runs], buf)
         out[:, lo : lo + size] = buf.output
     return out
 
@@ -502,7 +491,7 @@ def forward_batch(model: MlpModel, X) -> np.ndarray:
     X, _ = _batch(model, X)
     sizes = model.layer_sizes
     bank = np.hstack((X, np.ones((len(X), 1))))[None]
-    return _outputs(_layer_views(_fold([model], sizes), sizes), sizes, bank, _ONE_BANK, len(X), {})[0]
+    return _outputs(_layer_views(_fold([model], sizes), sizes), sizes, bank, [0], len(X), {})[0]
 
 
 def mse_loss(model: MlpModel, X, y) -> float:
@@ -526,7 +515,7 @@ def _backprop(ws, wts, buf: _Buffers, gws) -> None:
     bias, so one product gives a layer's output and one more its weight
     and bias gradient.  ReLU subgradient at 0 is taken as 0.
     """
-    _forward(ws, buf.acts[0], buf)
+    _forward(ws, buf.first, buf)
     last = len(ws) - 1
     delta = buf.dzs[last]
     np.subtract(buf.acts[-1], buf.target, out=delta)
@@ -545,7 +534,8 @@ def _backprop(ws, wts, buf: _Buffers, gws) -> None:
 def gradient(model: MlpModel, X, y) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Exact gradient of the mean squared error over the batch.
 
-    ReLU subgradient at 0 is taken as 0.
+    ReLU subgradient at 0 is taken as 0.  X and y must be finite (else
+    DataError).
     """
     X, y = _batch(model, X, y)
     sizes = model.layer_sizes
@@ -671,7 +661,9 @@ def train_many(
     by seeds[k] (cfg.seed is not used).  The models are split by
     lockstep_groups, and each group trains in lockstep (_train_group), so a
     caller needs no grouping of its own.  A slot that diverges does not
-    stop the others.  Every input is checked before any group trains.
+    stop the others, and a loss that overflows or goes NaN ends its slot
+    in TrainingDiverged, with no numpy warning.  Every input is checked
+    before any group trains: a non-finite number in X or y is a DataError.
     Returns one entry per slot, in input order: the trained copy with its
     report, or the TrainingDiverged that ended it.  The input models are
     left untouched.
@@ -686,7 +678,9 @@ def train_many(
         _, y = _batch(mo, X, y)
     results: list = [None] * len(models)
     for group in lockstep_groups([mo.layer_sizes for mo in models]):
-        outcomes = _train_group([models[i] for i in group], [Xs[i] for i in group], y, cfg, [seeds[i] for i in group])
+        # a loss that overflows, or goes NaN, ends its slot in TrainingDiverged
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes = _train_group([models[i] for i in group], [Xs[i] for i in group], y, cfg, [seeds[i] for i in group])
         for i, outcome in zip(group, outcomes):
             results[i] = outcome
     return results
@@ -717,11 +711,10 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
     that are the same array object are stacked once.
 
     Every live slot's epoch loss comes from one stacked forward pass over
-    its whole bank (_outputs), on the padded stack.  That pass reads the
-    banks by runs, the maximal slices of stack rows whose slots share a
-    bank (_bank_runs), worked out anew whenever the stack shrinks.  The
-    stack rows keep the slots' order, so slots of one bank that come
-    together make one run.  Padding can move the last bits of a loss, so
+    its whole bank (_outputs), on the padded stack.  That pass reads each
+    bank in place, once per run, a maximal slice of stack rows whose slots
+    share the bank (_bank_runs).  The stack rows keep the slots' order, so
+    slots of one bank that come together make one run.  Padding can move the last bits of a loss, so
     the early-stopping decisions match a solo run's to within rounding,
     not exactly.  A slot leaves the stack when it converges, diverges or
     reaches cfg.max_iter; only then is its model cut from the stack.
@@ -762,7 +755,7 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
 
     def losses() -> list[float]:
         """The live slots' mean squared errors over their banks, in stack row order."""
-        err = _outputs(ws, widths, X_stack, runs, n, scoring)
+        err = _outputs(ws, widths, X_stack, live_banks, n, scoring)
         err -= y
         np.square(err, out=err)
         return np.mean(err, axis=1).tolist()
@@ -791,7 +784,6 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
             scoring: dict = {}  # the forward-only buffers of the epoch losses
             live_banks = [bank_of[s] for s in live]
             offsets = n * np.array(live_banks)[:, None]
-            runs = _bank_runs(live_banks)
             restack = False
         if epoch == 1:
             initial = losses()
@@ -859,9 +851,9 @@ def train(model: MlpModel, X, y, cfg: TrainConfig) -> tuple[MlpModel, TrainRepor
 
     Stops when the best epoch loss has not improved by cfg.tol for
     cfg.patience consecutive epochs, or at cfg.max_iter.  The input model
-    is left untouched; the trained copy is returned.  Raises
-    TrainingDiverged if the loss blows up or goes non-finite.  This is
-    train_many with one slot.
+    is left untouched; the trained copy is returned.  Raises DataError
+    for a non-finite number in X or y, and TrainingDiverged if the loss
+    blows up or goes non-finite.  This is train_many with one slot.
     """
     (outcome,) = train_many([model], [X], y, cfg, [cfg.seed])
     if isinstance(outcome, TrainingDiverged):

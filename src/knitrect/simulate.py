@@ -303,8 +303,8 @@ class SimSeed:
         object.__setattr__(self, "master", _integer("master seed", self.master, 0))
 
     def recording_seeds(self, index: int) -> tuple[int, int]:
-        """(trajectory seed, sensor seed) for recording `index`."""
-        ss = np.random.SeedSequence([self.master, int(index)])
+        """(trajectory seed, sensor seed) for recording `index`, an integer >= 0 (8.0 passes; else DataError)."""
+        ss = np.random.SeedSequence([self.master, _integer("recording index", index, 0)])
         a, b = ss.generate_state(2, dtype=np.uint64)
         return int(a), int(b)
 
@@ -318,14 +318,15 @@ def simulate_sensor(
 ) -> RawRecording:
     """Run the sensor model over a trajectory and emit an acquisition-style recording.
 
-    The seed expands into three independent streams: timestamp jitter,
-    force noise, resistance noise.  Setting the preset noise levels to 0
+    The seed, an integer >= 0 (8.0 passes; else DataError), expands into
+    three independent streams: timestamp jitter, force noise, resistance
+    noise.  Setting the preset noise levels to 0
     and jittered_timestamps=False yields a fully clean recording on the
     trajectory's own time base.
     """
     t = traj.t_s
     eps = traj.strain()
-    ss = np.random.SeedSequence(int(seed))
+    ss = np.random.SeedSequence(_integer("seed", seed, 0))
     jitter_rng, force_rng, resist_rng = (np.random.default_rng(c) for c in ss.spawn(3))
 
     # contact state: first-order relaxation toward sqrt(strain), asymmetric taus

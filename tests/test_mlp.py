@@ -5,6 +5,7 @@ import json
 import operator
 import struct
 import tracemalloc
+import warnings
 from functools import reduce
 from pathlib import Path
 
@@ -479,6 +480,39 @@ def test_train_divergence_raises_instead_of_returning_garbage():
     model = kr.mlp_new((3, 4, 1), seed=0)
     with pytest.raises(TrainingDiverged):
         kr.train(model, X, y, kr.TrainConfig(max_iter=50, learning_rate=1e6, seed=0))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["X", "y"])
+@pytest.mark.parametrize("call", ["train", "train_many", "gradient"])
+def test_training_rejects_a_non_finite_input_or_target(call, where, value):
+    rng = np.random.default_rng(0)
+    X, y = rng.normal(size=(32, 3)), rng.normal(size=32)
+    (X if where == "X" else y)[5] = value
+    model, cfg = kr.mlp_new((3, 4, 1), seed=0), kr.TrainConfig(max_iter=5, seed=0)
+    calls = {
+        "train": lambda: kr.train(model, X, y, cfg),
+        "train_many": lambda: kr.train_many([model], [X], y, cfg, [0]),
+        "gradient": lambda: kr.gradient(model, X, y),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="finite"):
+            calls[call]()
+
+
+@pytest.mark.parametrize("learning_rate, scale", [(1e300, 1.0), (1e-3, 1e308)], ids=["learning-rate-1e300", "input-1e308"])
+def test_an_overflowing_fit_diverges_without_a_warning(learning_rate, scale):
+    rng = np.random.default_rng(0)
+    X, y = scale * rng.uniform(-1.0, 1.0, size=(32, 3)), rng.normal(size=32)
+    model = kr.mlp_new((3, 4, 1), seed=0)
+    cfg = kr.TrainConfig(max_iter=50, learning_rate=learning_rate, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged):
+            kr.train(model, X, y, cfg)
+        (outcome,) = kr.train_many([model], [X], y, cfg, [0])
+    assert isinstance(outcome, TrainingDiverged)
 
 
 def test_train_early_stops_on_plateau():

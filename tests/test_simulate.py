@@ -106,6 +106,22 @@ def test_trajectory_validation():
         kr.Trajectory([0.0, 0.01], [0.0, 40.0])  # strain above max
 
 
+@pytest.mark.parametrize("seed", [2.5, True, -1, None, "7"])
+def test_simulator_seeds_must_be_integers(seed):
+    traj = kr.gen_trajectory(1, 2.0)
+    with pytest.raises(DataError, match="seed must be an integer"):
+        kr.simulate_sensor(traj, kr.PES_PRESET, seed)
+    with pytest.raises(DataError, match="recording index must be an integer"):
+        kr.SimSeed(7).recording_seeds(seed)
+
+
+def test_simulator_seeds_take_an_integral_float():
+    traj = kr.gen_trajectory(1, 2.0)
+    a, b = kr.simulate_sensor(traj, kr.PES_PRESET, 3.0), kr.simulate_sensor(traj, kr.PES_PRESET, 3)
+    assert np.array_equal(a.resistance_ohm, b.resistance_ohm)
+    assert kr.SimSeed(7).recording_seeds(2.0) == kr.SimSeed(7).recording_seeds(2)
+
+
 # --- sensor model ---------------------------------------------------------------
 
 
