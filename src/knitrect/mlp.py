@@ -75,7 +75,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DataError, TrainingDiverged, _finite, _integer, _integers, _positive
+from .errors import DataError, NumericError, TrainingDiverged, _finite, _integer, _integers, _positive
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -495,9 +495,17 @@ def forward_batch(model: MlpModel, X) -> np.ndarray:
 
 
 def mse_loss(model: MlpModel, X, y) -> float:
-    """Mean squared error of the predictions for the batch X against the targets y."""
+    """Mean squared error of the predictions for the batch X against the targets y.
+
+    X and y must be finite (else DataError).  A loss that overflows the
+    float range, on inputs near its limit, raises NumericError.
+    """
     X, y = _batch(model, X, y)
-    return float(np.mean((forward_batch(model, X) - y) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = float(np.mean((forward_batch(model, X) - y) ** 2))
+    if not _finite(loss):
+        raise NumericError("mean squared error overflows the float range")
+    return loss
 
 
 def _backprop(ws, wts, buf: _Buffers, gws) -> None:
@@ -535,17 +543,22 @@ def gradient(model: MlpModel, X, y) -> tuple[list[np.ndarray], list[np.ndarray]]
     """Exact gradient of the mean squared error over the batch.
 
     ReLU subgradient at 0 is taken as 0.  X and y must be finite (else
-    DataError).
+    DataError).  A gradient that overflows the float range, on inputs near
+    its limit, raises NumericError.
     """
     X, y = _batch(model, X, y)
     sizes = model.layer_sizes
     params = _fold([model], sizes)
-    ws, gws = _layer_views(params, sizes), _layer_views(np.zeros_like(params), sizes)
+    grads = np.zeros_like(params)
+    ws, gws = _layer_views(params, sizes), _layer_views(grads, sizes)
     wts = _layer_views(params.take(_transposing_order(sizes), axis=1), sizes, transposed=True)
     buf = _Buffers(1, y.size, sizes)
     buf.x[0, :, :-1] = X
     buf.y[0] = y
-    _backprop(ws, wts, buf, gws)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _backprop(ws, wts, buf, gws)
+    if not np.isfinite(grads).all():
+        raise NumericError("gradient overflows the float range")
     return _unfold(gws, sizes)
 
 

@@ -6,24 +6,21 @@ series, so the first processing step is linear-interpolation resampling
 onto a uniform grid, followed by the resistance->conductivity flip and
 zero-mean/unit-variance scaling.
 
-Recording CSVs are read on one of two paths that give the same result,
-bit for bit or in the same DataError text.  A plain table (exactly the
-header line, then unquoted rows without carriage returns or over-long
-lines) goes through numpy's C reader in one call.  Every other input,
-and any plain table that reader rejects, goes through the row reader,
-which is the only one that handles quoting and CRLF and that names the
-line of a malformed row.  A row that breaks a recording rule is named by
-its line on either path; on the plain one, by counting the blank lines
-numpy's reader skipped.
+Recording CSVs are read on one of two paths that give the same result.
+A plain table (exactly the header line, then unquoted rows without
+carriage returns or over-long lines) whose rows keep the recording rules
+is parsed by numpy's C reader in one call.  Every other input goes
+through the row reader: a table with quoting or CRLF line ends, one
+numpy's reader rejects, and a plain one with a row that breaks a rule.
+The row reader alone names the line of a bad row.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -43,10 +40,8 @@ _RULES = (
     "negative displacement",
 )
 
-# the row reader converts this many rows to floats per np.array call, and
 # _write_rows formats this many rows per string join; larger blocks hold more
-# row text at once (4096 raised peak RSS by ~2 MiB).  Plain tables skip the
-# row reader and are parsed in one np.loadtxt call.
+# row text at once (4096 raised peak RSS by ~2 MiB)
 _BLOCK_ROWS = 1024
 
 # the most samples a setting may ask one series for: a day at 100 Hz,
@@ -176,9 +171,10 @@ def _plain_values(lines: list[str]) -> np.ndarray | None:
     holds a quote or a carriage return or reaches the csv module's field
     size limit, and the body holds a row.  The result is kept only when it
     has 4 columns; anything else is left to the row reader, which names the
-    bad line.  load_recording checks the recording rules on the result and
-    names a breaking row's line by _plain_line.  (A single row passes, and
-    RawRecording rejects it with the row reader's message.)
+    bad line.  The recording rules are not checked here: load_recording
+    checks them on the result and hands a table that breaks one to the row
+    reader, which names its line.  (A single row passes, and RawRecording
+    rejects it with the row reader's message.)
     """
     if len(lines) < 2 or not isinstance(lines[0], str) or lines[0] != _HEADER_LINE:
         return None
@@ -201,61 +197,44 @@ def _plain_values(lines: list[str]) -> np.ndarray | None:
     return values
 
 
-def _plain_line(lines: list[str], row: int) -> int:
-    """The line number (header = 1) of data row `row` of a plain table, counting the "\n" lines np.loadtxt skipped."""
-    linenos = (lineno for lineno, line in enumerate(lines[1:], start=2) if line != "\n")
-    return next(itertools.islice(linenos, row, None))
+def _read_rows(lines) -> np.ndarray:
+    """A recording table's rows parsed one by one, as an (n, 4) float array; else DataError naming the first bad line.
 
-
-def _read_rows(stream, header) -> tuple[list[int], np.ndarray, DataError | None]:
-    """Numeric rows up to the first malformed one: line numbers, values, and the error that stopped them.
-
-    stream is any iterable of lines, such as a text stream or its readlines().
+    Each row of lines is split by csv.reader and its fields read by
+    float().  Rows are read up to the first malformed one; a row before it
+    that breaks a recording rule wins over it.
     """
-    reader = csv.reader(stream)
+    reader = csv.reader(lines)
     try:
         first = next(reader, None)
     except csv.Error as exc:
         raise DataError(f"bad header: {exc}") from None
     if first is None:
         raise DataError("empty file, expected CSV header")
-    if [c.strip() for c in first] != list(header):
-        raise DataError(f"bad header, expected {','.join(header)!r}")
-    n_cols = len(header)
-    error = None
-
-    def numbered_rows():
-        nonlocal error
-        try:
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != n_cols:
-                    error = DataError(f"malformed row at line {lineno}: expected {n_cols} fields")
-                    return
-                yield lineno, row
-        except csv.Error as exc:  # a row the csv module cannot split, e.g. one over its field size limit
-            error = DataError(f"malformed row at line {reader.line_num}: {exc}")
-
-    rows = numbered_rows()
-    lines, blocks = [], []
-    while error is None and (block := list(itertools.islice(rows, _BLOCK_ROWS))):
-        block_lines, cells = zip(*block)
-        try:
-            values = np.array(cells, dtype=float)
-        except ValueError:
-            values = []
-            for lineno, row in zip(block_lines, cells):
-                try:
-                    values.append(np.array(row, dtype=float))
-                except ValueError:
-                    error = DataError(f"malformed row at line {lineno}: non-numeric field")
-                    break
-            block_lines = block_lines[: len(values)]
-            values = np.array(values)
-        lines.extend(block_lines)
-        blocks.append(values.reshape(-1, n_cols))
-    return lines, np.concatenate([np.empty((0, n_cols)), *blocks]), error
+    if [c.strip() for c in first] != list(RECORDING_HEADER):
+        raise DataError(f"bad header, expected {','.join(RECORDING_HEADER)!r}")
+    n_cols = len(RECORDING_HEADER)
+    values, linenos, error = array("d"), [], None
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != n_cols:
+                error = f"malformed row at line {lineno}: expected {n_cols} fields"
+                break
+            values.extend([float(c) for c in row])
+            linenos.append(lineno)
+    except csv.Error as exc:  # a row the csv module cannot split, e.g. one over its field size limit
+        error = f"malformed row at line {reader.line_num}: {exc}"
+    except ValueError:  # a field float() does not read
+        error = f"malformed row at line {lineno}: non-numeric field"
+    rows = np.frombuffer(values, dtype=float).reshape(-1, n_cols)
+    bad = _first_violation(*rows.T)
+    if bad is not None:
+        raise DataError(f"{bad[1]} at line {linenos[bad[0]]}")
+    if error is not None:
+        raise DataError(error)
+    return rows
 
 
 def load_recording(source) -> RawRecording:
@@ -265,24 +244,16 @@ def load_recording(source) -> RawRecording:
     offending line number (header = line 1); of several, the one on the
     earliest line wins.  The whole input is decoded first, so bytes that
     do not decode raise DataError before any row is parsed.  A plain table
-    (see _plain_values) is parsed by np.loadtxt and everything else row by
-    row; both give the same recording, or the same error, for every input.
+    (see _plain_values) whose rows keep the recording rules is parsed by
+    np.loadtxt alone.  Every other input goes through the row reader, which
+    alone names a bad line; both paths give the same recording.
     """
     with _open_text(source, "r") as stream:
-        text_lines = stream.readlines()
-    values, error = _plain_values(text_lines), None
-    if values is None:
-        lines, values, error = _read_rows(text_lines, RECORDING_HEADER)
-        line_of = lines.__getitem__
-    else:
-        line_of = partial(_plain_line, text_lines)
-    bad = _first_violation(*values.T)
-    if bad is not None:
-        raise DataError(f"{bad[1]} at line {line_of(bad[0])}")
-    if error is not None:
-        raise error
-    cols = values.T
-    return RawRecording(cols[0], cols[1], cols[2], cols[3], source_label=_source_name(source))
+        lines = stream.readlines()
+    values = _plain_values(lines)
+    if values is None or _first_violation(*values.T) is not None:
+        values = _read_rows(lines)
+    return RawRecording(*values.T, source_label=_source_name(source))
 
 
 def _write_rows(stream: TextIO, cols) -> None:
@@ -320,7 +291,9 @@ def resample(t, x, rate_hz: float) -> UniformSeries:
 
     The grid starts at the first input timestamp and advances by 1/rate_hz
     up to (never past) the last input timestamp, so endpoints are
-    reproduced and nothing is extrapolated.
+    reproduced and nothing is extrapolated.  t and x must be 1-D, of one
+    length of at least 2 and all finite, and t strictly increasing (else
+    DataError).
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -331,6 +304,8 @@ def resample(t, x, rate_hz: float) -> UniformSeries:
         raise DataError("need at least 2 points to resample")
     if t.shape != x.shape:
         raise DataError("t and x must have equal lengths")
+    if not (np.isfinite(t).all() and np.isfinite(x).all()):
+        raise DataError("t and x must be finite numbers")
     with np.errstate(over="ignore"):  # a span beyond the float range is inf, and too many samples below
         gaps, span = np.diff(t), float(t[-1] - t[0])
     if np.any(gaps <= 0):

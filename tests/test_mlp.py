@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import knitrect as kr
 from knitrect import mlp
-from knitrect.errors import DataError, TrainingDiverged
+from knitrect.errors import DataError, NumericError, TrainingDiverged
 
 
 def _manual_model(layer_sizes, weights, biases):
@@ -513,6 +513,17 @@ def test_an_overflowing_fit_diverges_without_a_warning(learning_rate, scale):
             kr.train(model, X, y, cfg)
         (outcome,) = kr.train_many([model], [X], y, cfg, [0])
     assert isinstance(outcome, TrainingDiverged)
+
+
+@pytest.mark.parametrize("call", ["gradient", "mse_loss"])
+def test_gradient_and_loss_that_overflow_raise_a_numeric_error_without_a_warning(call):
+    rng = np.random.default_rng(0)
+    X, y = 1e308 * rng.uniform(-1.0, 1.0, size=(32, 3)), rng.normal(size=32)
+    model = kr.mlp_new((3, 4, 1), seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="overflows the float range"):
+            getattr(kr, call)(model, X, y)
 
 
 def test_train_early_stops_on_plateau():

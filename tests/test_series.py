@@ -113,12 +113,10 @@ def test_a_quote_or_carriage_return_on_the_last_line_goes_to_the_row_reader(rows
         (["", "0,-1,1e6,0"], "negative force at line 3"),
     ],
 )
-def test_a_broken_rule_after_blank_lines_is_named_without_the_row_reader(body, want):
+def test_a_broken_rule_after_blank_lines_is_named_by_its_line(body, want):
     text = "\n".join([HEADER, *body]) + "\n"
     assert _reference_load(text) == want
-    # a plain table is parsed once, by np.loadtxt, even when a row breaks a rule
-    with mock.patch.object(series, "_read_rows", side_effect=AssertionError("row reader called")):
-        _assert_loads_as(want, io.StringIO(text))
+    _assert_loads_as(want, io.StringIO(text))
 
 
 @settings(max_examples=300, deadline=None)
@@ -274,6 +272,24 @@ def test_resample_reproduces_linear_signal_from_jittered_timestamps():
 def test_resample_never_extrapolates():
     out = kr.resample([0.0, 0.97], [1.0, 2.0], 10.0)
     assert out.timestamps()[-1] <= 0.97
+
+
+@pytest.mark.parametrize(
+    "t, x, rate",
+    [
+        ([0, 1, 2, np.nan, 4], [0, 1, 2, 3, 4], 0.5),
+        ([0, 1, 2, 3, np.inf], [0, 1, 2, 3, 4], 0.5),
+        ([-np.inf, 1, 2, 3, 4], [0, 1, 2, 3, 4], 0.5),
+        ([0, 0.5, 1], [0, np.nan, 1], 1.0),
+        ([0, 0.5, 1], [0, 1, -np.inf], 1.0),
+    ],
+    ids=["nan-timestamp", "inf-last-timestamp", "-inf-first-timestamp", "nan-between-grid-points", "-inf-value"],
+)
+def test_resample_rejects_a_non_finite_number(t, x, rate):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="t and x must be finite numbers"):
+            kr.resample(t, x, rate)
 
 
 def test_resample_errors():
@@ -564,12 +580,9 @@ def test_load_recording_matches_the_row_by_row_reference(lines, quoted_cell, tmp
     quoted[k][j] = f'"{quoted[k][j]}"'
     quoted_text = _table(quoted)
     want = _reference_load(text)
-    # blocks of 2 rows put block boundaries next to every fault
-    for block_rows in (series._BLOCK_ROWS, 2):
-        with mock.patch.object(series, "_BLOCK_ROWS", block_rows):
-            _assert_loads_as(want, io.StringIO(text))
-            _assert_loads_as(want, crlf_path)
-            _assert_loads_as(_reference_load(quoted_text), io.StringIO(quoted_text))
+    _assert_loads_as(want, io.StringIO(text))
+    _assert_loads_as(want, crlf_path)
+    _assert_loads_as(_reference_load(quoted_text), io.StringIO(quoted_text))
     # a field over the csv module's size limit is an error on every path
     limit = csv.field_size_limit(SMALL_FIELD_LIMIT)
     try:
@@ -590,3 +603,31 @@ def test_load_recording_matches_the_row_by_row_reference(lines, quoted_cell, tmp
             kr.RawRecording(*cols)
     else:
         kr.RawRecording(*cols)
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["clean", "negative-force-on-the-last-row"])
+def test_a_simulated_recording_loads_alike_plain_as_crlf_and_quoted(broken, tmp_path):
+    # thousands of rows through both paths: the plain table through np.loadtxt
+    # (or, broken, on to the row reader), the CRLF file and the table with one
+    # quoted field through the row reader alone
+    sink = io.StringIO()
+    kr.write_recording(kr.simulate_sensor(kr.gen_trajectory(5, 120.0), kr.PES_PRESET, 6), sink)
+    lines = sink.getvalue().splitlines()
+    assert len(lines) > 3000
+    if broken:
+        t, _, r, d = lines[-1].split(",")
+        lines[-1] = f"{t},-1,{r},{d}"
+    text = "\n".join(lines) + "\n"
+    want = _reference_load(text)
+    if broken:
+        assert want == f"negative force at line {len(lines)}"
+    else:
+        assert len(want) == len(lines) - 1
+    crlf_path = tmp_path / "crlf.csv"
+    crlf_path.write_bytes(text.replace("\n", "\r\n").encode())
+    quoted = list(lines)
+    mid = len(quoted) // 2
+    t, rest = quoted[mid].split(",", 1)
+    quoted[mid] = f'"{t}",{rest}'
+    for source in (io.StringIO(text), crlf_path, io.StringIO("\n".join(quoted) + "\n")):
+        _assert_loads_as(want, source)
