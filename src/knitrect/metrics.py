@@ -17,22 +17,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, _positive
+from .errors import DataError, NumericError, _positive
 from .series import _write_table
 
 
 def r_squared(truth, estimate) -> float:
-    """Estimate-centered coefficient of determination: 1 - sum((x-y)^2) / sum((x-mean(y))^2)."""
+    """Estimate-centered coefficient of determination: 1 - sum((x-y)^2) / sum((x-mean(y))^2).
+
+    A NaN or +-inf in either input raises DataError, and a sum that
+    overflows the float range, on finite inputs near its limit,
+    NumericError; neither emits a numpy warning.
+    """
     x = np.asarray(truth, dtype=float)
     y = np.asarray(estimate, dtype=float)
     if x.size == 0 or x.shape != y.shape:
         raise DataError("r_squared needs equal nonzero-length sequences")
-    mu = float(np.mean(y))
-    den = float(np.sum((x - mu) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = _sum_of_squares(x - float(np.mean(y)))
+        num = _sum_of_squares(x - y)
+    if not (math.isfinite(den) and math.isfinite(num)):
+        # the inputs are looked at only here, so valid data pays no extra pass
+        _check_finite("r_squared", x, y)
+        raise NumericError("r_squared overflows the float range")
     if den == 0.0:
         raise DataError("r_squared denominator is zero (constant truth at the centering mean)")
-    num = float(np.sum((x - y) ** 2))
     return 1.0 - num / den
+
+
+def _sum_of_squares(d: np.ndarray) -> float:
+    """sum(d**2) as np.sum adds it, squaring d in place."""
+    return float(np.sum(np.square(d, out=d)))
+
+
+def _check_finite(name: str, *arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DataError(f"{name} needs finite numbers")
 
 
 def gain(pre: float, post: float) -> float:
@@ -89,25 +108,30 @@ def binned_rse(truth, estimate, bin_width: float = 1.0) -> BinnedCurve:
 
     RSE of bin b = sum_b (est-truth)^2 / sum_b (truth - mean(all truth))^2.
     The shared overall mean keeps bins comparable; a per-bin mean would make
-    low-variance bins explode.
+    low-variance bins explode.  A NaN or +-inf in either input raises
+    DataError, and a sum that overflows the float range, on finite inputs
+    near its limit, NumericError; neither emits a numpy warning.
     """
     f = np.asarray(truth, dtype=float)
     p = np.asarray(estimate, dtype=float)
     _positive("bin_width", bin_width)
-    if f.size == 0 or f.shape != p.shape or not np.isfinite(f).all():
-        raise DataError("binned_rse needs equal nonzero-length sequences with finite truth")
+    if f.size == 0 or f.shape != p.shape:
+        raise DataError("binned_rse needs equal nonzero-length sequences")
+    _check_finite("binned_rse", f, p)
     if np.all(f == f[0]):
         raise DataError("binned_rse needs non-constant truth")
     if not f.max() / bin_width - f.min() / bin_width <= 1e6:
         raise DataError(f"bin_width {bin_width!r} makes more than a million bins")
-    mu = float(np.mean(f))
     lo_bin = int(math.floor(f.min() / bin_width))
     hi_bin = int(math.floor(f.max() / bin_width))
     n_bins = hi_bin - lo_bin + 1
     idx = np.floor(f / bin_width).astype(int) - lo_bin
     counts = np.bincount(idx, minlength=n_bins)
-    num = np.bincount(idx, weights=(p - f) ** 2, minlength=n_bins)
-    den = np.bincount(idx, weights=(f - mu) ** 2, minlength=n_bins)
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = np.bincount(idx, weights=(p - f) ** 2, minlength=n_bins)
+        den = np.bincount(idx, weights=(f - float(np.mean(f))) ** 2, minlength=n_bins)
+    if not (np.isfinite(num).all() and np.isfinite(den).all()):
+        raise NumericError("binned_rse overflows the float range")
     rse_list: list[float | None] = []
     for b in range(n_bins):
         if counts[b] == 0:

@@ -39,8 +39,22 @@ loop into short pieces, each costing more than the arithmetic on arrays
 this small.  So the ReLU's zero, 2/n, the learning rate, epsilon and the
 bias corrections are 0-d arrays, and Adam's betas have the full shape of
 the stack.  Each holds the float64 of the number it stands for, so the
-step computes what it would with Python floats, bit for bit.  `gradient`
-runs the same pass on a stack of one.
+step computes what it would with Python floats, bit for bit.
+
+On arrays this small those calls cost little more than the Python
+around them (the attribute and list lookups, loops and branches of
+_backprop and _forward), so a step runs as one generated function.  Its
+code, the trainer's train_step, which calls _backprop, runs only on
+stand-ins that record each numpy call (_traced_step), once per minibatch
+size each time the stack is built or shrinks.  The recorded calls, in
+order, are the body of one straight-line function, compiled once per
+source, to which every array, ufunc, bound method and 0-d scalar they
+name is bound as a closure cell.  A step is then one Python call, given
+its index slice and Adam's two bias corrections, that makes the same
+numpy calls on the same arrays in the same order, so it computes what
+train_step would, bit for bit.  `gradient` runs the same pass on a
+stack of one, calling _backprop itself: for one call, a build costs more
+than it saves.
 
 For the same reason `forward` runs a small net on one input vector in
 Python floats rather than as a one-row `forward_batch`.  A net of at most
@@ -72,6 +86,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -272,10 +287,10 @@ def _net_lines(sizes: tuple[int, ...], ins: list[str]) -> tuple[list[str], list[
     return params, body
 
 
-def _compile_factory(label: str, params: list[str], body: list[str]):
-    """The compiled `factory(*params)`, which returns `kernel(x)` running body with params as its closure cells."""
+def _compile_factory(label: str, params: list[str], body: list[str], args: str = "x"):
+    """The compiled `factory(*params)`, which returns `kernel(args)` running body with params as its closure cells."""
     source = "\n".join(
-        [f"def factory({', '.join(params)}):", "    def kernel(x):", *(f"        {line}" for line in body), "    return kernel\n"]
+        [f"def factory({', '.join(params)}):", f"    def kernel({args}):", *(f"        {line}" for line in body), "    return kernel\n"]
     )
     namespace: dict = {}
     exec(compile(source, label, "exec"), namespace)
@@ -665,6 +680,134 @@ def _transposing_order(widths: tuple[int, ...]) -> np.ndarray:
     return order
 
 
+# The arguments of a generated training step (_traced_step): the (K, n)
+# index slice of its minibatch and Adam's two bias corrections, as floats.
+_STEP_ARGS = ("idx", "corr1", "corr2")
+
+
+class _Trace:
+    """The numpy calls that one run of a training step makes on stand-ins (_StandIn), as the lines of a function.
+
+    Each call is one line, in the order the step made it.  It names each
+    array, function, ufunc and bound method it takes by a closure cell
+    c<i>, one per object (cells keeps them alive, so their ids stay
+    theirs); an int, str, bool or None by its literal; and a step argument
+    by its name.  An in-place operator (`a *= b`) stays one, on a cell that
+    the function declares nonlocal (updated).
+    """
+
+    def __init__(self):
+        self.cells: list = []
+        self.names: dict[int, str] = {}
+        self.lines: list[str] = []
+        self.updated: dict[str, None] = {}
+
+    def name(self, value) -> str:
+        if isinstance(value, _StandIn):
+            return value._name or self.name(value._value)
+        if value is None or isinstance(value, (bool, int, str)):
+            return repr(value)
+        if id(value) not in self.names:
+            self.names[id(value)] = f"c{len(self.cells)}"
+            self.cells.append(value)
+        return self.names[id(value)]
+
+    def call(self, func, args, kwargs):
+        operands = [*map(self.name, args), *(f"{key}={self.name(v)}" for key, v in kwargs.items())]
+        self.lines.append(f"{self.name(func)}({', '.join(operands)})")
+        return kwargs.get("out")
+
+    def update(self, target: _StandIn, op: str, operand) -> _StandIn:
+        name = self.name(target)
+        self.updated[name] = None
+        self.lines.append(f"{name} {op}= {self.name(operand)}")
+        return target
+
+    def stand_in(self, value):
+        """value with each array in it, also in a list, a tuple or the attributes of _Buffers or a namespace, as a stand-in."""
+        if isinstance(value, np.ndarray):
+            return _StandIn(self, value)
+        if isinstance(value, (list, tuple)):
+            return type(value)(map(self.stand_in, value))
+        if isinstance(value, (_Buffers, SimpleNamespace)):
+            return SimpleNamespace(**{key: self.stand_in(v) for key, v in vars(value).items()})
+        return value
+
+
+class _StandIn:
+    """An array, or a step argument, in a traced step: numpy calls on it are recorded in its _Trace, not run.
+
+    A ufunc, an array function (np.dot, np.copyto), a method
+    (`a.take(...)`, recorded on the bound method) and an in-place operator
+    record themselves.  Indexing gives a stand-in of the view, and iterating
+    one per row, so each view the step takes is a cell of its own.  A
+    branch on a stand-in raises TypeError: the trace records one path.
+    """
+
+    def __init__(self, trace: _Trace, value, name: str | None = None):
+        self._trace, self._value, self._name = trace, value, name
+
+    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+        if method != "__call__":
+            return NotImplemented
+        if len(kwargs.get("out", ())) == 1:
+            kwargs["out"] = kwargs["out"][0]
+        return self._trace.call(ufunc, args, kwargs)
+
+    def __array_function__(self, func, types, args, kwargs):
+        return self._trace.call(func, args, kwargs)
+
+    def __getitem__(self, key):
+        return _StandIn(self._trace, self._value[key])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self._value)))
+
+    def __getattr__(self, attr: str):
+        if attr.startswith("__"):
+            raise AttributeError(attr)
+        method = getattr(self._value, attr)
+        return lambda *args, **kwargs: self._trace.call(method, args, kwargs)
+
+    def __bool__(self):
+        raise TypeError("a traced step cannot branch on an array")
+
+    def __imul__(self, other):
+        return self._trace.update(self, "*", other)
+
+    def __iadd__(self, other):
+        return self._trace.update(self, "+", other)
+
+    def __isub__(self, other):
+        return self._trace.update(self, "-", other)
+
+    def __itruediv__(self, other):
+        return self._trace.update(self, "/", other)
+
+
+@lru_cache(maxsize=64)
+def _step_factory(cells: int, body: tuple[str, ...]):
+    """The compiled factory(c0, ..., c<cells - 1>) of a generated training step with this body."""
+    return _compile_factory("<knitrect training step>", [f"c{i}" for i in range(cells)], list(body), ", ".join(_STEP_ARGS))
+
+
+def _traced_step(step, *operands):
+    """step(*operands, idx, corr1, corr2) as one generated straight-line function of (idx, corr1, corr2).
+
+    step runs once, on stand-ins of the operands and of its arguments
+    (_Trace).  The calls it makes, in order, are the body of a function
+    compiled once per source (_step_factory), with every object they name
+    bound to it as a closure cell.  So that function makes the same numpy
+    calls on the same arrays in the same order as step on the operands, and
+    its results are step's bit for bit, but it runs none of step's Python:
+    no attribute or list lookup, loop or branch.
+    """
+    trace = _Trace()
+    step(*map(trace.stand_in, operands), *(_StandIn(trace, None, name) for name in _STEP_ARGS))
+    body = [f"nonlocal {', '.join(trace.updated)}"] if trace.updated else []
+    return _step_factory(len(trace.cells), (*body, *trace.lines))(*trace.cells)
+
+
 def train_many(
     models, Xs, y, cfg: TrainConfig, seeds
 ) -> list[tuple[MlpModel, TrainReport] | TrainingDiverged]:
@@ -709,16 +852,21 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
     rides in its product.  Each epoch draws every live slot's shuffle and adds its
     bank's row offset once, so the shuffled indices address the stacked
     rows X_rows and the targets y_rows (y repeated once per bank) alike.
-    One step takes each slot's minibatch rows and targets with one gather
-    each into preallocated buffers (one set per minibatch size: the full
-    one and a shorter last one); a stack of more than one copies the rows
-    on into layer 0's unit-major block (_Buffers.x_t).  It then gathers
-    the parameters into their transposed layout (_transposing_order) for
-    the backward products, runs one batched forward/backward pass
-    (_backprop) and one Adam update in place, m and v as one stack.  The
-    output layer's zero row (see _Buffers) has a zero gradient, so Adam
-    leaves it at zero.  It allocates no array memory but the index copies
-    numpy's take makes of a strided minibatch slice (K > 1).
+    One step (train_step) takes each slot's minibatch rows and targets
+    with one gather each into preallocated buffers (one set per minibatch
+    size: the full one and a shorter last one); a stack of more than one
+    copies the rows on into layer 0's unit-major block (_Buffers.x_t).  It
+    then gathers the parameters into their transposed layout
+    (_transposing_order) for the backward products, runs one batched
+    forward/backward pass (_backprop), fills Adam's bias corrections and
+    runs one Adam update in place, on the operands `ops`, m and v as one
+    stack.  train_step runs only on stand-ins: each time the stack is built
+    or shrinks, _traced_step makes it one generated function per minibatch
+    size, with that stack's operands and buffers bound to it, and each step
+    calls that function with its index slice and the two bias corrections.
+    The output layer's zero row (see _Buffers) has a zero gradient, so Adam
+    leaves it at zero.  A step allocates no array memory but the index
+    copies numpy's take makes of a strided minibatch slice (K > 1).
     The padding is exact: a padded unit has z = 0, so its ReLU delta and
     gradient are 0, and Adam started at m = v = 0 never moves it.  Inputs
     that are the same array object are stacked once.
@@ -750,10 +898,41 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
     k = len(models)
     params = _fold(models, widths)
     state = np.stack((params, np.zeros_like(params), np.zeros_like(params)))  # the parameters, then Adam's m and v
-    transposing = _transposing_order(widths)
     # every operand of the step is an array: Adam's bias corrections c1 and
     # c2, filled each step, and the learning rate and epsilon as 0-d arrays
-    c1, c2, lr, eps = np.empty(()), np.empty(()), np.array(cfg.learning_rate, dtype=float), np.array(ADAM_EPS)
+    ops = SimpleNamespace(X_rows=X_rows, y_rows=y_rows, transposing=_transposing_order(widths))
+    ops.c1, ops.c2, ops.lr, ops.eps = np.empty(()), np.empty(()), np.array(cfg.learning_rate, dtype=float), np.array(ADAM_EPS)
+
+    def train_step(ops, buf, idx, corr1, corr2) -> None:
+        """One step on the stack rows idx of X_rows and y_rows, with Adam's bias corrections corr1 and corr2.
+
+        ops holds the step's operands and buf its _Buffers.  It runs only on
+        stand-ins of them, once per minibatch size each time the stack is
+        built or shrinks, to generate the function that runs (_traced_step).
+        """
+        # mode="clip" lets take write straight into out; every index is in range
+        ops.X_rows.take(idx, axis=0, out=buf.x, mode="clip")
+        if buf.x_t is not None:  # K > 1: the rows as the unit-major block of layer 0
+            np.copyto(buf.x_t, buf.x)
+        ops.y_rows.take(idx, out=buf.y, mode="clip")
+        ops.params.take(ops.transposing, axis=1, out=ops.params_t, mode="clip")
+        _backprop(ops.ws, ops.wts, buf, ops.gws)
+        ops.c1.fill(corr1)
+        ops.c2.fill(corr2)
+        # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g**2 as one stack;
+        # params -= lr * (m/c1) / (sqrt(v/c2) + eps), in that order
+        (m, v), (g, g_sq), (num, den) = ops.moments, ops.grads, ops.hats
+        ops.moments *= ops.betas
+        np.square(g, out=g_sq)
+        ops.grads *= ops.gains
+        ops.moments += ops.grads
+        np.divide(m, ops.c1, out=num)
+        np.divide(v, ops.c2, out=den)
+        num *= ops.lr
+        np.sqrt(den, out=den)
+        den += ops.eps
+        num /= den
+        ops.params -= num
 
     batch = min(200, n) if cfg.batch_size == "auto" else min(int(cfg.batch_size), n)
     batch_sizes = {batch, n % batch or batch}
@@ -768,7 +947,7 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
 
     def losses() -> list[float]:
         """The live slots' mean squared errors over their banks, in stack row order."""
-        err = _outputs(ws, widths, X_stack, live_banks, n, scoring)
+        err = _outputs(ops.ws, widths, X_stack, live_banks, n, scoring)
         err -= y
         np.square(err, out=err)
         return np.mean(err, axis=1).tolist()
@@ -780,20 +959,19 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
         results[s] = (net, TrainReport(len(hist), hist, converged, min(hist)))
 
     for epoch in range(1, cfg.max_iter + 1):
-        if restack:  # the live slots' views and scratch arrays
-            params, moments = state[0], state[1:]
-            params_t = np.empty((len(live), transposing.size))
+        if restack:  # the live slots' views and scratch arrays, and their steps
+            ops.params, ops.moments = state[0], state[1:]
+            ops.params_t = np.empty((len(live), ops.transposing.size))
             # g beside g**2 and m/c1 beside v/c2; the step writes all of g
             # but the output layer's zero row, so g starts at zero
-            grads, hats = np.zeros_like(moments), np.empty_like(moments)
-            (m, v), (g, g_sq), (num, den) = moments, grads, hats
+            ops.grads, ops.hats = np.zeros_like(ops.moments), np.empty_like(ops.moments)
             # (beta1, beta2) and (1 - beta1, 1 - beta2) at the full shape of
             # the m and v stack, which they scale cheaper than broadcast
-            betas = np.stack((np.full_like(m, ADAM_BETA1), np.full_like(v, ADAM_BETA2)))
-            gains = np.stack((np.full_like(m, 1 - ADAM_BETA1), np.full_like(v, 1 - ADAM_BETA2)))
-            ws, gws = _layer_views(params, widths), _layer_views(g, widths)
-            wts = _layer_views(params_t, widths, transposed=True)
-            steps = {size: _Buffers(len(live), size, widths) for size in batch_sizes}
+            ops.betas = np.stack((np.full_like(ops.params, ADAM_BETA1), np.full_like(ops.params, ADAM_BETA2)))
+            ops.gains = np.stack((np.full_like(ops.params, 1 - ADAM_BETA1), np.full_like(ops.params, 1 - ADAM_BETA2)))
+            ops.ws, ops.gws = _layer_views(ops.params, widths), _layer_views(ops.grads[0], widths)
+            ops.wts = _layer_views(ops.params_t, widths, transposed=True)
+            steps = {size: _traced_step(train_step, ops, _Buffers(len(live), size, widths)) for size in batch_sizes}
             scoring: dict = {}  # the forward-only buffers of the epoch losses
             live_banks = [bank_of[s] for s in live]
             offsets = n * np.array(live_banks)[:, None]
@@ -804,31 +982,8 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
         order = np.stack([rngs[s].permutation(n) for s in live])
         order += offsets  # rows of X_rows and y_rows
         for lo in range(0, n, batch):
-            buf = steps[min(batch, n - lo)]
-            idx = order[:, lo : lo + batch]
-            # mode="clip" lets take write straight into out; every index is in range
-            X_rows.take(idx, axis=0, out=buf.x, mode="clip")
-            if buf.x_t is not None:  # K > 1: the rows as the unit-major block of layer 0
-                np.copyto(buf.x_t, buf.x)
-            y_rows.take(idx, out=buf.y, mode="clip")
-            params.take(transposing, axis=1, out=params_t, mode="clip")
-            _backprop(ws, wts, buf, gws)
             step += 1
-            c1.fill(1.0 - ADAM_BETA1**step)
-            c2.fill(1.0 - ADAM_BETA2**step)
-            # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g**2 as one stack;
-            # params -= lr * (m/c1) / (sqrt(v/c2) + eps), in that order
-            moments *= betas
-            np.square(g, out=g_sq)
-            grads *= gains
-            moments += grads
-            np.divide(m, c1, out=num)
-            np.divide(v, c2, out=den)
-            num *= lr
-            np.sqrt(den, out=den)
-            den += eps
-            num /= den
-            params -= num
+            steps[min(batch, n - lo)](order[:, lo : lo + batch], 1.0 - ADAM_BETA1**step, 1.0 - ADAM_BETA2**step)
 
         done = []
         for row, (s, loss) in enumerate(zip(live, losses())):

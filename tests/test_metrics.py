@@ -1,6 +1,7 @@
 """r^2 variants, gain, combined error, and binned relative squared error."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knitrect as kr
-from knitrect.errors import DataError
+from knitrect.errors import DataError, NumericError
 
 # --- r_squared ------------------------------------------------------------------
 
@@ -53,6 +54,36 @@ def test_r_squared_constant_estimate_scores_zero():
     # with estimate-centering, a constant estimate makes num == den exactly
     x = np.array([0.5, 1.5, 4.0, -2.0])
     assert kr.r_squared(x, np.full(4, 7.7)) == 0.0
+
+
+# a NaN or an infinity in the truth or in the estimate, and finite inputs
+# whose squared errors overflow the float range
+NON_FINITE = [
+    pytest.param([1.0, 2.0, np.nan], [1.0, 2.0, 2.0], id="nan-truth"),
+    pytest.param([1.0, 2.0, 3.0], [np.nan, 1.0, 2.0], id="nan-estimate"),
+    pytest.param([1.0, np.inf, 3.0], [1.0, 2.0, 2.0], id="inf-truth"),
+    pytest.param([1.0, 2.0, 3.0], [1.0, 2.0, -np.inf], id="minus-inf-estimate"),
+]
+OVERFLOWING = [
+    pytest.param([1e200, -1e200, 3e200], [2e200, 1e200, -1e200], id="both"),
+    pytest.param([1.0, 2.0, 3.0], [1e200, 1.0, 2.0], id="estimate"),
+]
+
+
+@pytest.mark.parametrize("truth, estimate", NON_FINITE)
+def test_r_squared_rejects_a_non_finite_number(truth, estimate):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="finite numbers"):
+            kr.r_squared(truth, estimate)
+
+
+@pytest.mark.parametrize("truth, estimate", OVERFLOWING)
+def test_r_squared_that_overflows_raises_a_numeric_error_without_a_warning(truth, estimate):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="overflows the float range"):
+            kr.r_squared(truth, estimate)
 
 
 # --- gain and combined error ------------------------------------------------------
@@ -129,6 +160,23 @@ def test_binned_rse_validation():
     for width in (float("nan"), float("inf"), 1e-300, True):
         with pytest.raises(DataError, match="bin"):
             kr.binned_rse([1.0, 2.0], [1.0, 2.0], width)
+
+
+@pytest.mark.parametrize("truth, estimate", NON_FINITE)
+def test_binned_rse_rejects_a_non_finite_number(truth, estimate):
+    # a non-finite estimate once wrote nan and inf cells through write_binned_rse_csv
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="finite numbers"):
+            kr.binned_rse(truth, estimate, 1.0)
+
+
+@pytest.mark.parametrize("truth, estimate", OVERFLOWING)
+def test_binned_rse_that_overflows_raises_a_numeric_error_without_a_warning(truth, estimate):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="overflows the float range"):
+            kr.binned_rse(truth, estimate, 1e200)
 
 
 def test_binned_rse_pair_shares_binning():

@@ -655,6 +655,7 @@ def _group_data(seed, in_widths, n=24):
         pytest.param(1, (5, 2), False, id="1"),
         pytest.param(7, (5, 2), False, id="7"),
         pytest.param(None, (5, 2), False, id="default"),
+        pytest.param(None, (), False, id="hidden-0"),
         pytest.param(None, (5,), False, id="hidden-1"),
         pytest.param(None, (5, 4, 3), False, id="hidden-3"),
         pytest.param(None, (5, 4, 3, 2), False, id="hidden-4"),
@@ -834,9 +835,22 @@ LOCKSTEP_CASES = {
 }
 
 
+# Shapes that no other fixture pins, with their trained bytes in
+# data/shape_fits.json, in the form of LOCKSTEP_CASES: "no-hidden" is a net
+# without a hidden layer, layer sizes (3, 1), whose 60 rows run in batches
+# of 16 and a last one of 12; "short-last-batch" a stack of one whose 1,300
+# rows run in batches of 200 and a last one of 100; "no-hidden-stack" three
+# nets without a hidden layer in one lockstep group.
+SHAPE_CASES = {
+    "no-hidden": ([3], [(0, ())], 60, 16, None),
+    "short-last-batch": ([5], [(0, (8, 4))], 1300, 200, None),
+    "no-hidden-stack": ([3, 2], [(0, ()), (1, ()), (0, ())], 60, 16, None),
+}
+
+
 def _lockstep_case(name, monkeypatch):
-    """The outcomes of train_many on the named case of LOCKSTEP_CASES, which trains as one lockstep group."""
-    in_widths, slots, n, batch, chunk_rows = LOCKSTEP_CASES[name]
+    """The outcomes of train_many on the named case of LOCKSTEP_CASES or SHAPE_CASES, which trains as one lockstep group."""
+    in_widths, slots, n, batch, chunk_rows = {**LOCKSTEP_CASES, **SHAPE_CASES}[name]
     if chunk_rows is not None:
         monkeypatch.setattr(mlp, "_CHUNK_ROWS", chunk_rows)
     banks, _ = _group_data(11, in_widths, n=n)
@@ -853,11 +867,9 @@ def _hex_floats(values) -> list[str]:
     return [float(v).hex() for v in np.ravel(values)]
 
 
-@pytest.mark.parametrize("name", sorted(LOCKSTEP_CASES))
-def test_lockstep_groups_train_to_the_recorded_bytes(name, monkeypatch):
-    # the fixture was written by the row-major stack layout that gathered
-    # every slot's bank rows; the layout may change, the bytes may not
-    want = json.loads((Path(__file__).parent / "data" / "lockstep_groups.json").read_text())["cases"][name]
+def _assert_recorded_bytes(name, fixture, monkeypatch):
+    """Assert that the named case trains to the bytes recorded in data/<fixture>."""
+    want = json.loads((Path(__file__).parent / "data" / fixture).read_text())["cases"][name]
     outcomes = _lockstep_case(name, monkeypatch)
     assert len(outcomes) == len(want)
     for (net, report), slot in zip(outcomes, want):
@@ -865,6 +877,42 @@ def test_lockstep_groups_train_to_the_recorded_bytes(name, monkeypatch):
         assert [_hex_floats(b) for b in net.biases] == slot["biases"]
         assert _hex_floats(report.loss_history) == slot["loss_history"]
         assert report.converged == slot["converged"]
+
+
+@pytest.mark.parametrize("name", sorted(LOCKSTEP_CASES))
+def test_lockstep_groups_train_to_the_recorded_bytes(name, monkeypatch):
+    # the fixture was written by the row-major stack layout that gathered
+    # every slot's bank rows; the layout may change, the bytes may not
+    _assert_recorded_bytes(name, "lockstep_groups.json", monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_CASES))
+def test_shapes_train_to_the_recorded_bytes(name, monkeypatch):
+    # the fixture was written before a step ran as one generated function
+    _assert_recorded_bytes(name, "shape_fits.json", monkeypatch)
+
+
+def test_the_step_is_generated_once_per_restack_and_minibatch_size(monkeypatch):
+    # a build costs about a millisecond, more than many steps: one per
+    # epoch or step would show in every fit
+    builds = []
+    real = mlp._traced_step
+
+    def counting(step, ops, buf):
+        builds.append(buf.y.shape)  # (stack rows, minibatch size)
+        return real(step, ops, buf)
+
+    monkeypatch.setattr(mlp, "_traced_step", counting)
+    _lockstep_case("short-last-batch", monkeypatch)
+    assert sorted(builds) == [(1, 100), (1, 200)]
+    builds.clear()
+    # 60 rows in batches of 16 and a last one of 12; the stack shrinks as slots stop
+    ends = [report.epochs_run for _, report in _lockstep_case("runs", monkeypatch)]
+    stacks = [len(ends)]
+    for epoch in sorted(set(ends))[:-1]:
+        stacks.append(stacks[-1] - ends.count(epoch))
+    assert len(stacks) > 2
+    assert sorted(builds) == sorted((k, size) for k in stacks for size in (16, 12))
 
 
 def _training_peak(X, y, epochs: int) -> int:
