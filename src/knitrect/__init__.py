@@ -98,7 +98,6 @@ from .smoothing import (
     feature_bank_with_windows,
     init_window,
     make_bank,
-    smooth,
 )
 
 __version__ = "0.1.0"

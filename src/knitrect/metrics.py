@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError, _positive
+from .errors import DataError, NumericError, _finite, _positive
 from .series import _write_table
 
 
@@ -60,8 +60,19 @@ def gain(pre: float, post: float) -> float:
 
 
 def combined_error(r2_a: float, r2_b: float) -> float:
-    """Mean squared shortfall from perfect scores on two test sets."""
-    return ((1.0 - r2_a) ** 2 + (1.0 - r2_b) ** 2) / 2.0
+    """Mean squared shortfall from perfect scores on two test sets.
+
+    A score that is not a finite number raises DataError, and an error
+    that overflows the float range NumericError.
+    """
+    if not (_finite(r2_a) and _finite(r2_b)):
+        raise DataError(f"combined_error needs finite scores, got {r2_a!r} and {r2_b!r}")
+    # each square halved before the sum, which then cannot overflow; halving
+    # is exact, so this is (a**2 + b**2) / 2 bit for bit where that is finite
+    try:
+        return (1.0 - float(r2_a)) ** 2 / 2.0 + (1.0 - float(r2_b)) ** 2 / 2.0
+    except OverflowError:  # a Python float's ** 2 raises it where numpy warns
+        raise NumericError("combined_error overflows the float range") from None
 
 
 @dataclass(frozen=True)
@@ -110,7 +121,10 @@ def binned_rse(truth, estimate, bin_width: float = 1.0) -> BinnedCurve:
     The shared overall mean keeps bins comparable; a per-bin mean would make
     low-variance bins explode.  A NaN or +-inf in either input raises
     DataError, and a sum that overflows the float range, on finite inputs
-    near its limit, NumericError; neither emits a numpy warning.
+    near its limit, NumericError; neither emits a numpy warning.  So does
+    a bin width whose bin edges would not be distinct finite floats: too
+    fine for the truth values' magnitude (width 1 at 1e20), or so coarse
+    that an edge overflows.
     """
     f = np.asarray(truth, dtype=float)
     p = np.asarray(estimate, dtype=float)
@@ -120,30 +134,30 @@ def binned_rse(truth, estimate, bin_width: float = 1.0) -> BinnedCurve:
     _check_finite("binned_rse", f, p)
     if np.all(f == f[0]):
         raise DataError("binned_rse needs non-constant truth")
-    if not f.max() / bin_width - f.min() / bin_width <= 1e6:
+    # Python floats, whose division overflows to inf without a warning
+    lo, hi = float(f.min()) / bin_width, float(f.max()) / bin_width
+    if not hi - lo <= 1e6:
         raise DataError(f"bin_width {bin_width!r} makes more than a million bins")
-    lo_bin = int(math.floor(f.min() / bin_width))
-    hi_bin = int(math.floor(f.max() / bin_width))
-    n_bins = hi_bin - lo_bin + 1
-    idx = np.floor(f / bin_width).astype(int) - lo_bin
+    # a float: numpy 1.x takes no Python int past the int64 range
+    lo_bin = float(math.floor(lo))
+    n_bins = math.floor(hi) - math.floor(lo) + 1
+    with np.errstate(over="ignore"):
+        edges = (lo_bin + np.arange(n_bins + 1)) * bin_width
+    if not (np.isfinite(edges).all() and (np.diff(edges) > 0).all()):
+        raise DataError(f"bin_width {bin_width!r} gives bin edges that are not distinct finite floats at these truth values")
+    # whole numbers at most a million apart, so the difference is exact
+    idx = (np.floor(f / bin_width) - lo_bin).astype(int)
     counts = np.bincount(idx, minlength=n_bins)
     with np.errstate(over="ignore", invalid="ignore"):
         num = np.bincount(idx, weights=(p - f) ** 2, minlength=n_bins)
         den = np.bincount(idx, weights=(f - float(np.mean(f))) ** 2, minlength=n_bins)
     if not (np.isfinite(num).all() and np.isfinite(den).all()):
         raise NumericError("binned_rse overflows the float range")
-    rse_list: list[float | None] = []
-    for b in range(n_bins):
-        if counts[b] == 0:
-            rse_list.append(None)
-        elif den[b] > 0:
-            rse_list.append(float(num[b] / den[b]))
-        else:
-            # degenerate bin sitting exactly on the overall mean
-            rse_list.append(0.0 if num[b] == 0.0 else float("inf"))
-    rse = tuple(rse_list)
-    edges = (lo_bin + np.arange(n_bins + 1)) * bin_width
-    return BinnedCurve(edges, counts, rse)
+    # a degenerate bin sitting exactly on the overall mean has den 0: its
+    # rse is 0 for a perfect estimate there, else inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(den > 0, num / den, np.where(num == 0.0, 0.0, np.inf))
+    return BinnedCurve(edges, counts, tuple(None if c == 0 else float(r) for c, r in zip(counts, ratio)))
 
 
 def write_metric_rows_csv(rows: list[tuple[str, float]], sink) -> None:

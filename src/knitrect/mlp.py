@@ -22,17 +22,18 @@ gathered minibatch rows into such a block for layer 0.  A scoring pass
 (_outputs) reads its banks in place instead: per run of stack rows that
 share a bank, layer 0 multiplies the run's weights by the bank's rows
 through a transposed view, one broadcast product.  The backward
-products multiply by a second copy of the stack with each layer's
-weights laid out transposed, which one gather refreshes every step, and
-the output layer carries a zero second unit there, so its rank-1
-backward product has an inner size of 2 and runs in BLAS.  A step writes
-into preallocated buffers and makes 6L + 14 numpy calls for L weight
-layers (38 for the default net): three gathers (the minibatch rows,
-their targets and the transposed weights), 6L - 2 for the
-forward/backward pass, and 13 for Adam, which updates m and v as one
-stack in place: two fills of its bias corrections and eleven ufunc
-calls.  A larger stack adds one, the copy of its rows into layer 0's
-block.  No operand of a step is a Python
+products multiply by transposed views of the stack's whole layer blocks,
+bias column included, which BLAS reads in place as one memory segment
+each.  So each hidden layer's delta block has a spare last row, which
+the product through the bias column fills and nothing reads, and the
+output layer's block carries a zero second unit, so its rank-1 backward
+product has an inner size of 2 and runs in BLAS.  A step writes into
+preallocated buffers and makes 6L + 13 numpy calls for L weight layers
+(37 for the default net): two gathers (the minibatch rows and their
+targets), 6L - 2 for the forward/backward pass, and 13 for Adam, which
+updates m and v as one stack in place: two fills of its bias
+corrections and eleven ufunc calls.  A larger stack adds one, the copy
+of its rows into layer 0's block.  No operand of a step is a Python
 scalar, and none is broadcast across the m and v stack: numpy converts a
 Python float anew on every call, and a broadcast operand splits a call's
 loop into short pieces, each costing more than the arithmetic on arrays
@@ -391,13 +392,18 @@ class _Buffers:
     moves the last bits of the trained weights); y (K, n), the gathered
     targets, and target, the same numbers shaped like acts[-1]; deltas[l],
     the error at layer l's output, the (K, n_{l+1}, n) view of a
-    unit-major block, and delta_blocks[l], that block below the output
-    layer, which the mask multiplies; and dzs, the deltas that the weight
-    gradients read.  The output layer's delta has two rows: the second
-    stays zero, so that the backward product through the output layer has
-    an inner size of 2 and runs in BLAS rather than in numpy's loop for a
-    rank-1 product.  scale is 2/n as a 0-d array, the factor of the output
-    delta.
+    unit-major block, which the backward product through layer l reads;
+    delta_outs[l], for a hidden layer, its whole block (K, n_{l+1} + 1, n),
+    which the backward product through layer l + 1 writes: that product
+    runs on the whole transposed weight block (_layer_views), so its last
+    row, the bias column's, lands in a spare row that nothing reads;
+    delta_blocks[l], the real rows of that block as one contiguous
+    (n_{l+1}, K, n) block, which the mask multiplies; and dzs, the deltas
+    that the weight gradients read.  The output layer's delta has two
+    rows: the second stays zero, so that the backward product through the
+    output layer has an inner size of 2 and runs in BLAS rather than in
+    numpy's loop for a rank-1 product.  scale is 2/n as a 0-d array, the
+    factor of the output delta.
     """
 
     def __init__(self, k: int, n: int, widths, scoring: bool = False):
@@ -426,9 +432,10 @@ class _Buffers:
         self.y = np.empty((k, n))
         self.scale = np.array(2.0 / n)
         self.target = self.y.reshape(self.acts[-1].shape)
-        units = [np.empty((w, k, n)) for w in widths[1:-1]] + [np.zeros((2, k, n))]
-        self.deltas = [slots(a) for a in units]
-        self.delta_blocks = [blocks(a) for a in units[:-1]]
+        units = [np.empty((w + 1, k, n)) for w in widths[1:-1]]
+        self.delta_outs = [slots(a) for a in units]
+        self.deltas = [slots(a[:-1]) for a in units] + [slots(np.zeros((2, k, n)))]
+        self.delta_blocks = [blocks(a[:-1]) for a in units]
         self.dzs = self.deltas[:-1] + [self.deltas[-1][..., :1, :]]
 
 
@@ -527,16 +534,18 @@ def _backprop(ws, wts, buf: _Buffers, gws) -> None:
     """Mean-squared-error gradients of K stacked nets, written into gws.
 
     ws[l] has shape (K, n_{l+1}, n_l + 1): layer l's weights with its
-    biases as the last column, and gws takes the same shapes.  wts[l]
-    holds layer l's weights transposed, (K, n_l, n_{l+1}), the biases left
-    out, and the output layer's with a zero second column (K, n_L, 2), all
-    laid out contiguously: one gather in the column order
-    _transposing_order makes them, so no product runs on a transposed
-    weight view.  buf.x holds the (K, n, n_0 + 1) input batches, each row
-    ending in a one, and buf.y the targets.  Slot k's gradient is that of
-    its own batch only.  The ones row of each layer input carries the
-    bias, so one product gives a layer's output and one more its weight
-    and bias gradient.  ReLU subgradient at 0 is taken as 0.
+    biases as the last column, and gws takes the same shapes.  wts[l] is
+    the transposed view of layer l's whole block of the same stack,
+    (K, n_l + 1, n_{l+1}), the output layer's with its zero second row
+    (K, n_L + 1, 2) (_layer_views), so each backward product reads one
+    memory segment per slot, which BLAS takes without a copy; its last
+    output row, the bias column's, is a spare row of the delta block
+    below (buf.delta_outs) that nothing reads.  buf.x holds the
+    (K, n, n_0 + 1) input batches, each row ending in a one, and buf.y
+    the targets.  Slot k's gradient is that of its own batch only.  The
+    ones row of each layer input carries the bias, so one product gives a
+    layer's output and one more its weight and bias gradient.  ReLU
+    subgradient at 0 is taken as 0.
     """
     _forward(ws, buf.first, buf)
     last = len(ws) - 1
@@ -550,7 +559,7 @@ def _backprop(ws, wts, buf: _Buffers, gws) -> None:
             # ReLU's derivative in place: 1 where positive, else 0
             z, below = buf.relus[li - 1], buf.delta_blocks[li - 1]
             np.greater(z, _ZERO, out=z)
-            buf.product(wts[li], buf.deltas[li], out=buf.deltas[li - 1])
+            buf.product(wts[li], buf.deltas[li], out=buf.delta_outs[li - 1])
             below *= z
 
 
@@ -565,8 +574,7 @@ def gradient(model: MlpModel, X, y) -> tuple[list[np.ndarray], list[np.ndarray]]
     sizes = model.layer_sizes
     params = _fold([model], sizes)
     grads = np.zeros_like(params)
-    ws, gws = _layer_views(params, sizes), _layer_views(grads, sizes)
-    wts = _layer_views(params.take(_transposing_order(sizes), axis=1), sizes, transposed=True)
+    ws, wts, gws = _layer_views(params, sizes), _layer_views(params, sizes, transposed=True), _layer_views(grads, sizes)
     buf = _Buffers(1, y.size, sizes)
     buf.x[0, :, :-1] = X
     buf.y[0] = y
@@ -639,45 +647,28 @@ def _unfold(blocks, sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
 
 
 def _layer_views(flat: np.ndarray, widths, transposed: bool = False) -> list[np.ndarray]:
-    """Per-layer views of a (K, P) parameter stack or, with transposed, of its gathered copy.
+    """Per-layer views of a (K, P) parameter stack, or with transposed their transposes.
 
     The stack holds layer l as an (n_{l+1}, n_l + 1) block: one row per
     unit, its weights and then its bias.  The output layer's block has a
-    second row, held at zero, that only the gathered copy shows: without
-    transposed the views are the blocks, the output layer's cut to its
-    real row.  With transposed, flat is a stack gathered by
-    _transposing_order and the views are (K, n_l, rows): the blocks'
-    weights transposed, without the biases.  A stack of one drops its K
-    axis, as does a 1-D flat.
+    second row, held at zero.  Without transposed the views are the
+    blocks, the output layer's cut to its real row.  With transposed they
+    are the whole blocks transposed, (K, n_l + 1, rows), bias column and
+    zero row included: a block that is one memory segment, which BLAS
+    reads transposed in place (a view without the bias column is not one
+    segment, and np.dot copies it).  A stack of one drops its K axis, as
+    does a 1-D flat.
     """
     if flat.ndim == 2 and len(flat) == 1:
         flat = flat[0]
     views, off = [], 0
     for rows, nin in _block_shapes(widths):
-        shape = (nin, rows) if transposed else (rows, nin + 1)
-        views.append(flat[..., off : off + shape[0] * shape[1]].reshape(*flat.shape[:-1], *shape))
-        off += shape[0] * shape[1]
-    if not transposed:
-        views[-1] = views[-1][..., :1, :]
-    return views
-
-
-@lru_cache(maxsize=64)
-def _transposing_order(widths: tuple[int, ...]) -> np.ndarray:
-    """The columns of a (K, P) parameter stack that its gathered copy takes, in order.
-
-    For params of shape (K, P), _layer_views(params.take(order, axis=1),
-    widths, transposed=True)[l][k] is the transpose of slot k's block of
-    layer l without its bias column, the output layer's zero row included.
-    Built once per tuple of layer widths, and read-only.
-    """
-    order, off = [], 0
-    for rows, nin in _block_shapes(widths):
-        order.append(off + np.arange(rows * (nin + 1)).reshape(rows, nin + 1)[:, :-1].T.ravel())
+        views.append(flat[..., off : off + rows * (nin + 1)].reshape(*flat.shape[:-1], rows, nin + 1))
         off += rows * (nin + 1)
-    order = np.concatenate(order)
-    order.flags.writeable = False
-    return order
+    if transposed:
+        return [v.swapaxes(-2, -1) for v in views]
+    views[-1] = views[-1][..., :1, :]
+    return views
 
 
 # The arguments of a generated training step (_traced_step): the (K, n)
@@ -856,9 +847,9 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
     with one gather each into preallocated buffers (one set per minibatch
     size: the full one and a shorter last one); a stack of more than one
     copies the rows on into layer 0's unit-major block (_Buffers.x_t).  It
-    then gathers the parameters into their transposed layout
-    (_transposing_order) for the backward products, runs one batched
-    forward/backward pass (_backprop), fills Adam's bias corrections and
+    then runs one batched forward/backward pass (_backprop), whose
+    backward products read transposed views of the parameter stack's
+    layer blocks in place, fills Adam's bias corrections and
     runs one Adam update in place, on the operands `ops`, m and v as one
     stack.  train_step runs only on stand-ins: each time the stack is built
     or shrinks, _traced_step makes it one generated function per minibatch
@@ -900,7 +891,7 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
     state = np.stack((params, np.zeros_like(params), np.zeros_like(params)))  # the parameters, then Adam's m and v
     # every operand of the step is an array: Adam's bias corrections c1 and
     # c2, filled each step, and the learning rate and epsilon as 0-d arrays
-    ops = SimpleNamespace(X_rows=X_rows, y_rows=y_rows, transposing=_transposing_order(widths))
+    ops = SimpleNamespace(X_rows=X_rows, y_rows=y_rows)
     ops.c1, ops.c2, ops.lr, ops.eps = np.empty(()), np.empty(()), np.array(cfg.learning_rate, dtype=float), np.array(ADAM_EPS)
 
     def train_step(ops, buf, idx, corr1, corr2) -> None:
@@ -915,7 +906,6 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
         if buf.x_t is not None:  # K > 1: the rows as the unit-major block of layer 0
             np.copyto(buf.x_t, buf.x)
         ops.y_rows.take(idx, out=buf.y, mode="clip")
-        ops.params.take(ops.transposing, axis=1, out=ops.params_t, mode="clip")
         _backprop(ops.ws, ops.wts, buf, ops.gws)
         ops.c1.fill(corr1)
         ops.c2.fill(corr2)
@@ -961,7 +951,6 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
     for epoch in range(1, cfg.max_iter + 1):
         if restack:  # the live slots' views and scratch arrays, and their steps
             ops.params, ops.moments = state[0], state[1:]
-            ops.params_t = np.empty((len(live), ops.transposing.size))
             # g beside g**2 and m/c1 beside v/c2; the step writes all of g
             # but the output layer's zero row, so g starts at zero
             ops.grads, ops.hats = np.zeros_like(ops.moments), np.empty_like(ops.moments)
@@ -970,7 +959,7 @@ def _train_group(models, Xs, y: np.ndarray, cfg: TrainConfig, seeds) -> list:
             ops.betas = np.stack((np.full_like(ops.params, ADAM_BETA1), np.full_like(ops.params, ADAM_BETA2)))
             ops.gains = np.stack((np.full_like(ops.params, 1 - ADAM_BETA1), np.full_like(ops.params, 1 - ADAM_BETA2)))
             ops.ws, ops.gws = _layer_views(ops.params, widths), _layer_views(ops.grads[0], widths)
-            ops.wts = _layer_views(ops.params_t, widths, transposed=True)
+            ops.wts = _layer_views(ops.params, widths, transposed=True)
             steps = {size: _traced_step(train_step, ops, _Buffers(len(live), size, widths)) for size in batch_sizes}
             scoring: dict = {}  # the forward-only buffers of the epoch losses
             live_banks = [bank_of[s] for s in live]

@@ -412,12 +412,20 @@ class StreamSession:
     net's straight-line body on them in one generated call, compiled once
     per filter count and layer sizes; for a larger net it steps the
     filters and then runs forward_batch's numpy pass on the one row (see
-    smoothing._bank_step and mlp.forward).
+    smoothing._bank_step and mlp.forward).  The bank is the session's
+    own: a session binds a fresh bank to its bundle's network when made,
+    after which bank_push refuses it.  A bank that has taken a sample, or
+    that another session has bound, raises DataError.
     """
 
     bundle: PipelineBundle
     bank: BankState
     samples_seen: int = 0
+
+    def __post_init__(self):
+        if self.bank._head is not None or self.bank._step is not None or self.bank.buffer:
+            raise DataError("a stream session needs a fresh bank (open_stream makes one), not one that bank_push or another session has fed")
+        self.bank._head = self.bundle.model
 
 
 def open_stream(bundle: PipelineBundle) -> StreamSession:
@@ -449,7 +457,7 @@ def stream_push(session: StreamSession, sample: tuple[float, float]) -> float | 
     if not math.isfinite(g_bar):
         raise DataError(f"stream sample R={r!r} is too small: its standardized conductance overflows")
     step = session.bank._step
-    out = _bank_step(session.bank, g_bar, session.bundle.model) if step is None else step(g_bar)
+    out = _bank_step(session.bank, g_bar) if step is None else step(g_bar)
     session.samples_seen += 1
     return out
 

@@ -84,7 +84,7 @@ class RawRecording:
 
 @dataclass(frozen=True)
 class UniformSeries:
-    """Fixed-rate scalar sequence; sample k sits at t0 + k/rate_hz."""
+    """Fixed-rate scalar sequence, a 1-D array of finite values; sample k sits at t0 + k/rate_hz."""
 
     rate_hz: float
     t0: float
@@ -93,6 +93,8 @@ class UniformSeries:
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         _positive("rate_hz", self.rate_hz)
+        if self.values.ndim != 1:
+            raise DataError("a uniform series is a 1-D sequence")
         if not np.all(np.isfinite(self.values)):
             raise DataError("non-finite value in uniform series")
 

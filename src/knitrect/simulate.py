@@ -371,7 +371,7 @@ def _contact_state(eps: np.ndarray, target: np.ndarray, a_load: np.ndarray, a_un
     is a_load[i-1] if eps[i] > eps[i-1] and a_unload[i-1] otherwise.
 
     The loop runs on Python floats read from memoryviews and feeds
-    np.fromiter, as smoothing.smooth does; the arithmetic is IEEE double
+    np.fromiter, as smoothing._filter_pass does; the arithmetic is IEEE double
     as on numpy scalars, so the array is the same bit for bit.
     """
 

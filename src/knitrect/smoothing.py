@@ -10,7 +10,7 @@ regression features.
 One pass (_filter_pass) builds every bank: it seeds each filter with the
 mean of its window, then maps one step over the signal, a function
 generated once per filter count (_step_template) that keeps the N filter
-values in closure cells.  `smooth` is its one-filter case.  The stream
+values in closure cells.  A single filter is a one-column bank.  The stream
 bank (make_bank / bank_push) runs the pass over its first max(M_i)
 samples and keeps its step, so each emitted row equals the batch row bit
 for bit (the network on top then makes the stream equal the batch to
@@ -111,18 +111,6 @@ def _seed_mean(xs: np.ndarray, m: int) -> float:
     return float(xs[0] + np.mean(xs[:m] - xs[0]))
 
 
-def smooth(xs, alpha: float, m: int) -> np.ndarray:
-    """Batch exponential smoothing seeded with the mean of the first m samples.
-
-    The recurrence is evaluated as y = x + (1-alpha)*(y - x), which keeps
-    constant inputs (and the alpha=1 identity) exact in floating point.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1:
-        raise DataError("smooth expects a 1-D sequence")
-    return _filter_pass(xs, *_bank_settings((alpha,), (m,), xs.size))[1][:, 0]
-
-
 def _bank_settings(alphas, windows, length: int | None = None) -> tuple[tuple[float, ...], tuple[int, ...]]:
     """Alphas as floats in (0, 1] and init windows as ints >= 1, paired, nonempty and none above length if given."""
     alphas = tuple(float(a) for a in alphas)
@@ -137,6 +125,9 @@ def _bank_settings(alphas, windows, length: int | None = None) -> tuple[tuple[fl
 
 def _filter_pass(xs: np.ndarray, alphas: tuple[float, ...], windows: tuple[int, ...]):
     """Seed each filter with its window's mean, then step them all over xs[1:] on Python floats.
+
+    The recurrence is evaluated as y = x + (1-alpha)*(y - x), which keeps
+    constant inputs (and the alpha=1 identity) exact in floating point.
 
     Returns the step (_step_template's bank-only one, which returns the
     list of the N filter values, left at the last sample) and the
@@ -213,11 +204,17 @@ class BankState:
     runs _filter_pass over it and binds _step, a function that
     _step_template generates: it holds the N filter values as closure
     cells, so a push after the warm-up is one call of it on a Python float.
+    _head is None for a plain bank (make_bank, bank_push), whose step
+    returns the filter values, and for a stream session's bank the
+    session's network, which its step runs on them (_bank_step); the
+    session sets it before the bank takes a sample, so the step's kind
+    never depends on which push completed the warm-up.
     """
 
     alphas: tuple[float, ...]
     windows: tuple[int, ...]
     buffer: list[float] = field(default_factory=list)
+    _head: MlpModel | None = field(default=None, init=False, repr=False, compare=False)
     _step: Callable[[float], list[float] | float] | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -225,16 +222,17 @@ def make_bank(alphas, windows) -> BankState:
     return BankState(*_bank_settings(alphas, windows))
 
 
-def _bank_step(bank: BankState, x: float, head: MlpModel | None = None):
+def _bank_step(bank: BankState, x: float):
     """A finite float x into the bank: None while buffering, then bank._step(x).
 
     The push that completes the buffer runs _filter_pass over it and
-    returns what _step would: head's output on the filter values after
-    that push, or without head a fresh list of them.  Without head, _step
-    is the pass's own step; with head, one function that runs the filters
-    from those values and head's straight-line body; for a head too large
-    for one (_step_template gives None), the pass's step and then
-    _float_net(head), mlp's one-row numpy pass.  Either way each output is
+    returns what _step would: the output of the bank's network (head,
+    bank._head) on the filter values after that push, or without head a
+    fresh list of them.  Without head, _step is the pass's own step; with
+    head, one function that runs the filters from those values and head's
+    straight-line body; for a head too large for one (_step_template gives
+    None), the pass's step and then _float_net(head), mlp's one-row numpy
+    pass.  Either way each output is
     forward(head, row) on the row bank_push gives, bit for bit.
     """
     if bank._step is not None:
@@ -245,15 +243,15 @@ def _bank_step(bank: BankState, x: float, head: MlpModel | None = None):
     filters, rows = _filter_pass(np.asarray(bank.buffer), bank.alphas, bank.windows)
     bank.buffer = []
     ys = rows[-1].tolist()
-    if head is None:
+    if bank._head is None:
         bank._step = filters
         return ys
-    net = _float_net(head)
-    factory = _step_template(len(ys), tuple(map(int, head.layer_sizes)))  # ints only reach the source
+    net = _float_net(bank._head)
+    factory = _step_template(len(ys), tuple(map(int, bank._head.layer_sizes)))  # ints only reach the source
     if factory is None:
         bank._step = lambda v: net(filters(v))
     else:
-        bank._step = factory(*ys, *(1.0 - a for a in bank.alphas), *_flat_params(head))
+        bank._step = factory(*ys, *(1.0 - a for a in bank.alphas), *_flat_params(bank._head))
     return net(ys)
 
 
@@ -264,8 +262,12 @@ def bank_push(bank: BankState, x: float) -> np.ndarray | None:
     the batch filter pass runs over the buffer; after that each push
     advances every filter by one more step of that pass, so each emitted
     row equals the batch feature row over the same prefix, bit for bit.
-    The row is a fresh array.
+    The row is a fresh array.  A stream session's bank, whose pushes run
+    its network, raises DataError: it takes its samples through
+    pipeline.stream_push.
     """
+    if bank._head is not None:
+        raise DataError("bank_push takes a bank from make_bank, not a stream session's: push into the session with stream_push")
     x = float(x)
     if not math.isfinite(x):
         raise DataError("non-finite sample pushed into bank")

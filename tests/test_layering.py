@@ -17,17 +17,18 @@ passes call `buf.product`, np.dot for a stack of one and np.matmul
 otherwise), `_forward` is reached from `_backprop` and from the
 stacked scorer `_outputs`, and both `forward_batch` and the trainer's
 epoch losses (`_train_group`) go through `_outputs`.  The backward
-products multiply by contiguous transposed weights: neither `_backprop`,
-`gradient` nor `_train_group` (its step loop included) transposes an
-array (the transposed views of the activations live in `_Buffers`), and
-the transposed stack comes only from a gather in the one column order
-`_transposing_order`, which `gradient` and `_train_group` use.
+products multiply by transposed views of the parameter stack itself:
+neither `_backprop`, `gradient` nor `_train_group` (its step loop
+included) transposes an array (the transposed views of the activations
+live in `_Buffers`, those of the weights come from `_layer_views`), and
+both `gradient` and `_train_group` take their transposed weight views
+of the very stack whose plain views their forward passes read, not of a
+gathered or copied one.
 
 One filter recurrence builds every feature bank: outside the simulator,
 the update y = x + beta*(y - x) is written only in the step that
-smoothing._step_template generates, no module but smoothing calls
-`smooth`, and gridsearch builds its banks only through
-`feature_bank_with_windows`.
+smoothing._step_template generates, and gridsearch builds its banks only
+through `feature_bank_with_windows`.
 """
 
 import ast
@@ -374,46 +375,57 @@ TRANSPOSING = {"T", "mT", "transpose", "swapaxes", "moveaxis"}
 NO_TRANSPOSE = ("_backprop", "gradient", "_train_group")
 
 
+def _layer_view_stacks(fn) -> tuple[set[str], set[str]]:
+    """The stacks (as dumped expressions) of fn's plain `_layer_views` calls, and of its transposed=True ones."""
+    plain, transposed = set(), set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_layer_views" and node.args:
+            flag = any(kw.arg == "transposed" and isinstance(kw.value, ast.Constant) and kw.value.value is True for kw in node.keywords)
+            (transposed if flag else plain).add(ast.dump(node.args[0]))
+    return plain, transposed
+
+
 def transposed_weight_faults(source: str) -> list[str]:
-    """How the module departs from one gather of transposed weights; [] if it does not.
+    """How the module departs from backward products on transposed views of the parameter stack itself; [] if it does not.
 
     A transpose is an attribute named as in TRANSPOSING (`w.T`,
-    `w.transpose(0, 2, 1)`, `np.swapaxes(w, 1, 2)` and the like).
+    `w.transpose(0, 2, 1)`, `np.swapaxes(w, 1, 2)` and the like).  A
+    transposed view of a stack that no plain `_layer_views` call of the
+    same function reads (`params.take(...)`, a scratch `params_t`) is a
+    copy, not the stack.
     """
-    tree = ast.parse(source)
+    functions = {fn.name: fn for fn in ast.parse(source).body if isinstance(fn, ast.FunctionDef)}
     faults = []
-    for fn in tree.body:
-        if isinstance(fn, ast.FunctionDef) and fn.name in NO_TRANSPOSE:
-            lines = [node.lineno for node in ast.walk(fn) if isinstance(node, ast.Attribute) and node.attr in TRANSPOSING]
-            if lines:
-                faults.append(f"{fn.name} transposes at lines {lines}")
-    defined, callers = definitions_and_callers(source, "_transposing_order")
-    if defined != 1:
-        faults.append(f"_transposing_order defined {defined} times")
-    if callers != {"gradient", "_train_group"}:
-        faults.append(f"_transposing_order called from {sorted(callers)}")
+    for name in NO_TRANSPOSE:
+        lines = [node.lineno for node in ast.walk(functions[name]) if isinstance(node, ast.Attribute) and node.attr in TRANSPOSING]
+        if lines:
+            faults.append(f"{name} transposes at lines {lines}")
+    for name in ("gradient", "_train_group"):
+        plain, transposed = _layer_view_stacks(functions[name])
+        if not transposed:
+            faults.append(f"{name} takes no transposed weight views")
+        elif not transposed <= plain:
+            faults.append(f"{name} transposes a stack its forward views do not read")
     return faults
 
 
-def test_backward_products_use_the_one_gathered_transpose():
+def test_backward_products_read_the_parameter_stack_in_place():
     assert transposed_weight_faults((PACKAGE / "mlp.py").read_text()) == []
 
 
 # the transposed weights of mlp.py in miniature; each mutant breaks them once
 ONE_TRANSPOSE = """
-def _transposing_order(widths):
-    return np.concatenate([w[0].T.ravel() for w in _layer_views(cols, widths)])
 def _backprop(ws, wts, buf, gws):
-    np.matmul(buf.acts_t[li], buf.dzs[li], out=gws[li])
-    np.matmul(buf.dzs[li], wts[li], out=below)
+    buf.product(buf.dzs[li], buf.acts_t[li], out=gws[li])
+    buf.product(wts[li], buf.deltas[li], out=buf.delta_outs[li - 1])
 def gradient(model, X, y):
-    wts = _layer_views(params.take(_transposing_order(sizes), axis=1), sizes, transposed=True)
+    ws, wts, gws = _layer_views(params, sizes), _layer_views(params, sizes, transposed=True), _layer_views(grads, sizes)
     _backprop(ws, wts, buf, gws)
 def _train_group(models):
-    transposing = _transposing_order(widths)
+    ops.ws, ops.gws = _layer_views(ops.params, widths), _layer_views(ops.grads[0], widths)
+    ops.wts = _layer_views(ops.params, widths, transposed=True)
     for lo in range(0, n, batch):
-        params.take(transposing, axis=1, out=params_t, mode="clip")
-        _backprop(ws, wts, buf, gws)
+        _backprop(ops.ws, ops.wts, buf, ops.gws)
 """
 
 
@@ -424,24 +436,24 @@ def test_transpose_guard_passes_the_miniature():
 @pytest.mark.parametrize(
     "old, new",
     [
-        # the backward product goes back to a transposed view
-        ("wts[li], out=below", "ws[li].transpose(0, 2, 1), out=below"),
-        ("wts[li], out=below", "ws[li].mT, out=below"),
-        ("wts[li], out=below", "np.swapaxes(ws[li], 1, 2), out=below"),
-        # the step loop or gradient transposes instead of gathering
+        # the backward product transposes a weight view itself
+        ("wts[li], buf.deltas", "ws[li].transpose(0, 2, 1), buf.deltas"),
+        ("wts[li], buf.deltas", "ws[li].mT, buf.deltas"),
+        ("wts[li], buf.deltas", "np.swapaxes(ws[li], 1, 2), buf.deltas"),
+        # gradient or the trainer transposes a gathered copy of the stack
+        ("_layer_views(params, sizes, transposed=True)", "_layer_views(params.take(order, axis=1), sizes, transposed=True)"),
+        ("_layer_views(ops.params, widths, transposed=True)", "_layer_views(ops.params_t, widths, transposed=True)"),
+        # the step loop or gradient transposes instead of viewing
         (
-            'params.take(transposing, axis=1, out=params_t, mode="clip")',
-            "wts = [np.ascontiguousarray(w.transpose(0, 2, 1)) for w in ws]",
+            "        _backprop(ops.ws",
+            "        wts = [np.ascontiguousarray(w.transpose(0, 2, 1)) for w in ops.ws]\n        _backprop(ops.ws",
         ),
-        (
-            "_layer_views(params.take(_transposing_order(sizes), axis=1), sizes, transposed=True)",
-            "[w.T.copy() for w in ws]",
-        ),
-        # a second column order
-        ("def _backprop(", "def _transposing_order(widths):\n    pass\ndef _backprop("),
+        ("_layer_views(params, sizes, transposed=True)", "[w.T.copy() for w in ws]"),
+        # the trainer's backward products read its forward views
+        ("ops.wts = _layer_views(ops.params, widths, transposed=True)", "ops.wts = ops.ws"),
     ],
 )
-def test_transpose_guard_flags_a_transpose_outside_the_gather(old, new):
+def test_transpose_guard_flags_a_transpose_or_a_copy_of_the_stack(old, new):
     assert ONE_TRANSPOSE.count(old) == 1
     assert transposed_weight_faults(ONE_TRANSPOSE.replace(old, new))
 
@@ -497,7 +509,7 @@ def called_names(source: str) -> set[str]:
 
 # the smoothing functions that run filters; gridsearch may reach them only
 # through feature_bank_with_windows
-FILTER_RUNNERS = {"smooth", "_filter_pass", "_step_template", "make_bank", "bank_push", "_bank_step"}
+FILTER_RUNNERS = {"_filter_pass", "_step_template", "make_bank", "bank_push", "_bank_step"}
 
 
 def filter_bank_faults(sources: dict[str, str]) -> list[str]:
@@ -506,7 +518,6 @@ def filter_bank_faults(sources: dict[str, str]) -> list[str]:
     sites = sorted(f"{module}.{fn}" for module, source in sources.items() for fn in update_sites(source))
     if sites != ["smoothing._step_template"]:
         faults.append(f"the filter update is written in {sites}")
-    faults += [f"{module} calls smooth" for module, source in sources.items() if module != "smoothing" and "smooth" in called_names(source)]
     grid = called_names(sources["gridsearch"])
     if "feature_bank_with_windows" not in grid or grid & FILTER_RUNNERS:
         faults.append(f"gridsearch builds banks with {sorted(grid & FILTER_RUNNERS)}, not feature_bank_with_windows")
@@ -524,8 +535,6 @@ def test_one_filter_recurrence_builds_every_bank():
 # miniature; each mutant breaks them once
 ONE_FILTER_PASS = {
     "smoothing": """
-def smooth(xs, alpha, m):
-    return _filter_pass(xs, (alpha,), (m,))[1][:, 0]
 def _filter_pass(xs, alphas, windows):
     step = _step_template(len(alphas), None)(*seeds, *betas)
     return step, np.fromiter(chain(seeds, chain.from_iterable(map(step, xs))), float)
@@ -556,16 +565,13 @@ def test_filter_bank_guard_passes_the_miniature():
     "module, old, new",
     [
         # a second recurrence beside the generated step
-        ("smoothing", "def smooth(", "def _recurrence(y, beta, xs):\n    for x in xs:\n        y = x + beta * (y - x)\ndef smooth("),
+        ("smoothing", "def _filter_pass(", "def _recurrence(y, beta, xs):\n    for x in xs:\n        y = x + beta * (y - x)\ndef _filter_pass("),
         ("pipeline", "    feats =", "    ys = [x + (y - x) * beta for y in ys]\n    feats ="),
-        ("smoothing", "def smooth(", 'LINE = "y = x + beta * (y - x)"\ndef smooth('),
-        # smooth called outside smoothing
-        ("pipeline", "smoothing.feature_bank_with_windows(", "smoothing.smooth("),
-        ("gridsearch", "shared = feature", "column = smooth(values, a, m)\n        shared = feature"),
-        ("gridsearch", "import feature_bank_with_windows", "import feature_bank_with_windows, smooth as run\nrun(xs, a, m)"),
+        ("smoothing", "def _filter_pass(", 'LINE = "y = x + beta * (y - x)"\ndef _filter_pass('),
         # the grid runs filters itself
         ("gridsearch", "shared = feature_bank_with_windows(ds.g_series(), *zip(*columns)).values", "shared = _filter_pass(v, a, m)[1]"),
         ("gridsearch", "shared = feature", "bank = make_bank(a, m)\n        shared = feature"),
+        ("gridsearch", "import feature_bank_with_windows", "import feature_bank_with_windows, _filter_pass as run\nrun(xs, a, m)"),
     ],
 )
 def test_filter_bank_guard_flags_a_second_recurrence_or_bank_builder(module, old, new):

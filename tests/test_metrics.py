@@ -101,6 +101,22 @@ def test_combined_error_examples():
     assert abs(kr.combined_error(0.791, 0.767) - 0.048985) <= 1e-9
 
 
+@pytest.mark.parametrize("scores", [(np.nan, 0.5), (0.5, np.inf), (-np.inf, 0.5), (None, 0.5), (True, 0.5)], ids=repr)
+def test_combined_error_rejects_a_score_that_is_not_a_finite_number(scores):
+    # a nan score once came back as a nan error
+    with pytest.raises(DataError, match="finite scores"):
+        kr.combined_error(*scores)
+
+
+@pytest.mark.parametrize("scores", [(1e200, 0.5), (0.5, -1e200), (np.float64(1e200), 0.5)], ids=repr)
+def test_combined_error_that_overflows_raises_a_numeric_error_without_a_warning(scores):
+    # a Python float's ** 2 once raised OverflowError, a traceback for evaluate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="overflows the float range"):
+            kr.combined_error(*scores)
+
+
 def test_scorecard_gain_and_rows():
     card = kr.ScoreCard(r2_pre=0.4, r2_post=0.9)
     assert card.gain == 0.5
@@ -177,6 +193,34 @@ def test_binned_rse_that_overflows_raises_a_numeric_error_without_a_warning(trut
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="overflows the float range"):
             kr.binned_rse(truth, estimate, 1e200)
+
+
+@pytest.mark.parametrize(
+    "truth, width",
+    [
+        ([1e20, 1e20 + 2e5], 1.0),  # edges 1 apart at 1e20 are one float
+        ([1e300, -1e300, 0.0], 1e-10),  # the bin count overflows
+        ([1.7e308, 0.0], 1e308),  # the last edge overflows
+        ([-1.7e308, 0.0], 1e308),  # so does the first
+    ],
+)
+def test_binned_rse_rejects_bins_that_floats_cannot_hold_without_a_warning(truth, width):
+    # the first case once warned of an invalid cast and ended in
+    # OverflowError, the second warned of an overflow before its DataError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="bin"):
+            kr.binned_rse(truth, [0.0] * len(truth), width)
+
+
+def test_binned_rse_bins_large_truth_values_exactly():
+    # bin indices near 2**52 still come out whole: the edges are distinct
+    # floats and every sample lands in its own bin
+    base = 2.0**52
+    curve = kr.binned_rse([base, base + 4.0], [base, base + 1.0], 1.0)
+    assert np.array_equal(curve.bin_edges, base + np.arange(6.0))
+    assert curve.counts.tolist() == [1, 0, 0, 0, 1]
+    assert curve.rse == (0.0, None, None, None, 9.0 / 4.0)
 
 
 def test_binned_rse_pair_shares_binning():

@@ -915,6 +915,41 @@ def test_the_step_is_generated_once_per_restack_and_minibatch_size(monkeypatch):
     assert sorted(builds) == sorted((k, size) for k in stacks for size in (16, 12))
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_the_transposed_weight_views_are_whole_blocks_of_the_stack(k):
+    # BLAS reads a transposed operand in place only when each matrix is one
+    # memory segment, so the views keep the bias column and the output
+    # layer's zero row, and they are views of the stack, not of a copy
+    widths = (7, 4, 2, 2, 1)
+    params = mlp._fold([kr.mlp_new(widths, seed=s) for s in range(k)], widths)
+    for view, block in zip(mlp._layer_views(params, widths, transposed=True), mlp._layer_views(params, widths)):
+        assert np.shares_memory(view, params)
+        slots = view if k > 1 else view[None]
+        assert all(slot.T.flags.c_contiguous for slot in slots)
+        assert np.array_equal(view.swapaxes(-2, -1)[..., : block.shape[-2], :], block)
+    assert not view[..., 1].any()  # the output layer's zero second unit
+
+
+@pytest.mark.parametrize("k, calls", [(1, 6 * 4 + 13), (3, 6 * 4 + 14)])
+def test_the_generated_step_makes_6l_plus_13_numpy_calls(k, calls, monkeypatch):
+    # two gathers, 6L - 2 calls for the pass and 13 for Adam; a larger
+    # stack copies its rows into layer 0's block once more.  The backward
+    # products read the parameter stack in place, with no gather of it
+    bodies = []
+    real = mlp._step_factory
+
+    def recording(cells, body):
+        bodies.append([line for line in body if not line.startswith("nonlocal ")])
+        return real(cells, body)
+
+    monkeypatch.setattr(mlp, "_step_factory", recording)
+    banks, y = _group_data(4, [7], n=40)
+    models = [kr.mlp_new((7, 4, 2, 2, 1), seed=s) for s in range(k)]
+    kr.train_many(models, [banks[0]] * k, y, kr.TrainConfig(max_iter=1, batch_size=40), list(range(k)))
+    assert [len(body) for body in bodies] == [calls]
+    assert not any(".take(" in line and "axis=1" in line for line in bodies[0])
+
+
 def _training_peak(X, y, epochs: int) -> int:
     """The traced peak, in bytes, of training one model on X for exactly `epochs` epochs."""
     cfg = kr.TrainConfig(max_iter=epochs, patience=epochs, batch_size=200)

@@ -543,6 +543,37 @@ def test_stream_of_a_net_above_the_kernel_bound_matches_forward_batch(small_bund
     assert np.abs(np.asarray(outs) - batch).max() <= 1e-12
 
 
+def test_a_stream_sessions_bank_refuses_bank_push_in_either_order(small_bundle, pes_small):
+    # the bank's step once took the kind of whichever push completed the
+    # warm-up: after bank_push, stream_push returned the list of filter
+    # values; after stream_push, bank_push returned the net's output
+    rec = pes_small[2]
+    rs = kr.resample(rec.t_s, rec.resistance_ohm, small_bundle.config.rate_hz).values[: max(small_bundle.init_windows) + 3].tolist()
+    scaler = small_bundle.scaler_g
+    g = (1.0 / rs[0] - scaler.mean) / scaler.scale
+    session, clean = kr.open_stream(small_bundle), kr.open_stream(small_bundle)
+    for r in rs:  # a bank_push before every stream_push, the warm-up's last included
+        with pytest.raises(DataError, match="stream_push"):
+            kr.bank_push(session.bank, g)
+        assert _bits(kr.stream_push(session, (0.0, r))) == _bits(kr.stream_push(clean, (0.0, r)))
+    with pytest.raises(DataError, match="stream_push"):
+        kr.bank_push(session.bank, g)
+    assert isinstance(kr.stream_push(session, (0.0, rs[-1])), float)
+
+
+def test_a_stream_session_takes_only_a_fresh_bank(small_bundle):
+    fresh = kr.make_bank(small_bundle.alphas, small_bundle.init_windows)
+    session = kr.StreamSession(small_bundle, fresh)
+    assert session.bank is fresh
+    fed = kr.make_bank(small_bundle.alphas, small_bundle.init_windows)
+    kr.bank_push(fed, 0.5)
+    with pytest.raises(DataError, match="fresh bank"):
+        kr.StreamSession(small_bundle, fed)
+    other = dataclasses.replace(small_bundle, model=small_bundle.model.copy())
+    with pytest.raises(DataError, match="fresh bank"):
+        kr.StreamSession(other, fresh)
+
+
 def test_stream_identity_bundle_is_exact(pes_small):
     bundle, _, column = _identity_bundle(pes_small[0])
     session = kr.open_stream(bundle)

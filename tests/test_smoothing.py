@@ -99,34 +99,40 @@ def test_init_window_rejects_a_fractional_available_count():
 # --- batch smoothing ------------------------------------------------------------
 
 
-def test_smooth_alpha_one_is_identity_after_first_sample():
+def _one_filter(xs, alpha, m):
+    """One filter over xs, seeded with the mean of its first m samples: a one-column bank."""
+    return kr.feature_bank_with_windows(kr.UniformSeries(20.0, 0.0, xs), (alpha,), (m,)).values[:, 0]
+
+
+def test_one_filter_alpha_one_is_identity_after_first_sample():
     xs = np.array([3.0, -1.0, 4.0, 1.5])
-    out = kr.smooth(xs, 1.0, 2)
+    out = _one_filter(xs, 1.0, 2)
     assert abs(out[0] - np.mean(xs[:2])) <= 1e-12
     assert np.array_equal(out[1:], xs[1:])
 
 
-def test_smooth_constant_input_is_fixed_point():
+def test_one_filter_constant_input_is_fixed_point():
     xs = np.full(30, 2.75)
     for alpha, m in ((1.0, 1), (0.4, 3), (0.0025, 20)):
-        assert np.array_equal(kr.smooth(xs, alpha, m), xs)
+        assert np.array_equal(_one_filter(xs, alpha, m), xs)
 
 
-def test_smooth_hand_recurrence():
-    assert np.array_equal(kr.smooth([0.0, 2.0, 2.0], 0.5, 1), [0.0, 1.0, 1.5])
+def test_one_filter_hand_recurrence():
+    assert np.array_equal(_one_filter([0.0, 2.0, 2.0], 0.5, 1), [0.0, 1.0, 1.5])
 
 
-def test_smooth_errors():
+def test_one_filter_errors():
     with pytest.raises(DataError):
-        kr.smooth([], 0.5, 1)
+        _one_filter([], 0.5, 1)
     with pytest.raises(DataError):
-        kr.smooth([1.0, 2.0], 0.5, 3)
+        _one_filter([1.0, 2.0], 0.5, 3)
     with pytest.raises(DataError):
-        kr.smooth([1.0, 2.0], 0.0, 1)
+        _one_filter([1.0, 2.0], 0.0, 1)
+    # a bank over a 2-D or 0-d series once raised TypeError or IndexError
     with pytest.raises(DataError, match="1-D"):
-        kr.smooth([[1.0, 2.0], [3.0, 4.0]], 0.5, 1)
+        _one_filter([[1.0, 2.0], [3.0, 4.0]], 0.5, 1)
     with pytest.raises(DataError, match="1-D"):
-        kr.smooth(1.0, 0.5, 1)
+        _one_filter(1.0, 0.5, 1)
 
 
 # --- feature bank ---------------------------------------------------------------
@@ -171,12 +177,12 @@ def test_feature_bank_column_order_matches_alpha_order():
     assert mat.alphas == aset.alphas
     for i, alpha in enumerate(aset.alphas):
         m = kr.init_window(alpha, 20.0, 120)
-        assert np.array_equal(mat.values[:, i], kr.smooth(series.values, alpha, m))
+        assert np.array_equal(mat.values[:, i], _one_filter(series.values, alpha, m))
 
 
-def test_smooth_rejects_a_fractional_init_window():
+def test_one_filter_rejects_a_fractional_init_window():
     with pytest.raises(DataError, match="init window"):
-        kr.smooth(np.arange(5.0), 0.5, 2.5)
+        _one_filter(np.arange(5.0), 0.5, 2.5)
 
 
 @pytest.mark.parametrize("window", [2.7, True])
@@ -269,15 +275,15 @@ alpha_st = st.floats(min_value=1e-4, max_value=1.0, allow_nan=False)
     alpha=alpha_st,
     data=st.data(),
 )
-def test_smooth_output_is_bounded_by_input_range(xs, alpha, data):
+def test_one_filter_output_is_bounded_by_input_range(xs, alpha, data):
     m = data.draw(st.integers(min_value=1, max_value=len(xs)))
-    out = kr.smooth(xs, alpha, m)
+    out = _one_filter(xs, alpha, m)
     assert out.min() >= min(xs) - 1e-12
     assert out.max() <= max(xs) + 1e-12
 
 
 def _smooth_reference(xs, alpha, m):
-    """smooth as a loop over numpy float64 scalars, before it moved to Python floats."""
+    """One filter as a loop over numpy float64 scalars, as the bank ran it before it moved to Python floats."""
     xs = np.asarray(xs, dtype=float)
     out = np.empty_like(xs)
     y = float(xs[0] + np.mean(xs[:m] - xs[0]))
@@ -296,9 +302,9 @@ def _smooth_reference(xs, alpha, m):
     alpha=st.one_of(st.just(1.0), alpha_st),
     data=st.data(),
 )
-def test_smooth_matches_the_numpy_scalar_reference_loop(xs, alpha, data):
+def test_one_filter_matches_the_numpy_scalar_reference_loop(xs, alpha, data):
     m = data.draw(st.integers(min_value=1, max_value=len(xs)))
-    got = kr.smooth(np.asarray(xs), alpha, m)
+    got = _one_filter(np.asarray(xs), alpha, m)
     want = _smooth_reference(xs, alpha, m)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
@@ -320,26 +326,26 @@ def test_feature_bank_columns_match_the_numpy_scalar_reference_loop(xs, data):
         assert bank[:, j].tobytes() == _smooth_reference(xs, alpha, m).tobytes()
 
 
-def test_smooth_matches_the_reference_loop_on_long_and_strided_input():
+def test_one_filter_matches_the_reference_loop_on_long_and_strided_input():
     xs = np.random.default_rng(5).normal(size=(5000, 2))
     for col in (xs[:, 0], xs[:, 1], xs[::3, 0]):
         for alpha, m in ((1.0, 1), (0.4, 3), (0.0016, 400)):
-            assert np.array_equal(kr.smooth(col, alpha, m), _smooth_reference(col, alpha, m))
+            assert np.array_equal(_one_filter(col, alpha, m), _smooth_reference(col, alpha, m))
 
 
 @settings(max_examples=40, deadline=None)
 @given(alpha=alpha_st, value=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
-def test_smooth_constant_fixed_point_exact(alpha, value):
+def test_one_filter_constant_fixed_point_exact(alpha, value):
     xs = np.full(25, value)
-    assert np.array_equal(kr.smooth(xs, alpha, 5), xs)
+    assert np.array_equal(_one_filter(xs, alpha, 5), xs)
 
 
 @settings(max_examples=60, deadline=None)
 @given(alpha=st.floats(min_value=0.01, max_value=0.99), j=st.integers(min_value=1, max_value=5))
-def test_smooth_impulse_response_closed_form(alpha, j):
+def test_one_filter_impulse_response_closed_form(alpha, j):
     xs = np.zeros(j + 60)
     xs[j] = 1.0
-    out = kr.smooth(xs, alpha, 1)
+    out = _one_filter(xs, alpha, 1)
     for k in range(51):
         want = alpha * (1.0 - alpha) ** k
         assert abs(out[j + k] - want) <= 1e-12
@@ -350,11 +356,11 @@ def test_smooth_impulse_response_closed_form(alpha, j):
     a1=st.floats(min_value=0.3, max_value=1.0),
     a2=st.floats(min_value=0.01, max_value=0.25),
 )
-def test_smooth_monotone_lag_on_step(a1, a2):
+def test_one_filter_monotone_lag_on_step(a1, a2):
     xs = np.zeros(120)
     xs[40:] = 1.0
-    y1 = kr.smooth(xs, a1, 1)
-    y2 = kr.smooth(xs, a2, 1)
+    y1 = _one_filter(xs, a1, 1)
+    y2 = _one_filter(xs, a2, 1)
     assert np.all(y1[40:] >= y2[40:] - 1e-12)
 
 
