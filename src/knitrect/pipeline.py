@@ -405,31 +405,28 @@ def evaluate(bundle: PipelineBundle, test_a: RawRecording, test_b: RawRecording)
 class StreamSession:
     """Single-owner streaming state over one shared immutable bundle.
 
-    samples_seen counts the samples accepted into the bank.  When the
-    bank's warm-up buffer seeds its filters, the session's bank binds one
-    function to them and the bundle's network: for a net within forward's
-    kernel bound (384 parameters) it steps the N filters and runs the
-    net's straight-line body on them in one generated call, compiled once
-    per filter count and layer sizes; for a larger net it steps the
-    filters and then runs forward_batch's numpy pass on the one row (see
-    smoothing._bank_step and mlp.forward).  The bank is the session's
-    own: a session binds a fresh bank to its bundle's network when made,
-    after which bank_push refuses it.  A bank that has taken a sample, or
-    that another session has bound, raises DataError.
+    samples_seen counts the samples accepted into the session's filter
+    bank, which the session makes from the bundle's alphas and init
+    windows and keeps to itself: only stream_push feeds it.  When the
+    bank's warm-up buffer seeds its filters, stream_push hands the
+    bundle's network to the warm-up (smoothing._bank_step), which binds one
+    function to them and the net: for a net within forward's kernel bound
+    (384 parameters) it steps the N filters and runs the net's
+    straight-line body on them in one generated call, compiled once per
+    filter count and layer sizes; for a larger net it steps the filters and
+    then runs forward_batch's numpy pass on the one row (see mlp.forward).
     """
 
     bundle: PipelineBundle
-    bank: BankState
     samples_seen: int = 0
+    _bank: BankState = field(init=False)
 
     def __post_init__(self):
-        if self.bank._head is not None or self.bank._step is not None or self.bank.buffer:
-            raise DataError("a stream session needs a fresh bank (open_stream makes one), not one that bank_push or another session has fed")
-        self.bank._head = self.bundle.model
+        self._bank = make_bank(self.bundle.alphas, self.bundle.init_windows)
 
 
 def open_stream(bundle: PipelineBundle) -> StreamSession:
-    return StreamSession(bundle, make_bank(bundle.alphas, bundle.init_windows))
+    return StreamSession(bundle)
 
 
 def stream_push(session: StreamSession, sample: tuple[float, float]) -> float | None:
@@ -448,7 +445,7 @@ def stream_push(session: StreamSession, sample: tuple[float, float]) -> float | 
     try:
         _, r = sample
         r = float(r)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DataError(f"stream sample must be a (t, R) pair with a numeric R, got {sample!r}") from None
     if not math.isfinite(r) or r <= 0:
         raise DataError("non-positive resistance in stream")
@@ -456,8 +453,8 @@ def stream_push(session: StreamSession, sample: tuple[float, float]) -> float | 
     g_bar = (1.0 / r - scaler.mean) / scaler.scale
     if not math.isfinite(g_bar):
         raise DataError(f"stream sample R={r!r} is too small: its standardized conductance overflows")
-    step = session.bank._step
-    out = _bank_step(session.bank, g_bar) if step is None else step(g_bar)
+    step = session._bank._step
+    out = _bank_step(session._bank, g_bar, session.bundle.model) if step is None else step(g_bar)
     session.samples_seen += 1
     return out
 

@@ -16,7 +16,9 @@ samples and keeps its step, so each emitted row equals the batch row bit
 for bit (the network on top then makes the stream equal the batch to
 within 1e-12; see mlp.forward).  The steps run on Python floats, the same
 IEEE doubles as numpy's float64 scalars at a fraction of the cost.  A
-stream session's step also runs the network's straight-line body
+bank holds no network.  A stream session (pipeline.StreamSession) keeps
+a bank of its own and hands its network to that bank's warm-up
+(_bank_step), whose step then also runs the network's straight-line body
 (mlp._net_lines) on the filter values, so a push is one call; a net too
 large for one runs after the step as mlp's one-row numpy pass.
 """
@@ -204,36 +206,39 @@ class BankState:
     runs _filter_pass over it and binds _step, a function that
     _step_template generates: it holds the N filter values as closure
     cells, so a push after the warm-up is one call of it on a Python float.
-    _head is None for a plain bank (make_bank, bank_push), whose step
-    returns the filter values, and for a stream session's bank the
-    session's network, which its step runs on them (_bank_step); the
-    session sets it before the bank takes a sample, so the step's kind
-    never depends on which push completed the warm-up.
+    The bank holds no network: the warm-up that binds _step takes the one
+    it runs, if any (_bank_step), so a plain bank's step returns the filter
+    values and a stream session's private bank's step its net's output.
+    Settings that _bank_settings refuses raise DataError when the bank is
+    made.
     """
 
     alphas: tuple[float, ...]
     windows: tuple[int, ...]
-    buffer: list[float] = field(default_factory=list)
-    _head: MlpModel | None = field(default=None, init=False, repr=False, compare=False)
+    buffer: list[float] = field(default_factory=list, init=False)
     _step: Callable[[float], list[float] | float] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.alphas, self.windows = _bank_settings(self.alphas, self.windows)
 
 
 def make_bank(alphas, windows) -> BankState:
-    return BankState(*_bank_settings(alphas, windows))
+    return BankState(alphas, windows)
 
 
-def _bank_step(bank: BankState, x: float):
+def _bank_step(bank: BankState, x: float, head: MlpModel | None):
     """A finite float x into the bank: None while buffering, then bank._step(x).
 
-    The push that completes the buffer runs _filter_pass over it and
-    returns what _step would: the output of the bank's network (head,
-    bank._head) on the filter values after that push, or without head a
-    fresh list of them.  Without head, _step is the pass's own step; with
-    head, one function that runs the filters from those values and head's
-    straight-line body; for a head too large for one (_step_template gives
-    None), the pass's step and then _float_net(head), mlp's one-row numpy
-    pass.  Either way each output is
-    forward(head, row) on the row bank_push gives, bit for bit.
+    The push that completes the buffer runs _filter_pass over it, binds
+    _step and returns what _step would: the output of head, the network
+    of the stream session that owns the bank, on the filter values after
+    that push, or with head None (bank_push) a fresh list of them.  Head
+    counts only at that push; after it, _step runs what it bound.  Without
+    head, _step is the pass's own step; with head, one function that runs
+    the filters from those values and head's straight-line body; for a
+    head too large for one (_step_template gives None), the pass's step
+    and then _float_net(head), mlp's one-row numpy pass.  Either way each
+    output is forward(head, row) on the row bank_push gives, bit for bit.
     """
     if bank._step is not None:
         return bank._step(x)
@@ -243,15 +248,15 @@ def _bank_step(bank: BankState, x: float):
     filters, rows = _filter_pass(np.asarray(bank.buffer), bank.alphas, bank.windows)
     bank.buffer = []
     ys = rows[-1].tolist()
-    if bank._head is None:
+    if head is None:
         bank._step = filters
         return ys
-    net = _float_net(bank._head)
-    factory = _step_template(len(ys), tuple(map(int, bank._head.layer_sizes)))  # ints only reach the source
+    net = _float_net(head)
+    factory = _step_template(len(ys), tuple(map(int, head.layer_sizes)))  # ints only reach the source
     if factory is None:
         bank._step = lambda v: net(filters(v))
     else:
-        bank._step = factory(*ys, *(1.0 - a for a in bank.alphas), *_flat_params(bank._head))
+        bank._step = factory(*ys, *(1.0 - a for a in bank.alphas), *_flat_params(head))
     return net(ys)
 
 
@@ -262,14 +267,14 @@ def bank_push(bank: BankState, x: float) -> np.ndarray | None:
     the batch filter pass runs over the buffer; after that each push
     advances every filter by one more step of that pass, so each emitted
     row equals the batch feature row over the same prefix, bit for bit.
-    The row is a fresh array.  A stream session's bank, whose pushes run
-    its network, raises DataError: it takes its samples through
-    pipeline.stream_push.
+    The row is a fresh array.  A sample that float() refuses or that is
+    not finite raises DataError.
     """
-    if bank._head is not None:
-        raise DataError("bank_push takes a bank from make_bank, not a stream session's: push into the session with stream_push")
-    x = float(x)
+    try:
+        x = float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(f"bank sample must be a number, got {x!r}") from None
     if not math.isfinite(x):
         raise DataError("non-finite sample pushed into bank")
-    y = _bank_step(bank, x)
+    y = _bank_step(bank, x, None)
     return None if y is None else np.array(y)

@@ -543,35 +543,25 @@ def test_stream_of_a_net_above_the_kernel_bound_matches_forward_batch(small_bund
     assert np.abs(np.asarray(outs) - batch).max() <= 1e-12
 
 
-def test_a_stream_sessions_bank_refuses_bank_push_in_either_order(small_bundle, pes_small):
-    # the bank's step once took the kind of whichever push completed the
-    # warm-up: after bank_push, stream_push returned the list of filter
-    # values; after stream_push, bank_push returned the net's output
+def test_a_plain_bank_and_an_assigned_bank_leave_a_stream_session_alone(small_bundle, pes_small):
+    # the session's bank was once its public field: a bank assigned to it
+    # took the session's pushes, and once warm stream_push returned the
+    # list of its filter values; bank_push into it moved the session's
+    # filters
     rec = pes_small[2]
     rs = kr.resample(rec.t_s, rec.resistance_ohm, small_bundle.config.rate_hz).values[: max(small_bundle.init_windows) + 3].tolist()
     scaler = small_bundle.scaler_g
-    g = (1.0 / rs[0] - scaler.mean) / scaler.scale
-    session, clean = kr.open_stream(small_bundle), kr.open_stream(small_bundle)
-    for r in rs:  # a bank_push before every stream_push, the warm-up's last included
-        with pytest.raises(DataError, match="stream_push"):
-            kr.bank_push(session.bank, g)
-        assert _bits(kr.stream_push(session, (0.0, r))) == _bits(kr.stream_push(clean, (0.0, r)))
-    with pytest.raises(DataError, match="stream_push"):
-        kr.bank_push(session.bank, g)
-    assert isinstance(kr.stream_push(session, (0.0, rs[-1])), float)
-
-
-def test_a_stream_session_takes_only_a_fresh_bank(small_bundle):
-    fresh = kr.make_bank(small_bundle.alphas, small_bundle.init_windows)
-    session = kr.StreamSession(small_bundle, fresh)
-    assert session.bank is fresh
-    fed = kr.make_bank(small_bundle.alphas, small_bundle.init_windows)
-    kr.bank_push(fed, 0.5)
-    with pytest.raises(DataError, match="fresh bank"):
-        kr.StreamSession(small_bundle, fed)
-    other = dataclasses.replace(small_bundle, model=small_bundle.model.copy())
-    with pytest.raises(DataError, match="fresh bank"):
-        kr.StreamSession(other, fresh)
+    session, lone = kr.open_stream(small_bundle), kr.open_stream(small_bundle)
+    bank = kr.make_bank(small_bundle.alphas, small_bundle.init_windows)
+    session.bank = bank
+    for i, r in enumerate(rs):
+        kr.bank_push(bank, (1.0 / r - scaler.mean) / scaler.scale)
+        if i == len(rs) // 2:
+            session.bank = kr.make_bank(small_bundle.alphas, small_bundle.init_windows)
+        out = kr.stream_push(session, (0.0, r))
+        assert out is None or type(out) is float
+        assert _bits(out) == _bits(kr.stream_push(lone, (0.0, r)))
+    assert session.samples_seen == lone.samples_seen == len(rs)
 
 
 def test_stream_identity_bundle_is_exact(pes_small):
@@ -592,16 +582,27 @@ def test_stream_rejects_bad_samples(small_bundle):
     assert session.samples_seen == 0
 
 
-@pytest.mark.parametrize("sample", [5.0, (0.0, "x"), (0.0, 1000.0, 1.0), (0.0, None), (0.0, 1j)], ids=repr)
+def _assert_stream_as_if_fresh(bundle, session):
+    # the next pushes, past the warm-up, match a fresh session's bit for bit
+    fresh = kr.open_stream(bundle)
+    for i in range(max(bundle.init_windows) + 3):
+        sample = (0.0, 1000.0 + 10.0 * i)
+        assert _bits(kr.stream_push(session, sample)) == _bits(kr.stream_push(fresh, sample))
+    assert session.samples_seen == fresh.samples_seen
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [5.0, (0.0, "x"), (0.0, 1000.0, 1.0), (0.0, None), (0.0, 1j), pytest.param((0.0, 10**400), id="(0.0, 10**400)")],
+    ids=repr,
+)
 def test_stream_rejects_a_malformed_sample(small_bundle, sample):
     session = kr.open_stream(small_bundle)
     for _ in range(2):
         with pytest.raises(DataError, match="must be a \\(t, R\\) pair"):
             kr.stream_push(session, sample)
     assert session.samples_seen == 0
-    assert session.bank.buffer == []
-    kr.stream_push(session, (0.0, 1000.0))
-    assert session.samples_seen == 1
+    _assert_stream_as_if_fresh(small_bundle, session)
 
 
 @pytest.mark.parametrize("r", [1e-320, 5e-324])
@@ -611,9 +612,7 @@ def test_stream_rejects_a_resistance_whose_conductance_overflows(small_bundle, r
         with pytest.raises(DataError, match=f"R={r!r}.*overflows"):
             kr.stream_push(session, (0.0, r))
     assert session.samples_seen == 0
-    assert session.bank.buffer == []
-    kr.stream_push(session, (0.0, 1000.0))
-    assert session.samples_seen == 1
+    _assert_stream_as_if_fresh(small_bundle, session)
 
 
 # --- serialization ---------------------------------------------------------------

@@ -186,7 +186,7 @@ def test_one_filter_rejects_a_fractional_init_window():
 
 
 @pytest.mark.parametrize("window", [2.7, True])
-@pytest.mark.parametrize("build", ["feature_bank_with_windows", "make_bank"])
+@pytest.mark.parametrize("build", ["feature_bank_with_windows", "make_bank", "BankState"])
 def test_banks_reject_a_window_that_is_not_an_integer(build, window):
     series = kr.UniformSeries(20.0, 0.0, np.arange(5.0))
     args = (series, (0.5,), (window,)) if build == "feature_bank_with_windows" else ((0.5,), (window,))
@@ -210,6 +210,23 @@ def test_make_bank_rejects_an_alpha_above_one_when_created():
 
 
 # --- streaming bank -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "alphas, windows, match",
+    [((0.5,), (0,), "init window"), ((2.0,), (1,), "lie in"), ((2.0, 0.5), (1,), "pair up")],
+)
+def test_bank_state_checks_its_settings_when_made(alphas, windows, match):
+    # the constructor once took any settings: a nan row after numpy
+    # warnings, an unstable filter, a TypeError at the first push
+    with pytest.raises(DataError, match=match):
+        kr.BankState(alphas, windows)
+
+
+def test_bank_state_holds_its_settings_as_make_bank_does():
+    bank = kr.BankState([0.5, 0.1], [1, 2.0])
+    assert (bank.alphas, bank.windows, bank.buffer) == ((0.5, 0.1), (1, 2), [])
+    assert bank == kr.make_bank((0.5, 0.1), (1, 2))
 
 
 def test_bank_push_buffers_then_matches_batch_row():
@@ -250,6 +267,17 @@ def test_bank_push_alpha_one_passes_samples_through():
     for x in (0.3, -2.0, 5.5):
         out = kr.bank_push(bank, x)
         assert out is not None and out[0] == x
+
+
+@pytest.mark.parametrize("x", [None, 1j, [1.0], "x", 10**400], ids=lambda x: type(x).__name__)
+def test_bank_push_rejects_a_sample_that_is_not_a_number(x):
+    bank, fresh = kr.make_bank((0.5, 0.1), (1, 3)), kr.make_bank((0.5, 0.1), (1, 3))
+    for _ in range(2):
+        with pytest.raises(DataError, match="bank sample must be a number"):
+            kr.bank_push(bank, x)
+    for v in (0.3, -2.0, 5.5, 1.25):  # as if the bad sample never came
+        a, b = kr.bank_push(bank, v), kr.bank_push(fresh, v)
+        assert (a is None) == (b is None) and (a is None or a.tobytes() == b.tobytes())
 
 
 def test_make_bank_validation():
