@@ -177,7 +177,7 @@ def test_forward_batch_matches_the_plain_reference(sizes, n, seed):
     rng = np.random.default_rng(seed)
     model = kr.mlp_new(sizes, seed=seed)
     for b in model.biases:
-        b += rng.normal(scale=0.5, size=b.shape)
+        b += rng.normal(0.5, 0.5, size=b.shape)
     X = rng.normal(scale=2.0, size=(n, sizes[0]))
     got, ref = kr.forward_batch(model, X), _reference_forward(model, X)
     assert got.shape == ref.shape == (n,)
@@ -195,7 +195,7 @@ def test_forward_matches_forward_batch_within_rounding(n_in, hidden, seed):
     rng = np.random.default_rng(seed)
     model = kr.mlp_new((n_in, *hidden, 1), seed=seed)
     for b in model.biases:
-        b += rng.normal(scale=0.5, size=b.shape)
+        b += rng.normal(0.5, 0.5, size=b.shape)
     for x in rng.normal(scale=2.0, size=(5, n_in)):
         assert abs(kr.forward(model, x) - kr.forward_batch(model, x[None])[0]) <= 1e-12
 
@@ -214,7 +214,7 @@ def test_forward_of_a_net_above_the_kernel_bound_equals_forward_batch_bit_for_bi
     rng = np.random.default_rng(6)
     model = kr.mlp_new(sizes, seed=6)
     for b in model.biases:
-        b += rng.normal(scale=0.5, size=b.shape)
+        b += rng.normal(0.5, 0.5, size=b.shape)
     assert model.param_count() > mlp._KERNEL_MAX_PARAMS
     assert mlp._kernel_template(sizes) is None
     for x in rng.normal(scale=2.0, size=(5, sizes[0])):
@@ -258,7 +258,7 @@ def test_forward_kernel_equals_the_unit_loop_bit_for_bit(sizes, seed, data):
     rng = np.random.default_rng(seed)
     model = kr.mlp_new(sizes, seed=seed)
     for b in model.biases:
-        b += rng.normal(scale=0.5, size=b.shape) * (rng.random(b.shape) < 0.8)  # some biases stay exact zeros
+        b += rng.normal(0.5, 0.5, size=b.shape) * (rng.random(b.shape) < 0.8)  # some biases stay exact zeros
     for _ in range(4):
         x = data.draw(st.lists(_kernel_inputs, min_size=sizes[0], max_size=sizes[0]))
         got = kr.forward(model, x)
@@ -425,6 +425,38 @@ def test_gradient_matches_the_plain_reference(n_in, hidden, n, seed):
     assert [g.shape for g in gw + gb] == [g.shape for g in ref_w + ref_b]
     for got, want in zip(gw + gb, ref_w + ref_b):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+# Nets whose gradient and forward_batch bytes are pinned in
+# data/gradient_bytes.json, each at each batch size: one without a hidden
+# layer, the default net and a grid-sized one.
+GRADIENT_SHAPES = [(3, 1), (7, 4, 2, 2, 1), (5, 16, 8, 1)]
+GRADIENT_BATCHES = [1, 37, 200]
+
+
+def _gradient_bytes(sizes, n) -> dict:
+    """gradient and forward_batch of a net of these layer sizes on n samples, as float.hex, row by row."""
+    # at seed n + 2 every net has live units on one sample, and so gradients
+    rng = np.random.default_rng(n + 2)
+    model = kr.mlp_new(sizes, seed=n + 2)
+    model.biases = [rng.normal(0.5, 0.5, size=b.shape) for b in model.biases]
+    X = rng.normal(size=(n, sizes[0]))
+    y = rng.normal(size=n)
+    gw, gb = kr.gradient(model, X, y)
+    return {
+        "weights": [_hex_floats(g) for g in gw],
+        "biases": [_hex_floats(g) for g in gb],
+        "forward_batch": _hex_floats(kr.forward_batch(model, X)),
+    }
+
+
+@pytest.mark.parametrize("n", GRADIENT_BATCHES)
+@pytest.mark.parametrize("sizes", GRADIENT_SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_gradient_and_forward_batch_give_the_recorded_bytes(sizes, n):
+    # the fixture was written before the stack-of-one passes called the C
+    # function behind np.dot; the calls may change, the bytes may not
+    want = json.loads((Path(__file__).parent / "data" / "gradient_bytes.json").read_text())["cases"]
+    assert _gradient_bytes(sizes, n) == want[f"{'-'.join(map(str, sizes))}/{n}"]
 
 
 # --- training -------------------------------------------------------------------
