@@ -12,8 +12,12 @@ is feature-major: each layer is an (n_{l+1}, n_l + 1) block of the stack,
 its biases the last column, and samples run along the last axis of every
 buffer, whose layer inputs end in a row of ones, so one product gives a
 layer's output and one more its weight and bias gradient.  A stack of one
-drops its K axis and runs every product as a 2-D np.dot, the cheapest
-call numpy has for it.  Larger stacks run np.matmul on a unit-major
+drops its K axis and runs every product as a 2-D dot, the cheapest call
+numpy has for it, through the C function behind np.dot (_dot): np.dot
+first runs numpy's Python-level __array_function__ dispatcher (NEP 18),
+which adds about a third to a step's (4, 8) @ (8, 200) product (1.40
+against 1.05 us a call, 2-core x86 VM, numpy 2.4.6).  Larger stacks run
+np.matmul, a ufunc, which has no such dispatcher, on a unit-major
 layout: a layer's activations, and its deltas, are one (units, K, n)
 block, so each ReLU, mask and masked multiply is one call on a
 contiguous block, while the products read the block as K matrices whose
@@ -50,9 +54,11 @@ stand-ins that record each numpy call (_traced_step), once per minibatch
 size each time the stack is built or shrinks.  The recorded calls, in
 order, are the body of one straight-line function, compiled once per
 source, to which every array, ufunc, bound method and 0-d scalar they
-name is bound as a closure cell.  A step is then one Python call, given
-its index slice and Adam's two bias corrections, that makes the same
-numpy calls on the same arrays in the same order, so it computes what
+name is bound as a closure cell; an array function (np.copyto) is bound
+as the C function behind its dispatcher, which the stand-ins need but
+the arrays do not.  A step is then one Python call, given its index
+slice and Adam's two bias corrections, that makes the same numpy
+computations on the same arrays in the same order, so it computes what
 train_step would, bit for bit.  `gradient` runs the same pass on a
 stack of one, calling _backprop itself: for one call, a build costs more
 than it saves.
@@ -101,6 +107,9 @@ DIVERGENCE_FACTOR = 1e6
 # operand anew on every call, which costs more than a ReLU on a tiny net.
 _ZERO = np.zeros(())
 _ZERO.flags.writeable = False
+# The C function behind np.dot, which skips numpy's Python-level
+# __array_function__ dispatcher: the product of every stack of one.
+_dot = getattr(np.dot, "_implementation", np.dot)
 # The fixed cost of one lockstep step (train_many) in units of per-slot
 # arithmetic: it equals the work of about this many padded parameters.
 # Measured on the unit-major step (numpy 2.4.6, Python 3.11.7, a 2-core x86
@@ -375,8 +384,10 @@ class _Buffers:
     and its mask run.  acts[-1] is the (K, 1, n) output and output the
     same numbers as (K, n).  A
     stack of one drops its K axis, so each of these is a 2-D (rows, n)
-    block and `product` is np.dot, else np.matmul: np.dot is the cheaper
-    call, and its out= takes such blocks.
+    block and `product` is _dot, the C function behind np.dot, else
+    np.matmul: a 2-D dot is the cheaper call, its out= takes such blocks,
+    and without np.dot's Python-level dispatcher it is cheaper still.  A
+    traced step records product as the function it is (_Trace.stand_in).
 
     That is all a scoring pass (_outputs, scoring=True) makes: its layer 0
     reads the banks in place.  A training step gathers its input rows,
@@ -409,7 +420,7 @@ class _Buffers:
     def __init__(self, k: int, n: int, widths, scoring: bool = False):
         slots = (lambda a: a[:, 0]) if k == 1 else (lambda a: a.transpose(1, 0, 2))
         blocks = (lambda a: a[:, 0]) if k == 1 else (lambda a: a)
-        self.product = np.dot if k == 1 else np.matmul
+        self.product = _dot if k == 1 else np.matmul
         hidden = [np.empty((w + 1, k, n)) for w in widths[1:-1]]
         for a in hidden:
             a[-1] = 1.0
@@ -683,8 +694,12 @@ class _Trace:
     array, function, ufunc and bound method it takes by a closure cell
     c<i>, one per object (cells keeps them alive, so their ids stay
     theirs); an int, str, bool or None by its literal; and a step argument
-    by its name.  An in-place operator (`a *= b`) stays one, on a cell that
-    the function declares nonlocal (updated).
+    by its name.  An array function is recorded as the C function behind
+    its dispatcher (its _implementation), which computes the same on
+    arrays without running numpy's Python-level __array_function__
+    dispatch; a function without one is recorded as itself.  An in-place
+    operator (`a *= b`) stays one, on a cell that the function declares
+    nonlocal (updated).
     """
 
     def __init__(self):
@@ -705,7 +720,7 @@ class _Trace:
 
     def call(self, func, args, kwargs):
         operands = [*map(self.name, args), *(f"{key}={self.name(v)}" for key, v in kwargs.items())]
-        self.lines.append(f"{self.name(func)}({', '.join(operands)})")
+        self.lines.append(f"{self.name(getattr(func, '_implementation', func))}({', '.join(operands)})")
         return kwargs.get("out")
 
     def update(self, target: _StandIn, op: str, operand) -> _StandIn:
@@ -715,9 +730,15 @@ class _Trace:
         return target
 
     def stand_in(self, value):
-        """value with each array in it, also in a list, a tuple or the attributes of _Buffers or a namespace, as a stand-in."""
+        """value with each array in it, also in a list, a tuple or the attributes of _Buffers or a namespace, as a stand-in.
+
+        A function there (_Buffers.product) becomes one that records its
+        calls: the C dot takes no stand-in.
+        """
         if isinstance(value, np.ndarray):
             return _StandIn(self, value)
+        if callable(value):
+            return lambda *args, **kwargs: self.call(value, args, kwargs)
         if isinstance(value, (list, tuple)):
             return type(value)(map(self.stand_in, value))
         if isinstance(value, (_Buffers, SimpleNamespace)):
@@ -728,7 +749,7 @@ class _Trace:
 class _StandIn:
     """An array, or a step argument, in a traced step: numpy calls on it are recorded in its _Trace, not run.
 
-    A ufunc, an array function (np.dot, np.copyto), a method
+    A ufunc, an array function (np.copyto), a method
     (`a.take(...)`, recorded on the bound method) and an in-place operator
     record themselves.  Indexing gives a stand-in of the view, and iterating
     one per row, so each view the step takes is a cell of its own.  A
@@ -788,10 +809,12 @@ def _traced_step(step, *operands):
     step runs once, on stand-ins of the operands and of its arguments
     (_Trace).  The calls it makes, in order, are the body of a function
     compiled once per source (_step_factory), with every object they name
-    bound to it as a closure cell.  So that function makes the same numpy
-    calls on the same arrays in the same order as step on the operands, and
-    its results are step's bit for bit, but it runs none of step's Python:
-    no attribute or list lookup, loop or branch.
+    bound to it as a closure cell, an array function as the C function
+    behind its dispatcher (_Trace.call).  So that function runs the same
+    numpy computations on the same arrays in the same order as step on the
+    operands, and its results are step's bit for bit, but it runs none of
+    step's Python, no attribute or list lookup, loop or branch, and none of
+    numpy's array-function dispatch.
     """
     trace = _Trace()
     step(*map(trace.stand_in, operands), *(_StandIn(trace, None, name) for name in _STEP_ARGS))

@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import DataError, NumericError, _finite, _integer, _integers, _positive
+from .errors import DataError, NumericError, _finite, _integer, _integers, _positive, _shown
 from .metrics import ScoreCard, combined_error, r_squared
 from .mlp import MlpModel, TrainConfig, TrainReport, forward_batch, mlp_new
 from .mlp import train as train_mlp
@@ -446,7 +446,7 @@ def stream_push(session: StreamSession, sample: tuple[float, float]) -> float | 
         _, r = sample
         r = float(r)
     except (TypeError, ValueError, OverflowError):
-        raise DataError(f"stream sample must be a (t, R) pair with a numeric R, got {sample!r}") from None
+        raise DataError(f"stream sample must be a (t, R) pair with a numeric R, got {_shown(sample)}") from None
     if not math.isfinite(r) or r <= 0:
         raise DataError("non-positive resistance in stream")
     scaler = session.bundle.scaler_g

@@ -33,7 +33,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DataError, _finite, _integer, _positive
+from .errors import DataError, _finite, _integer, _positive, _shown
 from .mlp import MlpModel, _compile_factory, _flat_params, _float_net, _net_lines
 from .series import UniformSeries, fmt
 
@@ -273,7 +273,7 @@ def bank_push(bank: BankState, x: float) -> np.ndarray | None:
     try:
         x = float(x)
     except (TypeError, ValueError, OverflowError):
-        raise DataError(f"bank sample must be a number, got {x!r}") from None
+        raise DataError(f"bank sample must be a number, got {_shown(x)}") from None
     if not math.isfinite(x):
         raise DataError("non-finite sample pushed into bank")
     y = _bank_step(bank, x, None)

@@ -83,6 +83,8 @@ def test_mlp_new_rejects_bad_sizes():
         ((7, 2, 1), 2.5),
         ((7, 2, 1), True),
         ((7, 2, 1), "1"),
+        # more digits than repr prints (sys.get_int_max_str_digits)
+        pytest.param((7, 2, 1), -(10**5000), id="seed-past-the-repr-limit"),
     ],
 )
 def test_mlp_new_takes_integers_only(sizes, seed):
@@ -967,19 +969,48 @@ def test_the_generated_step_makes_6l_plus_13_numpy_calls(k, calls, monkeypatch):
     # two gathers, 6L - 2 calls for the pass and 13 for Adam; a larger
     # stack copies its rows into layer 0's block once more.  The backward
     # products read the parameter stack in place, with no gather of it
-    bodies = []
-    real = mlp._step_factory
+    bodies, steps = [], []
+    real_factory, real_step = mlp._step_factory, mlp._traced_step
 
     def recording(cells, body):
         bodies.append([line for line in body if not line.startswith("nonlocal ")])
-        return real(cells, body)
+        return real_factory(cells, body)
+
+    def keeping(*args):
+        steps.append(real_step(*args))
+        return steps[-1]
 
     monkeypatch.setattr(mlp, "_step_factory", recording)
+    monkeypatch.setattr(mlp, "_traced_step", keeping)
     banks, y = _group_data(4, [7], n=40)
     models = [kr.mlp_new((7, 4, 2, 2, 1), seed=s) for s in range(k)]
     kr.train_many(models, [banks[0]] * k, y, kr.TrainConfig(max_iter=1, batch_size=40), list(range(k)))
     assert [len(body) for body in bodies] == [calls]
     assert not any(".take(" in line and "axis=1" in line for line in bodies[0])
+    # no call goes through numpy's Python-level dispatcher: the step binds
+    # the C function behind it, which numpy exposes as _implementation
+    (step,) = steps
+    cells = [cell.cell_contents for cell in step.__closure__]
+    assert not any(callable(c) and hasattr(c, "_implementation") for c in cells)
+    c_function = np.dot._implementation if k == 1 else np.copyto._implementation
+    assert any(c is c_function for c in cells)
+
+
+def test_the_trace_records_an_array_function_as_its_c_function_and_any_other_as_itself():
+    trace = mlp._Trace()
+    a, b = trace.stand_in([np.zeros(3), np.ones(3)])
+
+    def plain(x, out=None):  # a function without _implementation
+        pass
+
+    np.copyto(a, b)  # through the stand-in's __array_function__
+    trace.stand_in(plain)(a, out=b)
+    np.add(a, b, out=a)
+    assert trace.lines == ["c2(c0, c1)", "c3(c0, out=c1)", "c4(c0, c1, out=c0)"]
+    assert [type(c) for c in trace.cells[:2]] == [np.ndarray, np.ndarray]
+    assert trace.cells[2] is np.copyto._implementation
+    assert trace.cells[3] is plain
+    assert trace.cells[4] is np.add
 
 
 def _training_peak(X, y, epochs: int) -> int:

@@ -593,7 +593,16 @@ def _assert_stream_as_if_fresh(bundle, session):
 
 @pytest.mark.parametrize(
     "sample",
-    [5.0, (0.0, "x"), (0.0, 1000.0, 1.0), (0.0, None), (0.0, 1j), pytest.param((0.0, 10**400), id="(0.0, 10**400)")],
+    [
+        5.0,
+        (0.0, "x"),
+        (0.0, 1000.0, 1.0),
+        (0.0, None),
+        (0.0, 1j),
+        pytest.param((0.0, 10**400), id="(0.0, 10**400)"),
+        # more digits than repr prints (sys.get_int_max_str_digits)
+        pytest.param((0.0, 10**5000), id="(0.0, 10**5000)"),
+    ],
     ids=repr,
 )
 def test_stream_rejects_a_malformed_sample(small_bundle, sample):

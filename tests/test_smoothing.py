@@ -269,7 +269,12 @@ def test_bank_push_alpha_one_passes_samples_through():
         assert out is not None and out[0] == x
 
 
-@pytest.mark.parametrize("x", [None, 1j, [1.0], "x", 10**400], ids=lambda x: type(x).__name__)
+@pytest.mark.parametrize(
+    "x",
+    # 10**5000 has more digits than repr prints (sys.get_int_max_str_digits)
+    [None, 1j, [1.0], "x", 10**400, pytest.param(10**5000, id="int-past-the-repr-limit")],
+    ids=lambda x: type(x).__name__,
+)
 def test_bank_push_rejects_a_sample_that_is_not_a_number(x):
     bank, fresh = kr.make_bank((0.5, 0.1), (1, 3)), kr.make_bank((0.5, 0.1), (1, 3))
     for _ in range(2):
