@@ -15,8 +15,8 @@ layer's output and one more its weight and bias gradient.  A stack of one
 drops its K axis and runs every product as a 2-D dot, the cheapest call
 numpy has for it, through the C function behind np.dot (_dot): np.dot
 first runs numpy's Python-level __array_function__ dispatcher (NEP 18),
-which adds about a third to a step's (4, 8) @ (8, 200) product (1.40
-against 1.05 us a call, 2-core x86 VM, numpy 2.4.6).  Larger stacks run
+which adds over a quarter to a step's (4, 8) @ (8, 200) product (0.70
+against 0.55 us a call, one BLAS thread, 2-core x86 VM, numpy 2.4.6).  Larger stacks run
 np.matmul, a ufunc, which has no such dispatcher, on a unit-major
 layout: a layer's activations, and its deltas, are one (units, K, n)
 block, so each ReLU, mask and masked multiply is one call on a
@@ -97,7 +97,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DataError, NumericError, TrainingDiverged, _finite, _integer, _integers, _positive
+from .errors import DataError, NumericError, TrainingDiverged, _finite, _integer, _integers, _positive, _shown
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -173,7 +173,7 @@ class TrainConfig:
             _integers(self, batch_size=1)
         _positive("learning_rate", self.learning_rate)
         if not _finite(self.tol) or self.tol < 0:
-            raise DataError(f"tol must be a finite number >= 0, got {self.tol!r}")
+            raise DataError(f"tol must be a finite number >= 0, got {_shown(self.tol)}")
 
 
 @dataclass

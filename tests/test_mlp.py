@@ -179,7 +179,7 @@ def test_forward_batch_matches_the_plain_reference(sizes, n, seed):
     rng = np.random.default_rng(seed)
     model = kr.mlp_new(sizes, seed=seed)
     for b in model.biases:
-        b += rng.normal(0.5, 0.5, size=b.shape)
+        b += rng.normal(scale=0.5, size=b.shape)
     X = rng.normal(scale=2.0, size=(n, sizes[0]))
     got, ref = kr.forward_batch(model, X), _reference_forward(model, X)
     assert got.shape == ref.shape == (n,)
@@ -197,7 +197,7 @@ def test_forward_matches_forward_batch_within_rounding(n_in, hidden, seed):
     rng = np.random.default_rng(seed)
     model = kr.mlp_new((n_in, *hidden, 1), seed=seed)
     for b in model.biases:
-        b += rng.normal(0.5, 0.5, size=b.shape)
+        b += rng.normal(scale=0.5, size=b.shape)
     for x in rng.normal(scale=2.0, size=(5, n_in)):
         assert abs(kr.forward(model, x) - kr.forward_batch(model, x[None])[0]) <= 1e-12
 
@@ -216,7 +216,7 @@ def test_forward_of_a_net_above_the_kernel_bound_equals_forward_batch_bit_for_bi
     rng = np.random.default_rng(6)
     model = kr.mlp_new(sizes, seed=6)
     for b in model.biases:
-        b += rng.normal(0.5, 0.5, size=b.shape)
+        b += rng.normal(scale=0.5, size=b.shape)
     assert model.param_count() > mlp._KERNEL_MAX_PARAMS
     assert mlp._kernel_template(sizes) is None
     for x in rng.normal(scale=2.0, size=(5, sizes[0])):
@@ -260,7 +260,7 @@ def test_forward_kernel_equals_the_unit_loop_bit_for_bit(sizes, seed, data):
     rng = np.random.default_rng(seed)
     model = kr.mlp_new(sizes, seed=seed)
     for b in model.biases:
-        b += rng.normal(0.5, 0.5, size=b.shape) * (rng.random(b.shape) < 0.8)  # some biases stay exact zeros
+        b += rng.normal(scale=0.5, size=b.shape) * (rng.random(b.shape) < 0.8)  # some biases stay exact zeros
     for _ in range(4):
         x = data.draw(st.lists(_kernel_inputs, min_size=sizes[0], max_size=sizes[0]))
         got = kr.forward(model, x)
@@ -594,6 +594,9 @@ def test_train_config_validation():
         {"learning_rate": "fast"},
         {"tol": float("inf")},
         {"tol": False},
+        # more digits than repr prints (sys.get_int_max_str_digits)
+        {"learning_rate": 10**5000},
+        {"tol": 10**5000},
     ]
     for kwargs in bad:
         with pytest.raises(DataError):
