@@ -16,11 +16,11 @@ drops its K axis and runs every product as a 2-D dot, the cheapest call
 numpy has for it, through the C function behind np.dot (_dot): np.dot
 first runs numpy's Python-level __array_function__ dispatcher (NEP 18),
 which adds over a quarter to a step's (4, 8) @ (8, 200) product (0.70
-against 0.55 us a call, one BLAS thread, 2-core x86 VM, numpy 2.4.6).  Larger stacks run
-np.matmul, a ufunc, which has no such dispatcher, on a unit-major
-layout: a layer's activations, and its deltas, are one (units, K, n)
-block, so each ReLU, mask and masked multiply is one call on a
-contiguous block, while the products read the block as K matrices whose
+against 0.55 us a call, one BLAS thread, 2-core x86 VM, numpy 2.4.6).
+Larger stacks run np.matmul, a ufunc, which has no such dispatcher, on a
+unit-major layout: a layer's activations, and its deltas, are one
+(units, K, n) block, so each ReLU, mask and masked multiply is one call
+on a contiguous block, while the products read the block as K matrices whose
 row stride K*n BLAS takes as a leading dimension.  A step copies its
 gathered minibatch rows into such a block for layer 0.  A scoring pass
 (_outputs) reads its banks in place instead: per run of stack rows that
