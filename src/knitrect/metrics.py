@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError, _finite, _positive
+from .errors import DataError, NumericError, _finite, _positive, _shown
 from .series import _write_table
 
 
@@ -66,7 +66,7 @@ def combined_error(r2_a: float, r2_b: float) -> float:
     that overflows the float range NumericError.
     """
     if not (_finite(r2_a) and _finite(r2_b)):
-        raise DataError(f"combined_error needs finite scores, got {r2_a!r} and {r2_b!r}")
+        raise DataError(f"combined_error needs finite scores, got {_shown(r2_a)} and {_shown(r2_b)}")
     # each square halved before the sum, which then cannot overflow; halving
     # is exact, so this is (a**2 + b**2) / 2 bit for bit where that is finite
     try:

@@ -74,11 +74,7 @@ closure cells.  Each unit sums its products left to right from 0.0 and
 then adds its bias; numpy sums in another order, so `forward` matches
 `forward_batch` to within rounding (1e-12 on the nets here), not bit for
 bit.  Larger nets run the one-row numpy pass instead, so for them
-`forward` equals `forward_batch` exactly.  The stream path runs the same
-straight-line body (_net_lines), fused after its filter step into one
-function per filter count and layer sizes (smoothing._step_template), or
-for a larger net the filter step and then that numpy pass, so a stream
-value equals `forward` on the bank row bit for bit.
+`forward` equals `forward_batch` exactly.
 
 There is one numpy forward pass, `_forward`: the first half of every
 step, and the core of `_outputs`, which runs K stacked nets over whole
@@ -191,21 +187,36 @@ class TrainReport:
     best_loss: float = field(default=float("inf"))
 
 
+# The most parameters a net may have, which bounds its buffers.  Every net
+# has more than three parameters per hidden unit ((n, h, 1) has
+# (n + 2)h + 1), so its hidden layers hold fewer than 33,334 units.  A
+# training step keeps two blocks of batch rows per hidden unit, 107 MB at
+# most at the auto batch of 200 rows, and a scoring pass (_outputs) one
+# block of _CHUNK_ROWS (1,200) rows, 320 MB at most; the weights, their
+# gradient and Adam's state take a few MB.  The widest net that the tests
+# run, (3, 5000, 1), has 25,001.
+_NET_MAX_PARAMS = 10**5
+
+
 def _check_sizes(layer_sizes) -> tuple[int, ...]:
     """The layer sizes as ints: input >= 1, hidden >= 2, output exactly 1; an integral float passes.
 
     layer_sizes is a sequence (a tuple, a list or a 1-D array); anything
-    else, a string or bytes included, raises DataError.
+    else, a string or bytes included, raises DataError, as does a net of
+    more than _NET_MAX_PARAMS parameters.
     """
     sequence = isinstance(layer_sizes, Sequence) and not isinstance(layer_sizes, (str, bytes, bytearray))
     if not (sequence or isinstance(layer_sizes, np.ndarray) and layer_sizes.ndim == 1):
-        raise DataError(f"layer sizes must be a sequence of integers, got {layer_sizes!r}")
+        raise DataError(f"layer sizes must be a sequence of integers, got {_shown(layer_sizes)}")
     sizes = tuple(layer_sizes)
     if len(sizes) < 2:
         raise DataError("need at least input and output layer sizes")
     if _integer("output layer width", sizes[-1], 1) != 1:
         raise DataError("output layer width must be exactly 1")
-    return (_integer("input width", sizes[0], 1), *(_integer("hidden layer width", h, 2) for h in sizes[1:-1]), 1)
+    sizes = (_integer("input width", sizes[0], 1), *(_integer("hidden layer width", h, 2) for h in sizes[1:-1]), 1)
+    if _param_count(sizes) > _NET_MAX_PARAMS:
+        raise DataError(f"a net may have at most {_NET_MAX_PARAMS:,} parameters; layer sizes {_shown(sizes)} give more")
+    return sizes
 
 
 def mlp_new(layer_sizes, seed: int = 0) -> MlpModel:
@@ -244,8 +255,8 @@ def _batch(model: MlpModel, X, y=None) -> tuple[np.ndarray, np.ndarray | None]:
     return X, y
 
 
-# Nets of up to this many parameters get a straight-line body (_net_lines),
-# in forward's kernel and in the stream's fused step; larger ones run the
+# Nets of up to this many parameters get a straight-line kernel
+# (_kernel_template), which forward and the stream run; larger ones run the
 # one-row numpy pass (_float_net).  No other module reads the bound.  The
 # kernel's cost grows with the parameters and the numpy pass's with the
 # hidden layers, so no one count is the crossover at every depth: it lies
@@ -259,42 +270,11 @@ def _batch(model: MlpModel, X, y=None) -> tuple[np.ndarray, np.ndarray | None]:
 # (10, 16, 8, 4, 4, 1) 9.5 against 10.0, 433 (3, 6, 12, 12, 12, 1) 10.6
 # against 9.3.  Of the 125 grid nets of 200 to 560 parameters, 11 take the
 # slower path at this bound, none by more than 1.7 us, against 52 at 256
-# and 32 at 512.  The stream's fused step against the filter step then the
-# numpy pass crosses at the same sizes: 1.4 against 8.2 us at 51, 15 of
-# the 125 nets on the slower path.  Single runs on a shared host vary by
-# up to 2x.  Within the bound a unit has at most 385 terms, far below the
-# size of one expression that CPython's compiler rejects with
-# RecursionError (a sum of 3,000 terms on 3.11).
+# and 32 at 512.  Single runs on a shared host vary by up to 2x.  Within
+# the bound a unit has at most 385 terms, far below the size of one
+# expression that CPython's compiler rejects with RecursionError (a sum of
+# 3,000 terms on 3.11).
 _KERNEL_MAX_PARAMS = 384
-
-
-def _net_lines(sizes: tuple[int, ...], ins: list[str]) -> tuple[list[str], list[str]] | None:
-    """The parameter names and straight-line body of a net of these layer sizes on the input names ins.
-
-    None for nets of more than _KERNEL_MAX_PARAMS parameters.  The body
-    computes the net unit by unit and ends in `return`.  It names every
-    weight, bias and activation by its indices and holds no number but
-    0.0, so it depends on the sizes only; the parameters, in _flat_params
-    order, are the names a factory takes.  Each unit is one statement,
-    whose sum runs left to right from 0.0 and then adds its bias.
-    """
-    if _param_count(sizes) > _KERNEL_MAX_PARAMS:
-        return None
-    params, body = [], []
-    last = len(sizes) - 2
-    for li, (nin, nout) in enumerate(zip(sizes, sizes[1:])):
-        params += [f"w{li}_{i}_{j}" for i in range(nin) for j in range(nout)]
-        params += [f"b{li}_{j}" for j in range(nout)]
-        outs = [f"h{li}_{j}" for j in range(nout)]
-        for j, h in enumerate(outs):
-            terms = [f"{a}*w{li}_{i}_{j}" for i, a in enumerate(ins)]
-            body.append(f"{h} = {' + '.join(['0.0', *terms, f'b{li}_{j}'])}")
-            if li != last:
-                # ReLU that lets a NaN and -0.0 through
-                body.append(f"if {h} < 0.0: {h} = 0.0")
-        ins = outs
-    body.append(f"return {ins[0]}")
-    return params, body
 
 
 def _compile_factory(label: str, params: list[str], body: list[str], args: str = "x"):
@@ -311,17 +291,33 @@ def _compile_factory(label: str, params: list[str], body: list[str], args: str =
 def _kernel_template(sizes: tuple[int, ...]):
     """The compiled factory of the straight-line kernel for nets of these layer sizes.
 
-    None where _net_lines gives none.  factory(*params), given a net's
-    parameters as floats in _flat_params order, returns kernel(x): the
-    net's body (_net_lines) on the input list x, so no weight value is
-    compiled; the weights become closure cells of the kernel.
+    None for nets of more than _KERNEL_MAX_PARAMS parameters.
+    factory(*params), given a net's parameters as floats in _flat_params
+    order, returns kernel(x), which computes the net on the input list x
+    unit by unit.  Its source names every weight, bias and activation by
+    its indices and holds no number but 0.0, so it depends on the sizes
+    only; the weights become closure cells of the kernel.  Each unit is
+    one statement, whose sum runs left to right from 0.0 and then adds its
+    bias.
     """
-    ins = [f"a{i}" for i in range(sizes[0])]
-    net = _net_lines(sizes, ins)
-    if net is None:
+    if _param_count(sizes) > _KERNEL_MAX_PARAMS:
         return None
-    params, body = net
-    return _compile_factory(f"<knitrect kernel {sizes}>", params, [f"{', '.join(ins)}, = x", *body])
+    ins = [f"a{i}" for i in range(sizes[0])]
+    params, body = [], [f"{', '.join(ins)}, = x"]
+    last = len(sizes) - 2
+    for li, (nin, nout) in enumerate(zip(sizes, sizes[1:])):
+        params += [f"w{li}_{i}_{j}" for i in range(nin) for j in range(nout)]
+        params += [f"b{li}_{j}" for j in range(nout)]
+        outs = [f"h{li}_{j}" for j in range(nout)]
+        for j, h in enumerate(outs):
+            terms = [f"{a}*w{li}_{i}_{j}" for i, a in enumerate(ins)]
+            body.append(f"{h} = {' + '.join(['0.0', *terms, f'b{li}_{j}'])}")
+            if li != last:
+                # ReLU that lets a NaN and -0.0 through
+                body.append(f"if {h} < 0.0: {h} = 0.0")
+        ins = outs
+    body.append(f"return {ins[0]}")
+    return _compile_factory(f"<knitrect kernel {sizes}>", params, body)
 
 
 def _flat_params(model: MlpModel) -> list[float]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import DataError, NumericError, _finite, _integer, _integers, _positive, _shown
 from .metrics import ScoreCard, combined_error, r_squared
-from .mlp import MlpModel, TrainConfig, TrainReport, forward_batch, mlp_new
+from .mlp import MlpModel, TrainConfig, TrainReport, _float_net, forward_batch, mlp_new
 from .mlp import train as train_mlp
 from .series import (
     RawRecording,
@@ -77,14 +78,14 @@ class PipelineConfig:
 
     def __post_init__(self):
         if not isinstance(self.hidden, (list, tuple)):
-            raise DataError(f"hidden must be a list of layer widths, got {self.hidden!r}")
+            raise DataError(f"hidden must be a list of layer widths, got {_shown(self.hidden)}")
         object.__setattr__(self, "hidden", tuple(_integer("hidden layer width", h, 2) for h in self.hidden))
         _integers(self, init_seed=0)
         if self.alpha_base is not None or self.alpha_count is not None:
             _integers(self, alpha_count=1)
         _positive("rate_hz", self.rate_hz)
         if not (self.alpha_base is None or _finite(self.alpha_base)):
-            raise DataError(f"alpha_base must be a finite number or null, got {self.alpha_base!r}")
+            raise DataError(f"alpha_base must be a finite number or null, got {_shown(self.alpha_base)}")
         if self.target not in TARGETS:
             raise DataError(f"target must be one of {TARGETS}")
 
@@ -407,22 +408,20 @@ class StreamSession:
 
     samples_seen counts the samples accepted into the session's filter
     bank, which the session makes from the bundle's alphas and init
-    windows and keeps to itself: only stream_push feeds it.  When the
-    bank's warm-up buffer seeds its filters, stream_push hands the
-    bundle's network to the warm-up (smoothing._bank_step), which binds one
-    function to them and the net: for a net within forward's kernel bound
-    (384 parameters) it steps the N filters and runs the net's
-    straight-line body on them in one generated call, compiled once per
-    filter count and layer sizes; for a larger net it steps the filters and
-    then runs forward_batch's numpy pass on the one row (see mlp.forward).
+    windows and keeps to itself: only stream_push feeds it.  The session
+    also binds the bundle's network, as it is when the session is made,
+    to forward's own evaluator (mlp._float_net), which stream_push runs on
+    each list of filter values that the bank gives.
     """
 
     bundle: PipelineBundle
     samples_seen: int = 0
     _bank: BankState = field(init=False)
+    _net: Callable[[list[float]], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._bank = make_bank(self.bundle.alphas, self.bundle.init_windows)
+        self._net = _float_net(self.bundle.model)
 
 
 def open_stream(bundle: PipelineBundle) -> StreamSession:
@@ -434,10 +433,11 @@ def stream_push(session: StreamSession, sample: tuple[float, float]) -> float | 
 
     Samples must arrive at the bundle's rate (the caller resamples); the
     timestamp is accepted for interface symmetry but the filters are
-    purely sample-indexed.  After the checks, a push past the warm-up is
-    one call of the session's step (see StreamSession).  Each value
-    equals `forward(model, row)` on the bank row `bank_push` gives for the
-    same sample, bit for bit, and so equals predict_batch on the same
+    purely sample-indexed.  After the checks, a push is one step of the
+    session's bank (smoothing._bank_step) and, past the warm-up, the
+    session's network on the filter values: forward's evaluator on the
+    row that bank_push gives for the same sample, so each value equals
+    `forward(model, row)` bit for bit, and predict_batch on the same
     resampled recording to within 1e-12.  A rejected sample, a malformed
     one (not a pair, or an R that float() refuses) included, raises
     DataError and leaves the session unchanged.
@@ -454,9 +454,9 @@ def stream_push(session: StreamSession, sample: tuple[float, float]) -> float | 
     if not math.isfinite(g_bar):
         raise DataError(f"stream sample R={r!r} is too small: its standardized conductance overflows")
     step = session._bank._step
-    out = _bank_step(session._bank, g_bar, session.bundle.model) if step is None else step(g_bar)
+    ys = _bank_step(session._bank, g_bar) if step is None else step(g_bar)
     session.samples_seen += 1
-    return out
+    return None if ys is None else session._net(ys)
 
 
 # --- serialization --------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, _finite, _integer, _positive
+from .errors import DataError, _finite, _integer, _positive, _shown
 from .series import MAX_SAMPLES, RawRecording, _open_text
 
 # --- 1-d gradient noise ------------------------------------------------------
@@ -173,11 +173,11 @@ class SensorPreset:
 
     def __post_init__(self):
         if not isinstance(self.name, str) or self.name.splitlines() != [self.name] or self.name == "DEFAULT":
-            raise DataError(f"preset name must be one non-empty line other than 'DEFAULT', got {self.name!r}")
+            raise DataError(f"preset name must be one non-empty line other than 'DEFAULT', got {_shown(self.name)}")
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if f.name != "name" and not _finite(value):
-                raise DataError(f"preset field {f.name} must be a finite number, got {value!r}")
+                raise DataError(f"preset field {f.name} must be a finite number, got {_shown(value)}")
         if self.stiffness_n <= 0 or self.base_conductance_s <= 0:
             raise DataError("stiffness and base conductance must be positive")
         if min(self.drift_timescale_s, self.tau_load_s, self.tau_unload_s) <= 0:

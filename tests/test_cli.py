@@ -187,6 +187,19 @@ def test_train_config_that_is_not_utf8_is_a_data_error(pes_small_dir, tmp_path, 
     assert "cfg.json is not utf-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("hidden", [[1000000000000], [2, 10**40]], ids=["10**12", "2,10**40"])
+def test_train_with_a_net_past_the_size_bound_is_a_data_error(hidden, pes_small_dir, tmp_path, capsys):
+    # numpy refused these nets' weight arrays (50.9 TiB; a dimension past
+    # its maximum) with a traceback and exit code 1
+    cfg_path = tmp_path / "wide.json"
+    cfg_path.write_text(json.dumps({"hidden": hidden}))
+    out = tmp_path / "b.json"
+    rc = main(["train", "--train", str(pes_small_dir / "train.csv"), "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 3
+    assert "parameters" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_divergence_maps_to_numeric_exit_code(pes_small_dir, tmp_path, capsys):
     cfg_path = tmp_path / "hot.json"
     cfg_path.write_text(json.dumps({"train": {"learning_rate": 1e9, "max_iter": 30}}))

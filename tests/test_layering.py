@@ -28,7 +28,8 @@ gathered or copied one.
 One filter recurrence builds every feature bank: outside the simulator,
 the update y = x + beta*(y - x) is written only in the step that
 smoothing._step_template generates, and gridsearch builds its banks only
-through `feature_bank_with_windows`.
+through `feature_bank_with_windows`.  A bank only filters: smoothing
+names no knitrect.mlp name but `_compile_factory`, which compiles its step.
 """
 
 import ast
@@ -46,18 +47,23 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
-def _imports_from_guarded(module: str | None, level: int) -> bool:
-    """Whether a from-import names a guarded module (`.cli`, `knitrect.cli`)."""
+def _guarded_module(module: str | None, level: int) -> str | None:
+    """The guarded module that a from-import names (`.cli`, `knitrect.cli`), or None."""
     name = module or ""
     if level == 0 and name.startswith("knitrect."):
         name = name[len("knitrect.") :]
     elif level != 1:
-        return False
-    return name in GUARDED
+        return None
+    return name if name in GUARDED else None
 
 
-def reach_ins(source: str) -> list[str]:
-    """Every private name of a guarded module that the source touches."""
+def module_names(source: str) -> list[tuple[int, str, str]]:
+    """(line, module, name) for every name of a guarded module that the source touches.
+
+    A name is touched through a from-import (`from .series import
+    _open_text`) or as an attribute of a name bound to its module
+    (`pl._run_bundle`, `kr.pipeline._run_bundle`).
+    """
     tree = ast.parse(source)
     modules = {}  # local name -> guarded module it is bound to
     packages = set()  # local names bound to the knitrect package
@@ -77,22 +83,27 @@ def reach_ins(source: str) -> list[str]:
                 for alias in node.names:
                     if alias.name in GUARDED:
                         modules[alias.asname or alias.name] = alias.name
-            elif _imports_from_guarded(node.module, node.level):
-                found += [f"line {node.lineno}: from {node.module} import {a.name}" for a in node.names if _private(a.name)]
+            elif module := _guarded_module(node.module, node.level):
+                found += [(node.lineno, module, a.name) for a in node.names]
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.Attribute) and _private(node.attr)):
+        if not isinstance(node, ast.Attribute):
             continue
         base = node.value
         if isinstance(base, ast.Name) and base.id in modules:
-            found.append(f"line {node.lineno}: {base.id}.{node.attr}")
+            found.append((node.lineno, modules[base.id], node.attr))
         elif (
             isinstance(base, ast.Attribute)
             and base.attr in GUARDED
             and isinstance(base.value, ast.Name)
             and base.value.id in packages
         ):
-            found.append(f"line {node.lineno}: {base.value.id}.{base.attr}.{node.attr}")
+            found.append((node.lineno, base.attr, node.attr))
     return found
+
+
+def reach_ins(source: str) -> list[str]:
+    """Every private name of a guarded module that the source touches."""
+    return [f"line {line}: {module}.{name}" for line, module, name in module_names(source) if _private(name)]
 
 
 @pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.name)
@@ -175,31 +186,56 @@ def test_kernel_bound_guard_sees_mlp_itself():
     assert name_references((PACKAGE / "mlp.py").read_text(), "_KERNEL_MAX_PARAMS")
 
 
-# the stream's step template in smoothing.py in miniature; each mutant
-# reads the bound once
-STEP_TEMPLATE = """
-from .mlp import MlpModel, _compile_factory, _net_lines
-def _step_template(n, sizes):
-    net = _net_lines(sizes, ys)
-    if net is None:
-        return None
+# the stream session in pipeline.py in miniature, which runs whichever
+# evaluator mlp._float_net picks; each mutant reads the bound once
+STREAM_SESSION = """
+from .mlp import MlpModel, _float_net, forward_batch
+class StreamSession:
+    def __post_init__(self):
+        self._net = _float_net(self.bundle.model)
 """
 
 
 def test_kernel_bound_guard_passes_the_miniature():
-    assert name_references(STEP_TEMPLATE, "_KERNEL_MAX_PARAMS") == []
+    assert name_references(STREAM_SESSION, "_KERNEL_MAX_PARAMS") == []
 
 
 @pytest.mark.parametrize(
     "old, new",
     [
         ("from .mlp import MlpModel,", "from .mlp import _KERNEL_MAX_PARAMS, MlpModel,"),
-        ("    if net is None:", "    if _param_count(sizes) > mlp._KERNEL_MAX_PARAMS:"),
+        (
+            "        self._net = _float_net(",
+            "        if self.bundle.model.param_count() > mlp._KERNEL_MAX_PARAMS:\n            return\n        self._net = _float_net(",
+        ),
     ],
 )
 def test_kernel_bound_guard_flags_a_second_reader(old, new):
-    assert STEP_TEMPLATE.count(old) == 1
-    assert len(name_references(STEP_TEMPLATE.replace(old, new), "_KERNEL_MAX_PARAMS")) == 1
+    assert STREAM_SESSION.count(old) == 1
+    assert len(name_references(STREAM_SESSION.replace(old, new), "_KERNEL_MAX_PARAMS")) == 1
+
+
+def mlp_names(source: str) -> set[str]:
+    """The names of knitrect.mlp that the source touches."""
+    return {name for _, module, name in module_names(source) if module == "mlp"}
+
+
+def test_smoothing_takes_only_the_factory_compiler_from_mlp():
+    # the bank only filters; the stream session runs the net on its output
+    assert mlp_names((PACKAGE / "smoothing.py").read_text()) <= {"_compile_factory"}
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .mlp import _compile_factory, _float_net",
+        "from .mlp import _compile_factory\nfrom . import mlp\nmlp._kernel_template(sizes)",
+        "from .mlp import _compile_factory\nimport knitrect as kr\nkr.mlp.MlpModel",
+        "from knitrect.mlp import _compile_factory, forward",
+    ],
+)
+def test_smoothing_mlp_guard_flags_a_network_name(source):
+    assert not mlp_names(source) <= {"_compile_factory"}
 
 
 def definitions_and_callers(source: str, name: str) -> tuple[int, set[str]]:
@@ -536,11 +572,11 @@ def test_one_filter_recurrence_builds_every_bank():
 ONE_FILTER_PASS = {
     "smoothing": """
 def _filter_pass(xs, alphas, windows):
-    step = _step_template(len(alphas), None)(*seeds, *betas)
+    step = _step_template(len(alphas))(*seeds, *betas)
     return step, np.fromiter(chain(seeds, chain.from_iterable(map(step, xs))), float)
 def feature_bank_with_windows(series, alphas, windows):
     return FeatureMatrix(_filter_pass(series.values, alphas, windows)[1])
-def _step_template(n, sizes):
+def _step_template(n):
     body = [f"{y} = x + beta{j} * ({y} - x)" for j, y in enumerate(ys)]
 """,
     "gridsearch": """

@@ -94,6 +94,22 @@ def test_mlp_new_takes_integers_only(sizes, seed):
 
 @pytest.mark.parametrize(
     "sizes",
+    [(7, 10**12, 1), (2, 2, 10**40, 1), (7, 10**5000, 1), (10**5, 1), (3, 4999, 20, 1)],
+    ids=["10**12-wide", "10**40-wide", "past-the-float-range", "wide-input", "two-hidden-layers"],
+)
+def test_mlp_new_refuses_a_net_past_the_size_bound(sizes):
+    assert mlp._param_count(sizes) > mlp._NET_MAX_PARAMS
+    with pytest.raises(DataError, match="parameters"):
+        kr.mlp_new(sizes)
+
+
+def test_mlp_new_takes_a_net_at_the_size_bound():
+    # (n, 1) has n + 1 parameters
+    assert kr.mlp_new((mlp._NET_MAX_PARAMS - 1, 1)).param_count() == mlp._NET_MAX_PARAMS
+
+
+@pytest.mark.parametrize(
+    "sizes",
     [7, 7.0, None, "741", b"\x07\x04\x01", iter((7, 4, 1)), {7: 0, 4: 0, 1: 0}, np.array(7), np.array([[7, 4, 1]])],
     ids=["int", "float", "None", "str", "bytes", "iterator", "dict", "0-d array", "2-d array"],
 )

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knitrect as kr
-from knitrect import mlp, pipeline, smoothing
+from knitrect import mlp, pipeline
 from knitrect.errors import DataError, NumericError
 from knitrect.series import fmt
 
@@ -474,14 +474,14 @@ def test_stream_session_is_bank_push_then_forward_bit_for_bit(bundle, data):
 
 # (3, h, 1) has 5h + 1 parameters, so (3, (bound - 1) // 5, 1) is the
 # widest net on three filters within mlp._KERNEL_MAX_PARAMS and streams
-# through the fused step, as does the grid net (7, 16, 8, 1); the next
-# width, the grid net (10, 16, 8, 8, 1) and (3, 1500, 1) stream through
-# the filter step and then the one-row numpy pass
+# through forward's straight-line kernel, as does the grid net
+# (7, 16, 8, 1); the next width, the grid net (10, 16, 8, 8, 1) and
+# (3, 1500, 1) stream through the one-row numpy pass
 _WIDEST = (mlp._KERNEL_MAX_PARAMS - 1) // 5
 
 
 @pytest.mark.parametrize(
-    "sizes, fused",
+    "sizes, kernel",
     [
         ((3, _WIDEST, 1), True),
         ((7, 16, 8, 1), True),
@@ -491,11 +491,10 @@ _WIDEST = (mlp._KERNEL_MAX_PARAMS - 1) // 5
     ],
     ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else None,
 )
-def test_stream_session_on_both_sides_of_the_kernel_bound_is_bank_push_then_forward(sizes, fused):
+def test_stream_session_on_both_sides_of_the_kernel_bound_is_bank_push_then_forward(sizes, kernel):
     n = sizes[0]
     bundle = _stream_bundle(2.0, tuple(range(1, 2 * n, 2)), sizes, seed=4)
-    assert (mlp._param_count(sizes) <= mlp._KERNEL_MAX_PARAMS) == fused
-    assert (smoothing._step_template(n, sizes) is not None) == fused
+    assert (mlp._param_count(sizes) <= mlp._KERNEL_MAX_PARAMS) == kernel
     rs = np.random.default_rng(4).uniform(1e3, 1e4, size=2 * n + 14).tolist()
     _assert_stream_is_bank_push_then_forward(bundle, rs)
 

@@ -214,11 +214,18 @@ def test_make_bank_rejects_an_alpha_above_one_when_created():
 
 @pytest.mark.parametrize(
     "alphas, windows, match",
-    [((0.5,), (0,), "init window"), ((2.0,), (1,), "lie in"), ((2.0, 0.5), (1,), "pair up")],
+    [
+        ((0.5,), (0,), "init window"),
+        ((2.0,), (1,), "lie in"),
+        ((2.0, 0.5), (1,), "pair up"),
+        (("x",), (1,), "lie in"),
+        ((None,), (1,), "lie in"),
+    ],
 )
 def test_bank_state_checks_its_settings_when_made(alphas, windows, match):
     # the constructor once took any settings: a nan row after numpy
-    # warnings, an unstable filter, a TypeError at the first push
+    # warnings, an unstable filter, a TypeError at the first push; an
+    # alpha that float() refuses raised its ValueError or TypeError
     with pytest.raises(DataError, match=match):
         kr.BankState(alphas, windows)
 
