@@ -130,15 +130,20 @@ def grid_configs(
 ) -> list[GridConfig]:
     """The canonical config list (feature-set major), optionally subset by index.
 
-    An index out of range or given twice is a DataError.
+    An index that is not an integer (8.0 passes, a bool does not), out of
+    range or given twice is a DataError.
     """
     sets = enumerate_feature_sets()
     topos = enumerate_topologies()
-    fs_idx = range(len(sets)) if feature_set_indices is None else list(feature_set_indices)
-    tp_idx = range(len(topos)) if topology_indices is None else list(topology_indices)
-    if any(not 0 <= i < len(sets) for i in fs_idx):
+    fs_idx = range(len(sets)) if feature_set_indices is None else [
+        _integer("feature set index", i, 0) for i in feature_set_indices
+    ]
+    tp_idx = range(len(topos)) if topology_indices is None else [
+        _integer("topology index", j, 0) for j in topology_indices
+    ]
+    if any(i >= len(sets) for i in fs_idx):
         raise DataError(f"feature set index out of range 0..{len(sets) - 1}")
-    if any(not 0 <= j < len(topos) for j in tp_idx):
+    if any(j >= len(topos) for j in tp_idx):
         raise DataError(f"topology index out of range 0..{len(topos) - 1}")
     for kind, idx in (("feature set", fs_idx), ("topology", tp_idx)):
         repeated = [i for i, count in Counter(idx).items() if count > 1]

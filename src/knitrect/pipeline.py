@@ -24,9 +24,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import DataError, NumericError, _finite, _integer, _integers, _positive, _shown
+from .errors import DataError, NumericError, _integer, _integers, _positive, _shown
 from .metrics import ScoreCard, combined_error, r_squared
-from .mlp import MlpModel, TrainConfig, TrainReport, _float_net, forward_batch, mlp_new
+from .mlp import MlpModel, TrainConfig, TrainReport, _check_sizes, _float_net, forward_batch, mlp_new
 from .mlp import train as train_mlp
 from .series import (
     RawRecording,
@@ -42,6 +42,7 @@ from .series import (
 from .smoothing import (
     AlphaSet,
     BankState,
+    _bank_settings,
     _bank_step,
     alpha_set,
     bank_windows,
@@ -64,8 +65,13 @@ class PipelineConfig:
     and of a bundle's config; alpha_base=None selects the baseline factor
     quadruple.  The defaults are the paper's published grid-search winner:
     base 2.5 with 7 filters, hidden sizes (4, 2, 2), 20 Hz.  A malformed value raises
-    DataError: rate_hz and a set alpha_base must be finite numbers, and
-    int fields take integral numbers (8.0 is stored as 8), never a bool.
+    DataError when the config is made: rate_hz must be a positive finite
+    number, and int fields take integral numbers (8.0 is stored as 8),
+    never a bool.  The feature set and the network are checked by the
+    rules of smoothing.alpha_set and mlp_new, so a set alpha_base must be
+    a finite number > 1 whose alpha_count-th power stays in the float
+    range, and the net of the feature set's width, the hidden widths
+    (each >= 2) and one output may have at most 100,000 parameters.
     """
 
     rate_hz: float = 20.0
@@ -79,15 +85,13 @@ class PipelineConfig:
     def __post_init__(self):
         if not isinstance(self.hidden, (list, tuple)):
             raise DataError(f"hidden must be a list of layer widths, got {_shown(self.hidden)}")
-        object.__setattr__(self, "hidden", tuple(_integer("hidden layer width", h, 2) for h in self.hidden))
         _integers(self, init_seed=0)
         if self.alpha_base is not None or self.alpha_count is not None:
             _integers(self, alpha_count=1)
         _positive("rate_hz", self.rate_hz)
-        if not (self.alpha_base is None or _finite(self.alpha_base)):
-            raise DataError(f"alpha_base must be a finite number or null, got {_shown(self.alpha_base)}")
         if self.target not in TARGETS:
             raise DataError(f"target must be one of {TARGETS}")
+        object.__setattr__(self, "hidden", _check_sizes((len(self.feature_set()), *self.hidden, 1))[1:-1])
 
     def feature_set(self) -> AlphaSet:
         if self.alpha_base is None:
@@ -248,8 +252,10 @@ class PipelineBundle:
 
     A model whose shapes disagree with its layer sizes, with the filters or
     with the config, or that holds a weight or bias that is not a finite
-    number, raises DataError, and so does an init window that is not an
-    integer >= 1 (an integral float such as 8.0 is stored as 8).
+    number, raises DataError, and so do alphas and init windows that
+    smoothing's bank refuses: an alpha outside (0, 1], an init window that
+    is not an integer >= 1 (an integral float such as 8.0 is stored as 8),
+    or counts that differ.
 
     A fitted bundle's provenance train_best_loss is the training report's
     best_loss: the lowest epoch loss, which need not be the loss of the
@@ -265,7 +271,7 @@ class PipelineBundle:
     provenance: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "init_windows", tuple(_integer("init window", w, 1) for w in self.init_windows))
+        object.__setattr__(self, "init_windows", _bank_settings(self.alphas, self.init_windows)[1])
         m = self.model
         want = [((n_in, n_out), (n_out,)) for n_in, n_out in zip(m.layer_sizes, m.layer_sizes[1:])]
         got = [(w.shape, b.shape) for w, b in zip(m.weights, m.biases)]
@@ -277,8 +283,6 @@ class PipelineBundle:
             raise DataError("model must have exactly one output unit")
         if m.layer_sizes[0] != len(self.alphas):
             raise DataError("model input width must equal the filter count")
-        if len(self.init_windows) != len(self.alphas):
-            raise DataError("init windows must pair with alphas")
         if tuple(m.layer_sizes[1:-1]) != self.config.hidden:
             raise DataError("model hidden layer sizes disagree with the config's hidden")
         if tuple(self.alphas) != self.config.feature_set().alphas:

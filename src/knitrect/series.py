@@ -26,7 +26,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .errors import DataError, _finite, _positive
+from .errors import DataError, _finite, _positive, _shown
 
 RECORDING_HEADER = ("t_s", "force_n", "resistance_ohm", "displacement_mm")
 _HEADER_LINE = ",".join(RECORDING_HEADER) + "\n"
@@ -84,15 +84,24 @@ class RawRecording:
 
 @dataclass(frozen=True)
 class UniformSeries:
-    """Fixed-rate scalar sequence, a 1-D array of finite values; sample k sits at t0 + k/rate_hz."""
+    """Fixed-rate scalar sequence, a 1-D array of finite values; sample k sits at t0 + k/rate_hz.
+
+    A value that float() refuses, a non-finite t0 and a rate that is not
+    a positive finite number raise DataError.
+    """
 
     rate_hz: float
     t0: float
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        try:
+            object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        except (TypeError, ValueError, OverflowError):
+            raise DataError("uniform series values must be numbers") from None
         _positive("rate_hz", self.rate_hz)
+        if not _finite(self.t0):
+            raise DataError(f"uniform series t0 must be a finite number, got {_shown(self.t0)}")
         if self.values.ndim != 1:
             raise DataError("a uniform series is a 1-D sequence")
         if not np.all(np.isfinite(self.values)):

@@ -55,8 +55,10 @@ def perlin1d(seed: int, octaves: int, base_freq_hz: float, t) -> np.ndarray:
 
     Octave o runs at base_freq*2^o with amplitude 0.5^o; the sum is divided
     by its worst-case bound so the range is [-1, 1] regardless of octave
-    count.  Deterministic in (seed, t); continuous and smooth in t.
+    count.  Deterministic in (seed, t); continuous and smooth in t.  The
+    seed is an integer >= 0 (8.0 passes; else DataError).
     """
+    seed = _integer("seed", seed, 0)
     octaves = _integer("octaves", octaves, 1)
     _positive("base_freq_hz", base_freq_hz)
     t_arr = np.asarray(t, dtype=np.float64)
@@ -128,7 +130,8 @@ def gen_trajectory(seed: int, duration_s: float) -> Trajectory:
 
     The sample's rest length is REST_LENGTH_MM (100 mm) and its strain
     stays within [0, MAX_STRAIN] (0.30); the mean absolute velocity lands
-    in [0.8, 1.2] mm/s and the peak stays below 5 mm/s.
+    in [0.8, 1.2] mm/s and the peak stays below 5 mm/s.  The seed is
+    checked as perlin1d checks it.
     """
     _positive("duration", duration_s)
     samples = duration_s * TRAJECTORY_RATE_HZ
@@ -228,8 +231,11 @@ def preset_by_name(name: str, presets: dict[str, SensorPreset] | None = None) ->
     """The preset keyed name in presets (default: the shipped ones).
 
     The exact key wins; otherwise the one key equal to name up to case.
-    No match, or more than one up to case, raises DataError.
+    A name that is not a string, no match, or more than one up to case,
+    raises DataError.
     """
+    if not isinstance(name, str):
+        raise DataError(f"preset name must be a string, got {_shown(name)}")
     presets = SHIPPED_PRESETS if presets is None else presets
     if name in presets:
         return presets[name]
@@ -386,7 +392,13 @@ def _contact_state(eps: np.ndarray, target: np.ndarray, a_load: np.ndarray, a_un
 
 
 def role_name(index: int) -> str:
-    """The role of recording index in a dataset: train, then test_a, test_b, ..."""
+    """The role of recording index in a dataset: train, then test_a, test_b, ..., test_z.
+
+    The index is an integer in 0..26 (8.0 passes); anything else raises DataError.
+    """
+    index = _integer("recording index", index, 0)
+    if index > 26:
+        raise DataError(f"recording index must be at most 26 (test_z), got {_shown(index)}")
     return "train" if index == 0 else f"test_{chr(ord('a') + index - 1)}"
 
 

@@ -37,7 +37,11 @@ BASELINE_ALPHAS = (0.5, 0.1, 0.025, 0.0025)
 
 
 def _alphas(alphas) -> tuple[float, ...]:
-    """The smoothing factors as floats; DataError unless each lies in (0, 1]."""
+    """The smoothing factors as floats; DataError unless alphas is a sequence whose every item lies in (0, 1]."""
+    try:
+        alphas = iter(alphas)
+    except TypeError:
+        raise DataError(f"alphas must be a sequence of numbers, got {_shown(alphas)}") from None
     floats = []
     for a in alphas:
         try:
@@ -52,7 +56,11 @@ def _alphas(alphas) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class AlphaSet:
-    """Decreasing smoothing factors, optionally generated as 1/a, 1/a^2, ..., 1/a^N."""
+    """Decreasing smoothing factors, optionally generated as 1/a, 1/a^2, ..., 1/a^N.
+
+    A base, if given, is a finite number > 1 whose N-th power is a float,
+    and the alphas must equal its factors to within 1e-12; else DataError.
+    """
 
     alphas: tuple[float, ...]
     base: float | None = None
@@ -63,13 +71,9 @@ class AlphaSet:
             raise DataError("alpha set needs at least one factor")
         if any(b >= a for a, b in zip(self.alphas, self.alphas[1:])):
             raise DataError("alphas must be strictly decreasing")
-        if self.base is not None:
-            try:
-                wants = [1.0 / self.base ** (i + 1) for i in range(len(self.alphas))]
-            except OverflowError:
-                raise DataError(f"base {_shown(self.base)} to the power {len(self.alphas)} overflows") from None
-            if any(abs(a - want) > 1e-12 for a, want in zip(self.alphas, wants)):
-                raise DataError("alphas inconsistent with base")
+        wants = () if self.base is None else _geometric(self.base, len(self))
+        if any(abs(a - want) > 1e-12 for a, want in zip(self.alphas, wants)):
+            raise DataError("alphas inconsistent with base")
 
     def __len__(self) -> int:
         return len(self.alphas)
@@ -81,15 +85,19 @@ class AlphaSet:
         return f"a{fmt(self.base)}_n{len(self.alphas)}"
 
 
-def alpha_set(a: float, n: int) -> AlphaSet:
-    """Geometric factor set (1/a, 1/a^2, ..., 1/a^n)."""
+def _geometric(a, n: int) -> tuple[float, ...]:
+    """The factors 1/a, 1/a^2, ..., 1/a^n; DataError unless a is a finite number > 1 whose n-th power is a float."""
     if not _finite(a) or a <= 1:
         raise DataError(f"base a must be a finite number > 1, got {_shown(a)}")
-    n = _integer("count", n, 1)
     try:
-        return AlphaSet(tuple(1.0 / a ** (i + 1) for i in range(n)), base=float(a))
+        return tuple(1.0 / a ** (i + 1) for i in range(n))
     except OverflowError:
         raise DataError(f"base {_shown(a)} to the power {n} overflows") from None
+
+
+def alpha_set(a: float, n: int) -> AlphaSet:
+    """Geometric factor set (1/a, 1/a^2, ..., 1/a^n)."""
+    return AlphaSet(_geometric(a, _integer("count", n, 1)), base=float(a))
 
 
 def baseline_alpha_set() -> AlphaSet:
@@ -121,7 +129,7 @@ def _bank_settings(alphas, windows, length: int | None = None) -> tuple[tuple[fl
     """Alphas as floats in (0, 1] and init windows as ints >= 1, paired, nonempty and none above length if given."""
     alphas, windows = tuple(alphas), tuple(_integer("init window", m, 1) for m in windows)
     if len(alphas) != len(windows) or not alphas:
-        raise DataError("alphas and windows must pair up and be nonempty")
+        raise DataError("alphas and init windows must pair up and be nonempty")
     alphas = _alphas(alphas)
     if length is not None and max(windows) > length:
         raise DataError("init window must satisfy 1 <= m <= len(xs)")

@@ -170,6 +170,14 @@ def test_train_rejects_conflicting_config_flags(pes_small_dir, tmp_path, capsys)
     assert "not both" in capsys.readouterr().err
 
 
+def test_train_config_with_a_base_of_one_is_refused_before_the_recording_is_read(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text('{"alpha_base": 1.0}')
+    rc = main(["train", "--train", str(tmp_path / "missing.csv"), "--config", str(cfg_path), "--out", str(tmp_path / "b.json")])
+    assert rc == 3
+    assert "base a must be a finite number > 1, got 1.0" in capsys.readouterr().err.splitlines()[0]
+
+
 def test_train_missing_input_file(tmp_path):
     rc = main(
         ["train", "--train", str(tmp_path / "nope.csv"), "--default-best", "--out", str(tmp_path / "b.json")]

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 import knitrect as kr
@@ -37,4 +38,35 @@ def _series():
 )
 def test_an_int_past_the_float_and_repr_range_is_a_data_error(call):
     with pytest.raises(DataError):
+        call()
+
+
+NAN = float("nan")
+
+
+def _recording():
+    return kr.RawRecording([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [100.0, 110.0, 120.0], [0.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: kr.prepare(_recording(), 20.0, "x"), "target must be one of", id="prepare-target"),
+        pytest.param(lambda: kr.RawRecording([0.0, 1.0], [0.0], [1.0, 1.0], [0.0, 0.0]), "unequal lengths", id="RawRecording"),
+        pytest.param(lambda: kr.resample([0.0, 1.0, 2.0], [1.0, 2.0], 2.0), "equal lengths", id="resample"),
+        pytest.param(lambda: kr.scaler_fit([1.0]), "at least 2 values", id="scaler_fit-one"),
+        pytest.param(lambda: kr.scaler_fit([1.0, NAN]), "non-finite value in scaler input", id="scaler_fit-nan"),
+        pytest.param(lambda: kr.UniformSeries(1.0, 0.0, [1.0, NAN]), "non-finite value in uniform series", id="UniformSeries"),
+        pytest.param(lambda: kr.Trajectory([0.0], [0.0]), ">= 2 matching samples", id="Trajectory-one"),
+        pytest.param(lambda: kr.Trajectory([0, 0], [0, 0]), "strictly increasing", id="Trajectory-repeated-t"),
+        pytest.param(lambda: kr.gen_trajectory(0, 0.014), "too short", id="gen_trajectory"),
+        pytest.param(lambda: kr.AlphaSet(()), "at least one factor", id="AlphaSet-empty"),
+        pytest.param(
+            lambda: kr.FeatureMatrix(20.0, 0.0, (0.5,), np.zeros((3, 2))), "inconsistent with alpha count", id="FeatureMatrix"
+        ),
+        pytest.param(lambda: kr.BinnedCurve([0, 1], [1, 2], (None,)), "arrays inconsistent", id="BinnedCurve"),
+    ],
+)
+def test_each_rejection_is_a_data_error_that_names_its_rule(call, match):
+    with pytest.raises(DataError, match=match):
         call()

@@ -99,6 +99,26 @@ def test_grid_configs_subsets_and_range_checks():
         kr.grid_configs([0], kr.parse_indices("2-4,3"))
 
 
+@pytest.mark.parametrize(
+    "feature_sets, topologies, kind",
+    [
+        ([0.5], [0], "feature set"),
+        ([True], [0], "feature set"),
+        (["0"], [0], "feature set"),
+        ([0], [1.5], "topology"),
+        ([0], [None], "topology"),
+    ],
+)
+def test_grid_configs_rejects_an_index_that_is_not_an_integer(feature_sets, topologies, kind):
+    # 0.5 raised TypeError, and True was taken as index 1
+    with pytest.raises(DataError, match=f"{kind} index must be an integer >= 0"):
+        kr.grid_configs(feature_sets, topologies)
+
+
+def test_grid_configs_takes_integral_float_indices():
+    assert kr.grid_configs([1.0], [2.0]) == kr.grid_configs([1], [2])
+
+
 # --- the runner ------------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import re
 import struct
 from pathlib import Path
 from unittest import mock
@@ -55,6 +56,23 @@ def test_config_from_partial_dict_keeps_defaults():
 def test_config_explicit_null_base_selects_baseline():
     cfg = kr.config_from_dict({"alpha_base": None})
     assert cfg.feature_set().label == "baseline"
+
+
+# configs whose feature set or network smoothing's or mlp's rules refuse
+UNBUILDABLE_CONFIGS = [
+    pytest.param({"alpha_base": 1.0}, "base a must be a finite number > 1, got 1.0", id="base-1"),
+    pytest.param({"alpha_base": 1e308, "alpha_count": 3}, re.escape("base 1e+308 to the power 3 overflows"), id="base-overflows"),
+    pytest.param({"hidden": [5000, 5000]}, "at most 100,000 parameters", id="net-past-the-cap"),
+]
+
+
+@pytest.mark.parametrize("doc, match", UNBUILDABLE_CONFIGS)
+def test_config_checks_its_feature_set_and_network_when_made(doc, match):
+    # each was taken, and failed only once training had read its recording
+    with pytest.raises(DataError, match=match):
+        kr.PipelineConfig(**doc)
+    with pytest.raises(DataError, match=match):
+        kr.load_config(io.StringIO(json.dumps(doc)))
 
 
 def test_config_dict_rejects_unknown_keys():
@@ -753,6 +771,14 @@ def test_bundle_file_keeps_the_v1_layout(small_bundle):
         assert sorted(doc) == ["format", "payload", "sha256", "version"]
         assert (doc["format"], doc["version"]) == ("knitrect-bundle", 1)
         assert _key_tree(doc["payload"]) == V1_PAYLOAD_KEYS
+
+
+@pytest.mark.parametrize("doc, match", UNBUILDABLE_CONFIGS)
+def test_load_bundle_rejects_a_v1_bundle_whose_config_cannot_be_built(doc, match, tmp_path):
+    bundle_doc = json.loads((V1_DATA / "bundle_v1.json").read_text())
+    bundle_doc["payload"]["config"].update(doc)
+    with pytest.raises(DataError, match=match):
+        kr.load_bundle(_resigned(bundle_doc, tmp_path, "edited.json"))
 
 
 def test_a_v1_bundle_file_loads_predicts_and_saves_as_written(tmp_path):

@@ -319,6 +319,23 @@ def test_a_span_beyond_the_float_range_loads_and_resamples_without_a_warning(tmp
             kr.resample(rec.t_s, rec.resistance_ohm, 20.0)
 
 
+@pytest.mark.parametrize(
+    "values", [["abc"], [1.0, "x"], [[1.0, 2.0], [3.0]], [10**400]], ids=["text", "mixed", "ragged", "int-past-float"]
+)
+def test_uniform_series_rejects_values_that_float_refuses(values):
+    with pytest.raises(DataError, match="uniform series values must be numbers"):
+        kr.UniformSeries(1.0, 0.0, values)
+
+
+@pytest.mark.parametrize(
+    "t0", [float("inf"), float("-inf"), float("nan"), "0", None, 10**400], ids=["inf", "-inf", "nan", "text", "None", "int-past-float"]
+)
+def test_uniform_series_rejects_a_t0_that_is_not_a_finite_number(t0):
+    # t0=inf gave timestamps() that were all inf
+    with pytest.raises(DataError, match="t0 must be a finite number"):
+        kr.UniformSeries(1.0, t0, [1.0, 2.0])
+
+
 @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
 def test_uniform_series_rejects_a_rate_that_is_not_positive_and_finite(rate):
     with pytest.raises(DataError, match="rate_hz"):

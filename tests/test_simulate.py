@@ -51,6 +51,20 @@ def test_perlin_emits_no_numpy_warnings():
         kr.perlin1d(2**63 - 1, 4, 0.3, np.linspace(0, 100, 10000))
 
 
+@pytest.mark.parametrize("seed", ["a", None, 1.5, -1, True])
+def test_perlin_and_gen_trajectory_reject_a_seed_that_is_not_an_integer_at_least_zero(seed):
+    # 'a' raised ValueError, None TypeError; 1.5 ran as seed 1 and -1 was
+    # masked to 2**64 - 1 without an error
+    with pytest.raises(DataError, match="seed must be an integer >= 0"):
+        kr.perlin1d(seed, 3, 0.1, 12.34)
+    with pytest.raises(DataError, match="seed must be an integer >= 0"):
+        kr.gen_trajectory(seed, 1.0)
+
+
+def test_perlin_takes_an_integral_float_seed_as_its_int():
+    assert kr.perlin1d(8.0, 3, 0.1, 12.34) == kr.perlin1d(8, 3, 0.1, 12.34)
+
+
 def test_perlin_validation():
     with pytest.raises(DataError):
         kr.perlin1d(0, 0, 0.1, 1.0)
@@ -282,6 +296,27 @@ def test_shipped_presets_lookup():
         kr.preset_by_name("wool")
     with pytest.raises(DataError, match=r"unknown preset 'pes '; known: \['lycra', 'pes'\]"):
         kr.preset_by_name("pes ")
+
+
+@pytest.mark.parametrize("name", [5, None, b"pes", ["pes"]])
+def test_preset_by_name_rejects_a_name_that_is_not_a_string(name):
+    with pytest.raises(DataError, match="preset name must be a string"):
+        kr.preset_by_name(name)
+
+
+def test_role_name_runs_from_train_to_test_z():
+    assert [kr.role_name(i) for i in (0, 1, 2, 26)] == ["train", "test_a", "test_b", "test_z"]
+    assert kr.role_name(2.0) == "test_b"
+
+
+@pytest.mark.parametrize(
+    "index, match",
+    [(27, "at most 26"), (-1, "integer >= 0"), (1.5, "integer >= 0"), (True, "integer >= 0"), ("1", "integer >= 0")],
+)
+def test_role_name_rejects_an_index_outside_0_to_26(index, match):
+    # 27 gave 'test_{' and -1 'test__'; 1.5 raised TypeError
+    with pytest.raises(DataError, match=f"recording index must be .*{match}"):
+        kr.role_name(index)
 
 
 def test_preset_registry_roundtrip(tmp_path):

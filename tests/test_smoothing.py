@@ -1,5 +1,7 @@
 """Alpha sets, init windows, batch smoothing, and the streaming bank."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,27 @@ def test_baseline_alpha_set():
 def test_alpha_set_labels():
     assert kr.alpha_set(2.5, 7).label == "a2.5_n7"
     assert kr.baseline_alpha_set().label == "baseline"
+
+
+@pytest.mark.parametrize("base", [0, 0.0, float("nan"), "x", -2, 1])
+def test_alpha_set_rejects_a_base_that_is_not_a_finite_number_above_one(base):
+    # 0 raised ZeroDivisionError, "x" TypeError, and a NaN base was taken
+    with pytest.raises(DataError, match=f"base a must be a finite number > 1, got {re.escape(repr(base))}"):
+        kr.AlphaSet((0.5,), base=base)
+
+
+def test_alpha_set_and_its_constructor_share_the_base_rule():
+    for a, n in [(1e308, 3), (2.5, 10**4)]:
+        with pytest.raises(DataError, match=re.escape(f"base {a!r} to the power {n} overflows")):
+            kr.AlphaSet(tuple(1.0 / (i + 2) for i in range(n)), base=a)
+    assert kr.AlphaSet(kr.alpha_set(3, 4).alphas, base=3) == kr.alpha_set(3, 4)
+
+
+@pytest.mark.parametrize("alphas", [0.5, None, np.float64(0.5), np.array(0.5)])
+def test_alpha_set_rejects_alphas_that_are_not_a_sequence(alphas):
+    # AlphaSet(0.5) raised TypeError
+    with pytest.raises(DataError, match="alphas must be a sequence"):
+        kr.AlphaSet(alphas)
 
 
 def test_alpha_set_validates_consistency():
@@ -217,7 +240,7 @@ def test_make_bank_rejects_an_alpha_above_one_when_created():
     [
         ((0.5,), (0,), "init window"),
         ((2.0,), (1,), "lie in"),
-        ((2.0, 0.5), (1,), "pair up"),
+        ((2.0, 0.5), (1,), "alphas and init windows must pair up"),
         (("x",), (1,), "lie in"),
         ((None,), (1,), "lie in"),
     ],
