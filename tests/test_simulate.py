@@ -2,11 +2,12 @@
 
 import dataclasses
 import io
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import knitrect as kr
@@ -265,11 +266,114 @@ def test_simulate_sensor_matches_the_numpy_scalar_contact_loop(d_mm, preset, sen
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
+def _gen_trajectory_reference(seed, duration_s):
+    """gen_trajectory's one-shot form: the noise over the whole time base at once."""
+    n = int(round(duration_s * simulate.TRAJECTORY_RATE_HZ))
+    t = np.arange(n) / simulate.TRAJECTORY_RATE_HZ
+    noise = kr.perlin1d(seed, simulate._OCTAVES, simulate._BASE_FREQ_HZ, t)
+    frac = np.clip((simulate._AMPLITUDE_GAIN * noise + 1.0) / 2.0, 0.0, 1.0)
+    return kr.Trajectory(t, simulate.REST_LENGTH_MM * simulate.MAX_STRAIN * frac)
+
+
+def _simulate_sensor_reference(traj, preset, seed, jittered_timestamps=True):
+    """simulate_sensor's one-shot form: every column at full length, each stream drawn in one call."""
+    t = traj.t_s
+    eps = traj.strain()
+    ss = np.random.SeedSequence(seed)
+    jitter_rng, force_rng, resist_rng = (np.random.default_rng(c) for c in ss.spawn(3))
+    target = np.sqrt(eps)
+    dts = np.diff(t)
+    a_load = 1.0 - np.exp(-dts / preset.tau_load_s)
+    a_unload = 1.0 - np.exp(-dts / preset.tau_unload_s)
+    c = _contact_state_reference(eps, target, a_load, a_unload)
+    drift = 1.0 + preset.drift_magnitude * np.log1p(t / preset.drift_timescale_s)
+    g_clean = preset.base_conductance_s * (1.0 + preset.strain_sensitivity * c) * drift + preset.offset_s
+    if g_clean.min() <= 0:
+        raise DataError(
+            f"preset {preset.name!r} produced non-positive conductance "
+            f"(min {g_clean.min():g} S); check offset/drift signs"
+        )
+    f_clean = preset.stiffness_n * eps**preset.stiffness_exponent
+    if jittered_timestamps:
+        n_draws = int(math.ceil((t[-1] - t[0]) * 100.0)) + 1
+        rates = np.clip(
+            jitter_rng.normal(simulate.JITTER_RATE_MEAN_HZ, simulate.JITTER_RATE_SD_HZ, size=n_draws),
+            simulate.JITTER_RATE_MIN_HZ,
+            simulate.JITTER_RATE_MAX_HZ,
+        )
+        ts = np.cumsum(1.0 / rates)
+        ts = np.concatenate(([0.0], ts[ts <= t[-1]]))
+    else:
+        ts = t
+    g_s = np.interp(ts, t, g_clean)
+    f_s = np.interp(ts, t, f_clean)
+    d_s = np.interp(ts, t, traj.d_mm)
+    f_noisy = np.maximum(f_s + force_rng.normal(0.0, preset.force_noise_n, size=ts.size), 0.0)
+    r_noisy = (1.0 / g_s) * np.maximum(1.0 + resist_rng.normal(0.0, preset.resistance_noise_frac, size=ts.size), 0.1)
+    return kr.RawRecording(ts, f_noisy, r_noisy, d_s)
+
+
+def _columns_or_error(simulate_fn, traj, preset, seed, jitter):
+    try:
+        rec = simulate_fn(traj, preset, seed, jittered_timestamps=jitter)
+    except DataError as exc:
+        return str(exc)
+    return [getattr(rec, name) for name in ("t_s", "force_n", "resistance_ohm", "displacement_mm")]
+
+
+# the simulator's block length in trajectory samples
+_BLOCK = 2**14
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    samples=st.one_of(
+        st.integers(min_value=2, max_value=_BLOCK - 1),
+        st.sampled_from([_BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1, 138_000]),  # 138,000: 23 minutes
+    ),
+    traj_seed=st.integers(min_value=0, max_value=2**64 - 1),
+    sensor_seed=st.integers(min_value=0, max_value=2**64 - 1),
+    preset=st.sampled_from([kr.PES_PRESET, kr.LYCRA_PRESET]),
+    jitter=st.booleans(),
+)
+# 23 jittered minutes draw their rates in several blocks
+@example(samples=138_000, traj_seed=3, sensor_seed=5, preset=kr.PES_PRESET, jitter=True)
+@example(samples=2 * _BLOCK + 1, traj_seed=2**64 - 1, sensor_seed=0, preset=kr.LYCRA_PRESET, jitter=False)
+def test_simulation_is_byte_identical_to_the_one_shot_reference(samples, traj_seed, sensor_seed, preset, jitter):
+    # on this machine's numpy, against a copy of the one-shot code rather
+    # than a hash: np.exp, np.log1p and np.power may round differently on
+    # other CPUs and numpy versions
+    duration_s = samples / simulate.TRAJECTORY_RATE_HZ
+    traj = kr.gen_trajectory(traj_seed, duration_s)
+    want_traj = _gen_trajectory_reference(traj_seed, duration_s)
+    assert len(traj) == samples
+    assert traj.t_s.tobytes() == want_traj.t_s.tobytes() and traj.d_mm.tobytes() == want_traj.d_mm.tobytes()
+    got = _columns_or_error(kr.simulate_sensor, traj, preset, sensor_seed, jitter)
+    want = _columns_or_error(_simulate_sensor_reference, traj, preset, sensor_seed, jitter)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want  # too few jittered rows in the shortest recordings
+        return
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
 def test_sensor_rejects_presets_with_non_positive_conductance():
     bad = _clean_preset(offset_s=-1e-5)
     traj = kr.gen_trajectory(0, 10.0)
     with pytest.raises(DataError, match="non-positive conductance"):
         kr.simulate_sensor(traj, bad, 0)
+
+
+@pytest.mark.parametrize("drift_magnitude, offset_s", [(-0.1, -1.2e-6), (0.08, -1.9e-6)])
+def test_non_positive_conductance_error_reports_the_minimum_over_the_whole_recording(drift_magnitude, offset_s):
+    # the conductance falls below zero in stretches of a recording of five
+    # blocks: with a falling drift from the second block on, lowest in the
+    # last; with a rising drift in every block, lowest in the first
+    preset = dataclasses.replace(kr.PES_PRESET, drift_magnitude=drift_magnitude, offset_s=offset_s)
+    traj = kr.gen_trajectory(9, 5 * _BLOCK / simulate.TRAJECTORY_RATE_HZ)
+    want = _columns_or_error(_simulate_sensor_reference, traj, preset, 4, True)
+    assert "non-positive conductance" in want
+    assert _columns_or_error(kr.simulate_sensor, traj, preset, 4, True) == want
 
 
 def test_sensor_outputs_satisfy_recording_invariants(pes_small):
