@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError, TrainingDiverged, _integer
+from .errors import DataError, NumericError, TrainingDiverged, _integer, _shown
 from .metrics import combined_error, r_squared
 from .mlp import TrainConfig, forward_batch, mlp_new, train_many
 from .pipeline import PreparedData
@@ -124,23 +124,31 @@ def parse_indices(text: str | None) -> list[int] | None:
     return out
 
 
+def _indices(kind: str, given, count: int) -> range | list[int]:
+    """range(count) for None, else the given indices as ints >= 0; DataError for anything that is no sequence of integers."""
+    if given is None:
+        return range(count)
+    try:
+        given = list(given)
+    except TypeError:
+        raise DataError(f"{kind} indices must be a sequence of integers, got {_shown(given)}") from None
+    return [_integer(f"{kind} index", i, 0) for i in given]
+
+
 def grid_configs(
     feature_set_indices=None,
     topology_indices=None,
 ) -> list[GridConfig]:
     """The canonical config list (feature-set major), optionally subset by index.
 
-    An index that is not an integer (8.0 passes, a bool does not), out of
-    range or given twice is a DataError.
+    An index argument that is not a sequence, and an index that is not an
+    integer (8.0 passes, a bool does not), out of range or given twice,
+    is a DataError.
     """
     sets = enumerate_feature_sets()
     topos = enumerate_topologies()
-    fs_idx = range(len(sets)) if feature_set_indices is None else [
-        _integer("feature set index", i, 0) for i in feature_set_indices
-    ]
-    tp_idx = range(len(topos)) if topology_indices is None else [
-        _integer("topology index", j, 0) for j in topology_indices
-    ]
+    fs_idx = _indices("feature set", feature_set_indices, len(sets))
+    tp_idx = _indices("topology", topology_indices, len(topos))
     if any(i >= len(sets) for i in fs_idx):
         raise DataError(f"feature set index out of range 0..{len(sets) - 1}")
     if any(j >= len(topos) for j in tp_idx):

@@ -44,6 +44,11 @@ _RULES = (
 # row text at once (4096 raised peak RSS by ~2 MiB)
 _BLOCK_ROWS = 1024
 
+# the simulator and _first_violation work on arrays this many samples at a
+# time (164 s at 100 Hz, 128 KiB per float array), so that their working
+# memory does not grow with the recording
+_BLOCK = 2**14
+
 # the most samples a setting may ask one series for: a day at 100 Hz,
 # 80 MB per float column
 MAX_SAMPLES = 10**7
@@ -155,24 +160,28 @@ def _open_text(source, mode: str) -> Iterator[TextIO]:
 def _first_violation(t, f, r, d) -> tuple[int, str] | None:
     """The first row that breaks a recording rule, and the rule it breaks first.
 
-    Rows are checked in order and each row against the rules in _RULES
-    order; the timestamp rule compares a row with the one before it.
+    Rows are checked in order, _BLOCK at a time, and each row against the
+    rules in _RULES order; the timestamp rule compares a row with the one
+    before it.
     """
-    not_increasing = np.zeros(t.shape, dtype=bool)
-    with np.errstate(invalid="ignore", over="ignore"):  # a gap beyond the float range is inf, still increasing
-        not_increasing[1:] = np.diff(t) <= 0
-    broken = (
-        ~(np.isfinite(t) & np.isfinite(f) & np.isfinite(r) & np.isfinite(d)),
-        not_increasing,
-        r <= 0,
-        f < 0,
-        d < 0,
-    )
-    any_broken = np.logical_or.reduce(broken)
-    if not any_broken.any():
-        return None
-    row = int(np.argmax(any_broken))
-    return row, next(rule for rule, mask in zip(_RULES, broken) if mask[row])
+    for lo in range(0, t.size, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        prev = max(lo - 1, 0)
+        not_increasing = np.zeros(t[rows].shape, dtype=bool)
+        with np.errstate(invalid="ignore", over="ignore"):  # a gap beyond the float range is inf, still increasing
+            not_increasing[prev + 1 - lo :] = np.diff(t[prev : lo + _BLOCK]) <= 0
+        broken = (
+            ~(np.isfinite(t[rows]) & np.isfinite(f[rows]) & np.isfinite(r[rows]) & np.isfinite(d[rows])),
+            not_increasing,
+            r[rows] <= 0,
+            f[rows] < 0,
+            d[rows] < 0,
+        )
+        any_broken = np.logical_or.reduce(broken)
+        if any_broken.any():
+            row = int(np.argmax(any_broken))
+            return lo + row, next(rule for rule, mask in zip(_RULES, broken) if mask[row])
+    return None
 
 
 def _plain_values(lines: list[str]) -> np.ndarray | None:

@@ -6,6 +6,13 @@ that exhibits the corruptions the pipeline must undo — logarithmic
 baseline drift, additive offset, load/unload relaxation asymmetry
 (hysteresis), multiplicative resistance noise — plus jittered acquisition
 timestamps.  Everything is deterministic given the seeds.
+
+Simulation works in fixed-size blocks of _BLOCK (2**14) trajectory
+samples, 164 s at 100 Hz: only the arrays it returns grow with the
+duration.  A trajectory holds 16 bytes per sample and a recording 32
+bytes per row (about 41.5 rows a second with jitter); beside them, one
+recording needs about 1.6 MiB of working memory at any duration (traced
+at 23, 30 and 240 minutes; the one-shot code needed 12, 16 and 125 MiB).
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, _finite, _integer, _positive, _shown
-from .series import MAX_SAMPLES, RawRecording, _open_text
+from .series import _BLOCK, MAX_SAMPLES, RawRecording, _open_text
 
 # --- 1-d gradient noise ------------------------------------------------------
 
@@ -32,9 +39,9 @@ _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
     """Stateless 64-bit mixer; x is a uint64 array (wrap-around intended)."""
-    x = (x + np.uint64(_GOLDEN)).astype(np.uint64)
-    x = ((x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)).astype(np.uint64)
-    x = ((x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)).astype(np.uint64)
+    x = x + np.uint64(_GOLDEN)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
     return x ^ (x >> np.uint64(31))
 
 
@@ -131,7 +138,8 @@ def gen_trajectory(seed: int, duration_s: float) -> Trajectory:
     The sample's rest length is REST_LENGTH_MM (100 mm) and its strain
     stays within [0, MAX_STRAIN] (0.30); the mean absolute velocity lands
     in [0.8, 1.2] mm/s and the peak stays below 5 mm/s.  The seed is
-    checked as perlin1d checks it.
+    checked as perlin1d checks it.  The noise is computed _BLOCK samples
+    at a time, straight into the displacement array.
     """
     _positive("duration", duration_s)
     samples = duration_s * TRAJECTORY_RATE_HZ
@@ -140,10 +148,14 @@ def gen_trajectory(seed: int, duration_s: float) -> Trajectory:
     n = int(round(samples))
     if n < 2:
         raise DataError("duration too short for the trajectory rate")
-    t = np.arange(n) / TRAJECTORY_RATE_HZ
-    noise = perlin1d(seed, _OCTAVES, _BASE_FREQ_HZ, t)
-    frac = np.clip((_AMPLITUDE_GAIN * noise + 1.0) / 2.0, 0.0, 1.0)
-    return Trajectory(t, REST_LENGTH_MM * MAX_STRAIN * frac)
+    t = np.arange(n, dtype=float)
+    t /= TRAJECTORY_RATE_HZ
+    d = np.empty(n)
+    for lo in range(0, n, _BLOCK):
+        noise = perlin1d(seed, _OCTAVES, _BASE_FREQ_HZ, t[lo : lo + _BLOCK])
+        frac = np.clip((_AMPLITUDE_GAIN * noise + 1.0) / 2.0, 0.0, 1.0)
+        d[lo : lo + _BLOCK] = REST_LENGTH_MM * MAX_STRAIN * frac
+    return Trajectory(t, d)
 
 
 # --- sensor model ------------------------------------------------------------
@@ -329,66 +341,115 @@ def simulate_sensor(
     noise.  Setting the preset noise levels to 0
     and jittered_timestamps=False yields a fully clean recording on the
     trajectory's own time base.
+
+    The model runs over _clean_blocks' blocks of the trajectory, and each
+    block's acquisition rows are interpolated and given their noise in
+    row order, so only the returned columns grow with the duration.
     """
     t = traj.t_s
-    eps = traj.strain()
     ss = np.random.SeedSequence(_integer("seed", seed, 0))
     jitter_rng, force_rng, resist_rng = (np.random.default_rng(c) for c in ss.spawn(3))
-
-    # contact state: first-order relaxation toward sqrt(strain), asymmetric taus
-    target = np.sqrt(eps)
-    dts = np.diff(t)
-    a_load = 1.0 - np.exp(-dts / preset.tau_load_s)
-    a_unload = 1.0 - np.exp(-dts / preset.tau_unload_s)
-    c = _contact_state(eps, target, a_load, a_unload)
-
-    drift = 1.0 + preset.drift_magnitude * np.log1p(t / preset.drift_timescale_s)
-    g_clean = preset.base_conductance_s * (1.0 + preset.strain_sensitivity * c) * drift + preset.offset_s
-    if g_clean.min() <= 0:
-        raise DataError(
-            f"preset {preset.name!r} produced non-positive conductance "
-            f"(min {g_clean.min():g} S); check offset/drift signs"
+    ts = _jittered_times(jitter_rng, t) if jittered_timestamps else t
+    f_noisy, r_noisy, d_s = np.empty(ts.size), np.empty(ts.size), np.empty(ts.size)
+    blocks = _clean_blocks(traj, preset)
+    start = 0
+    for tb, g_clean, f_clean, db in blocks:
+        if g_clean.min() <= 0:
+            lowest = min([g_clean.min(), *(rest[1].min() for rest in blocks)])
+            raise DataError(
+                f"preset {preset.name!r} produced non-positive conductance "
+                f"(min {lowest:g} S); check offset/drift signs"
+            )
+        # a row at a block's last time falls to the next block, which starts there
+        stop = ts.size if tb[-1] == t[-1] else int(np.searchsorted(ts, tb[-1]))
+        rows = ts[start:stop]
+        g_s = np.interp(rows, tb, g_clean)
+        f_s = np.interp(rows, tb, f_clean)
+        d_s[start:stop] = np.interp(rows, tb, db)
+        f_noisy[start:stop] = np.maximum(f_s + force_rng.normal(0.0, preset.force_noise_n, size=rows.size), 0.0)
+        # multiplicative resistance noise, floored so R stays positive
+        r_noisy[start:stop] = (1.0 / g_s) * np.maximum(
+            1.0 + resist_rng.normal(0.0, preset.resistance_noise_frac, size=rows.size), 0.1
         )
-    f_clean = preset.stiffness_n * eps**preset.stiffness_exponent
-
-    if jittered_timestamps:
-        n_draws = int(math.ceil((t[-1] - t[0]) * 100.0)) + 1
-        rates = np.clip(
-            jitter_rng.normal(JITTER_RATE_MEAN_HZ, JITTER_RATE_SD_HZ, size=n_draws),
-            JITTER_RATE_MIN_HZ,
-            JITTER_RATE_MAX_HZ,
-        )
-        ts = np.cumsum(1.0 / rates)
-        ts = np.concatenate(([0.0], ts[ts <= t[-1]]))
-    else:
-        ts = t
-
-    g_s = np.interp(ts, t, g_clean)
-    f_s = np.interp(ts, t, f_clean)
-    d_s = np.interp(ts, t, traj.d_mm)
-    f_noisy = np.maximum(f_s + force_rng.normal(0.0, preset.force_noise_n, size=ts.size), 0.0)
-    # multiplicative resistance noise, floored so R stays positive
-    r_noisy = (1.0 / g_s) * np.maximum(1.0 + resist_rng.normal(0.0, preset.resistance_noise_frac, size=ts.size), 0.1)
+        start = stop
     return RawRecording(ts, f_noisy, r_noisy, d_s, source_label=source_label)
 
 
-def _contact_state(eps: np.ndarray, target: np.ndarray, a_load: np.ndarray, a_unload: np.ndarray) -> np.ndarray:
-    """c[0] = target[0], then c[i] = c[i-1] + (target[i] - c[i-1])*a, where a
-    is a_load[i-1] if eps[i] > eps[i-1] and a_unload[i-1] otherwise.
+def _clean_blocks(traj: Trajectory, preset: SensorPreset) -> Iterator[tuple[np.ndarray, ...]]:
+    """The trajectory's times, clean conductance, clean force and displacement, _BLOCK steps at a time.
 
-    The loop runs on Python floats read from memoryviews and feeds
-    np.fromiter, as smoothing._filter_pass does; the arithmetic is IEEE double
-    as on numpy scalars, so the array is the same bit for bit.
+    Each block starts at the sample where the one before it ended, and
+    the contact state carries over that sample, so every value is the one
+    that the model gives over the whole trajectory at once.
     """
+    t, d = traj.t_s, traj.d_mm
+    c = None
+    for lo in range(0, t.size - 1, _BLOCK):
+        tb, db = t[lo : lo + _BLOCK + 1], d[lo : lo + _BLOCK + 1]
+        eps = db / REST_LENGTH_MM
+        # contact state: first-order relaxation toward sqrt(strain), asymmetric taus
+        target = np.sqrt(eps)
+        dts = np.diff(tb)
+        a_load = 1.0 - np.exp(-dts / preset.tau_load_s)
+        a_unload = 1.0 - np.exp(-dts / preset.tau_unload_s)
+        c = _contact_state(float(target[0]) if c is None else float(c[-1]), eps, target, a_load, a_unload)
+        drift = 1.0 + preset.drift_magnitude * np.log1p(tb / preset.drift_timescale_s)
+        g_clean = preset.base_conductance_s * (1.0 + preset.strain_sensitivity * c) * drift + preset.offset_s
+        yield tb, g_clean, preset.stiffness_n * eps**preset.stiffness_exponent, db
 
-    def steps(c: float, prev: float) -> Iterator[float]:
+
+def _jittered_times(rng: np.random.Generator, t: np.ndarray) -> np.ndarray:
+    """Acquisition times from 0 s to t[-1]: a running sum of 1/rate, each rate a clipped normal draw.
+
+    The rates are drawn _BLOCK at a time, at most one per 10 ms that t
+    spans, and the drawing stops once the clock passes t[-1].  The clock
+    carries from block to block as cumsum's running sum, so the times are
+    those of one cumsum over every draw.  A t that spans more than
+    MAX_SAMPLES draws raises DataError.
+    """
+    span = (t[-1] - t[0]) * 100.0
+    if not span <= MAX_SAMPLES:
+        raise DataError(f"trajectory spans {float(t[-1] - t[0]):g} s; its jitter asks for more than {MAX_SAMPLES} draws")
+    n_draws = int(math.ceil(span)) + 1
+    pieces = [np.zeros(1)]
+    clock = 0.0
+    while n_draws > 0:
+        rates = np.clip(
+            rng.normal(JITTER_RATE_MEAN_HZ, JITTER_RATE_SD_HZ, size=min(n_draws, _BLOCK)),
+            JITTER_RATE_MIN_HZ,
+            JITTER_RATE_MAX_HZ,
+        )
+        n_draws -= rates.size
+        steps = 1.0 / rates
+        steps[0] += clock
+        ts = np.cumsum(steps)
+        kept = ts[: np.searchsorted(ts, t[-1], side="right")]
+        pieces.append(kept)
+        if kept.size < ts.size:
+            break
+        clock = ts[-1]
+    return np.concatenate(pieces)
+
+
+def _contact_state(c: float, eps: np.ndarray, target: np.ndarray, a_load: np.ndarray, a_unload: np.ndarray) -> np.ndarray:
+    """c, then c[i] = c[i-1] + (target[i] - c[i-1])*a[i-1], where a[i-1] is
+    a_load[i-1] if eps[i] > eps[i-1] and a_unload[i-1] otherwise.
+
+    One np.where picks every step's rate, and the loop runs on Python
+    floats read from memoryviews and feeds np.fromiter, as
+    smoothing._filter_pass does; the arithmetic is IEEE double as on
+    numpy scalars, so the array is the same bit for bit.  A block passes
+    the state at its first sample as c.
+    """
+    rates = np.where(eps[1:] > eps[:-1], a_load, a_unload)
+
+    def steps(c: float) -> Iterator[float]:
         yield c
-        for e, goal, up, down in zip(memoryview(eps)[1:], memoryview(target)[1:], memoryview(a_load), memoryview(a_unload)):
-            c = c + (goal - c) * (up if e > prev else down)
-            prev = e
+        for goal, a in zip(memoryview(target)[1:], memoryview(rates)):
+            c = c + (goal - c) * a
             yield c
 
-    return np.fromiter(steps(float(target[0]), float(eps[0])), dtype=float, count=eps.size)
+    return np.fromiter(steps(c), dtype=float, count=eps.size)
 
 
 def role_name(index: int) -> str:

@@ -89,6 +89,7 @@ def _geometric(a, n: int) -> tuple[float, ...]:
     """The factors 1/a, 1/a^2, ..., 1/a^n; DataError unless a is a finite number > 1 whose n-th power is a float."""
     if not _finite(a) or a <= 1:
         raise DataError(f"base a must be a finite number > 1, got {_shown(a)}")
+    a = float(a)  # a numpy float's power overflows to inf with a warning, a float's raises OverflowError
     try:
         return tuple(1.0 / a ** (i + 1) for i in range(n))
     except OverflowError:
@@ -127,7 +128,11 @@ def _seed_mean(xs: np.ndarray, m: int) -> float:
 
 def _bank_settings(alphas, windows, length: int | None = None) -> tuple[tuple[float, ...], tuple[int, ...]]:
     """Alphas as floats in (0, 1] and init windows as ints >= 1, paired, nonempty and none above length if given."""
-    alphas, windows = tuple(alphas), tuple(_integer("init window", m, 1) for m in windows)
+    try:
+        alphas, windows = tuple(alphas), tuple(windows)
+    except TypeError:
+        raise DataError(f"alphas and init windows must be sequences, got {_shown(alphas)} and {_shown(windows)}") from None
+    windows = tuple(_integer("init window", m, 1) for m in windows)
     if len(alphas) != len(windows) or not alphas:
         raise DataError("alphas and init windows must pair up and be nonempty")
     alphas = _alphas(alphas)

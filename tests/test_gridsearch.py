@@ -115,6 +115,16 @@ def test_grid_configs_rejects_an_index_that_is_not_an_integer(feature_sets, topo
         kr.grid_configs(feature_sets, topologies)
 
 
+@pytest.mark.parametrize(
+    "feature_sets, topologies, kind",
+    [(5, None, "feature set"), (None, 5, "topology"), (0.5, [0], "feature set"), ([0], True, "topology")],
+)
+def test_grid_configs_rejects_an_index_argument_that_is_not_a_sequence(feature_sets, topologies, kind):
+    # grid_configs(5) raised TypeError: 'int' object is not iterable
+    with pytest.raises(DataError, match=f"{kind} indices must be a sequence of integers, got"):
+        kr.grid_configs(feature_sets, topologies)
+
+
 def test_grid_configs_takes_integral_float_indices():
     assert kr.grid_configs([1.0], [2.0]) == kr.grid_configs([1], [2])
 

@@ -366,6 +366,13 @@ def test_bundle_cross_validation():
         )
 
 
+@pytest.mark.parametrize("alphas, init_windows", [(0.5, (1,)), ((0.5, 0.1, 0.025), 1)])
+def test_a_bundle_whose_alphas_or_windows_are_not_sequences_cannot_be_built(small_bundle, alphas, init_windows):
+    # alphas=0.5 raised TypeError: 'float' object is not iterable
+    with pytest.raises(DataError, match="alphas and init windows must be sequences"):
+        dataclasses.replace(small_bundle, alphas=alphas, init_windows=init_windows)
+
+
 def test_a_bundle_whose_alphas_disagree_with_its_config_cannot_be_built(small_bundle):
     # such a bundle would save, and then fail to load
     with pytest.raises(DataError, match="bundle alphas disagree with the config's feature set"):

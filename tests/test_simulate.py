@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -224,10 +225,10 @@ def test_sensor_hysteresis_loop_opens_with_asymmetric_relaxation():
     assert area_fast < 0.1 * area_wide
 
 
-def _contact_state_reference(eps, target, a_load, a_unload):
+def _contact_state_reference(c0, eps, target, a_load, a_unload):
     """The contact-state loop on numpy scalars, as simulate_sensor ran it before its Python-float loop."""
     c = np.empty_like(eps)
-    c[0] = target[0]
+    c[0] = c0
     for i in range(1, eps.size):
         a = a_load[i - 1] if eps[i] > eps[i - 1] else a_unload[i - 1]
         c[i] = c[i - 1] + (target[i] - c[i - 1]) * a
@@ -285,7 +286,7 @@ def _simulate_sensor_reference(traj, preset, seed, jittered_timestamps=True):
     dts = np.diff(t)
     a_load = 1.0 - np.exp(-dts / preset.tau_load_s)
     a_unload = 1.0 - np.exp(-dts / preset.tau_unload_s)
-    c = _contact_state_reference(eps, target, a_load, a_unload)
+    c = _contact_state_reference(target[0], eps, target, a_load, a_unload)
     drift = 1.0 + preset.drift_magnitude * np.log1p(t / preset.drift_timescale_s)
     g_clean = preset.base_conductance_s * (1.0 + preset.strain_sensitivity * c) * drift + preset.offset_s
     if g_clean.min() <= 0:
@@ -321,8 +322,7 @@ def _columns_or_error(simulate_fn, traj, preset, seed, jitter):
     return [getattr(rec, name) for name in ("t_s", "force_n", "resistance_ohm", "displacement_mm")]
 
 
-# the simulator's block length in trajectory samples
-_BLOCK = 2**14
+_BLOCK = simulate._BLOCK
 
 
 @settings(max_examples=40, deadline=None)
@@ -355,6 +355,38 @@ def test_simulation_is_byte_identical_to_the_one_shot_reference(samples, traj_se
         return
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def _working_bytes(minutes):
+    """The traced peak of one simulated recording, less the trajectory's and the recording's arrays."""
+    tracemalloc.start()
+    try:
+        traj = kr.gen_trajectory(3, minutes * 60.0)
+        rec = kr.simulate_sensor(traj, kr.PES_PRESET, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (traj.t_s, traj.d_mm, rec.t_s, rec.force_n, rec.resistance_ohm, rec.displacement_mm)
+    return peak - sum(a.nbytes for a in arrays)
+
+
+def test_simulation_working_memory_does_not_grow_with_the_duration():
+    # measured 1.59 MiB at 30 and at 240 minutes, under 4 KiB apart over
+    # three seeds and both presets; the one-shot code needed 15.6 and
+    # 124.5 MiB.  The first call pays numpy's lazy set-up.
+    kr.simulate_sensor(kr.gen_trajectory(3, 60.0), kr.PES_PRESET, 5)
+    short, long = _working_bytes(30), _working_bytes(240)
+    assert abs(long - short) <= 32 * 1024, (short, long)
+
+
+def test_jitter_refuses_a_trajectory_spanning_more_draws_than_max_samples():
+    # the draws come a block at a time until the clock passes the end, so
+    # such a span would run for hours; the one-shot code asked numpy for
+    # every draw at once
+    traj = kr.Trajectory([0.0, 1e20], [0.0, 1.0])
+    with pytest.raises(DataError, match="trajectory spans 1e\\+20 s; its jitter asks for more than 10000000 draws"):
+        kr.simulate_sensor(traj, kr.PES_PRESET, 0)
+    assert len(kr.simulate_sensor(traj, kr.PES_PRESET, 0, jittered_timestamps=False)) == 2
 
 
 def test_sensor_rejects_presets_with_non_positive_conductance():

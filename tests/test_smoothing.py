@@ -60,6 +60,15 @@ def test_alpha_set_and_its_constructor_share_the_base_rule():
     assert kr.AlphaSet(kr.alpha_set(3, 4).alphas, base=3) == kr.alpha_set(3, 4)
 
 
+@pytest.mark.parametrize("base", [np.float64(1e200), np.float64(1e300)])
+def test_alpha_set_overflows_a_numpy_float_base_with_its_own_message(base):
+    # np.float64(1e200) ** 2 gave inf with a RuntimeWarning, and then the
+    # alpha 0.0 was refused instead of the base
+    with pytest.raises(DataError, match=re.escape(f"base {float(base)!r} to the power 2 overflows")):
+        kr.alpha_set(base, 2)
+    assert kr.alpha_set(np.float64(2.5), 3) == kr.alpha_set(2.5, 3)
+
+
 @pytest.mark.parametrize("alphas", [0.5, None, np.float64(0.5), np.array(0.5)])
 def test_alpha_set_rejects_alphas_that_are_not_a_sequence(alphas):
     # AlphaSet(0.5) raised TypeError
@@ -313,6 +322,13 @@ def test_bank_push_rejects_a_sample_that_is_not_a_number(x):
     for v in (0.3, -2.0, 5.5, 1.25):  # as if the bad sample never came
         a, b = kr.bank_push(bank, v), kr.bank_push(fresh, v)
         assert (a is None) == (b is None) and (a is None or a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("alphas, windows", [(0.5, (1,)), ((0.5,), 1), (None, None), (np.float64(0.5), np.int64(1))])
+def test_make_bank_rejects_alphas_or_windows_that_are_not_sequences(alphas, windows):
+    # make_bank(0.5, (1,)) raised TypeError: 'float' object is not iterable
+    with pytest.raises(DataError, match="alphas and init windows must be sequences, got"):
+        kr.make_bank(alphas, windows)
 
 
 def test_make_bank_validation():
